@@ -29,6 +29,9 @@ class LinearForm:
 
     @classmethod
     def from_values(cls, values: Sequence) -> "LinearForm":
+        # bool is a subclass of int, so JSON true/false would pass as 1/0
+        if any(isinstance(v, bool) for v in values):
+            raise InvalidArrangement("bad coefficient: booleans are not numbers")
         try:
             rationals = [qval(v) for v in values]
         except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -85,7 +88,7 @@ class Arrangement:
 
 def parse_arrangement(n: int, rows: Iterable[Sequence]) -> Arrangement:
     """Validate and canonicalize raw coefficient rows."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidArrangement(f"ambient dimension must be a positive integer, got {n!r}")
     forms = []
     for idx, row in enumerate(rows, start=1):

@@ -14,6 +14,7 @@ import sys
 
 from .arrangement import Arrangement, InvalidArrangement, is_essential, \
     parse_arrangement_json
+from .ffcount import is_prime
 from .fixtures import fixture, fixture_names, fixture_note
 from .lattice import build_lattice
 from .report import (DEFAULT_PRIMES, arrangement_section, build_report,
@@ -215,17 +216,30 @@ def cmd_examples(args) -> int:
     return 0
 
 
+def _int_where(ok, what: str):
+    """argparse type: an integer accepted by `ok`, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", dest="json_checks", action="store_true", default=True,
-                   help="emit JSON (the default)")
     p.add_argument("--pretty", action="store_true",
                    help="human-readable rendering instead of JSON")
-    p.add_argument("--prime", dest="primes", type=int, action="append",
-                   metavar="P", help="oracle prime, repeatable "
+    p.add_argument("--prime", dest="primes", action="append", metavar="P",
+                   type=_int_where(is_prime, "a prime"),
+                   help="oracle prime, repeatable "
                    f"(default {list(DEFAULT_PRIMES)})")
-    p.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS,
-                   metavar="N", help="cap on subsets examined by the "
-                   "recoverability search")
+    p.add_argument("--max-subsets", default=DEFAULT_MAX_SUBSETS, metavar="N",
+                   type=_int_where(lambda v: v >= 0, "an integer >= 0"),
+                   help="cap (>= 0) on subsets examined by the recoverability "
+                   "search, non-generic ones included")
     p.add_argument("--no-literature-rules", action="store_true",
                    help="restrict stability to the built-in numeric tests")
 

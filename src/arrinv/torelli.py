@@ -26,8 +26,8 @@ from itertools import combinations, product
 
 from .arrangement import Arrangement
 from .lattice import IntersectionLattice
-from .linalg import (QMatrix, det, invert, kernel_basis,
-                     primitive_integer_vector, solve_square)
+from .linalg import (QMatrix, invert, kernel_basis, primitive_integer_vector,
+                     solve_square)
 from .stability import StabilityVerdict, Status
 
 
@@ -72,9 +72,6 @@ class ConicResult:
     classification: ConicClass | None
     all_points_nonsingular: bool
     vertex: tuple[int, ...] | None           # singular point of a rank-2 conic
-
-
-_MONOMIAL_ORDER = "x2 xy xz y2 yz z2"
 
 
 def _veronese_row(pt) -> list:
@@ -256,16 +253,17 @@ class TorelliVerdict:
     subset_cap_exceeded: bool
 
 
-def _is_generic_subset(a: Arrangement, labels: tuple[int, ...]) -> bool:
-    """Genericity via determinants: every n+1 (or all, if fewer) forms independent."""
-    forms = [a.form(i).coeffs for i in labels]
-    n = a.n
-    if len(forms) <= n + 1:
-        return QMatrix.from_rows(forms, n + 1).rank() == len(forms)
-    for subset in combinations(forms, n + 1):
-        if det(QMatrix.from_rows(subset, n + 1)) == 0:
-            return False
-    return True
+def _genericity(lattice: IntersectionLattice):
+    """Genericity predicate on label sets, read off the lattice.
+
+    A label set is generic when every n+1 of its forms (all, if fewer) are
+    independent. Dependent labels span a flat of some rank r <= n holding
+    more than r of them, and more than r labels of a rank-r flat are
+    dependent; only flats through more hyperplanes than their rank count.
+    """
+    dependent = [(frozenset(f.indices), f.rank) for f in lattice.flats if f.s > f.rank]
+    return lambda labels: all(len(flat.intersection(labels)) <= r
+                              for flat, r in dependent)
 
 
 DEFAULT_MAX_SUBSETS = 20000
@@ -282,6 +280,10 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     max(n+4, 6) (for n = 2 any five points lie on a conic, so smaller subsets
     cannot fail), lexicographically within a size; for n = 2 the conservative
     failure reading "kernel dimension 0, on no conic at all" is used.
+    Genericity is read off `lattice`, the lattice of `a`. Every subset
+    visited counts toward `max_subsets` (>= 0), non-generic ones included;
+    hitting the cap moves on to the later rules with `subset_cap_exceeded`
+    set.
     Rule 2: the six-line planar case is decided by whether all six dual
     points are nonsingular points of a common conic.
     Rule 3: five-line planar arrangements are never recoverable.
@@ -293,6 +295,8 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     Unstable input yields Unknown: the moduli analysis behind the rules
     assumes the sheaf is at least semi-stable.
     """
+    if lattice.arrangement != a:
+        raise ValueError("the lattice belongs to a different arrangement")
     trace: list[str] = []
     config = dual_points(a)
     n, m = a.n, a.m
@@ -307,28 +311,22 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     rnc_full = rnc_test(config) if n >= 3 else None
 
     # rule 1: generic subset failing the osculation test
-    start = max(n + 4, 6)
+    is_generic = _genericity(lattice)
     examined = 0
     cap_exceeded = False
     witness = None
-    for size in range(start, m + 1):
-        for subset in combinations(range(1, m + 1), size):
-            if examined >= max_subsets:
-                cap_exceeded = True
-                break
-            examined += 1
-            if not _is_generic_subset(a, subset):
-                continue
-            sub = config.subset(subset)
-            if n == 2:
-                if conic_test(sub).kernel_dim == 0:
-                    witness = subset
-                    break
-            else:
-                if rnc_test(sub).verdict is RncVerdict.NOT_ON_SMOOTH_RNC:
-                    witness = subset
-                    break
-        if witness is not None or cap_exceeded:
+    for subset in (s for size in range(max(n + 4, 6), m + 1)
+                   for s in combinations(range(1, m + 1), size)):
+        if examined >= max_subsets:
+            cap_exceeded = True
+            break
+        examined += 1
+        if not is_generic(subset):
+            continue
+        sub = config.subset(subset)
+        if (conic_test(sub).kernel_dim == 0 if n == 2
+                else rnc_test(sub).verdict is RncVerdict.NOT_ON_SMOOTH_RNC):
+            witness = subset
             break
     if witness is not None:
         trace.append(f"rule 1: generic subset {list(witness)} avoids every "

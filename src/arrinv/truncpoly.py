@@ -123,10 +123,3 @@ class TruncPoly:
                 parts.append(f"{c}t^{i}" if c != 1 else f"t^{i}")
         return " + ".join(parts) if parts else "0"
 
-
-def poly_mul_truncated(a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    return a * b
-
-
-def poly_div_truncated(a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    return a.divide(b)

@@ -44,6 +44,24 @@ def test_bad_dimension_rejected():
         parse_arrangement(0, [[1]])
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"n": true, "hyperplanes": [[1, 0], [0, 1], [1, 1]]}', "positive integer"),
+    ('{"n": 2, "hyperplanes": [[true, false, 0], [0, 1, 0], [0, 0, 1]]}',
+     "hyperplane 1: bad coefficient"),
+    ('{"n": 2, "hyperplanes": [[1, 0, 0], [0, 1, 0], [0, 0, false]]}',
+     "hyperplane 3: bad coefficient"),
+])
+def test_json_booleans_rejected(text, message):
+    with pytest.raises(InvalidArrangement) as err:
+        parse_arrangement_json(text)
+    assert message in str(err.value)
+
+
+def test_boolean_coefficient_rejected_by_from_values():
+    with pytest.raises(InvalidArrangement):
+        LinearForm.from_values([True, 0, 1])
+
+
 def test_json_parse_reports_position():
     with pytest.raises(InvalidArrangement) as err:
         parse_arrangement_json('{"n": 2,\n "hyperplanes": [[1,0,0],}')

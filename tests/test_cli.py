@@ -210,6 +210,15 @@ class TestErrors:
         rc, out, _ = run(capsys, ["analyze", str(f)])
         assert rc == 0
 
+    def test_boolean_input_is_invalid(self, capsys, tmp_path):
+        f = tmp_path / "bools.json"
+        f.write_text('{"n": true, "hyperplanes": [[true, false], [false, true], '
+                     '[true, true]]}')
+        rc, out, err = run(capsys, ["analyze", str(f)])
+        assert rc == 2
+        assert out == ""
+        assert "positive integer" in err
+
     def test_fraction_strings_accepted(self, capsys, tmp_path):
         f = tmp_path / "frac.json"
         f.write_text(json.dumps({"n": 2, "hyperplanes": [["1/2", 0, 0],
@@ -229,6 +238,18 @@ class TestFlags:
         d = json.loads(out)
         assert d["subset_cap_exceeded"] is True
         assert d["status"] == "torelli_proved"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--prime", "1"), ("--prime", "4"), ("--prime", "-7"), ("--prime", "x"),
+        ("--max-subsets", "-1"), ("--max-subsets", "2.5"),
+    ])
+    def test_bad_numbers_are_usage_errors(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["torelli", flag, value, path("generic5")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be" in captured.err
 
     def test_no_literature_rules_weakens_generic_verdicts(self, capsys):
         rc, out, _ = run(capsys, ["stability", "--no-literature-rules",

@@ -8,11 +8,12 @@ fixture against independently derived expectations.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from arrinv.arrangement import parse_arrangement
+from arrinv.arrangement import InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.stability import classify
@@ -24,8 +25,10 @@ from arrinv.torelli import (
     conic_test,
     dual_points,
     rnc_test,
+    _genericity,
     torelli_verdict,
 )
+from oracles import dependent_subsets_by_minors
 
 
 def verdict_for(name, **kwargs):
@@ -282,3 +285,84 @@ class TestTorelliVerdict:
     def test_trace_records_the_rules_tried(self):
         v = verdict_for("generic6_on_conic")
         assert any("conic" in line for line in v.trace)
+
+    def test_lattice_of_another_arrangement_is_refused(self):
+        a = fixture("generic6_off_conic")
+        other = build_lattice(fixture("generic6_on_conic"))
+        with pytest.raises(ValueError):
+            torelli_verdict(a, other, classify(a, build_lattice(a)))
+
+
+# Lines 1, 2, 3 meet in a point and so do lines 1, 5, 7: the first six
+# 6-subsets of the scan each contain one of these triples, and the seventh,
+# (2, 3, 4, 5, 6, 7), is generic with dual points on no conic.
+SKIPS_BEFORE_WITNESS = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 1, 4],
+                        [-4, 3, -1], [-4, -2, -3], [1, 3, -1]]
+WITNESS_INDEX = 7
+
+
+class TestRule1Cap:
+    def _verdict(self, max_subsets):
+        a = parse_arrangement(2, SKIPS_BEFORE_WITNESS)
+        lat = build_lattice(a)
+        return torelli_verdict(a, lat, classify(a, lat), max_subsets=max_subsets)
+
+    def test_skipped_subsets_precede_the_witness(self):
+        a = parse_arrangement(2, SKIPS_BEFORE_WITNESS)
+        dependent = dependent_subsets_by_minors(a)
+        scan = list(combinations(range(1, 8), 6))
+        assert scan[WITNESS_INDEX - 1] == (2, 3, 4, 5, 6, 7)
+        for subset in scan[:WITNESS_INDEX - 1]:
+            assert any(t in dependent for t in combinations(subset, 3))
+        v = self._verdict(20000)
+        assert v.witness_subset == (2, 3, 4, 5, 6, 7)
+        assert not v.subset_cap_exceeded
+
+    def test_skipped_subsets_count_toward_the_cap(self):
+        v = self._verdict(WITNESS_INDEX - 1)
+        assert v.subset_cap_exceeded
+        assert v.witness_subset is None
+        assert v.rule != "generic-subset-off-curve"
+        assert v.trace[0].endswith("(subset cap hit)")
+
+    def test_cap_at_the_witness_index_finds_it(self):
+        v = self._verdict(WITNESS_INDEX)
+        assert not v.subset_cap_exceeded
+        assert v.status is TorelliStatus.TORELLI_PROVED
+        assert v.witness_subset == (2, 3, 4, 5, 6, 7)
+
+
+@st.composite
+def concurrent_arrangements(draw):
+    """Random n = 2 or 3 arrangements, some forms combinations of earlier ones."""
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(n + 2, 7))
+    rows: list[list[int]] = []
+    for i in range(m):
+        if i >= 2 and draw(st.booleans()):
+            k = draw(st.integers(2, min(i, n)))
+            picks = draw(st.lists(st.integers(0, i - 1), min_size=k, max_size=k,
+                                  unique=True))
+            mults = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=k,
+                                  max_size=k))
+            rows.append([sum(c * rows[j][t] for c, j in zip(mults, picks))
+                         for t in range(n + 1)])
+        else:
+            rows.append(draw(st.lists(st.integers(-3, 3), min_size=n + 1,
+                                      max_size=n + 1)))
+    try:
+        return parse_arrangement(n, rows)
+    except InvalidArrangement:
+        assume(False)
+
+
+@given(concurrent_arrangements())
+@settings(max_examples=60, deadline=None)
+def test_lattice_genericity_matches_minors(a):
+    dependent = dependent_subsets_by_minors(a)
+    is_generic = _genericity(build_lattice(a))
+    for size in range(a.n + 1, a.m + 1):
+        for subset in combinations(range(1, a.m + 1), size):
+            by_minors = not any(t in dependent
+                                for t in combinations(subset, a.n + 1))
+            assert is_generic(subset) == by_minors, subset
