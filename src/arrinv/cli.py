@@ -2,8 +2,11 @@
 
 Commands operate on an arrangement file in the canonical JSON input format
 and print JSON by default (--pretty switches the full report to a table
-rendering). Exit codes: 0 success, 2 invalid input, and 1 when `verify`
-finds a failing check.
+rendering). Each command reads the sections it prints from one
+`report.Analysis` of the input, so it prints exactly what `analyze` prints
+there. Exit codes: 0 success, 1 when `verify` finds a failing check, 2
+invalid input, and 3 an internal error (a broken internal identity or any
+other fault of the program).
 """
 
 from __future__ import annotations
@@ -12,22 +15,22 @@ import argparse
 import json
 import sys
 
-from .arrangement import Arrangement, InvalidArrangement, is_essential, \
-    parse_arrangement_json
+from .arrangement import Arrangement, InvalidArrangement, parse_arrangement_json
 from .ffcount import is_prime
 from .fixtures import fixture, fixture_names, fixture_note
-from .lattice import build_lattice
-from .report import (DEFAULT_PRIMES, arrangement_section, build_report,
-                     chern_section, delta_bound_check, delta_section, gale_section,
-                     jsonable, lattice_section, oracle_checks, poincare_section,
-                     render_pretty, stability_section, torelli_section)
-from .stability import Status, classify
-from .steiner import GaleUndefined, gale_dual, steiner_tensor
-from .torelli import DEFAULT_MAX_SUBSETS, torelli_verdict
+from .report import DEFAULT_PRIMES, Analysis, jsonable, render_pretty
+from .stability import Status
+from .steiner import GaleUndefined, gale_dual
+from .torelli import DEFAULT_MAX_SUBSETS
 
 
 def _dump(obj) -> str:
     return json.dumps(jsonable(obj), indent=2) + "\n"
+
+
+def _print(obj) -> int:
+    sys.stdout.write(_dump(obj))
+    return 0
 
 
 def _load(path: str) -> Arrangement:
@@ -36,101 +39,48 @@ def _load(path: str) -> Arrangement:
             text = fh.read()
     except OSError as exc:
         raise InvalidArrangement(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidArrangement(f"cannot read {path}: not UTF-8 text") from exc
     return parse_arrangement_json(text)
 
 
-def _classified(a, lattice, args):
-    """Stability verdict or (None, reason) when out of range."""
-    if not is_essential(a):
-        return None, "arrangement is not essential"
-    if a.m < a.n + 2:
-        return None, f"needs m >= n + 2, got m = {a.m}"
-    tensor = steiner_tensor(a)
-    verdict = classify(a, lattice, tensor=tensor,
-                       literature_rules=not args.no_literature_rules)
-    return verdict, None
+def _analysis(args) -> Analysis:
+    return Analysis(_load(args.path), tuple(args.primes), args.max_subsets,
+                    not args.no_literature_rules)
 
 
 def cmd_analyze(args) -> int:
-    a = _load(args.path)
-    report = build_report(a, primes=tuple(args.primes),
-                          max_subsets=args.max_subsets,
-                          literature_rules=not args.no_literature_rules)
+    report = _analysis(args).report()
     if args.pretty:
         sys.stdout.write(render_pretty(report))
-    else:
-        sys.stdout.write(_dump(report))
-    return 0
+        return 0
+    return _print(report)
 
 
-def cmd_lattice(args) -> int:
-    a = _load(args.path)
-    sys.stdout.write(_dump(lattice_section(build_lattice(a))))
-    return 0
-
-
-def cmd_invariants(args) -> int:
-    a = _load(args.path)
-    lattice = build_lattice(a)
-    out = {
-        "poincare": poincare_section(lattice),
-        "chern": (chern_section(a, lattice)
-                  if is_essential(a) and a.m >= a.n + 2
-                  else {"status": "unavailable",
-                        "reason": "needs an essential arrangement with m >= n + 2"}),
-        "delta": delta_section(a, lattice),
-    }
-    sys.stdout.write(_dump(out))
-    return 0
-
-
-def cmd_stability(args) -> int:
-    a = _load(args.path)
-    lattice = build_lattice(a)
-    verdict, reason = _classified(a, lattice, args)
-    sys.stdout.write(_dump(stability_section(verdict, reason)))
-    return 0
-
-
-def cmd_torelli(args) -> int:
-    a = _load(args.path)
-    lattice = build_lattice(a)
-    verdict, reason = _classified(a, lattice, args)
-    tv = None
-    if verdict is not None:
-        tv = torelli_verdict(a, lattice, verdict, max_subsets=args.max_subsets)
-    sys.stdout.write(_dump(torelli_section(tv, reason)))
-    return 0
-
-
-def cmd_gale(args) -> int:
-    a = _load(args.path)
-    sys.stdout.write(_dump(gale_section(a)))
-    return 0
+def _sections(*names):
+    """A command printing these report sections; a single one is unwrapped."""
+    def cmd(args) -> int:
+        an = _analysis(args)
+        parts = {name: an.section(name) for name in names}
+        return _print(parts[names[0]] if len(names) == 1 else parts)
+    return cmd
 
 
 def cmd_tensor(args) -> int:
-    a = _load(args.path)
-    if not is_essential(a) or a.m < a.n + 2:
+    t = _analysis(args).tensor
+    if t is None:
         raise InvalidArrangement(
             "tensor needs an essential arrangement with m >= n + 2")
-    t = steiner_tensor(a)
-    out = {
+    return _print({
         "m": t.m,
         "n": t.n,
         "relation_basis": [list(r) for r in t.u_basis.entries],
         "slices": [[list(row) for row in s.entries] for s in t.slices],
-    }
-    sys.stdout.write(_dump(out))
-    return 0
+    })
 
 
 def cmd_verify(args) -> int:
-    a = _load(args.path)
-    lattice = build_lattice(a)
-    verdict, _ = _classified(a, lattice, args)
-    checks = oracle_checks(a, lattice, primes=tuple(args.primes))
-    checks.append(delta_bound_check(a, lattice, verdict))
+    checks = _analysis(args).oracles_section()
     failed = [c for c in checks if c["status"] == "fail"]
     if not args.pretty:
         sys.stdout.write(_dump({"checks": checks, "ok": not failed}))
@@ -149,24 +99,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    a = _load(args.path)
+    primal = _analysis(args)
+    a = primal.a
     if a.m < a.n + 3:
         raise InvalidArrangement(
             f"the dual construction needs m >= n + 3; m = {a.m}, n = {a.n} "
             "leaves no dual ambient space")
+    if primal.tensor is None:
+        raise InvalidArrangement(
+            "dual arrangement undefined: Gale dual needs an essential arrangement")
     try:
-        dual = gale_dual(a)
+        dual = Analysis(gale_dual(primal.tensor), primal.primes,
+                        primal.max_subsets, primal.literature_rules)
     except GaleUndefined as exc:
         raise InvalidArrangement(f"dual arrangement undefined: {exc}") from exc
-
-    def _side(arr):
-        lat = build_lattice(arr)
-        tensor = steiner_tensor(arr)
-        return classify(arr, lat, tensor=tensor,
-                        literature_rules=not args.no_literature_rules)
-
-    pv = _side(a)
-    dv = _side(dual)
 
     def _bucket(v):
         if v.status is Status.STABLE:
@@ -175,7 +121,7 @@ def cmd_conjecture(args) -> int:
             return "not_stable"
         return None
 
-    pb, db = _bucket(pv), _bucket(dv)
+    pb, db = _bucket(primal.stability), _bucket(dual.stability)
     if pb is None or db is None:
         agreement = "undetermined"
     elif pb == db:
@@ -183,9 +129,9 @@ def cmd_conjecture(args) -> int:
     else:
         agreement = "disagree"
     out = {
-        "primal": stability_section(pv, None),
-        "dual": {"arrangement": arrangement_section(dual),
-                 **stability_section(dv, None)},
+        "primal": primal.stability_section(),
+        "dual": {"arrangement": dual.arrangement_section(),
+                 **dual.stability_section()},
         "agreement": agreement,
         "counterexample_candidate": agreement == "disagree",
     }
@@ -193,8 +139,7 @@ def cmd_conjecture(args) -> int:
         sys.stderr.write(
             "WARNING: primal and dual stability verdicts disagree; this "
             "contradicts the duality conjecture, check the input carefully\n")
-    sys.stdout.write(_dump(out))
-    return 0
+    return _print(out)
 
 
 def cmd_examples(args) -> int:
@@ -212,8 +157,7 @@ def cmd_examples(args) -> int:
             f"unknown fixture {name!r}; run 'examples list' for names") from exc
     out = dict(a.to_json_dict())
     out["note"] = note
-    sys.stdout.write(_dump(out))
-    return 0
+    return _print(out)
 
 
 def _int_where(ok, what: str):
@@ -253,11 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, desc in [
         ("analyze", cmd_analyze, "full report: lattice, invariants, stability, "
                                  "recoverability, dual, oracle checks"),
-        ("lattice", cmd_lattice, "intersection lattice with Moebius values"),
-        ("invariants", cmd_invariants, "Poincare and Chern data, delta invariant"),
-        ("stability", cmd_stability, "stability classification with witnesses"),
-        ("torelli", cmd_torelli, "recoverability verdict"),
-        ("gale", cmd_gale, "dual configuration and dependency bijection"),
+        ("lattice", _sections("lattice"), "intersection lattice with Moebius values"),
+        ("invariants", _sections("poincare", "chern", "delta"),
+         "Poincare and Chern data, delta invariant"),
+        ("stability", _sections("stability"), "stability classification with witnesses"),
+        ("torelli", _sections("torelli"), "recoverability verdict"),
+        ("gale", _sections("gale"), "dual configuration and dependency bijection"),
         ("tensor", cmd_tensor, "defining tensor slices"),
         ("verify", cmd_verify, "run the exact check suite; exit 1 on failure"),
         ("conjecture", cmd_conjecture, "compare stability of the arrangement "
@@ -286,9 +231,10 @@ def main(argv=None) -> int:
     except InvalidArrangement as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, GaleUndefined) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except Exception as exc:
+        # anything else is a fault of the program, not of the input
+        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,8 +12,11 @@ can compare them directly.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import _ffpure
 from .arrangement import Arrangement
+from .linalg import QMatrix
 
 try:
     from . import _ffkernel
@@ -122,33 +125,33 @@ def _rank_mod_p(rows: list[tuple[int, ...]], p: int) -> int:
     return pr
 
 
-def prime_preserves_lattice(a: Arrangement, p: int) -> bool:
-    """True when every subset of <= n+1 forms keeps its rank mod p.
+def subset_ranks(a: Arrangement) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+    """Every subset of at most n+1 forms with its rank over Q.
+
+    Computed from the forms themselves, never from a lattice, so a prime is
+    judged against the true ranks even when the lattice under test is wrong.
+    """
+    forms = [f.coeffs for f in a.forms]
+    return tuple((rows, QMatrix.from_rows(rows, a.n + 1).rank())
+                 for size in range(1, min(a.n + 1, a.m) + 1)
+                 for rows in combinations(forms, size))
+
+
+def prime_preserves_lattice(ranks, p: int) -> bool:
+    """True when every subset in `ranks` (from `subset_ranks`) keeps its rank mod p.
 
     Rank preservation of the small subsets forces the whole intersection
     lattice mod p to agree with the lattice over Q, which is exactly what the
     counting identity needs. (A stricter test than the pairwise check in
     count_complement_points.)
     """
-    from itertools import combinations
-
-    from .linalg import QMatrix
-
-    forms = [f.coeffs for f in a.forms]
-    top = min(a.n + 1, a.m)
-    for size in range(1, top + 1):
-        for subset in combinations(range(a.m), size):
-            rows = [forms[i] for i in subset]
-            exact = QMatrix.from_rows(rows, a.n + 1).rank()
-            if exact != _rank_mod_p(rows, p):
-                return False
-    return True
+    return all(_rank_mod_p(rows, p) == rank for rows, rank in ranks)
 
 
-def next_valid_prime(a: Arrangement, start: int) -> int:
-    """Smallest lattice-preserving prime >= start."""
+def next_valid_prime(ranks, start: int) -> int:
+    """Smallest lattice-preserving prime >= start for the `subset_ranks` given."""
     p = max(2, start)
     while True:
-        if is_prime(p) and prime_preserves_lattice(a, p):
+        if is_prime(p) and prime_preserves_lattice(ranks, p):
             return p
         p += 1

@@ -1,5 +1,11 @@
 """Deterministic report assembly shared by the CLI commands.
 
+A report is read from one `Analysis` of the arrangement, which computes each
+quantity at most once: above all the intersection lattice and the defining
+tensor, whose relation basis gives the Gale dual points. Stability, Torelli
+and Chern data share one availability rule, `Analysis.unavailable`. The CLI
+commands print sections of an Analysis, so each prints what `analyze` does.
+
 Everything here returns plain dicts and lists ready for json.dumps. Field
 order is fixed by construction and all collection iteration is over sorted
 data, so re-running on the same input produces byte-identical output.
@@ -9,22 +15,29 @@ otherwise.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .arrangement import Arrangement, is_essential
 from .ffcount import (backend_name, count_complement_points, next_valid_prime,
-                      prime_preserves_lattice)
-from .invariants import (chern, complement_count_prediction, delta_invariant,
-                         h0_values, local_data, poincare, twist_transform)
-from .lattice import IntersectionLattice, classify_crossing
-from .steiner import GaleUndefined, dual_columns, gale_dual, steiner_tensor, \
-    verify_gale_bijection
-from .stability import StabilityVerdict, classify
-from .torelli import TorelliVerdict, torelli_verdict
+                      prime_preserves_lattice, subset_ranks)
+from .invariants import (ChernData, chern, complement_count_prediction,
+                         delta_invariant, h0_values, local_data, poincare,
+                         twist_transform)
+from .lattice import IntersectionLattice, build_lattice, classify_crossing
+from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
+                      dual_columns, gale_dual, steiner_tensor,
+                      verify_gale_bijection)
+from .stability import StabilityVerdict, Status, classify
+from .torelli import DEFAULT_MAX_SUBSETS, TorelliVerdict, torelli_verdict
 from .truncpoly import TruncPoly
 
 DEFAULT_PRIMES = (7, 11, 101)
+SECTIONS = ("arrangement", "lattice", "poincare", "chern", "delta", "stability",
+            "torelli", "gale", "oracles")
 
 
 def jsonable(x):
@@ -44,213 +57,279 @@ def _poly(p: TruncPoly | None):
     return None if p is None else list(p.coeffs)
 
 
-def arrangement_section(a: Arrangement) -> dict:
-    return {
-        "n": a.n,
-        "m": a.m,
-        "hyperplanes": [list(f.coeffs) for f in a.forms],
-        "essential": is_essential(a),
-    }
+@dataclass
+class Analysis:
+    """The data of one report on one arrangement, each quantity computed once.
 
+    The quantities are `cached_property`s filled on first use, so a command
+    computes only what the sections it prints need. An Analysis is built per
+    call and holds nothing beyond it.
+    """
 
-def lattice_section(lattice: IntersectionLattice) -> dict:
-    flats = [{"indices": list(f.indices), "rank": f.rank, "s": f.s,
-              "mobius": lattice.mobius_of(f)}
-             for f in lattice.flats]
-    counts = {}
-    for f in lattice.flats:
-        counts[f.rank] = counts.get(f.rank, 0) + 1
-    crossing = classify_crossing(lattice)
-    return {
-        "flats": flats,
-        "flat_counts_by_rank": {str(r): counts[r] for r in sorted(counts)},
-        "crossing": crossing.kind.value,
-        "crossing_witness": list(crossing.witness.indices) if crossing.witness else None,
-    }
+    a: Arrangement
+    primes: tuple[int, ...]
+    max_subsets: int
+    literature_rules: bool
 
+    @cached_property
+    def lattice(self) -> IntersectionLattice:
+        return build_lattice(self.a)
 
-def poincare_section(lattice: IntersectionLattice) -> dict:
-    pd = poincare(lattice)
-    return {"projective": _poly(pd.projective), "central": _poly(pd.central)}
+    @cached_property
+    def essential(self) -> bool:
+        return is_essential(self.a)
 
+    @cached_property
+    def unavailable(self) -> str | None:
+        """Why stability, Torelli and Chern data are missing, or None.
 
-def chern_section(a: Arrangement, lattice: IntersectionLattice) -> dict:
-    cd = chern(a, lattice)
-    out = {
-        "steiner_ct": _poly(cd.steiner_ct),
-        "steiner_twisted_ct": _poly(cd.steiner_twisted_ct),
-        "logfree_twisted_ct": _poly(cd.logfree_twisted_ct),
-        "locally_free": cd.locally_free.value,
-    }
-    if a.n == 2:
-        out["c1"] = cd.n2_c1
-        out["c2"] = cd.n2_c2
-    if cd.steiner_unavailable_reason is not None:
-        out["steiner_unavailable"] = cd.steiner_unavailable_reason
-    return out
-
-
-def delta_section(a: Arrangement, lattice: IntersectionLattice) -> dict | None:
-    if a.n != 2:
+        They need the Steiner presentation: an essential arrangement with
+        m >= n + 2, which is also when the defining tensor exists.
+        """
+        if not self.essential:
+            return "arrangement is not essential"
+        if self.a.m < self.a.n + 2:
+            return f"needs m >= n + 2, got m = {self.a.m}"
         return None
-    dd = delta_invariant(lattice)
-    per_point = []
-    for loc in local_data(lattice):
-        per_point.append({
+
+    @cached_property
+    def tensor(self) -> SteinerTensor | None:
+        return None if self.unavailable else steiner_tensor(self.a)
+
+    @cached_property
+    def stability(self) -> StabilityVerdict | None:
+        if self.unavailable:
+            return None
+        return classify(self.a, self.lattice, literature_rules=self.literature_rules)
+
+    @cached_property
+    def torelli(self) -> TorelliVerdict | None:
+        if self.unavailable:
+            return None
+        return torelli_verdict(self.a, self.lattice, self.stability,
+                               max_subsets=self.max_subsets)
+
+    @cached_property
+    def chern_data(self) -> ChernData | None:
+        return None if self.unavailable else chern(self.a, self.lattice)
+
+    @cached_property
+    def gale_check(self) -> GaleBijectionReport | None:
+        """The bijection check, when the Gale dual configuration is defined."""
+        if self.a.m < self.a.n + 3 or self.unavailable:
+            return None
+        return verify_gale_bijection(self.tensor)
+
+    # -- sections -------------------------------------------------------
+
+    def report(self) -> dict:
+        return {name: self.section(name) for name in SECTIONS}
+
+    def section(self, name: str):
+        """The report section under key `name`, one of SECTIONS."""
+        return getattr(self, name + "_section")()
+
+    def arrangement_section(self) -> dict:
+        a = self.a
+        return {
+            "n": a.n,
+            "m": a.m,
+            "hyperplanes": [list(f.coeffs) for f in a.forms],
+            "essential": self.essential,
+        }
+
+    def lattice_section(self) -> dict:
+        lattice = self.lattice
+        flats = [{"indices": list(f.indices), "rank": f.rank, "s": f.s,
+                  "mobius": lattice.mobius_of(f)}
+                 for f in lattice.flats]
+        counts = Counter(f.rank for f in lattice.flats)
+        crossing = classify_crossing(lattice)
+        return {
+            "flats": flats,
+            "flat_counts_by_rank": {str(r): counts[r] for r in sorted(counts)},
+            "crossing": crossing.kind.value,
+            "crossing_witness": list(crossing.witness.indices) if crossing.witness else None,
+        }
+
+    def poincare_section(self) -> dict:
+        pd = poincare(self.lattice)
+        return {"projective": _poly(pd.projective), "central": _poly(pd.central)}
+
+    def chern_section(self) -> dict:
+        cd = self.chern_data
+        if cd is None:
+            return {"status": "unavailable", "reason": self.unavailable}
+        out = {
+            "steiner_ct": _poly(cd.steiner_ct),
+            "steiner_twisted_ct": _poly(cd.steiner_twisted_ct),
+            "logfree_twisted_ct": _poly(cd.logfree_twisted_ct),
+            "locally_free": cd.locally_free.value,
+        }
+        if self.a.n == 2:
+            out["c1"] = cd.n2_c1
+            out["c2"] = cd.n2_c2
+        return out
+
+    def delta_section(self) -> dict | None:
+        a, lattice = self.a, self.lattice
+        if a.n != 2:
+            return None
+        per_point = [{
             "indices": list(loc.indices),
             "s": loc.s,
             "milnor": loc.milnor,
             "delta_local": loc.delta_local,
             "branches": loc.branches,
             "torsion_length": loc.torsion_length,
-        })
-    out = {"total": dd.total, "per_point": per_point}
-    if a.m >= a.n + 2:
-        h0_sheaf, h0_log = h0_values(lattice)
-        out["h0_twisted_sheaf"] = h0_sheaf
-        out["h0_twisted_log"] = h0_log
-    return out
+        } for loc in local_data(lattice)]
+        out = {"total": delta_invariant(lattice).total, "per_point": per_point}
+        if a.m >= a.n + 2:
+            h0_sheaf, h0_log = h0_values(lattice)
+            out["h0_twisted_sheaf"] = h0_sheaf
+            out["h0_twisted_log"] = h0_log
+        return out
 
-
-def stability_section(verdict: StabilityVerdict | None, reason: str | None) -> dict:
-    if verdict is None:
-        return {"status": "unavailable", "reason": reason}
-    return {
-        "status": verdict.status.value,
-        "witnesses": [{
-            "kind": w.kind.value,
-            "lhs": jsonable(w.lhs),
-            "rhs": jsonable(w.rhs),
-            "strict": w.strict,
-            "flat_indices": list(w.flat_indices) if w.flat_indices else None,
-            "detail": w.detail,
-        } for w in verdict.witnesses],
-        "rules_applied": list(verdict.rules),
-    }
-
-
-def torelli_section(verdict: TorelliVerdict | None, reason: str | None) -> dict:
-    if verdict is None:
-        return {"status": "unavailable", "reason": reason}
-    out = {
-        "status": verdict.status.value,
-        "rule": verdict.rule,
-        "witness_subset": list(verdict.witness_subset) if verdict.witness_subset else None,
-        "trace": list(verdict.trace),
-        "subset_cap_exceeded": verdict.subset_cap_exceeded,
-    }
-    if verdict.conic is not None:
-        c = verdict.conic
-        out["conic"] = {
-            "kernel_dim": c.kernel_dim,
-            "conic": list(c.conic) if c.conic else None,
-            "classification": c.classification.value if c.classification else None,
-            "all_points_nonsingular": c.all_points_nonsingular,
-            "vertex": list(c.vertex) if c.vertex else None,
+    def stability_section(self) -> dict:
+        verdict = self.stability
+        if verdict is None:
+            return {"status": "unavailable", "reason": self.unavailable}
+        return {
+            "status": verdict.status.value,
+            "witnesses": [{
+                "kind": w.kind.value,
+                "lhs": jsonable(w.lhs),
+                "rhs": jsonable(w.rhs),
+                "strict": w.strict,
+                "flat_indices": list(w.flat_indices) if w.flat_indices else None,
+                "detail": w.detail,
+            } for w in verdict.witnesses],
+            "rules_applied": list(verdict.rules),
         }
-    if verdict.rnc is not None:
-        r = verdict.rnc
-        out["rnc"] = {
-            "verdict": r.verdict.value,
-            "frame": list(r.frame) if r.frame else None,
-            "direction": jsonable(list(r.direction)) if r.direction else None,
-            "detail": r.detail,
+
+    def torelli_section(self) -> dict:
+        verdict = self.torelli
+        if verdict is None:
+            return {"status": "unavailable", "reason": self.unavailable}
+        out = {
+            "status": verdict.status.value,
+            "rule": verdict.rule,
+            "witness_subset": list(verdict.witness_subset) if verdict.witness_subset else None,
+            "trace": list(verdict.trace),
+            "subset_cap_exceeded": verdict.subset_cap_exceeded,
         }
-    return out
+        if verdict.conic is not None:
+            c = verdict.conic
+            out["conic"] = {
+                "kernel_dim": c.kernel_dim,
+                "conic": list(c.conic) if c.conic else None,
+                "classification": c.classification.value if c.classification else None,
+                "all_points_nonsingular": c.all_points_nonsingular,
+                "vertex": list(c.vertex) if c.vertex else None,
+            }
+        if verdict.rnc is not None:
+            r = verdict.rnc
+            out["rnc"] = {
+                "verdict": r.verdict.value,
+                "frame": list(r.frame) if r.frame else None,
+                "direction": jsonable(list(r.direction)) if r.direction else None,
+                "detail": r.detail,
+            }
+        return out
 
+    def gale_section(self) -> dict:
+        a, rep = self.a, self.gale_check
+        if a.m < a.n + 3:
+            return {"defined": False,
+                    "reason": f"dual ambient space is empty or a point for m = {a.m}, "
+                              f"n = {a.n}; the construction needs m >= n + 3"}
+        if rep is None:
+            return {"defined": False, "reason": self.unavailable}
+        out = {
+            "defined": True,
+            "dual_n": a.m - a.n - 2,
+            "dual_points": [list(c) for c in dual_columns(self.tensor)],
+            "dependent_sets_primal": [list(s) for s in rep.primal_dependent],
+            "dependent_sets_dual": [list(s) for s in rep.actual_dual],
+            "complement_bijection": rep.ok,
+        }
+        try:
+            gale_dual(self.tensor)
+            out["dual_arrangement"] = "defined"
+        except GaleUndefined as exc:
+            out["dual_arrangement"] = f"undefined: {exc}"
+        return out
 
-def gale_section(a: Arrangement) -> dict:
-    if a.m < a.n + 3:
-        return {"defined": False,
-                "reason": f"dual ambient space is empty or a point for m = {a.m}, "
-                          f"n = {a.n}; the construction needs m >= n + 3"}
-    cols = dual_columns(a)
-    rep = verify_gale_bijection(a)
-    out = {
-        "defined": True,
-        "dual_n": a.m - a.n - 2,
-        "dual_points": [list(c) for c in cols],
-        "dependent_sets_primal": [list(s) for s in rep.primal_dependent],
-        "dependent_sets_dual": [list(s) for s in rep.actual_dual],
-        "complement_bijection": rep.ok,
-    }
-    try:
-        gale_dual(a)
-        out["dual_arrangement"] = "defined"
-    except GaleUndefined as exc:
-        out["dual_arrangement"] = f"undefined: {exc}"
-    return out
+    def oracles_section(self) -> list[dict]:
+        """The verification suite: named exact checks, each pass/fail/skip."""
+        a, lattice = self.a, self.lattice
+        checks: list[dict] = []
 
+        ranks = subset_ranks(a)
+        for p in self.primes:
+            q = p
+            note = None
+            if not prime_preserves_lattice(ranks, q):
+                q = next_valid_prime(ranks, q)
+                note = f"p = {p} degenerates the reduction; retried with {q}"
+            predicted = complement_count_prediction(lattice, q)
+            counted = count_complement_points(a, q)
+            entry = {"check": f"finite_field_count_p{p}",
+                     "status": "pass" if predicted == counted else "fail",
+                     "predicted": predicted, "counted": counted,
+                     "backend": backend_name()}
+            if note:
+                entry["note"] = note
+            checks.append(entry)
 
-def oracle_checks(a: Arrangement, lattice: IntersectionLattice,
-                  primes=DEFAULT_PRIMES) -> list[dict]:
-    """The verification suite: named exact checks, each pass/fail/skip."""
-    checks: list[dict] = []
+        if a.n == 2:
+            ok = True
+            detail = []
+            for loc in local_data(lattice):
+                lhs = loc.milnor
+                rhs = 2 * loc.delta_local - loc.branches + 1
+                if lhs != rhs:
+                    ok = False
+                detail.append({"indices": list(loc.indices), "milnor": lhs,
+                               "two_delta_minus_r_plus_1": rhs})
+            checks.append({"check": "milnor_delta_branches",
+                           "status": "pass" if ok else "fail", "points": detail})
 
-    for p in primes:
-        name = f"finite_field_count_p{p}"
-        q = p
-        note = None
-        if not prime_preserves_lattice(a, q):
-            q = next_valid_prime(a, q)
-            note = f"p = {p} degenerates the reduction; retried with {q}"
-        predicted = complement_count_prediction(lattice, q)
-        counted = count_complement_points(a, q)
-        entry = {"check": name,
-                 "status": "pass" if predicted == counted else "fail",
-                 "predicted": predicted, "counted": counted,
-                 "backend": backend_name()}
-        if note:
-            entry["note"] = note
-        checks.append(entry)
+            lhs = comb(a.m, 2) - sum(f.s - 1 for f in lattice.flats_of_rank(2))
+            rhs = sum(comb(f.s - 1, 2) for f in lattice.flats_of_rank(2))
+            checks.append({"check": "pair_count_identity",
+                           "status": "pass" if lhs == rhs else "fail",
+                           "lhs": lhs, "rhs": rhs})
+        else:
+            checks.append({"check": "milnor_delta_branches", "status": "skipped",
+                           "reason": "defined for n = 2 only"})
+            checks.append({"check": "pair_count_identity", "status": "skipped",
+                           "reason": "defined for n = 2 only"})
 
-    if a.n == 2:
-        ok = True
-        detail = []
-        for loc in local_data(lattice):
-            lhs = loc.milnor
-            rhs = 2 * loc.delta_local - loc.branches + 1
-            if lhs != rhs:
-                ok = False
-            detail.append({"indices": list(loc.indices), "milnor": lhs,
-                           "two_delta_minus_r_plus_1": rhs})
-        checks.append({"check": "milnor_delta_branches", "status": "pass" if ok else "fail",
-                       "points": detail})
+        rep = self.gale_check
+        if rep is not None:
+            entry = {"check": "gale_complement_bijection",
+                     "status": "pass" if rep.ok else "fail"}
+            if not rep.ok:
+                entry["missing"] = [list(s) for s in rep.missing]
+                entry["extra"] = [list(s) for s in rep.extra]
+            checks.append(entry)
+        else:
+            checks.append({"check": "gale_complement_bijection", "status": "skipped",
+                           "reason": "needs an essential arrangement with m >= n + 3"})
 
-        lhs = comb(a.m, 2) - sum(f.s - 1 for f in lattice.flats_of_rank(2))
-        rhs = sum(comb(f.s - 1, 2) for f in lattice.flats_of_rank(2))
-        checks.append({"check": "pair_count_identity",
-                       "status": "pass" if lhs == rhs else "fail",
-                       "lhs": lhs, "rhs": rhs})
-    else:
-        checks.append({"check": "milnor_delta_branches", "status": "skipped",
-                       "reason": "defined for n = 2 only"})
-        checks.append({"check": "pair_count_identity", "status": "skipped",
-                       "reason": "defined for n = 2 only"})
+        cd = self.chern_data
+        if cd is not None:
+            twisted = twist_transform(cd.steiner_ct, a.n)
+            ok = twisted.coeffs == cd.steiner_twisted_ct.coeffs
+            checks.append({"check": "twist_identity", "status": "pass" if ok else "fail",
+                           "lhs": _poly(twisted), "rhs": _poly(cd.steiner_twisted_ct)})
+        else:
+            checks.append({"check": "twist_identity", "status": "skipped",
+                           "reason": "needs an essential arrangement with m >= n + 2"})
 
-    if a.m >= a.n + 3 and is_essential(a):
-        rep = verify_gale_bijection(a)
-        entry = {"check": "gale_complement_bijection",
-                 "status": "pass" if rep.ok else "fail"}
-        if not rep.ok:
-            entry["missing"] = [list(s) for s in rep.missing]
-            entry["extra"] = [list(s) for s in rep.extra]
-        checks.append(entry)
-    else:
-        checks.append({"check": "gale_complement_bijection", "status": "skipped",
-                       "reason": "needs an essential arrangement with m >= n + 3"})
-
-    if a.m >= a.n + 2 and is_essential(a):
-        cd = chern(a, lattice)
-        twisted = twist_transform(cd.steiner_ct, a.n)
-        ok = twisted.coeffs == cd.steiner_twisted_ct.coeffs
-        checks.append({"check": "twist_identity", "status": "pass" if ok else "fail",
-                       "lhs": _poly(twisted), "rhs": _poly(cd.steiner_twisted_ct)})
-    else:
-        checks.append({"check": "twist_identity", "status": "skipped",
-                       "reason": "needs an essential arrangement with m >= n + 2"})
-
-    return checks
+        checks.append(delta_bound_check(a, lattice, self.stability))
+        return checks
 
 
 def delta_bound_check(a: Arrangement, lattice: IntersectionLattice,
@@ -265,7 +344,6 @@ def delta_bound_check(a: Arrangement, lattice: IntersectionLattice,
     if a.n != 2 or verdict is None:
         return {"check": "delta_bound", "status": "skipped",
                 "reason": "defined for n = 2 with a stability verdict"}
-    from .stability import Status
     if verdict.status not in (Status.STABLE, Status.NOT_STABLE):
         return {"check": "delta_bound", "status": "skipped",
                 "reason": f"arrangement is {verdict.status.value}; bound applies "
@@ -286,43 +364,9 @@ def delta_bound_check(a: Arrangement, lattice: IntersectionLattice,
 
 
 def build_report(a: Arrangement, primes=DEFAULT_PRIMES,
-                 max_subsets: int | None = None,
+                 max_subsets: int = DEFAULT_MAX_SUBSETS,
                  literature_rules: bool = True) -> dict:
-    from .torelli import DEFAULT_MAX_SUBSETS
-    if max_subsets is None:
-        max_subsets = DEFAULT_MAX_SUBSETS
-    from .lattice import build_lattice
-    lattice = build_lattice(a)
-    essential = is_essential(a)
-
-    tensor = None
-    sv = None
-    tv = None
-    unavailable = None
-    if not essential:
-        unavailable = "arrangement is not essential"
-    elif a.m < a.n + 2:
-        unavailable = f"needs m >= n + 2, got m = {a.m}"
-    else:
-        tensor = steiner_tensor(a)
-        sv = classify(a, lattice, tensor=tensor, literature_rules=literature_rules)
-        tv = torelli_verdict(a, lattice, sv, max_subsets=max_subsets)
-
-    checks = oracle_checks(a, lattice, primes)
-    checks.append(delta_bound_check(a, lattice, sv))
-
-    return {
-        "arrangement": arrangement_section(a),
-        "lattice": lattice_section(lattice),
-        "poincare": poincare_section(lattice),
-        "chern": (chern_section(a, lattice) if essential and a.m >= a.n + 2
-                  else {"status": "unavailable", "reason": unavailable}),
-        "delta": delta_section(a, lattice),
-        "stability": stability_section(sv, unavailable),
-        "torelli": torelli_section(tv, unavailable),
-        "gale": gale_section(a),
-        "oracles": checks,
-    }
+    return Analysis(a, tuple(primes), max_subsets, literature_rules).report()
 
 
 def render_pretty(report: dict) -> str:
@@ -365,7 +409,8 @@ def render_pretty(report: dict) -> str:
         lines.append(f"gale dual: points in P^{ga['dual_n']}, complement "
                      f"bijection {'holds' if ga['complement_bijection'] else 'FAILS'}")
     else:
-        lines.append("gale dual: not defined at this size")
+        lines.append("gale dual: not defined " + ("at this size" if arr["m"] < arr["n"] + 3
+                                                  else f"({ga['reason']})"))
     lines.append("oracle checks:")
     for c in report["oracles"]:
         lines.append(f"  {c['check']}: {c['status'].upper()}")

@@ -192,7 +192,6 @@ def free_splitting_stability(exponents: list[int]) -> StabilityVerdict:
 
 
 def classify(a: Arrangement, lattice: IntersectionLattice,
-             tensor: SteinerTensor | None = None,
              literature_rules: bool = True) -> StabilityVerdict:
     """Combine the implemented tests into one verdict.
 

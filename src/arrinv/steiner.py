@@ -8,11 +8,12 @@ Slicing the tensor along the coordinate directions of v produces n+1
 matrices in the fixed bases of U and W; those slices determine the sheaf
 presentation and everything the stability analysis needs.
 
-The Gale dual arrangement reads the columns of the canonical relation basis
-as m forms in m-n-1 variables. Dependent subsets of maximal size swap with
-their complements under this duality; `verify_gale_bijection` checks that at
-the level of coordinate configurations, so it also covers duals whose points
-collide (which cannot be represented as an Arrangement).
+The Gale dual arrangement reads the columns of the tensor's relation basis
+as m forms in m-n-1 variables, so the tensor is the one source of the dual
+points. Dependent subsets of maximal size swap with their complements under
+this duality; `verify_gale_bijection` checks that at the level of coordinate
+configurations, so it also covers duals whose points collide (which cannot
+be represented as an Arrangement).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arrangement import Arrangement, InvalidArrangement, is_essential, parse_arrangement
+from .arrangement import Arrangement, InvalidArrangement, parse_arrangement
 from .lattice import CrossingClass, IntersectionLattice, classify_crossing
 from .linalg import QMatrix, det, kernel_basis
 
@@ -32,11 +33,18 @@ class GaleUndefined(ValueError):
 
 @dataclass(frozen=True)
 class SteinerTensor:
-    m: int
-    n: int
+    arrangement: Arrangement
     u_basis: QMatrix                  # (m-n-1) x m, canonical kernel basis
-    w_basis: QMatrix                  # (m-1) x m, rows e_i - e_m
-    slices: tuple[QMatrix, ...]       # n+1 matrices, each (m-1) x (m-n-1)
+    slices: tuple[QMatrix, ...]       # n+1 matrices, each (m-1) x (m-n-1),
+                                      # rows in the basis e_i - e_m of W
+
+    @property
+    def m(self) -> int:
+        return self.arrangement.m
+
+    @property
+    def n(self) -> int:
+        return self.arrangement.n
 
 
 def _w_coordinates(y: list[Fraction]) -> tuple[Fraction, ...]:
@@ -49,17 +57,10 @@ def steiner_tensor(a: Arrangement) -> SteinerTensor:
     m, n = a.m, a.n
     if m < n + 2:
         raise ValueError(f"defining tensor needs m >= n + 2, got m = {m}")
-    if not is_essential(a):
-        raise ValueError("defining tensor needs an essential arrangement")
     u = kernel_basis(a.coefficient_matrix())
-    assert u.rows == m - n - 1
-    w_rows = []
-    for i in range(m - 1):
-        row = [Fraction(0)] * m
-        row[i] = Fraction(1)
-        row[m - 1] = Fraction(-1)
-        w_rows.append(tuple(row))
-    w = QMatrix(tuple(w_rows), m)
+    # the relations have dimension m - rank, so rank n + 1 means essential
+    if u.rows != m - n - 1:
+        raise ValueError("defining tensor needs an essential arrangement")
     slices = []
     for k in range(n + 1):
         cols = []
@@ -72,7 +73,7 @@ def steiner_tensor(a: Arrangement) -> SteinerTensor:
         slice_rows = tuple(tuple(cols[j][r] for j in range(u.rows))
                            for r in range(m - 1))
         slices.append(QMatrix(slice_rows, u.rows))
-    return SteinerTensor(m, n, u, w, tuple(slices))
+    return SteinerTensor(a, u, tuple(slices))
 
 
 def slice_at_point(t: SteinerTensor, point) -> QMatrix:
@@ -89,27 +90,24 @@ def slice_at_point(t: SteinerTensor, point) -> QMatrix:
     return QMatrix(tuple(rows), t.m - t.n - 1)
 
 
-def dual_columns(a: Arrangement) -> list[tuple[Fraction, ...]]:
-    """Columns of the canonical relation basis, one per hyperplane."""
-    u = kernel_basis(a.coefficient_matrix())
-    return [tuple(u.entries[j][i] for j in range(u.rows)) for i in range(a.m)]
+def dual_columns(t: SteinerTensor) -> list[tuple[Fraction, ...]]:
+    """Columns of the tensor's relation basis, one per hyperplane."""
+    return [tuple(row[i] for row in t.u_basis.entries) for i in range(t.m)]
 
 
-def gale_dual(a: Arrangement) -> Arrangement:
+def gale_dual(t: SteinerTensor) -> Arrangement:
     """The dual arrangement of m hyperplanes in P^(m-n-2).
 
-    Requires m >= n+3 (so the dual ambient space is at least a line), an
-    essential arrangement, and a dual configuration that actually consists
-    of m distinct nonzero forms.
+    Requires m >= n+3 (so the dual ambient space is at least a line) and a
+    dual configuration that actually consists of m distinct nonzero forms.
+    The arrangement is essential, since it has a defining tensor.
     """
-    m, n = a.m, a.n
+    m, n = t.m, t.n
     if m < n + 3:
         raise GaleUndefined(
             f"dual ambient space P^{m - n - 2} is not a projective space "
             f"(need m >= n + 3, got m = {m})")
-    if not is_essential(a):
-        raise GaleUndefined("Gale dual needs an essential arrangement")
-    cols = dual_columns(a)
+    cols = dual_columns(t)
     for i, c in enumerate(cols, start=1):
         if all(x == 0 for x in c):
             raise GaleUndefined(
@@ -154,18 +152,16 @@ class GaleBijectionReport:
     extra: tuple[tuple[int, ...], ...]
 
 
-def verify_gale_bijection(a: Arrangement) -> GaleBijectionReport:
+def verify_gale_bijection(t: SteinerTensor) -> GaleBijectionReport:
     """Check that dual dependent sets are exactly complements of primal ones.
 
     Works on the raw dual configuration, so coincident dual points are fine.
     """
-    m, n = a.m, a.n
+    m, n = t.m, t.n
     if m < n + 3:
         raise GaleUndefined(f"need m >= n + 3, got m = {m}")
-    if not is_essential(a):
-        raise GaleUndefined("Gale duality needs an essential arrangement")
-    primal = dependent_sets(a).sets
-    cols = dual_columns(a)
+    primal = dependent_sets(t.arrangement).sets
+    cols = dual_columns(t)
     dual_size = m - n - 1
     actual = _dependent_subsets(cols, dual_size)
     full = set(range(1, m + 1))

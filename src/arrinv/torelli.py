@@ -281,9 +281,9 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     cannot fail), lexicographically within a size; for n = 2 the conservative
     failure reading "kernel dimension 0, on no conic at all" is used.
     Genericity is read off `lattice`, the lattice of `a`. Every subset
-    visited counts toward `max_subsets` (>= 0), non-generic ones included;
-    hitting the cap moves on to the later rules with `subset_cap_exceeded`
-    set.
+    visited counts toward `max_subsets`, non-generic ones included; hitting
+    the cap moves on to the later rules with `subset_cap_exceeded` set. A
+    negative `max_subsets` raises ValueError.
     Rule 2: the six-line planar case is decided by whether all six dual
     points are nonsingular points of a common conic.
     Rule 3: five-line planar arrangements are never recoverable.
@@ -297,6 +297,8 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     """
     if lattice.arrangement != a:
         raise ValueError("the lattice belongs to a different arrangement")
+    if max_subsets < 0:
+        raise ValueError(f"max_subsets must be >= 0, got {max_subsets}")
     trace: list[str] = []
     config = dual_points(a)
     n, m = a.n, a.m

@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from arrinv.arrangement import InvalidArrangement, parse_arrangement
+from arrinv.arrangement import InvalidArrangement, is_essential, parse_arrangement
 from arrinv.ffcount import count_complement_points
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import (chern, complement_count_prediction,
@@ -158,7 +158,7 @@ def test_criterion_05_gale_bijection(capsys):
             a = fixture(name)
             if a.m < a.n + 3:
                 continue
-            assert verify_gale_bijection(a).ok, name
+            assert verify_gale_bijection(steiner_tensor(a)).ok, name
 
         rng = random.Random(20250823)
         accepted = 0
@@ -169,10 +169,13 @@ def test_criterion_05_gale_bijection(capsys):
             n, rows = _random_rational_arrangement(rng)
             try:
                 a = parse_arrangement(n, rows)
-                gale_dual(a)
+                if a.m < a.n + 3 or not is_essential(a):
+                    continue
+                t = steiner_tensor(a)
+                gale_dual(t)
             except (InvalidArrangement, GaleUndefined):
                 continue
-            assert verify_gale_bijection(a).ok
+            assert verify_gale_bijection(t).ok
             accepted += 1
 
 

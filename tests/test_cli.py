@@ -10,13 +10,19 @@ import json
 
 import pytest
 
+import arrinv.report as report_mod
 from arrinv.cli import main
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
-from arrinv.report import build_report, jsonable, oracle_checks
+from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
+from arrinv.torelli import DEFAULT_MAX_SUBSETS
 
 
 FIXDIR = "fixtures"
+
+# six concurrent lines: not essential, yet m >= n + 3
+CONCURRENT6 = {"n": 2, "hyperplanes": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0],
+                                       [1, 3, 0], [1, 4, 0]]}
 
 
 def run(capsys, args):
@@ -51,15 +57,24 @@ class TestAnalyze:
         assert "projective [1, 6, 11]" in out
         assert "stability: unstable" in out
 
-    def test_single_section_commands_match_analyze(self, capsys):
-        _, full, _ = run(capsys, ["analyze", path("generic5")])
+    @pytest.mark.parametrize("name", fixture_names() + ["concurrent6"])
+    def test_single_section_commands_match_analyze(self, capsys, tmp_path, name):
+        if name == "concurrent6":
+            f = tmp_path / "concurrent6.json"
+            f.write_text(json.dumps(CONCURRENT6))
+            arr = str(f)
+        else:
+            arr = path(name)
+        rc, full, _ = run(capsys, ["analyze", arr])
+        assert rc == 0
         whole = json.loads(full)
         for cmd, keys in (("lattice", ("lattice",)),
                           ("invariants", ("poincare", "chern", "delta")),
                           ("stability", ("stability",)),
                           ("torelli", ("torelli",)),
                           ("gale", ("gale",))):
-            _, out, _ = run(capsys, [cmd, path("generic5")])
+            rc, out, _ = run(capsys, [cmd, arr])
+            assert rc == 0
             part = json.loads(out)
             if len(keys) == 1:
                 assert part == whole[keys[0]]
@@ -67,6 +82,26 @@ class TestAnalyze:
                 assert set(part) == set(keys)
                 for k in keys:
                     assert part[k] == whole[k]
+        _, out, _ = run(capsys, ["verify", arr])
+        assert json.loads(out)["checks"] == whole["oracles"]
+
+    def test_non_essential_input_with_room_for_a_dual(self, capsys, tmp_path):
+        f = tmp_path / "concurrent6.json"
+        f.write_text(json.dumps(CONCURRENT6))
+        rc, out, err = run(capsys, ["analyze", str(f)])
+        assert rc == 0 and err == ""
+        d = json.loads(out)
+        assert list(d) == ["arrangement", "lattice", "poincare", "chern", "delta",
+                           "stability", "torelli", "gale", "oracles"]
+        assert d["arrangement"]["essential"] is False
+        assert d["gale"] == {"defined": False,
+                             "reason": "arrangement is not essential"}
+        rc, out, _ = run(capsys, ["gale", str(f)])
+        assert rc == 0
+        assert json.loads(out) == d["gale"]
+        rc, out, _ = run(capsys, ["analyze", "--pretty", str(f)])
+        assert rc == 0
+        assert "gale dual: not defined (arrangement is not essential)" in out
 
 
 class TestTensor:
@@ -123,19 +158,23 @@ class TestVerify:
     def test_corrupted_lattice_is_caught_by_the_oracles(self):
         # verification harness negative control: predictions drawn from the
         # wrong lattice must disagree with the direct point counts
-        a = fixture("m5_one_triple")
-        wrong = build_lattice(fixture("m5_two_triples"))
-        checks = oracle_checks(a, wrong)
+        analysis = Analysis(fixture("m5_one_triple"), DEFAULT_PRIMES,
+                            DEFAULT_MAX_SUBSETS, True)
+        analysis.lattice = build_lattice(fixture("m5_two_triples"))
+        checks = analysis.oracles_section()
         ff = [c for c in checks if c["check"].startswith("finite_field")]
-        assert ff and all(c["status"] == "fail" for c in ff)
+        assert len(ff) == len(DEFAULT_PRIMES)
+        assert all(c["status"] == "fail" for c in ff)
 
     def test_verify_exit_code_reflects_failures(self, capsys, monkeypatch):
         wrong = build_lattice(fixture("m5_two_triples"))
-        import arrinv.cli as cli_mod
-        monkeypatch.setattr(cli_mod, "build_lattice", lambda arr: wrong)
+        monkeypatch.setattr(report_mod, "build_lattice", lambda arr: wrong)
         rc, out, _ = run(capsys, ["verify", path("m5_one_triple")])
         assert rc == 1
-        assert json.loads(out)["ok"] is False
+        d = json.loads(out)
+        assert d["ok"] is False
+        ff = [c for c in d["checks"] if c["check"].startswith("finite_field")]
+        assert ff and all(c["status"] == "fail" for c in ff)
 
 
 class TestConjecture:
@@ -189,6 +228,13 @@ class TestErrors:
         assert rc == 2
         assert "cannot read" in err
 
+    def test_binary_file(self, capsys, tmp_path):
+        f = tmp_path / "binary.json"
+        f.write_bytes(b"\xff\xfe")
+        rc, _, err = run(capsys, ["analyze", str(f)])
+        assert rc == 2
+        assert "not UTF-8 text" in err
+
     def test_malformed_json(self, capsys, tmp_path):
         f = tmp_path / "broken.json"
         f.write_text('{"n": 2,\n "hyperplanes": [[1, 0, ]]}\n')
@@ -218,6 +264,18 @@ class TestErrors:
         assert rc == 2
         assert out == ""
         assert "positive integer" in err
+
+    @pytest.mark.parametrize("exc", [AssertionError("twist identity failed"),
+                                     ValueError("a bug")])
+    def test_internal_errors_have_their_own_exit_code(self, capsys, monkeypatch,
+                                                       exc):
+        def broken(*args):
+            raise exc
+        monkeypatch.setattr(report_mod, "chern", broken)
+        rc, out, err = run(capsys, ["analyze", path("a3_braid")])
+        assert rc == 3
+        assert out == ""
+        assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"
 
     def test_fraction_strings_accepted(self, capsys, tmp_path):
         f = tmp_path / "frac.json"

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from arrinv.arrangement import InvalidArrangement, parse_arrangement
 from arrinv.ffcount import (DegenerateReduction, backend_name,
                             count_complement_points, is_prime, kernel_available,
-                            next_valid_prime, prime_preserves_lattice)
+                            next_valid_prime, prime_preserves_lattice,
+                            subset_ranks)
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import complement_count_prediction
 from arrinv.lattice import build_lattice
@@ -102,7 +103,7 @@ def test_degenerate_reduction_count_value():
 def test_fixture_counts_match_lattice_prediction(name, p):
     a = fixture(name)
     lat = build_lattice(a)
-    assert prime_preserves_lattice(a, p)
+    assert prime_preserves_lattice(subset_ranks(a), p)
     assert count_complement_points(a, p) == complement_count_prediction(lat, p)
 
 
@@ -115,9 +116,10 @@ def test_fixture_counts_match_at_101(name):
 
 def test_prime_validity_and_next_valid():
     a = parse_arrangement(1, [[1, 0], [1, 7]])
-    assert not prime_preserves_lattice(a, 7)
-    assert prime_preserves_lattice(a, 11)
-    assert next_valid_prime(a, 7) == 11
+    ranks = subset_ranks(a)
+    assert not prime_preserves_lattice(ranks, 7)
+    assert prime_preserves_lattice(ranks, 11)
+    assert next_valid_prime(ranks, 7) == 11
 
 
 def test_n3_arrangement_at_101():

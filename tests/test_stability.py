@@ -31,8 +31,7 @@ EXPECTED_STATUS = {
 def classified(name, literature_rules=True):
     a = fixture(name)
     lat = build_lattice(a)
-    return classify(a, lat, tensor=steiner_tensor(a),
-                    literature_rules=literature_rules)
+    return classify(a, lat, literature_rules=literature_rules)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_STATUS))
@@ -167,7 +166,7 @@ def test_n3_strict_combinatorial_instability():
     a = parse_arrangement(3, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0],
                               [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     lat = build_lattice(a)
-    v = classify(a, lat, tensor=steiner_tensor(a))
+    v = classify(a, lat)
     assert v.status is Status.UNSTABLE
     w = v.witnesses[0]
     assert w.flat_indices == (1, 2, 3, 4)

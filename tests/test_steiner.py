@@ -8,6 +8,7 @@ from arrinv.arrangement import parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.linalg import QMatrix, kernel_basis
+from arrinv.report import build_report
 from arrinv.steiner import (GaleUndefined, dependent_sets, dual_columns,
                             gale_dual, nondegenerate, slice_at_point,
                             steiner_tensor, verify_gale_bijection)
@@ -81,35 +82,41 @@ def test_slice_full_rank_at_generic_point():
 
 def test_dual_columns_one_per_hyperplane():
     a = fixture("generic5")
-    cols = dual_columns(a)
+    cols = dual_columns(steiner_tensor(a))
     assert len(cols) == 5
     assert all(len(c) == 2 for c in cols)
 
 
 def test_gale_dual_defined_for_generic6():
     a = fixture("generic6_off_conic")
-    dual = gale_dual(a)
+    dual = gale_dual(steiner_tensor(a))
     assert dual.n == 2
     assert dual.m == 6
 
 
 def test_gale_dual_undefined_when_dual_points_collide():
     with pytest.raises(GaleUndefined) as err:
-        gale_dual(fixture("m5_one_triple"))
+        gale_dual(steiner_tensor(fixture("m5_one_triple")))
     assert "collide" in str(err.value)
 
 
 def test_gale_dual_needs_room():
     a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
     with pytest.raises(GaleUndefined):
-        gale_dual(a)
+        gale_dual(steiner_tensor(a))
+    with pytest.raises(GaleUndefined):
+        verify_gale_bijection(steiner_tensor(a))
 
 
 def test_gale_dual_needs_essential():
+    # the dual points come from the tensor, which a non-essential
+    # arrangement does not have
     a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0],
                               [1, 3, 0], [1, 4, 0]])
-    with pytest.raises(GaleUndefined):
-        gale_dual(a)
+    with pytest.raises(ValueError, match="essential"):
+        steiner_tensor(a)
+    gale = build_report(a)["gale"]
+    assert gale == {"defined": False, "reason": "arrangement is not essential"}
 
 
 @pytest.mark.parametrize("name", TENSOR_FIXTURES)
@@ -129,20 +136,20 @@ def test_a3_dependent_triples_are_the_triple_points():
                          [n for n in fixture_names()
                           if fixture(n).m >= fixture(n).n + 3])
 def test_gale_bijection_on_fixtures(name):
-    rep = verify_gale_bijection(fixture(name))
+    rep = verify_gale_bijection(steiner_tensor(fixture(name)))
     assert rep.ok, (rep.missing, rep.extra)
     assert set(rep.expected_dual) == set(rep.actual_dual)
 
 
 def test_gale_bijection_report_contents():
-    rep = verify_gale_bijection(fixture("a3_braid"))
+    rep = verify_gale_bijection(steiner_tensor(fixture("a3_braid")))
     assert rep.primal_dependent == ((1, 2, 4), (1, 5, 6), (2, 3, 5), (3, 4, 6))
     assert set(rep.expected_dual) == {(3, 5, 6), (2, 3, 4), (1, 4, 6), (1, 2, 5)}
 
 
 def test_double_dual_preserves_dependencies():
     a = fixture("generic6_off_conic")
-    double = gale_dual(gale_dual(a))
+    double = gale_dual(steiner_tensor(gale_dual(steiner_tensor(a))))
     assert double.m == a.m and double.n == a.n
     assert dependent_sets(double).sets == dependent_sets(a).sets
 

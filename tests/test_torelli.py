@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from arrinv.arrangement import InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
+from arrinv.report import build_report
 from arrinv.stability import classify
 from arrinv.torelli import (
     ConicClass,
@@ -281,6 +282,14 @@ class TestTorelliVerdict:
         assert v.subset_cap_exceeded
         assert v.status is TorelliStatus.TORELLI_CONJECTURED
         assert v.rule == "default-conjecture"
+
+    def test_negative_subset_cap_is_refused(self):
+        a = fixture("generic6_off_conic")
+        lat = build_lattice(a)
+        with pytest.raises(ValueError, match="max_subsets"):
+            torelli_verdict(a, lat, classify(a, lat), max_subsets=-1)
+        with pytest.raises(ValueError, match="max_subsets"):
+            build_report(a, max_subsets=-1)
 
     def test_trace_records_the_rules_tried(self):
         v = verdict_for("generic6_on_conic")
