@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import QMatrix, primitive_integer_vector, qval
+from .linalg import MAX_DIGITS, QMatrix, primitive_integer_vector, qval
+
+_COEFF_BOUND = 10 ** MAX_DIGITS   # canonical coefficients stay below it
 
 
 class InvalidArrangement(ValueError):
@@ -38,7 +40,11 @@ class LinearForm:
             raise InvalidArrangement(f"bad coefficient: {exc}") from exc
         if all(x == 0 for x in rationals):
             raise InvalidArrangement("zero form is not a hyperplane")
-        return cls(primitive_integer_vector(rationals))
+        coeffs = primitive_integer_vector(rationals)
+        if any(abs(c) >= _COEFF_BOUND for c in coeffs):
+            raise InvalidArrangement(
+                f"bad coefficient: the canonical form has more than {MAX_DIGITS} digits")
+        return cls(coeffs)
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != len(self.coeffs):
@@ -118,6 +124,11 @@ def parse_arrangement_json(text: str) -> Arrangement:
     except json.JSONDecodeError as exc:
         raise InvalidArrangement(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:   # an integer literal beyond Python's digit limit
+        raise InvalidArrangement(
+            f"invalid JSON: an integer has more than {MAX_DIGITS} digits") from exc
+    except RecursionError as exc:
+        raise InvalidArrangement("invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict) or "n" not in obj or "hyperplanes" not in obj:
         raise InvalidArrangement('input must be {"n": ..., "hyperplanes": [...]}')
     if not isinstance(obj["hyperplanes"], list):

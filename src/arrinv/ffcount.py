@@ -16,7 +16,7 @@ from itertools import combinations
 
 from . import _ffpure
 from .arrangement import Arrangement
-from .linalg import QMatrix
+from .linalg import QMatrix, bareiss
 
 try:
     from . import _ffkernel
@@ -75,21 +75,12 @@ def count_points_raw(coeffs: list[tuple[int, ...]], p: int,
     return _ffpure.count_nonvanishing(reduced, p)
 
 
-def _proportional_mod_p(f1: tuple[int, ...], f2: tuple[int, ...], p: int) -> bool:
-    d = len(f1)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if (f1[i] * f2[j] - f1[j] * f2[i]) % p != 0:
-                return False
-    return True
-
-
 def check_reduction(a: Arrangement, p: int) -> None:
     """Raise DegenerateReduction if two forms become proportional mod p."""
     forms = [f.coeffs for f in a.forms]
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
-            if _proportional_mod_p(forms[i], forms[j], p):
+            if bareiss((forms[i], forms[j]), p)[0] < 2:
                 raise DegenerateReduction(
                     f"hyperplanes {i + 1} and {j + 1} coincide mod {p}")
 
@@ -100,29 +91,6 @@ def count_complement_points(a: Arrangement, p: int, backend: str = "auto") -> in
         raise ValueError(f"{p} is not prime")
     check_reduction(a, p)
     return count_points_raw([f.coeffs for f in a.forms], p, backend)
-
-
-def _rank_mod_p(rows: list[tuple[int, ...]], p: int) -> int:
-    work = [[c % p for c in r] for r in rows]
-    cols = len(work[0])
-    pr = 0
-    for c in range(cols):
-        sel = None
-        for r in range(pr, len(work)):
-            if work[r][c] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[pr], work[sel] = work[sel], work[pr]
-        inv = pow(work[pr][c], p - 2, p)
-        work[pr] = [x * inv % p for x in work[pr]]
-        for r in range(len(work)):
-            if r != pr and work[r][c]:
-                g = work[r][c]
-                work[r] = [(x - g * y) % p for x, y in zip(work[r], work[pr])]
-        pr += 1
-    return pr
 
 
 def subset_ranks(a: Arrangement) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
@@ -145,7 +113,7 @@ def prime_preserves_lattice(ranks, p: int) -> bool:
     counting identity needs. (A stricter test than the pairwise check in
     count_complement_points.)
     """
-    return all(_rank_mod_p(rows, p) == rank for rows, rank in ranks)
+    return all(bareiss(rows, p)[0] == rank for rows, rank in ranks)
 
 
 def next_valid_prime(ranks, start: int) -> int:

@@ -78,9 +78,10 @@ def twist_transform(ct: TruncPoly, n: int) -> TruncPoly:
     return acc
 
 
-def chern(a: Arrangement, lattice: IntersectionLattice) -> ChernData:
+def chern(a: Arrangement, lattice: IntersectionLattice,
+          pd: PoincareData) -> ChernData:
+    """Chern data of the sheaves of `a`; `pd` is `poincare(lattice)`."""
     n, m = a.n, a.m
-    pd = poincare(lattice)
     logfree_twisted = pd.projective.divide(TruncPoly.one_plus_t(n))
 
     steiner_ct = None
@@ -192,16 +193,16 @@ def h0_values(lattice: IntersectionLattice) -> tuple[int, int]:
     return h0_steiner, h0_log
 
 
-def complement_count_prediction(lattice: IntersectionLattice, p: int) -> int:
+def complement_count_prediction(pd: PoincareData, p: int) -> int:
     """Lattice-side value the finite-field count must equal.
 
-    p^(n+1) * central(-1/p) expanded exactly: the central Poincare polynomial
-    carries the full central intersection data, including the origin flat of
-    an essential arrangement that the projective lattice omits.
+    `pd` is `poincare(lattice)`. The value is p^(n+1) * central(-1/p)
+    expanded exactly: the central Poincare polynomial carries the full
+    central intersection data, including the origin flat of an essential
+    arrangement that the projective lattice omits.
     """
-    n = lattice.n
-    central = poincare(lattice).central
+    central = pd.central
     acc = 0
     for i, c in enumerate(central.coeffs):
-        acc += c * ((-1) ** i) * p ** (n + 1 - i)
+        acc += c * ((-1) ** i) * p ** (central.cap - i)
     return acc

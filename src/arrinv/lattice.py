@@ -67,12 +67,21 @@ def _canonical_span(rows, cols: int):
     return tuple(reduced.entries[i] for i in range(rank))
 
 
-def _maximal_labels(a: Arrangement, span_rows, rank: int) -> tuple[int, ...]:
-    """All labels whose form lies in the given span."""
+def _maximal_labels(a: Arrangement, span) -> tuple[int, ...]:
+    """All labels whose form lies in the span of the RREF rows `span`.
+
+    A form lies in the span exactly when subtracting, for each row, its
+    entry in that row's pivot column times the row leaves zero.
+    """
+    pivots = [next(c for c, x in enumerate(row) if x) for row in span]
     out = []
-    for i in range(1, a.m + 1):
-        stacked = list(span_rows) + [a.form(i).coeffs]
-        if QMatrix.from_rows(stacked, a.n + 1).rank() == rank:
+    for i, form in enumerate(a.forms, start=1):
+        residue = form.coeffs
+        for c, row in zip(pivots, span):
+            x = residue[c]
+            if x:
+                residue = [v - x * w for v, w in zip(residue, row)]
+        if not any(residue):
             out.append(i)
     return tuple(out)
 
@@ -95,7 +104,7 @@ def build_lattice(a: Arrangement) -> IntersectionLattice:
                 assert len(span) == r
                 if span in found:
                     continue
-                labels = _maximal_labels(a, span, r)
+                labels = _maximal_labels(a, span)
                 found[span] = Flat(indices=labels, rank=r, equations=span)
         level = sorted(found.values(), key=lambda f: f.indices)
         by_rank.append(level)

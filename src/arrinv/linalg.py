@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
-All computations use `fractions.Fraction`; nothing here ever rounds. The
-canonical forms fixed in this module are relied on across the package:
+Nothing here ever rounds. Ranks and determinants come from one
+fraction-free integer elimination, `bareiss`, which also computes ranks
+mod p. Bases are emitted in `fractions.Fraction` form, and the canonical
+forms fixed in this module are relied on across the package:
 
 * `rref` produces the unique reduced row echelon form (pivots 1, zeros above
   and below each pivot).
@@ -20,14 +22,27 @@ from typing import Iterable, Sequence
 
 Q = Fraction
 
+# Python converts integers of at most this many digits to and from text (its
+# default sys.get_int_max_str_digits()); a decimal exponent beyond it would
+# make Fraction build an integer no report could print
+MAX_DIGITS = 4300
+
 
 def qval(x) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to Fraction."""
+    """Coerce an int, Fraction, or 'p/q' / decimal string to Fraction.
+
+    A decimal exponent beyond MAX_DIGITS in magnitude raises ValueError
+    before Fraction builds the power of ten.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        exponent = x.lower().partition("e")[2].strip().lstrip("+-")
+        digits = exponent.replace("_", "").lstrip("0")
+        if digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_DIGITS):
+            raise ValueError(f"decimal exponent exceeds {MAX_DIGITS} in magnitude")
         return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
 
@@ -76,7 +91,7 @@ class QMatrix:
         return QMatrix(self.entries + other.entries, self.cols)
 
     def rank(self) -> int:
-        return rref(self)[2]
+        return bareiss(self.entries)[0]
 
     def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
         vv = [qval(x) for x in v]
@@ -115,6 +130,71 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     return reduced, tuple(pivots), len(pivots)
 
 
+def _cleared(row) -> tuple[list[int], int]:
+    """A rational row times the lcm of its denominators, and that lcm."""
+    lcm = 1
+    for x in row:
+        d = x.denominator
+        if d != 1:
+            lcm = lcm * d // gcd(lcm, d)
+    if lcm == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (lcm // x.denominator) for x in row], lcm
+
+
+def bareiss(rows: Sequence[Sequence], modulus: int | None = None
+            ) -> tuple[int, Fraction | None]:
+    """Rank and determinant of int or Fraction rows by fraction-free elimination.
+
+    Each row is first multiplied by the lcm of its denominators, which keeps
+    the rank and scales the determinant by that lcm. Over Z (no modulus) the
+    elimination is Bareiss's: after k steps every entry is a (k+1)-minor of
+    the scaled matrix, so dividing by the previous pivot is exact and, for a
+    nonsingular square matrix, the last pivot is its determinant up to the
+    sign of the row swaps. The determinant returned is that of the square
+    matrix the rows form over Q (0 when singular or not square).
+
+    With a prime `modulus` the scaled integer rows are reduced mod p and each
+    step cross-multiplies by the pivot instead of dividing; that keeps the
+    rank mod p, which is returned with determinant None.
+    """
+    work, scale = [], 1
+    for row in rows:
+        ints, lcm = _cleared(row)
+        work.append([x % modulus for x in ints] if modulus else ints)
+        scale *= lcm
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    rank, prev, sign = 0, 1, 1
+    for c in range(ncols):
+        if rank == nrows:
+            break
+        sel = next((r for r in range(rank, nrows) if work[r][c]), None)
+        if sel is None:
+            continue
+        if sel != rank:
+            work[rank], work[sel] = work[sel], work[rank]
+            sign = -sign
+        top = work[rank]
+        pivot = top[c]
+        for r in range(rank + 1, nrows):
+            row = work[r]
+            f = row[c]
+            if modulus:
+                if f:
+                    work[r] = [(pivot * x - f * y) % modulus for x, y in zip(row, top)]
+            else:
+                # every row below is updated, so the next division stays exact
+                work[r] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+        rank += 1
+    if modulus:
+        return rank, None
+    if rank == nrows == ncols:
+        return rank, Q(sign * prev, scale)
+    return rank, Q(0)
+
+
 def kernel_basis(m: QMatrix) -> QMatrix:
     """Canonical basis of the right null space, one row per free column."""
     reduced, pivots, _ = rref(m)
@@ -130,31 +210,10 @@ def kernel_basis(m: QMatrix) -> QMatrix:
 
 
 def det(m: QMatrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
+    """Determinant by fraction-free elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    work = [list(row) for row in m.entries]
-    n = m.rows
-    sign = 1
-    result = Q(1)
-    for c in range(n):
-        sel = None
-        for r in range(c, n):
-            if work[r][c] != 0:
-                sel = r
-                break
-        if sel is None:
-            return Q(0)
-        if sel != c:
-            work[c], work[sel] = work[sel], work[c]
-            sign = -sign
-        pivot = work[c][c]
-        result *= pivot
-        for r in range(c + 1, n):
-            if work[r][c] != 0:
-                f = work[r][c] / pivot
-                work[r] = [a - f * b for a, b in zip(work[r], work[c])]
-    return result * sign
+    return bareiss(m.entries)[1]
 
 
 def solve_square(a: QMatrix, b: Sequence) -> tuple[Fraction, ...]:
@@ -196,10 +255,7 @@ def primitive_integer_vector(v: Sequence) -> tuple[int, ...]:
     vals = [qval(x) for x in v]
     if all(x == 0 for x in vals):
         raise ValueError("zero vector has no primitive form")
-    denom = 1
-    for x in vals:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vals]
+    ints = _cleared(vals)[0]
     g = 0
     for x in ints:
         g = gcd(g, abs(x))

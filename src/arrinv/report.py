@@ -24,9 +24,9 @@ from math import comb
 from .arrangement import Arrangement, is_essential
 from .ffcount import (backend_name, count_complement_points, next_valid_prime,
                       prime_preserves_lattice, subset_ranks)
-from .invariants import (ChernData, chern, complement_count_prediction,
-                         delta_invariant, h0_values, local_data, poincare,
-                         twist_transform)
+from .invariants import (ChernData, PoincareData, chern,
+                         complement_count_prediction, delta_invariant, h0_values,
+                         local_data, poincare, twist_transform)
 from .lattice import IntersectionLattice, build_lattice, classify_crossing
 from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
                       dual_columns, gale_dual, steiner_tensor,
@@ -76,6 +76,10 @@ class Analysis:
         return build_lattice(self.a)
 
     @cached_property
+    def poincare(self) -> PoincareData:
+        return poincare(self.lattice)
+
+    @cached_property
     def essential(self) -> bool:
         return is_essential(self.a)
 
@@ -111,7 +115,7 @@ class Analysis:
 
     @cached_property
     def chern_data(self) -> ChernData | None:
-        return None if self.unavailable else chern(self.a, self.lattice)
+        return None if self.unavailable else chern(self.a, self.lattice, self.poincare)
 
     @cached_property
     def gale_check(self) -> GaleBijectionReport | None:
@@ -153,7 +157,7 @@ class Analysis:
         }
 
     def poincare_section(self) -> dict:
-        pd = poincare(self.lattice)
+        pd = self.poincare
         return {"projective": _poly(pd.projective), "central": _poly(pd.central)}
 
     def chern_section(self) -> dict:
@@ -272,7 +276,7 @@ class Analysis:
             if not prime_preserves_lattice(ranks, q):
                 q = next_valid_prime(ranks, q)
                 note = f"p = {p} degenerates the reduction; retried with {q}"
-            predicted = complement_count_prediction(lattice, q)
+            predicted = complement_count_prediction(self.poincare, q)
             counted = count_complement_points(a, q)
             entry = {"check": f"finite_field_count_p{p}",
                      "status": "pass" if predicted == counted else "fail",

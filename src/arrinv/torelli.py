@@ -23,6 +23,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from .arrangement import Arrangement
 from .lattice import IntersectionLattice
@@ -266,6 +267,22 @@ def _genericity(lattice: IntersectionLattice):
                               for flat, r in dependent)
 
 
+def _off_curve(config: DualConfiguration):
+    """Rule 1's failure test on label sets of `config`.
+
+    For n = 2 the points of a label set lie on no conic when their Veronese
+    rows have rank 6, i.e. the kernel dimension `conic_test` would report is
+    0; rule 1 reads nothing else. For n >= 3 they lie on no smooth rational
+    normal curve, by `rnc_test`.
+    """
+    if config.n == 2:
+        veronese = [_veronese_row(p) for p in config.points]
+        return lambda labels: QMatrix.from_rows(
+            [veronese[i - 1] for i in labels], 6).rank() == 6
+    return lambda labels: (rnc_test(config.subset(labels)).verdict
+                           is RncVerdict.NOT_ON_SMOOTH_RNC)
+
+
 DEFAULT_MAX_SUBSETS = 20000
 
 
@@ -279,11 +296,18 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     preserves it. Subsets are searched by ascending size starting at
     max(n+4, 6) (for n = 2 any five points lie on a conic, so smaller subsets
     cannot fail), lexicographically within a size; for n = 2 the conservative
-    failure reading "kernel dimension 0, on no conic at all" is used.
-    Genericity is read off `lattice`, the lattice of `a`. Every subset
-    visited counts toward `max_subsets`, non-generic ones included; hitting
-    the cap moves on to the later rules with `subset_cap_exceeded` set. A
-    negative `max_subsets` raises ValueError.
+    failure reading "kernel dimension 0, on no conic at all" is used, decided
+    by the rank of the subset's Veronese rows. Genericity is read off
+    `lattice`, the lattice of `a`. Every subset visited counts toward
+    `max_subsets`, non-generic ones included; hitting the cap moves on to
+    the later rules with `subset_cap_exceeded` set. A negative `max_subsets`
+    raises ValueError.
+    For n = 2 the scan is skipped when all m dual points lie on a conic
+    (kernel dimension >= 1): a subset's Veronese rows are rows of the whole
+    set's, so no subset can have kernel dimension 0. The scan would then
+    have visited every subset of size >= 6, so `subset_cap_exceeded` is set
+    exactly when their number, sum of C(m, k) for k = 6..m, exceeds
+    `max_subsets`. For n >= 3 every subset is still tested.
     Rule 2: the six-line planar case is decided by whether all six dual
     points are nonsingular points of a common conic.
     Rule 3: five-line planar arrangements are never recoverable.
@@ -313,23 +337,24 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     rnc_full = rnc_test(config) if n >= 3 else None
 
     # rule 1: generic subset failing the osculation test
-    is_generic = _genericity(lattice)
-    examined = 0
-    cap_exceeded = False
+    sizes = range(max(n + 4, 6), m + 1)
     witness = None
-    for subset in (s for size in range(max(n + 4, 6), m + 1)
-                   for s in combinations(range(1, m + 1), size)):
-        if examined >= max_subsets:
-            cap_exceeded = True
-            break
-        examined += 1
-        if not is_generic(subset):
-            continue
-        sub = config.subset(subset)
-        if (conic_test(sub).kernel_dim == 0 if n == 2
-                else rnc_test(sub).verdict is RncVerdict.NOT_ON_SMOOTH_RNC):
-            witness = subset
-            break
+    cap_exceeded = False
+    if n == 2 and conic_full.kernel_dim >= 1:
+        # a subset's Veronese rows are rows of the whole set's, so a conic
+        # through every dual point passes through every subset's points: the
+        # scan would visit every subset, up to the cap, and find nothing
+        cap_exceeded = sum(comb(m, k) for k in sizes) > max_subsets
+    else:
+        is_generic, off_curve = _genericity(lattice), _off_curve(config)
+        subsets = (s for size in sizes for s in combinations(range(1, m + 1), size))
+        for examined, subset in enumerate(subsets):
+            if examined >= max_subsets:
+                cap_exceeded = True
+                break
+            if is_generic(subset) and off_curve(subset):
+                witness = subset
+                break
     if witness is not None:
         trace.append(f"rule 1: generic subset {list(witness)} avoids every "
                      "curve of the family")

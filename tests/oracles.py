@@ -1,25 +1,81 @@
 """Independent reference computations used to cross-check the library.
 
 Everything here is deliberately written against the definitions, with no
-reuse of the library's lattice or counting code paths, so agreement is
-meaningful: the Moebius oracle sums signed generating subsets instead of
-recursing over the poset, and the point counter loops over the whole
-affine space instead of walking fibers.
+reuse of the library's lattice, elimination or counting code paths, so
+agreement is meaningful: ranks and minors come from the textbook Fraction
+elimination below rather than the library's fraction-free routine, the
+Moebius oracle sums signed generating subsets instead of recursing over the
+poset, the point counter loops over the whole affine space instead of
+walking fibers, and Torelli rule 1 is an exhaustive scan of every subset.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from arrinv.arrangement import Arrangement
 from arrinv.lattice import Flat
-from arrinv.linalg import QMatrix
+
+
+def _echelon(rows) -> tuple[list[list[Fraction]], int]:
+    """Row echelon form by Gaussian elimination over Fraction; (rows, swaps)."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    top = swaps = 0
+    for c in range(len(work[0]) if work else 0):
+        sel = next((r for r in range(top, len(work)) if work[r][c]), None)
+        if sel is None:
+            continue
+        if sel != top:
+            work[top], work[sel] = work[sel], work[top]
+            swaps += 1
+        for r in range(top + 1, len(work)):
+            f = work[r][c] / work[top][c]
+            work[r] = [x - f * y for x, y in zip(work[r], work[top])]
+        top += 1
+    return work, swaps
+
+
+def fraction_rank(rows) -> int:
+    """Rank over Q: the nonzero rows of the echelon form."""
+    return sum(1 for r in _echelon(rows)[0] if any(r))
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant of a square matrix: signed product of the echelon diagonal."""
+    work, swaps = _echelon(rows)
+    out = Fraction((-1) ** swaps)
+    for i, r in enumerate(work):
+        out *= r[i]
+    return out
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of integer rows mod a prime p by Gauss-Jordan with inverses mod p."""
+    work = [[c % p for c in r] for r in rows]
+    cols = len(work[0])
+    pr = 0
+    for c in range(cols):
+        sel = None
+        for r in range(pr, len(work)):
+            if work[r][c] % p:
+                sel = r
+                break
+        if sel is None:
+            continue
+        work[pr], work[sel] = work[sel], work[pr]
+        inv = pow(work[pr][c], p - 2, p)
+        work[pr] = [x * inv % p for x in work[pr]]
+        for r in range(len(work)):
+            if r != pr and work[r][c]:
+                g = work[r][c]
+                work[r] = [(x - g * y) % p for x, y in zip(work[r], work[pr])]
+        pr += 1
+    return pr
 
 
 def _rank_of(a: Arrangement, labels) -> int:
-    if not labels:
-        return 0
-    return QMatrix.from_rows([a.form(i).coeffs for i in labels], a.n + 1).rank()
+    return fraction_rank([a.form(i).coeffs for i in labels])
 
 
 def mobius_by_subsets(a: Arrangement, flat: Flat) -> int:
@@ -53,10 +109,30 @@ def brute_complement_count(a: Arrangement, p: int) -> int:
 
 def dependent_subsets_by_minors(a: Arrangement) -> set[tuple[int, ...]]:
     """(n+1)-subsets with vanishing maximal minor, straight off the matrix."""
-    from arrinv.linalg import det
-    out = set()
-    for subset in combinations(range(1, a.m + 1), a.n + 1):
-        mat = QMatrix.from_rows([a.form(i).coeffs for i in subset], a.n + 1)
-        if det(mat) == 0:
-            out.add(subset)
-    return out
+    return {subset for subset in combinations(range(1, a.m + 1), a.n + 1)
+            if fraction_det([a.form(i).coeffs for i in subset]) == 0}
+
+
+def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
+    """Torelli rule 1 for n = 2 by scanning every subset: (witness, cap hit).
+
+    Subsets of size >= 6 are visited by size, then lexicographically, each
+    counted toward `max_subsets`. A subset is generic when no three of its
+    forms have a vanishing minor, and it is a witness when it is generic and
+    its Veronese rows have rank 6 (no conic through its dual points).
+    """
+    assert a.n == 2
+    dependent = dependent_subsets_by_minors(a)
+    examined = 0
+    for size in range(6, a.m + 1):
+        for subset in combinations(range(1, a.m + 1), size):
+            if examined >= max_subsets:
+                return None, True
+            examined += 1
+            if any(t in dependent for t in combinations(subset, 3)):
+                continue
+            rows = [[x * x, x * y, x * z, y * y, y * z, z * z]
+                    for x, y, z in (a.form(i).coeffs for i in subset)]
+            if fraction_rank(rows) == 6:
+                return subset, False
+    return None, False

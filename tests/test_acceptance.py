@@ -74,7 +74,7 @@ def test_criterion_01_braid_invariants(capsys):
         p = poincare(lat)
         assert p.projective.coeffs == (1, 6, 11)
         assert p.central.coeffs == _poly_product([(1, 1), (1, 2), (1, 3)])
-        c = chern(a, lat)
+        c = chern(a, lat, p)
         assert (c.n2_c1, c.n2_c2) == (3, 2)
         disc, witness = discriminant_test(lat)
         assert disc == Fraction(-1)
@@ -92,7 +92,8 @@ def test_criterion_02_chern_table(capsys):
         cases = [(m4, (1, 1)), (fixture("generic5"), (2, 3)),
                  (fixture("generic6_off_conic"), (3, 6))]
         for a, (c1, c2) in cases:
-            c = chern(a, build_lattice(a))
+            lat = build_lattice(a)
+            c = chern(a, lat, poincare(lat))
             assert (c.n2_c1, c.n2_c2) == (c1, c2)
         c1, c2 = 3, 6
         assert 4 * c2 - c1 * c1 - 3 == 12 == 6 * (6 - 4)
@@ -186,7 +187,7 @@ def test_criterion_06_finite_field_oracle(capsys):
             lat = build_lattice(a)
             for p in (7, 11, 101):
                 assert count_complement_points(a, p) == \
-                    complement_count_prediction(lat, p), (name, p)
+                    complement_count_prediction(poincare(lat), p), (name, p)
 
 
 def test_criterion_07_local_singularity_identities(capsys):

@@ -265,6 +265,41 @@ class TestErrors:
         assert out == ""
         assert "positive integer" in err
 
+    @pytest.mark.parametrize("coeff", ["1e99999999", "1e-99999999", "1E+4_301"])
+    def test_huge_decimal_exponent_is_invalid(self, capsys, tmp_path, coeff):
+        # refused before Fraction builds a power of ten with 10^8 digits
+        f = tmp_path / "exponent.json"
+        f.write_text(json.dumps({"n": 2, "hyperplanes": [[coeff, 0, 0], [0, 1, 0],
+                                                         [0, 0, 1]]}))
+        rc, out, err = run(capsys, ["analyze", str(f)])
+        assert (rc, out) == (2, "")
+        assert "exponent exceeds 4300" in err
+
+    def test_integer_beyond_the_digit_limit_is_invalid(self, capsys, tmp_path):
+        f = tmp_path / "digits.json"
+        f.write_text('{"n": 2, "hyperplanes": [[' + "7" * 4301
+                     + ', 0, 0], [0, 1, 0], [0, 0, 1]]}')
+        rc, out, err = run(capsys, ["analyze", str(f)])
+        assert (rc, out) == (2, "")
+        assert "more than 4300 digits" in err
+
+    def test_deeply_nested_json_is_invalid(self, capsys, tmp_path):
+        f = tmp_path / "deep.json"
+        f.write_text('{"n": 2, "hyperplanes": ' + "[" * 100000 + "]" * 100000 + "}")
+        rc, out, err = run(capsys, ["analyze", str(f)])
+        assert (rc, out) == (2, "")
+        assert "nested too deeply" in err
+
+    def test_canonical_coefficient_beyond_the_digit_limit_is_invalid(
+            self, capsys, tmp_path):
+        # 10^4300 has 4301 digits, so the report could not print this form
+        f = tmp_path / "scaled.json"
+        f.write_text(json.dumps({"n": 2, "hyperplanes": [["1e4300", 1, 0],
+                                                         [0, 1, 0], [0, 0, 1]]}))
+        rc, out, err = run(capsys, ["analyze", str(f)])
+        assert (rc, out) == (2, "")
+        assert "more than 4300 digits" in err
+
     @pytest.mark.parametrize("exc", [AssertionError("twist identity failed"),
                                      ValueError("a bug")])
     def test_internal_errors_have_their_own_exit_code(self, capsys, monkeypatch,

@@ -12,7 +12,7 @@ from arrinv.ffcount import (DegenerateReduction, backend_name,
                             next_valid_prime, prime_preserves_lattice,
                             subset_ranks)
 from arrinv.fixtures import fixture, fixture_names
-from arrinv.invariants import complement_count_prediction
+from arrinv.invariants import complement_count_prediction, poincare
 from arrinv.lattice import build_lattice
 from oracles import brute_complement_count
 
@@ -104,14 +104,14 @@ def test_fixture_counts_match_lattice_prediction(name, p):
     a = fixture(name)
     lat = build_lattice(a)
     assert prime_preserves_lattice(subset_ranks(a), p)
-    assert count_complement_points(a, p) == complement_count_prediction(lat, p)
+    assert count_complement_points(a, p) == complement_count_prediction(poincare(lat), p)
 
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_fixture_counts_match_at_101(name):
     a = fixture(name)
     lat = build_lattice(a)
-    assert count_complement_points(a, 101) == complement_count_prediction(lat, 101)
+    assert count_complement_points(a, 101) == complement_count_prediction(poincare(lat), 101)
 
 
 def test_prime_validity_and_next_valid():
@@ -127,7 +127,7 @@ def test_n3_arrangement_at_101():
     a = parse_arrangement(3, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0],
                               [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     lat = build_lattice(a)
-    assert count_complement_points(a, 101) == complement_count_prediction(lat, 101)
+    assert count_complement_points(a, 101) == complement_count_prediction(poincare(lat), 101)
 
 
 def test_backend_name_reports_selection():

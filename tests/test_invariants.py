@@ -29,6 +29,11 @@ POINCARE_TABLE = {
     "m6_three_triples": ((1, 6, 12), (1, 6, 12, 7), 3),
 }
 
+
+def _chern(a):
+    lat = build_lattice(a)
+    return chern(a, lat, poincare(lat))
+
 CHERN_TABLE = {
     "a3_braid": (3, 2),
     "generic5": (2, 3),
@@ -62,14 +67,14 @@ def test_a3_central_factors():
 @pytest.mark.parametrize("name", sorted(CHERN_TABLE))
 def test_chern_point_formula(name):
     a = fixture(name)
-    cd = chern(a, build_lattice(a))
+    cd = _chern(a)
     assert (cd.n2_c1, cd.n2_c2) == CHERN_TABLE[name]
 
 
 def test_steiner_ct_depends_only_on_size():
     for name in ("a3_braid", "generic6_on_conic", "m6_three_triples"):
         a = fixture(name)
-        cd = chern(a, build_lattice(a))
+        cd = _chern(a)
         assert cd.steiner_ct.coeffs == (1, 3, 6)
         assert cd.steiner_twisted_ct.coeffs == (1, 5, 10)
 
@@ -80,7 +85,7 @@ def test_chern_generic_table():
     cases = [(m4, (1, 1)), (fixture("generic5"), (2, 3)),
              (fixture("generic6_off_conic"), (3, 6))]
     for a, expected in cases:
-        cd = chern(a, build_lattice(a))
+        cd = _chern(a)
         assert (cd.n2_c1, cd.n2_c2) == expected
         # for generic arrangements the Steiner polynomial matches the
         # point-count values
@@ -90,7 +95,7 @@ def test_chern_generic_table():
 def test_logfree_twisted_is_projective_over_one_plus_t():
     a = fixture("a3_braid")
     lat = build_lattice(a)
-    cd = chern(a, lat)
+    cd = chern(a, lat, poincare(lat))
     assert cd.logfree_twisted_ct.coeffs == (1, 5, 6)
     back = cd.logfree_twisted_ct * TruncPoly.one_plus_t(2)
     assert back.coeffs == poincare(lat).projective.coeffs
@@ -100,7 +105,7 @@ def test_logfree_twisted_is_projective_over_one_plus_t():
 def test_twist_of_point_ct_matches_logfree_twisted(name):
     a = fixture(name)
     lat = build_lattice(a)
-    cd = chern(a, lat)
+    cd = chern(a, lat, poincare(lat))
     point_ct = TruncPoly((1, cd.n2_c1, cd.n2_c2))
     assert twist_transform(point_ct, 2).coeffs == cd.logfree_twisted_ct.coeffs
 
@@ -120,7 +125,7 @@ def test_twist_transform_is_multiplicative_shift(coeffs):
 
 def test_chern_small_arrangement_has_no_steiner_fields():
     a = fixture("boolean_n2")
-    cd = chern(a, build_lattice(a))
+    cd = _chern(a)
     assert cd.steiner_ct is None
     assert cd.steiner_twisted_ct is None
     assert "m = 3" in cd.steiner_unavailable_reason
@@ -129,20 +134,19 @@ def test_chern_small_arrangement_has_no_steiner_fields():
 
 def test_locally_free_flags():
     # plane arrangements are always locally free
-    assert chern(fixture("a3_braid"),
-                 build_lattice(fixture("a3_braid"))).locally_free is LocallyFree.YES
+    assert _chern(fixture("a3_braid")).locally_free is LocallyFree.YES
     # generic in higher dimension: free of worry too
     g = parse_arrangement(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                               [0, 0, 0, 1], [1, 1, 1, 1]])
-    assert chern(g, build_lattice(g)).locally_free is LocallyFree.YES
+    assert _chern(g).locally_free is LocallyFree.YES
     # deeper-only degeneracy in P^3 rules local freeness out
     d = parse_arrangement(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                               [1, 1, 1, 0], [0, 0, 0, 1]])
-    assert chern(d, build_lattice(d)).locally_free is LocallyFree.NO
+    assert _chern(d).locally_free is LocallyFree.NO
     # codimension-2 degeneracy leaves the question open
     u = parse_arrangement(3, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0],
                               [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert chern(u, build_lattice(u)).locally_free is LocallyFree.UNKNOWN
+    assert _chern(u).locally_free is LocallyFree.UNKNOWN
 
 
 @pytest.mark.parametrize("name", sorted(POINCARE_TABLE))

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrinv.linalg import (QMatrix, det, intersection_dim, invert, kernel_basis,
-                           primitive_integer_vector, qval, rref, solve_square)
+from arrinv.linalg import (QMatrix, bareiss, det, intersection_dim, invert,
+                           kernel_basis, primitive_integer_vector, qval, rref,
+                           solve_square)
+from oracles import fraction_det, fraction_rank, rank_mod_p
 
 small_int = st.integers(min_value=-6, max_value=6)
+small_rational = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
 def matrices(max_rows=4, max_cols=4):
@@ -59,6 +62,34 @@ def test_kernel_vectors_annihilate(m):
     for row in k.entries:
         image = m.matvec(row)
         assert all(x == 0 for x in image)
+
+
+@given(st.integers(1, 6).flatmap(lambda c: st.lists(
+    st.lists(small_rational, min_size=c, max_size=c), min_size=1, max_size=6)))
+@settings(max_examples=150)
+def test_bareiss_rank_and_det_match_fraction_elimination(rows):
+    rank, d = bareiss(rows)
+    assert rank == fraction_rank(rows) == rref(QMatrix.from_rows(rows))[2]
+    if len(rows) == len(rows[0]):
+        assert d == fraction_det(rows)
+    else:
+        assert d == 0
+
+
+@given(st.integers(1, 5).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-30, 30), min_size=c, max_size=c), min_size=1, max_size=6)),
+    st.sampled_from([2, 3, 5, 7, 11, 101]))
+@settings(max_examples=150)
+def test_bareiss_rank_mod_p_matches_gauss_jordan(rows, p):
+    assert bareiss(rows, p) == (rank_mod_p(rows, p), None)
+
+
+def test_bareiss_cleared_denominators_and_empty_input():
+    # rows scaled by 2 and 3 before elimination; the determinant is not
+    assert bareiss([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == (2, Fraction(1, 3))
+    assert bareiss([[0, 0], [0, 0]]) == (0, 0)
+    assert bareiss([]) == (0, 1)
+    assert det(QMatrix((), 0)) == 1
 
 
 def test_kernel_of_full_rank_matrix_is_empty():

@@ -12,6 +12,7 @@ from arrinv.report import build_report
 ONCE_PER_REPORT = (
     ("steiner", "verify_gale_bijection"),
     ("invariants", "chern"),
+    ("invariants", "poincare"),
     ("arrangement", "is_essential"),
     ("ffcount", "subset_ranks"),
 )

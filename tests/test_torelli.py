@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,7 +17,9 @@ from hypothesis import assume, given, settings, strategies as st
 from arrinv.arrangement import InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
-from arrinv.report import build_report
+from arrinv.linalg import QMatrix
+from arrinv import torelli as torelli_mod
+from arrinv.report import DEFAULT_PRIMES, Analysis, build_report
 from arrinv.stability import classify
 from arrinv.torelli import (
     ConicClass,
@@ -29,7 +32,7 @@ from arrinv.torelli import (
     _genericity,
     torelli_verdict,
 )
-from oracles import dependent_subsets_by_minors
+from oracles import dependent_subsets_by_minors, rule1_by_exhaustion
 
 
 def verdict_for(name, **kwargs):
@@ -375,3 +378,67 @@ def test_lattice_genericity_matches_minors(a):
             by_minors = not any(t in dependent
                                 for t in combinations(subset, a.n + 1))
             assert is_generic(subset) == by_minors, subset
+
+
+@st.composite
+def plane_configurations(draw):
+    """n = 2 arrangements dual to points on a conic, near one, or off any."""
+    m = draw(st.integers(6, 9))
+    kind = draw(st.sampled_from(["on", "near", "off"]))
+    if kind == "off":
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                             min_size=m, max_size=m))
+    else:
+        ts = draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m, unique=True))
+        rows = [[1, t, t * t] for t in ts]
+        if kind == "near":
+            # one dual point moved off the conic y^2 = xz
+            i = draw(st.integers(0, m - 1))
+            rows[i][draw(st.integers(0, 2))] += draw(st.sampled_from([-1, 1]))
+    try:
+        a = parse_arrangement(2, rows)
+    except InvalidArrangement:
+        assume(False)
+    total = sum(comb(m, k) for k in range(6, m + 1))
+    return a, draw(st.sampled_from([0, total - 1, total, total + 1]))
+
+
+@given(plane_configurations())
+@settings(max_examples=80, deadline=None)
+def test_pruned_rule1_matches_the_exhaustive_scan(case):
+    a, max_subsets = case
+    verdict = Analysis(a, DEFAULT_PRIMES, max_subsets, True).torelli
+    assume(verdict is not None)
+    if verdict.status is TorelliStatus.UNKNOWN:   # unstable: no rule applies
+        expected = (None, False)
+    else:
+        expected = rule1_by_exhaustion(a, max_subsets)
+    assert (verdict.witness_subset, verdict.subset_cap_exceeded) == expected
+
+
+def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
+    # C(16, >= 6) = 58,651 subsets exceed the default cap; with every dual
+    # point on one conic no subset is examined: the full-set conic test is
+    # the only one made, and no Veronese rank is taken
+    a = parse_arrangement(2, [[1, t, t * t] for t in range(-8, 8)])
+    lat = build_lattice(a)
+    stab = classify(a, lat)
+    conics, ranks = [], []
+    rank = QMatrix.rank
+
+    def counted_conic(config):
+        conics.append(config.m)
+        return conic_test(config)
+
+    def counted_rank(self):
+        ranks.append(self.cols)
+        return rank(self)
+
+    monkeypatch.setattr(torelli_mod, "conic_test", counted_conic)
+    monkeypatch.setattr(QMatrix, "rank", counted_rank)
+    v = torelli_verdict(a, lat, stab)
+    assert conics == [16]
+    assert 6 not in ranks
+    assert v.subset_cap_exceeded
+    assert v.conic.kernel_dim == 1
+    assert v.rule == "on-stable-curve"
