@@ -11,8 +11,7 @@ the lattice computation.
 from .arrangement import (Arrangement, InvalidArrangement, LinearForm,
                           is_essential, parse_arrangement, parse_arrangement_json)
 from .ffcount import (DegenerateReduction, count_complement_points,
-                      kernel_available, next_valid_prime, prime_preserves_lattice,
-                      subset_ranks)
+                      next_valid_prime, prime_preserves_lattice, subset_ranks)
 from .fixtures import fixture, fixture_names, fixture_note
 from .invariants import (ChernData, DeltaData, LocallyFree, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
@@ -45,7 +44,7 @@ __all__ = [
     "count_complement_points", "delta_invariant", "dependent_sets",
     "discriminant_test", "dual_points", "fixture", "fixture_names",
     "fixture_note", "free_splitting_stability", "gale_dual", "git_ratio_test",
-    "h0_values", "is_essential", "kernel_available", "local_data", "mobius",
+    "h0_values", "is_essential", "local_data", "mobius",
     "next_valid_prime", "parse_arrangement", "parse_arrangement_json",
     "poincare", "prime_preserves_lattice", "rnc_test", "slice_at_point",
     "steiner_tensor", "subset_ranks", "torelli_verdict", "twist_transform",

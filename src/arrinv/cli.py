@@ -45,8 +45,8 @@ def _load(path: str) -> Arrangement:
 
 
 def _analysis(args) -> Analysis:
-    return Analysis(_load(args.path), tuple(args.primes), args.max_subsets,
-                    not args.no_literature_rules)
+    return Analysis(_load(args.path), tuple(args.primes or DEFAULT_PRIMES),
+                    args.max_subsets, not args.no_literature_rules)
 
 
 def cmd_analyze(args) -> int:
@@ -173,50 +173,62 @@ def _int_where(ok, what: str):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pretty", action="store_true",
-                   help="human-readable rendering instead of JSON")
-    p.add_argument("--prime", dest="primes", action="append", metavar="P",
-                   type=_int_where(is_prime, "a prime"),
-                   help="oracle prime, repeatable "
-                   f"(default {list(DEFAULT_PRIMES)})")
-    p.add_argument("--max-subsets", default=DEFAULT_MAX_SUBSETS, metavar="N",
-                   type=_int_where(lambda v: v >= 0, "an integer >= 0"),
-                   help="cap (>= 0) on subsets examined by the recoverability "
-                   "search, non-generic ones included")
-    p.add_argument("--no-literature-rules", action="store_true",
-                   help="restrict stability to the built-in numeric tests")
+# each option by name: (flag, add_argument keywords); a command gets only
+# the options it reads, so any other flag is a usage error
+OPTIONS = {
+    "pretty": ("--pretty", dict(action="store_true",
+                                help="human-readable rendering instead of JSON")),
+    "prime": ("--prime", dict(dest="primes", action="append", metavar="P",
+                              type=_int_where(is_prime, "a prime"),
+                              help="oracle prime, repeatable "
+                              f"(default {list(DEFAULT_PRIMES)})")),
+    "max-subsets": ("--max-subsets", dict(
+        default=DEFAULT_MAX_SUBSETS, metavar="N",
+        type=_int_where(lambda v: v >= 0, "an integer >= 0"),
+        help="cap (>= 0) on subsets examined by the recoverability search, "
+        "non-generic ones included")),
+    "literature": ("--no-literature-rules", dict(
+        action="store_true",
+        help="restrict stability to the built-in numeric tests")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="arrinv",
         description="exact invariants of projective hyperplane arrangements")
+    # what `_analysis` reads for a command without the option
+    ap.set_defaults(primes=None, max_subsets=DEFAULT_MAX_SUBSETS,
+                    no_literature_rules=False)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, fn, desc in [
-        ("analyze", cmd_analyze, "full report: lattice, invariants, stability, "
-                                 "recoverability, dual, oracle checks"),
-        ("lattice", _sections("lattice"), "intersection lattice with Moebius values"),
-        ("invariants", _sections("poincare", "chern", "delta"),
+    for name, fn, options, desc in [
+        ("analyze", cmd_analyze, "pretty prime max-subsets literature",
+         "full report: lattice, invariants, stability, recoverability, dual, "
+         "oracle checks"),
+        ("lattice", _sections("lattice"), "", "intersection lattice with Moebius values"),
+        ("invariants", _sections("poincare", "chern", "delta"), "",
          "Poincare and Chern data, delta invariant"),
-        ("stability", _sections("stability"), "stability classification with witnesses"),
-        ("torelli", _sections("torelli"), "recoverability verdict"),
-        ("gale", _sections("gale"), "dual configuration and dependency bijection"),
-        ("tensor", cmd_tensor, "defining tensor slices"),
-        ("verify", cmd_verify, "run the exact check suite; exit 1 on failure"),
-        ("conjecture", cmd_conjecture, "compare stability of the arrangement "
-                                       "and its dual"),
+        ("stability", _sections("stability"), "literature",
+         "stability classification with witnesses"),
+        ("torelli", _sections("torelli"), "max-subsets", "recoverability verdict"),
+        ("gale", _sections("gale"), "", "dual configuration and dependency bijection"),
+        ("tensor", cmd_tensor, "", "defining tensor slices"),
+        ("verify", cmd_verify, "pretty prime literature",
+         "run the exact check suite; exit 1 on failure"),
+        ("conjecture", cmd_conjecture, "literature",
+         "compare stability of the arrangement and its dual"),
     ]:
         p = sub.add_parser(name, help=desc)
         p.add_argument("path", help="arrangement JSON file")
-        _add_common(p)
+        for option in options.split():
+            flag, keywords = OPTIONS[option]
+            p.add_argument(flag, **keywords)
         p.set_defaults(fn=fn)
 
     ex = sub.add_parser("examples", help="bundled example arrangements")
     ex.add_argument("action", choices=["list", "show"])
     ex.add_argument("name", nargs="?", help="fixture name for show")
-    _add_common(ex)
     ex.set_defaults(fn=cmd_examples)
 
     return ap
@@ -224,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.primes is None:
-        args.primes = list(DEFAULT_PRIMES)
     try:
         return args.fn(args)
     except InvalidArrangement as exc:

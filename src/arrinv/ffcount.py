@@ -1,45 +1,23 @@
-"""Finite-field complement counting with backend dispatch.
+"""Finite-field complement counting and the choice of primes to count at.
 
 The count of points of F_p^(n+1) lying on none of the hyperplanes is an
 independent oracle for the lattice and Mobius computations; see
 `invariants.complement_count_prediction` for the lattice-side quantity it
-must match.
-
-A compiled kernel is used when the optional extension built; otherwise the
-pure-Python backend takes over. Both are exposed so tests and the benchmark
-can compare them directly.
+must match. The count walks the p^n fibers over the last coordinate and
+closes each fiber in O(m). Primes are judged against the exact ranks of the
+small subsets of forms, so the reduction mod p keeps the lattice over Q.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
-from . import _ffpure
 from .arrangement import Arrangement
 from .linalg import QMatrix, bareiss
-
-try:
-    from . import _ffkernel
-    _HAVE_KERNEL = True
-except ImportError:
-    _ffkernel = None
-    _HAVE_KERNEL = False
-
-# the compiled kernel uses fixed-size C integers; stay well inside them
-_KERNEL_MAX_FORMS = 512
-_KERNEL_MAX_DIM = 8
 
 
 class DegenerateReduction(ValueError):
     """A prime under which the arrangement degenerates."""
-
-
-def kernel_available() -> bool:
-    return _HAVE_KERNEL
-
-
-def backend_name() -> str:
-    return "compiled" if _HAVE_KERNEL else "pure"
 
 
 def is_prime(p: int) -> bool:
@@ -57,22 +35,42 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def count_points_raw(coeffs: list[tuple[int, ...]], p: int,
-                     backend: str = "auto") -> int:
-    """Count F_p^d points avoiding all forms, no validity checking."""
-    if backend not in ("auto", "compiled", "pure"):
-        raise ValueError(f"unknown backend {backend!r}")
-    reduced = [tuple(c % p for c in f) for f in coeffs]
-    m = len(reduced)
-    d = len(reduced[0])
-    use_kernel = _HAVE_KERNEL and backend != "pure" and \
-        m <= _KERNEL_MAX_FORMS and d <= _KERNEL_MAX_DIM
-    if backend == "compiled" and not _HAVE_KERNEL:
-        raise RuntimeError("compiled kernel is not available")
-    if use_kernel or backend == "compiled":
-        flat = [c for f in reduced for c in f]
-        return _ffkernel.count_nonvanishing(flat, m, d, p)
-    return _ffpure.count_nonvanishing(reduced, p)
+def count_points_raw(coeffs: list[tuple[int, ...]], p: int) -> int:
+    """Count F_p^d points avoiding all forms, no validity checking.
+
+    Instead of visiting all p^d points it walks the p^(d-1) fibers over the
+    last coordinate and, within a fiber, counts the union of the single roots
+    each form contributes.
+    """
+    m = len(coeffs)
+    if m == 0:
+        raise ValueError("no forms")
+    d = len(coeffs[0])
+    inv = [0] * p  # inverse table; inv[0] unused
+    for a in range(1, p):
+        inv[a] = pow(a, p - 2, p)
+    last = [f[d - 1] % p for f in coeffs]
+    heads = [tuple(c % p for c in f[: d - 1]) for f in coeffs]
+    count = 0
+    for prefix in product(range(p), repeat=d - 1):
+        roots = set()
+        dead = False
+        for i in range(m):
+            head = heads[i]
+            s = 0
+            for c, v in zip(head, prefix):
+                s += c * v
+            s %= p
+            a = last[i]
+            if a == 0:
+                if s == 0:
+                    dead = True  # the form vanishes on the whole fiber
+                    break
+            else:
+                roots.add((-s * inv[a]) % p)
+        if not dead:
+            count += p - len(roots)
+    return count
 
 
 def check_reduction(a: Arrangement, p: int) -> None:
@@ -85,12 +83,12 @@ def check_reduction(a: Arrangement, p: int) -> None:
                     f"hyperplanes {i + 1} and {j + 1} coincide mod {p}")
 
 
-def count_complement_points(a: Arrangement, p: int, backend: str = "auto") -> int:
+def count_complement_points(a: Arrangement, p: int) -> int:
     """Points of F_p^(n+1) on none of the hyperplanes, counted directly."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     check_reduction(a, p)
-    return count_points_raw([f.coeffs for f in a.forms], p, backend)
+    return count_points_raw([f.coeffs for f in a.forms], p)
 
 
 def subset_ranks(a: Arrangement) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:

@@ -242,14 +242,6 @@ def invert(a: QMatrix) -> QMatrix:
     return QMatrix(tuple(row[n:] for row in reduced.entries), n)
 
 
-def intersection_dim(a: QMatrix, b: QMatrix) -> int:
-    """Dimension of the intersection of two row spans in the same ambient."""
-    if a.cols != b.cols:
-        raise ValueError("ambient mismatch")
-    ra, rb = a.rank(), b.rank()
-    return ra + rb - a.stack(b).rank()
-
-
 def primitive_integer_vector(v: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
     vals = [qval(x) for x in v]

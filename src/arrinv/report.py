@@ -22,7 +22,7 @@ from functools import cached_property
 from math import comb
 
 from .arrangement import Arrangement, is_essential
-from .ffcount import (backend_name, count_complement_points, next_valid_prime,
+from .ffcount import (count_complement_points, next_valid_prime,
                       prime_preserves_lattice, subset_ranks)
 from .invariants import (ChernData, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
@@ -280,8 +280,7 @@ class Analysis:
             counted = count_complement_points(a, q)
             entry = {"check": f"finite_field_count_p{p}",
                      "status": "pass" if predicted == counted else "fail",
-                     "predicted": predicted, "counted": counted,
-                     "backend": backend_name()}
+                     "predicted": predicted, "counted": counted}
             if note:
                 entry["note"] = note
             checks.append(entry)

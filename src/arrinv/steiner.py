@@ -23,7 +23,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .arrangement import Arrangement, InvalidArrangement, parse_arrangement
-from .lattice import CrossingClass, IntersectionLattice, classify_crossing
 from .linalg import QMatrix, det, kernel_basis
 
 
@@ -176,14 +175,3 @@ def verify_gale_bijection(t: SteinerTensor) -> GaleBijectionReport:
         missing=missing,
         extra=extra,
     )
-
-
-def nondegenerate(a: Arrangement, lattice: IntersectionLattice) -> bool:
-    """Whether the defining tensor is nondegenerate.
-
-    Equivalent to the arrangement being generic; the combinatorial test is
-    used directly.
-    """
-    if a.m < a.n + 2:
-        raise ValueError(f"nondegeneracy needs m >= n + 2, got m = {a.m}")
-    return classify_crossing(lattice).kind is CrossingClass.GENERIC

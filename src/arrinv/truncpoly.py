@@ -107,9 +107,6 @@ class TruncPoly:
             acc = acc * xq + c
         return acc
 
-    def with_cap(self, cap: int) -> "TruncPoly":
-        return TruncPoly.from_coeffs(self.coeffs, cap)
-
     def __str__(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):

@@ -138,6 +138,20 @@ class TestVerify:
         assert "finite_field_count_p13" in names
         assert "finite_field_count_p7" not in names
 
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_count_entries_hold_results_only(self, capsys, name):
+        # nothing about how the count ran, so the report is the same everywhere
+        rc, out, _ = run(capsys, ["analyze", path(name)])
+        assert rc == 0
+        entries = json.loads(out)["oracles"]
+        rc, out, _ = run(capsys, ["verify", path(name)])
+        assert rc == 0
+        entries += json.loads(out)["checks"]
+        counts = [c for c in entries if c["check"].startswith("finite_field_count_p")]
+        assert len(counts) == 2 * len(DEFAULT_PRIMES)
+        for c in counts:
+            assert set(c) <= {"check", "status", "predicted", "counted", "note"}
+
     def test_pretty_mode_prints_one_line_per_check(self, capsys):
         rc, out, _ = run(capsys, ["verify", "--pretty", path("a3_braid")])
         assert rc == 0
@@ -337,12 +351,35 @@ class TestFlags:
         ("--max-subsets", "-1"), ("--max-subsets", "2.5"),
     ])
     def test_bad_numbers_are_usage_errors(self, capsys, flag, value):
+        command = "verify" if flag == "--prime" else "torelli"
         with pytest.raises(SystemExit) as exc:
-            main(["torelli", flag, value, path("generic5")])
+            main([command, flag, value, path("generic5")])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: must be" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["examples", "list", "--prime", "7"],
+        ["examples", "show", "generic5", "--pretty"],
+        ["lattice", "--pretty"],
+        ["invariants", "--no-literature-rules"],
+        ["gale", "--max-subsets", "5"],
+        ["tensor", "--max-subsets", "5"],
+        ["stability", "--prime", "7"],
+        ["torelli", "--no-literature-rules"],
+        ["verify", "--max-subsets", "5"],
+        ["conjecture", "--pretty"],
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv):
+        if argv[0] != "examples":
+            argv = argv + [path("generic5")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     def test_no_literature_rules_weakens_generic_verdicts(self, capsys):
         rc, out, _ = run(capsys, ["stability", "--no-literature-rules",

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrinv.linalg import (QMatrix, bareiss, det, intersection_dim, invert,
-                           kernel_basis, primitive_integer_vector, qval, rref,
-                           solve_square)
+from arrinv.linalg import (QMatrix, bareiss, det, invert, kernel_basis,
+                           primitive_integer_vector, qval, rref, solve_square)
 from oracles import fraction_det, fraction_rank, rank_mod_p
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -118,15 +117,6 @@ def test_solve_square_rejects_singular():
     m = QMatrix.from_rows([[1, 1], [2, 2]], 2)
     with pytest.raises(ValueError):
         solve_square(m, [1, 0])
-
-
-def test_intersection_dim():
-    a = QMatrix.from_rows([[1, 0, 0]], 3)
-    b = QMatrix.from_rows([[0, 1, 0]], 3)
-    assert intersection_dim(a, b) == 0
-    c = QMatrix.from_rows([[1, 0, 0], [0, 1, 0]], 3)
-    d = QMatrix.from_rows([[1, 1, 0]], 3)
-    assert intersection_dim(c, d) == 1
 
 
 def test_primitive_integer_vector():

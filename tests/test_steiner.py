@@ -10,7 +10,7 @@ from arrinv.lattice import build_lattice
 from arrinv.linalg import QMatrix, kernel_basis
 from arrinv.report import build_report
 from arrinv.steiner import (GaleUndefined, dependent_sets, dual_columns,
-                            gale_dual, nondegenerate, slice_at_point,
+                            gale_dual, slice_at_point,
                             steiner_tensor, verify_gale_bijection)
 from oracles import dependent_subsets_by_minors
 
@@ -154,8 +154,3 @@ def test_double_dual_preserves_dependencies():
     assert dependent_sets(double).sets == dependent_sets(a).sets
 
 
-def test_nondegenerate_flag():
-    for name, expected in [("generic5", True), ("generic6_on_conic", True),
-                           ("a3_braid", False), ("m5_one_triple", False)]:
-        a = fixture(name)
-        assert nondegenerate(a, build_lattice(a)) is expected

@@ -80,11 +80,5 @@ def test_evaluate():
     assert p.evaluate(-1) == 1 - 2 + 3
 
 
-def test_with_cap_truncates_and_extends():
-    p = TruncPoly((1, 2, 3))
-    assert p.with_cap(1).coeffs == (1, 2)
-    assert p.with_cap(4).coeffs == (1, 2, 3, 0, 0)
-
-
 def test_str_rendering():
     assert str(TruncPoly((1, 0, 2))) == "1 + 2t^2"
