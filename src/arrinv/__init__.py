@@ -9,9 +9,10 @@ the lattice computation.
 """
 
 from .arrangement import (Arrangement, InvalidArrangement, LinearForm,
-                          is_essential, parse_arrangement, parse_arrangement_json)
+                          is_essential, parse_arrangement, parse_arrangement_json,
+                          subset_ranks)
 from .ffcount import (DegenerateReduction, count_complement_points,
-                      next_valid_prime, prime_preserves_lattice, subset_ranks)
+                      next_valid_prime, prime_preserves_lattice)
 from .fixtures import fixture, fixture_names, fixture_note
 from .invariants import (ChernData, DeltaData, LocallyFree, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
@@ -22,9 +23,9 @@ from .report import build_report
 from .stability import (StabilityVerdict, Status, Witness, WitnessKind, classify,
                         combinatorial_destabilizer, discriminant_test,
                         free_splitting_stability, git_ratio_test)
-from .steiner import (DependentSets, GaleBijectionReport, GaleUndefined,
-                      SteinerTensor, dependent_sets, gale_dual, slice_at_point,
-                      steiner_tensor, verify_gale_bijection)
+from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
+                      gale_dual, slice_at_point, steiner_tensor,
+                      verify_gale_bijection)
 from .torelli import (ConicClass, ConicResult, RncResult, RncVerdict,
                       TorelliStatus, TorelliVerdict, conic_test, dual_points,
                       rnc_test, torelli_verdict)
@@ -34,14 +35,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arrangement", "ChernData", "ConicClass", "ConicResult", "CrossingClass",
-    "DegenerateReduction", "DeltaData", "DependentSets", "Flat",
+    "DegenerateReduction", "DeltaData", "Flat",
     "GaleBijectionReport", "GaleUndefined", "IntersectionLattice", "LinearForm",
     "LocallyFree", "InvalidArrangement", "PoincareData", "RncResult",
     "RncVerdict", "StabilityVerdict", "Status", "SteinerTensor", "TorelliStatus",
     "TorelliVerdict", "TruncPoly", "Witness", "WitnessKind", "build_lattice",
     "build_report", "chern", "classify", "classify_crossing",
     "combinatorial_destabilizer", "complement_count_prediction", "conic_test",
-    "count_complement_points", "delta_invariant", "dependent_sets",
+    "count_complement_points", "delta_invariant",
     "discriminant_test", "dual_points", "fixture", "fixture_names",
     "fixture_note", "free_splitting_stability", "gale_dual", "git_ratio_test",
     "h0_values", "is_essential", "local_data", "mobius",

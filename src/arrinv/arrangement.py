@@ -5,6 +5,11 @@ by a linear form in the n+1 homogeneous coordinates. Forms are stored in a
 canonical primitive integer representation: denominators cleared, content
 divided out, first nonzero coefficient positive. Labels are 1-based
 throughout the public surface.
+
+`subset_ranks` is the one rank table of an arrangement: the rank over Q of
+every set of at most n+1 forms. It fixes the intersection lattice (the
+lattice of flats of the matroid of the forms, up to rank n), the dependent
+(n+1)-sets of the Gale check, and which primes keep the lattice.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .linalg import MAX_DIGITS, QMatrix, primitive_integer_vector, qval
+from .linalg import MAX_DIGITS, QMatrix, bareiss, primitive_integer_vector, qval
 
 _COEFF_BOUND = 10 ** MAX_DIGITS   # canonical coefficients stay below it
 
@@ -139,3 +145,16 @@ def parse_arrangement_json(text: str) -> Arrangement:
 def is_essential(a: Arrangement) -> bool:
     """True when the forms span the full dual space (rank n+1)."""
     return a.form_matrix().rank() == a.n + 1
+
+
+def subset_ranks(a: Arrangement) -> dict[tuple[int, ...], int]:
+    """Rank over Q of the forms of every sorted label set of size 1..n+1.
+
+    Keys run by size, then lexicographically. The ranks come from the forms
+    alone, never from a lattice, so a prime judged against the table keeps
+    the true lattice even when a lattice under test is wrong.
+    """
+    forms = [f.coeffs for f in a.forms]
+    return {labels: bareiss([forms[i - 1] for i in labels])[0]
+            for size in range(1, min(a.n + 1, a.m) + 1)
+            for labels in combinations(range(1, a.m + 1), size)}

@@ -4,16 +4,17 @@ The count of points of F_p^(n+1) lying on none of the hyperplanes is an
 independent oracle for the lattice and Mobius computations; see
 `invariants.complement_count_prediction` for the lattice-side quantity it
 must match. The count walks the p^n fibers over the last coordinate and
-closes each fiber in O(m). Primes are judged against the exact ranks of the
-small subsets of forms, so the reduction mod p keeps the lattice over Q.
+closes each fiber in O(m). A prime is accepted when every label set of the
+arrangement's rank table (`arrangement.subset_ranks`) keeps its rank mod p,
+so the reduction mod p keeps the lattice over Q.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 from .arrangement import Arrangement
-from .linalg import QMatrix, bareiss
+from .linalg import bareiss
 
 
 class DegenerateReduction(ValueError):
@@ -91,33 +92,25 @@ def count_complement_points(a: Arrangement, p: int) -> int:
     return count_points_raw([f.coeffs for f in a.forms], p)
 
 
-def subset_ranks(a: Arrangement) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
-    """Every subset of at most n+1 forms with its rank over Q.
-
-    Computed from the forms themselves, never from a lattice, so a prime is
-    judged against the true ranks even when the lattice under test is wrong.
-    """
-    forms = [f.coeffs for f in a.forms]
-    return tuple((rows, QMatrix.from_rows(rows, a.n + 1).rank())
-                 for size in range(1, min(a.n + 1, a.m) + 1)
-                 for rows in combinations(forms, size))
-
-
-def prime_preserves_lattice(ranks, p: int) -> bool:
-    """True when every subset in `ranks` (from `subset_ranks`) keeps its rank mod p.
+def prime_preserves_lattice(a: Arrangement, ranks: dict[tuple[int, ...], int],
+                            p: int) -> bool:
+    """True when every label set in `ranks` (`subset_ranks(a)`) keeps its rank mod p.
 
     Rank preservation of the small subsets forces the whole intersection
     lattice mod p to agree with the lattice over Q, which is exactly what the
     counting identity needs. (A stricter test than the pairwise check in
     count_complement_points.)
     """
-    return all(bareiss(rows, p)[0] == rank for rows, rank in ranks)
+    forms = [f.coeffs for f in a.forms]
+    return all(bareiss([forms[i - 1] for i in labels], p)[0] == rank
+               for labels, rank in ranks.items())
 
 
-def next_valid_prime(ranks, start: int) -> int:
-    """Smallest lattice-preserving prime >= start for the `subset_ranks` given."""
+def next_valid_prime(a: Arrangement, ranks: dict[tuple[int, ...], int],
+                     start: int) -> int:
+    """Smallest lattice-preserving prime >= start for `a` and its `subset_ranks`."""
     p = max(2, start)
     while True:
-        if is_prime(p) and prime_preserves_lattice(ranks, p):
+        if is_prime(p) and prime_preserves_lattice(a, ranks, p):
             return p
         p += 1

@@ -1,21 +1,20 @@
 """Intersection lattice of a projective arrangement.
 
-Flats are the nonempty intersections of subsets of hyperplanes, identified by
-their solution spaces and labeled by the maximal set of hyperplane labels
-containing them. Ranks are codimensions; only flats of rank <= n (nonempty in
-P^n) are kept. The lattice is built by iterative refinement: flats of rank
-r+1 arise by cutting rank-r flats with one more hyperplane, deduplicated by
-the canonical row-reduced basis of their equation spans.
+Flats are the nonempty intersections of subsets of hyperplanes, labeled by
+the maximal set of hyperplane labels containing them. Ranks are
+codimensions; only flats of rank <= n (nonempty in P^n) are kept. This is
+the lattice of flats of the matroid of the forms, so it is read off the
+arrangement's rank table (`arrangement.subset_ranks`): a flat of rank r
+spanned by r independent labels B, cut by a hyperplane j outside it, is the
+rank-(r+1) flat of every label i with rank(B + j + i) = r + 1.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arrangement import Arrangement
-from .linalg import QMatrix, rref
+from .arrangement import Arrangement, subset_ranks
 
 
 @dataclass(frozen=True)
@@ -24,12 +23,10 @@ class Flat:
 
     indices: maximal 1-based labels of hyperplanes containing the flat.
     rank: codimension of the flat in P^n.
-    equations: canonical (RREF) basis rows of the span of the defining forms.
     """
 
     indices: tuple[int, ...]
     rank: int
-    equations: tuple[tuple[Fraction, ...], ...]
 
     @property
     def s(self) -> int:
@@ -61,57 +58,34 @@ class IntersectionLattice:
         return zip(self.flats, self.mobius)
 
 
-def _canonical_span(rows, cols: int):
-    """Canonical representation (RREF rows) of a row span."""
-    reduced, _, rank = rref(QMatrix.from_rows(rows, cols))
-    return tuple(reduced.entries[i] for i in range(rank))
+def build_lattice(a: Arrangement,
+                  ranks: dict[tuple[int, ...], int] | None = None) -> IntersectionLattice:
+    """Enumerate all flats from the rank table and compute Mobius values.
 
-
-def _maximal_labels(a: Arrangement, span) -> tuple[int, ...]:
-    """All labels whose form lies in the span of the RREF rows `span`.
-
-    A form lies in the span exactly when subtracting, for each row, its
-    entry in that row's pivot column times the row leaves zero.
+    `ranks` is `subset_ranks(a)`, computed here when not given. Each flat
+    keeps a basis of independent labels while its rank level is cut; a label
+    already on a flat found from the same parent is not cut again.
     """
-    pivots = [next(c for c, x in enumerate(row) if x) for row in span]
-    out = []
-    for i, form in enumerate(a.forms, start=1):
-        residue = form.coeffs
-        for c, row in zip(pivots, span):
-            x = residue[c]
-            if x:
-                residue = [v - x * w for v, w in zip(residue, row)]
-        if not any(residue):
-            out.append(i)
-    return tuple(out)
-
-
-def build_lattice(a: Arrangement) -> IntersectionLattice:
-    """Enumerate all flats, attach maximal labels, compute Mobius values."""
-    cols = a.n + 1
-    ambient = Flat(indices=(), rank=0, equations=())
-    by_rank: list[list[Flat]] = [[ambient]]
-    current = {(): ambient}
+    if ranks is None:
+        ranks = subset_ranks(a)
+    labels = range(1, a.m + 1)
+    flats = [Flat((), 0)]
+    level: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}   # flat -> basis
     for r in range(1, a.n + 1):
-        found: dict[tuple, Flat] = {}
-        for flat in current.values():
-            for j in range(1, a.m + 1):
-                if j in flat.indices:
+        found: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for indices, basis in level.items():
+            covered = set(indices)
+            for j in labels:
+                if j in covered:
                     continue
-                rows = list(flat.equations) + [a.form(j).coeffs]
-                span = _canonical_span(rows, cols)
-                # j outside the maximal label set guarantees independence
-                assert len(span) == r
-                if span in found:
-                    continue
-                labels = _maximal_labels(a, span)
-                found[span] = Flat(indices=labels, rank=r, equations=span)
-        level = sorted(found.values(), key=lambda f: f.indices)
-        by_rank.append(level)
-        current = {f.indices: f for f in level}
-        if not level:
-            break
-    flats = tuple(f for level in by_rank for f in level)
+                span = basis + (j,)
+                flat = tuple(i for i in labels
+                             if ranks[tuple(sorted({*span, i}))] == r)
+                covered.update(flat)
+                found.setdefault(flat, span)
+        level = dict(sorted(found.items()))
+        flats.extend(Flat(f, r) for f in level)
+    flats = tuple(flats)
     return IntersectionLattice(a, flats, mobius_values(flats))
 
 

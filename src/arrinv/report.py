@@ -1,10 +1,12 @@
 """Deterministic report assembly shared by the CLI commands.
 
 A report is read from one `Analysis` of the arrangement, which computes each
-quantity at most once: above all the intersection lattice and the defining
-tensor, whose relation basis gives the Gale dual points. Stability, Torelli
-and Chern data share one availability rule, `Analysis.unavailable`. The CLI
-commands print sections of an Analysis, so each prints what `analyze` does.
+quantity at most once: above all the rank table of small subsets of forms,
+which the intersection lattice, the Gale primal sets and the prime check
+read, and the defining tensor, whose relation basis gives the Gale dual
+points. Stability, Torelli and Chern data share one availability rule,
+`Analysis.unavailable`. The CLI commands print sections of an Analysis, so
+each prints what `analyze` does.
 
 Everything here returns plain dicts and lists ready for json.dumps. Field
 order is fixed by construction and all collection iteration is over sorted
@@ -21,9 +23,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .arrangement import Arrangement, is_essential
+from .arrangement import Arrangement, is_essential, subset_ranks
 from .ffcount import (count_complement_points, next_valid_prime,
-                      prime_preserves_lattice, subset_ranks)
+                      prime_preserves_lattice)
 from .invariants import (ChernData, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
                          local_data, poincare, twist_transform)
@@ -72,8 +74,12 @@ class Analysis:
     literature_rules: bool
 
     @cached_property
+    def subset_ranks(self) -> dict[tuple[int, ...], int]:
+        return subset_ranks(self.a)
+
+    @cached_property
     def lattice(self) -> IntersectionLattice:
-        return build_lattice(self.a)
+        return build_lattice(self.a, self.subset_ranks)
 
     @cached_property
     def poincare(self) -> PoincareData:
@@ -122,7 +128,7 @@ class Analysis:
         """The bijection check, when the Gale dual configuration is defined."""
         if self.a.m < self.a.n + 3 or self.unavailable:
             return None
-        return verify_gale_bijection(self.tensor)
+        return verify_gale_bijection(self.tensor, self.subset_ranks)
 
     # -- sections -------------------------------------------------------
 
@@ -144,9 +150,8 @@ class Analysis:
 
     def lattice_section(self) -> dict:
         lattice = self.lattice
-        flats = [{"indices": list(f.indices), "rank": f.rank, "s": f.s,
-                  "mobius": lattice.mobius_of(f)}
-                 for f in lattice.flats]
+        flats = [{"indices": list(f.indices), "rank": f.rank, "s": f.s, "mobius": mu}
+                 for f, mu in lattice.items()]
         counts = Counter(f.rank for f in lattice.flats)
         crossing = classify_crossing(lattice)
         return {
@@ -269,12 +274,12 @@ class Analysis:
         a, lattice = self.a, self.lattice
         checks: list[dict] = []
 
-        ranks = subset_ranks(a)
+        ranks = self.subset_ranks
         for p in self.primes:
             q = p
             note = None
-            if not prime_preserves_lattice(ranks, q):
-                q = next_valid_prime(ranks, q)
+            if not prime_preserves_lattice(a, ranks, q):
+                q = next_valid_prime(a, ranks, q)
                 note = f"p = {p} degenerates the reduction; retried with {q}"
             predicted = complement_count_prediction(self.poincare, q)
             counted = count_complement_points(a, q)

@@ -13,7 +13,9 @@ as m forms in m-n-1 variables, so the tensor is the one source of the dual
 points. Dependent subsets of maximal size swap with their complements under
 this duality; `verify_gale_bijection` checks that at the level of coordinate
 configurations, so it also covers duals whose points collide (which cannot
-be represented as an Arrangement).
+be represented as an Arrangement). The primal dependent (n+1)-sets are read
+off the arrangement's rank table (`arrangement.subset_ranks`); the dual ones
+come from determinants on the tensor's columns alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arrangement import Arrangement, InvalidArrangement, parse_arrangement
+from .arrangement import (Arrangement, InvalidArrangement, parse_arrangement,
+                          subset_ranks)
 from .linalg import QMatrix, det, kernel_basis
 
 
@@ -117,12 +120,6 @@ def gale_dual(t: SteinerTensor) -> Arrangement:
         raise GaleUndefined(f"dual points collide: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DependentSets:
-    size: int
-    sets: tuple[tuple[int, ...], ...]  # sorted labels, lexicographic order
-
-
 def _dependent_subsets(vectors, dim: int) -> tuple[tuple[int, ...], ...]:
     """Index subsets of size dim whose vectors have a vanishing determinant."""
     out = []
@@ -131,14 +128,6 @@ def _dependent_subsets(vectors, dim: int) -> tuple[tuple[int, ...], ...]:
         if det(mat) == 0:
             out.append(tuple(i + 1 for i in subset))
     return tuple(out)
-
-
-def dependent_sets(a: Arrangement) -> DependentSets:
-    """All (n+1)-subsets of hyperplanes whose forms are linearly dependent."""
-    size = a.n + 1
-    if a.m < size:
-        return DependentSets(size, ())
-    return DependentSets(size, _dependent_subsets([f.coeffs for f in a.forms], size))
 
 
 @dataclass(frozen=True)
@@ -151,15 +140,22 @@ class GaleBijectionReport:
     extra: tuple[tuple[int, ...], ...]
 
 
-def verify_gale_bijection(t: SteinerTensor) -> GaleBijectionReport:
+def verify_gale_bijection(t: SteinerTensor,
+                          ranks: dict[tuple[int, ...], int] | None = None
+                          ) -> GaleBijectionReport:
     """Check that dual dependent sets are exactly complements of primal ones.
 
-    Works on the raw dual configuration, so coincident dual points are fine.
+    The primal sets are the (n+1)-sets of rank < n+1 in `ranks`
+    (`subset_ranks` of the tensor's arrangement, computed here when not
+    given), in its lexicographic order. Works on the raw dual configuration,
+    so coincident dual points are fine.
     """
     m, n = t.m, t.n
     if m < n + 3:
         raise GaleUndefined(f"need m >= n + 3, got m = {m}")
-    primal = dependent_sets(t.arrangement).sets
+    if ranks is None:
+        ranks = subset_ranks(t.arrangement)
+    primal = tuple(s for s, r in ranks.items() if len(s) == n + 1 and r <= n)
     cols = dual_columns(t)
     dual_size = m - n - 1
     actual = _dependent_subsets(cols, dual_size)

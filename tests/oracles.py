@@ -78,6 +78,22 @@ def _rank_of(a: Arrangement, labels) -> int:
     return fraction_rank([a.form(i).coeffs for i in labels])
 
 
+def flats_by_closure(a: Arrangement) -> set[tuple[tuple[int, ...], int]]:
+    """(labels, rank) of every flat: the closure of each label set of size <= n.
+
+    The closure of S is every label whose form adds nothing to the rank of S.
+    Every flat of rank r <= n is the closure of r independent labels.
+    """
+    out = set()
+    for size in range(min(a.n, a.m) + 1):
+        for subset in combinations(range(1, a.m + 1), size):
+            rank = _rank_of(a, subset)
+            closure = tuple(i for i in range(1, a.m + 1)
+                            if _rank_of(a, subset + (i,)) == rank)
+            out.add((closure, rank))
+    return out
+
+
 def mobius_by_subsets(a: Arrangement, flat: Flat) -> int:
     """Signed count of the subsets of the flat's hyperplanes that span it.
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrinv.arrangement import InvalidArrangement, parse_arrangement
+from arrinv.arrangement import InvalidArrangement, parse_arrangement, subset_ranks
 from arrinv.ffcount import (DegenerateReduction, count_complement_points,
                             count_points_raw, is_prime, next_valid_prime,
-                            prime_preserves_lattice, subset_ranks)
+                            prime_preserves_lattice)
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import complement_count_prediction, poincare
 from arrinv.lattice import build_lattice
@@ -64,7 +64,7 @@ def test_degenerate_reduction_count_value():
 def test_fixture_counts_match_lattice_prediction(name, p):
     a = fixture(name)
     lat = build_lattice(a)
-    assert prime_preserves_lattice(subset_ranks(a), p)
+    assert prime_preserves_lattice(a, subset_ranks(a), p)
     assert count_complement_points(a, p) == complement_count_prediction(poincare(lat), p)
 
 
@@ -78,9 +78,9 @@ def test_fixture_counts_match_at_101(name):
 def test_prime_validity_and_next_valid():
     a = parse_arrangement(1, [[1, 0], [1, 7]])
     ranks = subset_ranks(a)
-    assert not prime_preserves_lattice(ranks, 7)
-    assert prime_preserves_lattice(ranks, 11)
-    assert next_valid_prime(ranks, 7) == 11
+    assert not prime_preserves_lattice(a, ranks, 7)
+    assert prime_preserves_lattice(a, ranks, 11)
+    assert next_valid_prime(a, ranks, 7) == 11
 
 
 def test_n3_arrangement_at_101():

@@ -1,12 +1,16 @@
 """Intersection lattice, Moebius values, and crossing classification."""
 
-import pytest
+from itertools import combinations
 
-from arrinv.arrangement import parse_arrangement
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from arrinv.arrangement import InvalidArrangement, parse_arrangement, subset_ranks
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import (CrossingClass, build_lattice, classify_crossing,
                             mobius)
-from oracles import mobius_by_subsets
+from oracles import flats_by_closure, fraction_rank, mobius_by_subsets
 
 
 def rank2_profile(lattice):
@@ -104,3 +108,31 @@ def test_n3_lattice_moebius_against_oracle():
     lat = build_lattice(a)
     for f in lat.flats:
         assert lat.mobius_of(f) == mobius_by_subsets(a, f)
+
+
+@st.composite
+def crowded_arrangements(draw):
+    """Small coefficients, so that many hyperplanes meet in the same flats."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    row = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1).filter(any)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    try:
+        return parse_arrangement(n, rows)
+    except InvalidArrangement:   # two rows reduce to the same form
+        assume(False)
+
+
+@given(crowded_arrangements())
+@settings(max_examples=150, deadline=None)
+def test_lattice_and_rank_table_match_the_closure_oracle(a):
+    ranks = subset_ranks(a)
+    assert list(ranks) == [s for size in range(1, min(a.n + 1, a.m) + 1)
+                           for s in combinations(range(1, a.m + 1), size)]
+    for labels, rank in ranks.items():
+        assert rank == fraction_rank([a.form(i).coeffs for i in labels]), labels
+    lat = build_lattice(a, ranks)
+    pairs = [(f.indices, f.rank) for f in lat.flats]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == flats_by_closure(a)
+    for f, mu in lat.items():
+        assert mu == mobius_by_subsets(a, f), f.indices

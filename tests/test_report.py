@@ -14,7 +14,8 @@ ONCE_PER_REPORT = (
     ("invariants", "chern"),
     ("invariants", "poincare"),
     ("arrangement", "is_essential"),
-    ("ffcount", "subset_ranks"),
+    ("arrangement", "subset_ranks"),
+    ("lattice", "build_lattice"),
 )
 
 

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from arrinv.arrangement import parse_arrangement
+from arrinv.arrangement import parse_arrangement, subset_ranks
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.linalg import QMatrix, kernel_basis
 from arrinv.report import build_report
-from arrinv.steiner import (GaleUndefined, dependent_sets, dual_columns,
-                            gale_dual, slice_at_point,
-                            steiner_tensor, verify_gale_bijection)
+from arrinv.steiner import (GaleUndefined, dual_columns, gale_dual,
+                            slice_at_point, steiner_tensor,
+                            verify_gale_bijection)
 from oracles import dependent_subsets_by_minors
 
 TENSOR_FIXTURES = [n for n in fixture_names() if n != "boolean_n2"]
@@ -53,8 +53,8 @@ def test_tensor_shapes():
         assert (s.rows, s.cols) == (5, 3)
 
 
-def _point_of_rank2_flat(flat):
-    eqs = QMatrix.from_rows(flat.equations, 3)
+def _point_of_rank2_flat(a, flat):
+    eqs = QMatrix.from_rows([a.form(i).coeffs for i in flat.indices], 3)
     point = kernel_basis(eqs)
     assert point.rows == 1
     return point.entries[0]
@@ -68,7 +68,7 @@ def test_slice_rank_drop_equals_excess(name):
     lat = build_lattice(a)
     full = a.m - 1 - a.n
     for flat in lat.flats_of_rank(2):
-        q = _point_of_rank2_flat(flat)
+        q = _point_of_rank2_flat(a, flat)
         assert slice_at_point(t, q).rank() == full - (flat.s - 2)
 
 
@@ -119,17 +119,24 @@ def test_gale_dual_needs_essential():
     assert gale == {"defined": False, "reason": "arrangement is not essential"}
 
 
+def _primal_dependent(a):
+    """The primal sets the Gale check reads: (n+1)-sets of the table of rank <= n."""
+    return tuple(s for s, r in subset_ranks(a).items() if len(s) == a.n + 1 and r <= a.n)
+
+
 @pytest.mark.parametrize("name", TENSOR_FIXTURES)
 def test_dependent_sets_match_minor_oracle(name):
     a = fixture(name)
-    ds = dependent_sets(a)
-    assert ds.size == a.n + 1
-    assert set(ds.sets) == dependent_subsets_by_minors(a)
+    primal = _primal_dependent(a)
+    assert list(primal) == sorted(primal)
+    assert set(primal) == dependent_subsets_by_minors(a)
+    if a.m >= a.n + 3:
+        assert verify_gale_bijection(steiner_tensor(a)).primal_dependent == primal
 
 
 def test_a3_dependent_triples_are_the_triple_points():
-    ds = dependent_sets(fixture("a3_braid"))
-    assert ds.sets == ((1, 2, 4), (1, 5, 6), (2, 3, 5), (3, 4, 6))
+    primal = _primal_dependent(fixture("a3_braid"))
+    assert primal == ((1, 2, 4), (1, 5, 6), (2, 3, 5), (3, 4, 6))
 
 
 @pytest.mark.parametrize("name",
@@ -151,6 +158,8 @@ def test_double_dual_preserves_dependencies():
     a = fixture("generic6_off_conic")
     double = gale_dual(steiner_tensor(gale_dual(steiner_tensor(a))))
     assert double.m == a.m and double.n == a.n
-    assert dependent_sets(double).sets == dependent_sets(a).sets
+    assert _primal_dependent(double) == _primal_dependent(a)
+    assert (verify_gale_bijection(steiner_tensor(double)).primal_dependent
+            == verify_gale_bijection(steiner_tensor(a)).primal_dependent)
 
 
