@@ -75,13 +75,22 @@ def count_points_raw(coeffs: list[tuple[int, ...]], p: int) -> int:
 
 
 def check_reduction(a: Arrangement, p: int) -> None:
-    """Raise DegenerateReduction if two forms become proportional mod p."""
-    forms = [f.coeffs for f in a.forms]
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            if bareiss((forms[i], forms[j]), p)[0] < 2:
-                raise DegenerateReduction(
-                    f"hyperplanes {i + 1} and {j + 1} coincide mod {p}")
+    """Raise DegenerateReduction if two forms become proportional mod p.
+
+    Each form is scaled mod p so its first nonzero entry is 1 (a primitive
+    form is never 0 mod p); proportional forms then repeat. The pair named
+    is the lexicographically first: the first two labels of the class whose
+    first label is smallest.
+    """
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for label, f in enumerate(a.forms, 1):
+        row = [c % p for c in f.coeffs]
+        inv = pow(next(c for c in row if c), p - 2, p)
+        classes.setdefault(tuple(c * inv % p for c in row), []).append(label)
+    pairs = [labels[:2] for labels in classes.values() if len(labels) > 1]
+    if pairs:
+        i, j = min(pairs)
+        raise DegenerateReduction(f"hyperplanes {i} and {j} coincide mod {p}")
 
 
 def count_complement_points(a: Arrangement, p: int) -> int:

@@ -93,13 +93,6 @@ class QMatrix:
     def rank(self) -> int:
         return bareiss(self.entries)[0]
 
-    def matvec(self, v: Sequence) -> tuple[Fraction, ...]:
-        vv = [qval(x) for x in v]
-        if len(vv) != self.cols:
-            raise ValueError("dimension mismatch in matvec")
-        return tuple(sum((r[j] * vv[j] for j in range(self.cols)), Q(0))
-                     for r in self.entries)
-
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     """Reduced row echelon form. Returns (R, pivot columns, rank)."""
@@ -214,32 +207,6 @@ def det(m: QMatrix) -> Fraction:
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     return bareiss(m.entries)[1]
-
-
-def solve_square(a: QMatrix, b: Sequence) -> tuple[Fraction, ...]:
-    """Solve a x = b for invertible square a."""
-    if a.rows != a.cols:
-        raise ValueError("solve_square needs a square matrix")
-    aug = QMatrix.from_rows(
-        [list(row) + [qval(b[i])] for i, row in enumerate(a.entries)], a.cols + 1)
-    reduced, pivots, rank = rref(aug)
-    if rank != a.rows or a.cols in pivots:
-        raise ValueError("singular system")
-    return tuple(reduced.entries[r][a.cols] for r in range(a.rows))
-
-
-def invert(a: QMatrix) -> QMatrix:
-    """Inverse of a square invertible matrix."""
-    if a.rows != a.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = a.rows
-    aug = QMatrix.from_rows(
-        [list(row) + [Q(1) if i == j else Q(0) for j in range(n)]
-         for i, row in enumerate(a.entries)], 2 * n)
-    reduced, pivots, rank = rref(aug)
-    if rank != n or pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return QMatrix(tuple(row[n:] for row in reduced.entries), n)
 
 
 def primitive_integer_vector(v: Sequence) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement
+from .invariants import delta_invariant
 from .lattice import CrossingClass, Flat, IntersectionLattice, classify_crossing
 from .steiner import SteinerTensor
 from .linalg import QMatrix
@@ -238,7 +239,6 @@ def classify(a: Arrangement, lattice: IntersectionLattice,
                          "(Bohnhorst-Spindler)")
             return StabilityVerdict(Status.STABLE, tuple(witnesses), tuple(rules))
         if n == 2 and m >= 6:
-            from .invariants import delta_invariant
             if delta_invariant(lattice).total == 1:
                 rules.append("single modest multiple point (delta = 1, m >= 6) "
                              "is stable (Schenck)")

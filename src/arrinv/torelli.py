@@ -7,9 +7,10 @@ points of the dual projective space given by the coefficient vectors.
 For n = 2 the central object is the space of conics through the dual points
 (`conic_test`). For higher n the analogous object is a smooth rational
 normal curve through the points (`rnc_test`): after normalizing a frame of
-n+2 points to the coordinate simplex plus the all-ones point, the curves
-through the frame are exactly t -> (1/(t - a_0) : ... : 1/(t - a_n)) with
-pairwise distinct poles a_k, so membership reduces to a rank condition on
+n+2 points to the coordinate simplex plus the all-ones point (one RREF of
+the frame's first n+1 points beside the others), the curves through the
+frame are exactly t -> (1/(t - a_0) : ... : 1/(t - a_n)) with pairwise
+distinct poles a_k, so membership reduces to a rank condition on
 coordinatewise reciprocals.
 
 `torelli_verdict` combines the criteria into a five-way cascade; Proved and
@@ -27,8 +28,7 @@ from math import comb
 
 from .arrangement import Arrangement
 from .lattice import IntersectionLattice
-from .linalg import (QMatrix, invert, kernel_basis, primitive_integer_vector,
-                     solve_square)
+from .linalg import QMatrix, bareiss, kernel_basis, primitive_integer_vector, rref
 from .stability import StabilityVerdict, Status
 
 
@@ -153,21 +153,19 @@ class RncResult:
 
 
 def _in_linear_general_position(points, n: int) -> bool:
-    """Every subset of size <= n+1 is linearly independent."""
-    k = len(points)
-    top = min(k, n + 1)
-    for size in range(2, top + 1):
-        for subset in combinations(range(k), size):
-            mat = QMatrix.from_rows([points[i] for i in subset], n + 1)
-            if mat.rank() < size:
-                return False
-    return True
+    """Every min(k, n+1) of the k points are linearly independent.
+
+    Every smaller subset lies inside one of those, so it is independent too.
+    """
+    size = min(len(points), n + 1)
+    return all(bareiss([points[i] for i in subset])[0] == size
+               for subset in combinations(range(len(points)), size))
 
 
 def rnc_test(config: DualConfiguration) -> RncResult:
     """Do all points lie on a smooth rational normal curve of degree n?"""
     n = config.n
-    pts = [tuple(Fraction(c) for c in p) for p in config.points]
+    pts = config.points
     m = len(pts)
     if m <= n + 2:
         if _in_linear_general_position(pts, n):
@@ -189,49 +187,43 @@ def rnc_test(config: DualConfiguration) -> RncResult:
         return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, None, None,
                          "no n+2 points in linear general position; points on "
                          "a smooth curve would all qualify")
+    labels = tuple(i + 1 for i in frame)
 
-    # normalize the frame to e_0, ..., e_n, (1, ..., 1)
-    base = QMatrix.from_rows(
-        [[pts[i][k] for i in frame[: n + 1]] for k in range(n + 1)], n + 1)
-    lam = solve_square(base, pts[frame[n + 1]])
-    scaled = QMatrix.from_rows(
-        [[base.entries[r][c] * lam[c] for c in range(n + 1)]
-         for r in range(n + 1)], n + 1)
-    transform = invert(scaled)
-
+    # normalize the frame to e_0, ..., e_n, (1, ..., 1): with the base points
+    # as the columns of B, the RREF of [B | unit point | other points] is
+    # [I | lam | x_1 | ...], lam = B^-1 (unit point) and x = B^-1 p; the map
+    # diag(lam)^-1 B^-1 sends p to x_c / lam_c, whose reciprocals are lam_c / x_c
     rest = [i for i in range(m) if i not in frame]
+    columns = [pts[i] for i in frame + tuple(rest)]
+    reduced = rref(QMatrix.from_rows(zip(*columns), len(columns)))[0].entries
+    lam = [row[n + 1] for row in reduced]
     recips = []
-    for i in rest:
-        q = transform.matvec(pts[i])
-        if any(x == 0 for x in q):
+    for k, i in enumerate(rest, n + 2):
+        x = [row[k] for row in reduced]
+        if 0 in x:
             return RncResult(
-                RncVerdict.NOT_ON_SMOOTH_RNC, tuple(l + 1 for l in frame), None,
+                RncVerdict.NOT_ON_SMOOTH_RNC, labels, None,
                 f"point {i + 1} lands on a coordinate hyperplane of the "
                 "normalized frame; curve points there are frame points")
-        recips.append(tuple(Fraction(1) / x for x in q))
+        recips.append(tuple(l / c for l, c in zip(lam, x)))
 
     ones = tuple(Fraction(1) for _ in range(n + 1))
-    stack = QMatrix.from_rows([ones] + recips, n + 1)
-    if stack.rank() > 2:
-        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, tuple(l + 1 for l in frame),
+    if bareiss([ones] + recips)[0] > 2:
+        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, labels,
                          None, "reciprocal vectors span more than a pencil")
 
-    direction = None
-    for w in recips:
-        mat = QMatrix.from_rows([ones, w], n + 1)
-        if mat.rank() == 2:
-            direction = w
-            break
+    # a reciprocal vector independent of the all-ones one, i.e. not constant
+    direction = next((w for w in recips if len(set(w)) > 1), None)
     if direction is None:
         # every residual point equals the unit point; impossible for distinct
         # points, but keep the branch total
-        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, tuple(l + 1 for l in frame),
+        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, labels,
                          None, "no independent reciprocal direction")
     if len(set(direction)) != n + 1:
-        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, tuple(l + 1 for l in frame),
+        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, labels,
                          direction, "pole parameters collide; every curve of the "
                          "family through these points is degenerate")
-    return RncResult(RncVerdict.ON_SMOOTH_RNC, tuple(l + 1 for l in frame),
+    return RncResult(RncVerdict.ON_SMOOTH_RNC, labels,
                      direction, "reciprocals fit a pole vector with distinct entries")
 
 
@@ -273,7 +265,8 @@ def _off_curve(config: DualConfiguration):
     For n = 2 the points of a label set lie on no conic when their Veronese
     rows have rank 6, i.e. the kernel dimension `conic_test` would report is
     0; rule 1 reads nothing else. For n >= 3 they lie on no smooth rational
-    normal curve, by `rnc_test`.
+    normal curve, by `rnc_test`; rule 1 asks only about generic label sets,
+    whose first n+2 points already form the frame `rnc_test` looks for.
     """
     if config.n == 2:
         veronese = [_veronese_row(p) for p in config.points]
@@ -302,12 +295,14 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     `max_subsets`, non-generic ones included; hitting the cap moves on to
     the later rules with `subset_cap_exceeded` set. A negative `max_subsets`
     raises ValueError.
-    For n = 2 the scan is skipped when all m dual points lie on a conic
-    (kernel dimension >= 1): a subset's Veronese rows are rows of the whole
-    set's, so no subset can have kernel dimension 0. The scan would then
-    have visited every subset of size >= 6, so `subset_cap_exceeded` is set
-    exactly when their number, sum of C(m, k) for k = 6..m, exceeds
-    `max_subsets`. For n >= 3 every subset is still tested.
+    The scan is skipped when all m dual points lie on one curve of the
+    family: for n = 2 on a conic (kernel dimension >= 1; a subset's Veronese
+    rows are rows of the whole set's, so no subset can have kernel dimension
+    0), for n >= 3 on a smooth rational normal curve (`rnc_test` of the
+    whole set; the curve passes through every subset's points). The scan
+    would then have visited every subset of size >= max(n+4, 6), so
+    `subset_cap_exceeded` is set exactly when their number, sum of C(m, k)
+    over those sizes k, exceeds `max_subsets`.
     Rule 2: the six-line planar case is decided by whether all six dual
     points are nonsingular points of a common conic.
     Rule 3: five-line planar arrangements are never recoverable.
@@ -335,15 +330,17 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
 
     conic_full = conic_test(config) if n == 2 else None
     rnc_full = rnc_test(config) if n >= 3 else None
+    on_curve = (conic_full.kernel_dim >= 1 if n == 2
+                else rnc_full.verdict is RncVerdict.ON_SMOOTH_RNC)
 
     # rule 1: generic subset failing the osculation test
     sizes = range(max(n + 4, 6), m + 1)
     witness = None
     cap_exceeded = False
-    if n == 2 and conic_full.kernel_dim >= 1:
-        # a subset's Veronese rows are rows of the whole set's, so a conic
-        # through every dual point passes through every subset's points: the
-        # scan would visit every subset, up to the cap, and find nothing
+    if on_curve:
+        # a curve through every dual point passes through every subset's
+        # points: the scan would visit every subset, up to the cap, and find
+        # nothing
         cap_exceeded = sum(comb(m, k) for k in sizes) > max_subsets
     else:
         is_generic, off_curve = _genericity(lattice), _off_curve(config)
@@ -364,11 +361,13 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     trace.append("rule 1: no generic subset fails the osculation test"
                  + (" (subset cap hit)" if cap_exceeded else ""))
 
+    # every dual point on the nonsingular locus of one stable curve: a conic
+    # for n = 2, a smooth rational normal curve for n >= 3
+    on_stable_curve = on_curve and (n >= 3 or conic_full.all_points_nonsingular)
+
     # rule 2: six lines in the plane
     if n == 2 and m == 6:
-        assert conic_full is not None
-        on_conic = conic_full.kernel_dim >= 1 and conic_full.all_points_nonsingular
-        if not on_conic:
+        if not on_stable_curve:
             trace.append("rule 2: the six dual points are not nonsingular "
                          "points of any common conic")
             return TorelliVerdict(TorelliStatus.TORELLI_PROVED, "six-line-conic-case",
@@ -385,20 +384,13 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
                               None, conic_full, rnc_full, tuple(trace), cap_exceeded)
 
     # rule 4: dual points on the nonsingular locus of a stable curve
-    if n == 2:
-        assert conic_full is not None
-        if conic_full.kernel_dim >= 1 and conic_full.all_points_nonsingular:
-            trace.append("rule 4: dual points on a stable conic's nonsingular locus")
-            return TorelliVerdict(TorelliStatus.NOT_TORELLI_CONJECTURED,
-                                  "on-stable-curve", None, conic_full, rnc_full,
-                                  tuple(trace), cap_exceeded)
-    else:
-        assert rnc_full is not None
-        if rnc_full.verdict is RncVerdict.ON_SMOOTH_RNC:
-            trace.append("rule 4: dual points on a smooth rational normal curve")
-            return TorelliVerdict(TorelliStatus.NOT_TORELLI_CONJECTURED,
-                                  "on-stable-curve", None, conic_full, rnc_full,
-                                  tuple(trace), cap_exceeded)
+    if on_stable_curve:
+        trace.append("rule 4: dual points on a stable conic's nonsingular locus"
+                     if n == 2 else
+                     "rule 4: dual points on a smooth rational normal curve")
+        return TorelliVerdict(TorelliStatus.NOT_TORELLI_CONJECTURED,
+                              "on-stable-curve", None, conic_full, rnc_full,
+                              tuple(trace), cap_exceeded)
 
     trace.append("rule 5: no obstruction found; conjectured recoverable")
     return TorelliVerdict(TorelliStatus.TORELLI_CONJECTURED, "default-conjecture",

@@ -7,6 +7,11 @@ elimination below rather than the library's fraction-free routine, the
 Moebius oracle sums signed generating subsets instead of recursing over the
 poset, the point counter loops over the whole affine space instead of
 walking fibers, and Torelli rule 1 is an exhaustive scan of every subset.
+
+One exception: for n >= 3 that scan asks the library's `rnc_test` whether a
+subset's dual points lie on a smooth rational normal curve. There is no
+second implementation of that test here; its own sample tests (twisted
+cubics, their perturbations, hand-made frames) cover it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from itertools import combinations, product
 
 from arrinv.arrangement import Arrangement
 from arrinv.lattice import Flat
+from arrinv.torelli import RncVerdict, dual_points, rnc_test
 
 
 def _echelon(rows) -> tuple[list[list[Fraction]], int]:
@@ -130,25 +136,33 @@ def dependent_subsets_by_minors(a: Arrangement) -> set[tuple[int, ...]]:
 
 
 def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
-    """Torelli rule 1 for n = 2 by scanning every subset: (witness, cap hit).
+    """Torelli rule 1 by scanning every subset: (witness, cap hit).
 
-    Subsets of size >= 6 are visited by size, then lexicographically, each
-    counted toward `max_subsets`. A subset is generic when no three of its
-    forms have a vanishing minor, and it is a witness when it is generic and
-    its Veronese rows have rank 6 (no conic through its dual points).
+    Subsets of size >= max(n+4, 6) are visited by size, then
+    lexicographically, each counted toward `max_subsets`. A subset is
+    generic when no n+1 of its forms have a vanishing minor. It is a
+    witness when it is generic and its dual points lie on no curve of the
+    family: for n = 2 its Veronese rows have rank 6 (no conic through
+    them), for n >= 3 `rnc_test` finds them on no smooth rational normal
+    curve.
     """
-    assert a.n == 2
     dependent = dependent_subsets_by_minors(a)
+    config = dual_points(a)
     examined = 0
-    for size in range(6, a.m + 1):
+    for size in range(max(a.n + 4, 6), a.m + 1):
         for subset in combinations(range(1, a.m + 1), size):
             if examined >= max_subsets:
                 return None, True
             examined += 1
-            if any(t in dependent for t in combinations(subset, 3)):
+            if any(t in dependent for t in combinations(subset, a.n + 1)):
                 continue
-            rows = [[x * x, x * y, x * z, y * y, y * z, z * z]
-                    for x, y, z in (a.form(i).coeffs for i in subset)]
-            if fraction_rank(rows) == 6:
+            if a.n == 2:
+                rows = [[x * x, x * y, x * z, y * y, y * z, z * z]
+                        for x, y, z in (a.form(i).coeffs for i in subset)]
+                off_curve = fraction_rank(rows) == 6
+            else:
+                off_curve = (rnc_test(config.subset(subset)).verdict
+                             is RncVerdict.NOT_ON_SMOOTH_RNC)
+            if off_curve:
                 return subset, False
     return None, False

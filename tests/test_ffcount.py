@@ -52,6 +52,14 @@ def test_degenerate_reduction_detected():
         count_complement_points(a, 7)
 
 
+def test_degenerate_reduction_names_the_first_pair():
+    # pairs (2, 3) and (1, 4) both coincide mod 7; (1, 4) comes first
+    a = parse_arrangement(1, [[1, 0], [0, 1], [7, 1], [1, 7]])
+    with pytest.raises(DegenerateReduction,
+                       match=r"^hyperplanes 1 and 4 coincide mod 7$"):
+        count_complement_points(a, 7)
+
+
 def test_degenerate_reduction_count_value():
     # two distinct lines through the origin of F_5^2: (p-1)^2 points on neither
     a = parse_arrangement(1, [[1, 0], [1, 7]])

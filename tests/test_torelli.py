@@ -8,6 +8,7 @@ fixture against independently derived expectations.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -17,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from arrinv.arrangement import InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
-from arrinv.linalg import QMatrix
+from arrinv.linalg import QMatrix, bareiss
 from arrinv import torelli as torelli_mod
 from arrinv.report import DEFAULT_PRIMES, Analysis, build_report
 from arrinv.stability import classify
@@ -171,9 +172,10 @@ class TestRnc:
         a = parse_arrangement(3, twisted_cubic_rows((0, 1, 2, 3, -1, -2, 5)))
         res = rnc_test(dual_points(a))
         assert res.verdict is RncVerdict.ON_SMOOTH_RNC
-        assert res.frame is not None
-        assert res.direction is not None
-        assert len(set(res.direction)) == len(res.direction)
+        assert res.frame == (1, 2, 3, 4, 5)
+        assert res.direction == (Fraction(2, 5), Fraction(3, 10),
+                                 Fraction(4, 15), Fraction(1, 4))
+        assert res.detail == "reciprocals fit a pole vector with distinct entries"
 
     def test_perturbed_twisted_cubic_points_leave_the_curve(self):
         rows = twisted_cubic_rows((0, 1, 2, 3, -1, -2, 5))
@@ -181,6 +183,22 @@ class TestRnc:
         a = parse_arrangement(3, rows)
         res = rnc_test(dual_points(a))
         assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
+        assert res.frame == (1, 2, 3, 4, 5)
+        assert res.direction is None
+        assert res.detail == "reciprocal vectors span more than a pencil"
+
+    def test_point_in_the_span_of_three_frame_points(self):
+        # point 7 = p1 + p2 - p3 lies in the plane of three base points of
+        # the frame, so it lands on a coordinate hyperplane once normalized;
+        # point 6 is on the cubic and passes
+        cfg = DualConfiguration(3, tuple(map(tuple, twisted_cubic_rows(
+            (0, 1, 2, 3, -1, -2)))) + ((1, -1, -3, -7),))
+        res = rnc_test(cfg)
+        assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
+        assert res.frame == (1, 2, 3, 4, 5)
+        assert res.direction is None
+        assert res.detail == ("point 7 lands on a coordinate hyperplane of the "
+                              "normalized frame; curve points there are frame points")
 
     def test_random_twisted_cubic_samples_and_perturbations(self):
         rng = random.Random(2024)
@@ -192,6 +210,21 @@ class TestRnc:
             rows[rng.randrange(7)][rng.randrange(1, 4)] += 1
             a2 = parse_arrangement(3, rows)
             assert rnc_test(dual_points(a2)).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
+
+    def test_general_position_ranks_only_the_largest_subsets(self, monkeypatch):
+        # every pair or triple lies in some 4-subset, so C(6, 4) ranks decide
+        # six points of P^3, a repeated point included
+        sizes = []
+
+        def counted(rows, modulus=None):
+            sizes.append(len(rows))
+            return bareiss(rows, modulus)
+
+        monkeypatch.setattr(torelli_mod, "bareiss", counted)
+        pts = tuple(map(tuple, twisted_cubic_rows(range(6))))
+        assert torelli_mod._in_linear_general_position(pts, 3)
+        assert sizes == [4] * comb(6, 4)
+        assert not torelli_mod._in_linear_general_position(pts[:5] + pts[:1], 3)
 
     def test_few_points_in_general_position_are_trivially_on_a_curve(self):
         a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
@@ -403,8 +436,31 @@ def plane_configurations(draw):
     return a, draw(st.sampled_from([0, total - 1, total, total + 1]))
 
 
-@given(plane_configurations())
-@settings(max_examples=80, deadline=None)
+@st.composite
+def space_configurations(draw):
+    """n = 3 arrangements dual to points on a twisted cubic, near one, or off any."""
+    m = draw(st.integers(7, 9))
+    kind = draw(st.sampled_from(["on", "near", "off"]))
+    if kind == "off":
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                             min_size=m, max_size=m))
+    else:
+        ts = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m, unique=True))
+        rows = twisted_cubic_rows(ts)
+        if kind == "near":
+            # one dual point moved off the curve
+            i = draw(st.integers(0, m - 1))
+            rows[i][draw(st.integers(0, 3))] += draw(st.sampled_from([-1, 1]))
+    try:
+        a = parse_arrangement(3, rows)
+    except InvalidArrangement:
+        assume(False)
+    total = sum(comb(m, k) for k in range(7, m + 1))
+    return a, draw(st.sampled_from([0, total - 1, total, total + 1]))
+
+
+@given(st.one_of(plane_configurations(), space_configurations()))
+@settings(max_examples=160, deadline=None)
 def test_pruned_rule1_matches_the_exhaustive_scan(case):
     a, max_subsets = case
     verdict = Analysis(a, DEFAULT_PRIMES, max_subsets, True).torelli
@@ -441,4 +497,25 @@ def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
     assert 6 not in ranks
     assert v.subset_cap_exceeded
     assert v.conic.kernel_dim == 1
+    assert v.rule == "on-stable-curve"
+
+
+def test_eleven_planes_on_a_twisted_cubic_skip_the_scan(monkeypatch):
+    # C(11, >= 7) = 562 subsets exceed the cap of 561; with every dual point
+    # on one smooth twisted cubic no subset is examined: the full-set curve
+    # test is the only one made
+    a = parse_arrangement(3, twisted_cubic_rows(range(-5, 6)))
+    lat = build_lattice(a)
+    stab = classify(a, lat)
+    calls = []
+
+    def counted_rnc(config):
+        calls.append(config.m)
+        return rnc_test(config)
+
+    monkeypatch.setattr(torelli_mod, "rnc_test", counted_rnc)
+    v = torelli_verdict(a, lat, stab, max_subsets=561)
+    assert calls == [11]
+    assert v.subset_cap_exceeded
+    assert v.rnc.verdict is RncVerdict.ON_SMOOTH_RNC
     assert v.rule == "on-stable-curve"
