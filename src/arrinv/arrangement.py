@@ -85,10 +85,6 @@ class Arrangement:
                 for k in range(self.n + 1)]
         return QMatrix.from_rows(rows, self.m)
 
-    def form_matrix(self) -> QMatrix:
-        """m x (n+1) matrix whose rows are the forms."""
-        return QMatrix.from_rows([f.coeffs for f in self.forms], self.n + 1)
-
     def restrict(self, labels: Sequence[int]) -> "Arrangement":
         """Sub-arrangement on a sorted subset of labels."""
         return Arrangement(self.n, tuple(self.form(i) for i in sorted(labels)))
@@ -144,7 +140,7 @@ def parse_arrangement_json(text: str) -> Arrangement:
 
 def is_essential(a: Arrangement) -> bool:
     """True when the forms span the full dual space (rank n+1)."""
-    return a.form_matrix().rank() == a.n + 1
+    return bareiss([f.coeffs for f in a.forms])[0] == a.n + 1
 
 
 def subset_ranks(a: Arrangement) -> dict[tuple[int, ...], int]:

@@ -51,9 +51,6 @@ class IntersectionLattice:
     def flats_of_rank(self, r: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.rank == r)
 
-    def mobius_of(self, flat: Flat) -> int:
-        return self.mobius[self.flats.index(flat)]
-
     def items(self):
         return zip(self.flats, self.mobius)
 

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Nothing here ever rounds. Ranks and determinants come from one
-fraction-free integer elimination, `bareiss`, which also computes ranks
-mod p. Bases are emitted in `fractions.Fraction` form, and the canonical
-forms fixed in this module are relied on across the package:
+Nothing here ever rounds. One fraction-free integer elimination loop
+(Bareiss's) gives ranks, determinants, ranks mod p (`bareiss`) and the
+reduced row echelon form (`rref`). Bases are emitted in `fractions.Fraction`
+form, and the canonical forms fixed in this module are relied on across the
+package:
 
 * `rref` produces the unique reduced row echelon form (pivots 1, zeros above
   and below each pivot).
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -76,15 +78,6 @@ class QMatrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(tuple(self.column(j) for j in range(self.cols)), self.rows)
-
     def stack(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in stack")
@@ -92,35 +85,6 @@ class QMatrix:
 
     def rank(self) -> int:
         return bareiss(self.entries)[0]
-
-
-def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
-    """Reduced row echelon form. Returns (R, pivot columns, rank)."""
-    work = [list(row) for row in m.entries]
-    nrows, ncols = len(work), m.cols
-    pivots: list[int] = []
-    pr = 0
-    for c in range(ncols):
-        sel = None
-        for r in range(pr, nrows):
-            if work[r][c] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[pr], work[sel] = work[sel], work[pr]
-        inv = work[pr][c]
-        work[pr] = [x / inv for x in work[pr]]
-        for r in range(nrows):
-            if r != pr and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [a - f * b for a, b in zip(work[r], work[pr])]
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    reduced = QMatrix(tuple(tuple(row) for row in work), ncols)
-    return reduced, tuple(pivots), len(pivots)
 
 
 def _cleared(row) -> tuple[list[int], int]:
@@ -135,21 +99,19 @@ def _cleared(row) -> tuple[list[int], int]:
     return [x.numerator * (lcm // x.denominator) for x in row], lcm
 
 
-def bareiss(rows: Sequence[Sequence], modulus: int | None = None
-            ) -> tuple[int, Fraction | None]:
-    """Rank and determinant of int or Fraction rows by fraction-free elimination.
+def _eliminate(rows: Sequence[Sequence], modulus: int | None, reduce: bool = False):
+    """The one fraction-free elimination loop behind `bareiss` and `rref`.
 
-    Each row is first multiplied by the lcm of its denominators, which keeps
-    the rank and scales the determinant by that lcm. Over Z (no modulus) the
-    elimination is Bareiss's: after k steps every entry is a (k+1)-minor of
-    the scaled matrix, so dividing by the previous pivot is exact and, for a
-    nonsingular square matrix, the last pivot is its determinant up to the
-    sign of the row swaps. The determinant returned is that of the square
-    matrix the rows form over Q (0 when singular or not square).
-
-    With a prime `modulus` the scaled integer rows are reduced mod p and each
-    step cross-multiplies by the pivot instead of dividing; that keeps the
-    rank mod p, which is returned with determinant None.
+    Returns (work rows, pivot columns, last pivot, sign of the row swaps,
+    product of the row lcms). Each row is first multiplied by the lcm of its
+    denominators. Over Z (no modulus) the elimination is Bareiss's: after k
+    steps every entry is a minor of the scaled matrix, so dividing by the
+    previous pivot is exact. With `reduce` the rows above each pivot are
+    cleared by the same step (entries stay minors, so the division stays
+    exact) and every pivot entry ends equal to the last pivot d: the work
+    rows are d times the RREF. With a prime `modulus` the rows are reduced
+    mod p and each step cross-multiplies by the pivot instead of dividing,
+    which keeps the rank mod p; `reduce` is meant for Z only.
     """
     work, scale = [], 1
     for row in rows:
@@ -158,8 +120,10 @@ def bareiss(rows: Sequence[Sequence], modulus: int | None = None
         scale *= lcm
     nrows = len(work)
     ncols = len(work[0]) if work else 0
-    rank, prev, sign = 0, 1, 1
+    pivots: list[int] = []
+    prev, sign = 1, 1
     for c in range(ncols):
+        rank = len(pivots)
         if rank == nrows:
             break
         sel = next((r for r in range(rank, nrows) if work[r][c]), None)
@@ -170,22 +134,46 @@ def bareiss(rows: Sequence[Sequence], modulus: int | None = None
             sign = -sign
         top = work[rank]
         pivot = top[c]
-        for r in range(rank + 1, nrows):
+        below = range(rank + 1, nrows)
+        for r in chain(range(rank), below) if reduce else below:
             row = work[r]
             f = row[c]
             if modulus:
                 if f:
                     work[r] = [(pivot * x - f * y) % modulus for x, y in zip(row, top)]
             else:
-                # every row below is updated, so the next division stays exact
+                # every other row is updated, so the next division stays exact
                 work[r] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
         prev = pivot
-        rank += 1
+        pivots.append(c)
+    return work, pivots, prev, sign, scale
+
+
+def bareiss(rows: Sequence[Sequence], modulus: int | None = None
+            ) -> tuple[int, Fraction | None]:
+    """Rank and determinant of int or Fraction rows by fraction-free elimination.
+
+    Scaling each row by the lcm of its denominators keeps the rank and scales
+    the determinant by that lcm; over Z the last pivot of a nonsingular
+    square matrix is the scaled determinant up to the sign of the row swaps.
+    The determinant returned is that of the square matrix the rows form over
+    Q (0 when singular or not square). With a prime `modulus` the rank is
+    taken mod p and the determinant is None.
+    """
+    work, pivots, last, sign, scale = _eliminate(rows, modulus)
+    rank = len(pivots)
     if modulus:
         return rank, None
-    if rank == nrows == ncols:
-        return rank, Q(sign * prev, scale)
+    if rank == len(work) == (len(work[0]) if work else 0):
+        return rank, Q(sign * last, scale)
     return rank, Q(0)
+
+
+def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
+    """Reduced row echelon form. Returns (R, pivot columns, rank)."""
+    work, pivots, d, _, _ = _eliminate(m.entries, None, reduce=True)
+    reduced = tuple(tuple(Fraction(x, d) for x in row) for row in work)
+    return QMatrix(reduced, m.cols), tuple(pivots), len(pivots)
 
 
 def kernel_basis(m: QMatrix) -> QMatrix:

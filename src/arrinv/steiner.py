@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .arrangement import (Arrangement, InvalidArrangement, parse_arrangement,
                           subset_ranks)
-from .linalg import QMatrix, det, kernel_basis
+from .linalg import QMatrix, det, kernel_basis, qval
 
 
 class GaleUndefined(ValueError):
@@ -80,7 +80,6 @@ def steiner_tensor(a: Arrangement) -> SteinerTensor:
 
 def slice_at_point(t: SteinerTensor, point) -> QMatrix:
     """The (m-1) x (m-n-1) matrix of the tensor contracted with a point."""
-    from .linalg import qval
     if len(point) != t.n + 1:
         raise ValueError("point has wrong dimension")
     rows = []

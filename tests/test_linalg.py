@@ -46,10 +46,59 @@ def test_rref_is_idempotent(m):
     assert rank2 == rank
 
 
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices up to 6 x 7 with forced rank deficiency, zero columns
+    and a first row that makes the elimination swap rows."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(small_rational, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    if r >= 3 and draw(st.booleans()):
+        # one row a combination of two others
+        i, j, k = draw(st.permutations(range(r)))[:3]
+        a, b = draw(small_rational), draw(small_rational)
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    for col in draw(st.sets(st.integers(0, c - 1), max_size=2)):
+        for row in rows:
+            row[col] = Fraction(0)
+    if draw(st.booleans()):
+        lead = draw(st.integers(1, c))
+        rows[0][:lead] = [Fraction(0)] * lead
+    return QMatrix.from_rows(rows, c)
+
+
+@given(rational_matrices())
+@settings(max_examples=200)
+def test_rref_is_the_reduced_echelon_form_of_the_row_space(m):
+    r, pivots, rank = rref(m)
+    assert rank == len(pivots) == fraction_rank(m.entries)
+    assert list(pivots) == sorted(set(pivots))
+    for i, row in enumerate(r.entries):
+        if i >= rank:
+            assert not any(row)
+            continue
+        p = pivots[i]
+        assert not any(row[:p]) and row[p] == 1
+        assert all(other[p] == 0 for k, other in enumerate(r.entries) if k != i)
+    # same row space: stacking R adds no rank, which with the shape fixes R
+    assert fraction_rank(m.stack(r).entries) == rank
+
+
+def test_kernel_basis_golden_with_row_swap_and_skipped_column():
+    F = Fraction
+    m = QMatrix.from_rows([[0, 0, F(1, 2), 1, 3],
+                           [F(2, 3), 1, 0, -1, F(1, 5)],
+                           [F(4, 3), 2, 1, -1, 0]])
+    assert rref(m)[1:] == ((0, 2, 3), 3)
+    assert kernel_basis(m).entries == (
+        (F(-3, 2), F(1), F(0), F(0), F(0)),
+        (F(-99, 10), F(0), F(34, 5), F(-32, 5), F(1)))
+
+
 @given(matrices())
 @settings(max_examples=60)
 def test_rank_equals_transpose_rank(m):
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == QMatrix.from_rows(zip(*m.entries), m.rows).rank()
 
 
 @given(matrices())
