@@ -11,7 +11,7 @@ the lattice computation.
 from .arrangement import (Arrangement, InvalidArrangement, LinearForm,
                           is_essential, parse_arrangement, parse_arrangement_json,
                           subset_ranks)
-from .ffcount import (DegenerateReduction, count_complement_points,
+from .ffcount import (DegenerateReduction, basis_minors, count_complement_points,
                       next_valid_prime, prime_preserves_lattice)
 from .fixtures import fixture, fixture_names, fixture_note
 from .invariants import (ChernData, DeltaData, LocallyFree, PoincareData, chern,
@@ -24,8 +24,7 @@ from .stability import (StabilityVerdict, Status, Witness, WitnessKind, classify
                         combinatorial_destabilizer, discriminant_test,
                         free_splitting_stability, git_ratio_test)
 from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
-                      gale_dual, slice_at_point, steiner_tensor,
-                      verify_gale_bijection)
+                      gale_dual, steiner_tensor, verify_gale_bijection)
 from .torelli import (ConicClass, ConicResult, RncResult, RncVerdict,
                       TorelliStatus, TorelliVerdict, conic_test, dual_points,
                       rnc_test, torelli_verdict)
@@ -39,15 +38,14 @@ __all__ = [
     "GaleBijectionReport", "GaleUndefined", "IntersectionLattice", "LinearForm",
     "LocallyFree", "InvalidArrangement", "PoincareData", "RncResult",
     "RncVerdict", "StabilityVerdict", "Status", "SteinerTensor", "TorelliStatus",
-    "TorelliVerdict", "TruncPoly", "Witness", "WitnessKind", "build_lattice",
-    "build_report", "chern", "classify", "classify_crossing",
+    "TorelliVerdict", "TruncPoly", "Witness", "WitnessKind", "basis_minors",
+    "build_lattice", "build_report", "chern", "classify", "classify_crossing",
     "combinatorial_destabilizer", "complement_count_prediction", "conic_test",
     "count_complement_points", "delta_invariant",
     "discriminant_test", "dual_points", "fixture", "fixture_names",
     "fixture_note", "free_splitting_stability", "gale_dual", "git_ratio_test",
     "h0_values", "is_essential", "local_data", "mobius",
     "next_valid_prime", "parse_arrangement", "parse_arrangement_json",
-    "poincare", "prime_preserves_lattice", "rnc_test", "slice_at_point",
-    "steiner_tensor", "subset_ranks", "torelli_verdict", "twist_transform",
-    "verify_gale_bijection",
+    "poincare", "prime_preserves_lattice", "rnc_test", "steiner_tensor",
+    "subset_ranks", "torelli_verdict", "twist_transform", "verify_gale_bijection",
 ]

@@ -8,8 +8,9 @@ throughout the public surface.
 
 `subset_ranks` is the one rank table of an arrangement: the rank over Q of
 every set of at most n+1 forms. It fixes the intersection lattice (the
-lattice of flats of the matroid of the forms, up to rank n), the dependent
-(n+1)-sets of the Gale check, and which primes keep the lattice.
+lattice of flats of the matroid of the forms, up to rank n) and the
+dependent (n+1)-sets of the Gale check; its bases give the minors that
+decide which primes keep the lattice (`ffcount.basis_minors`).
 """
 
 from __future__ import annotations
@@ -73,21 +74,11 @@ class Arrangement:
     def m(self) -> int:
         return len(self.forms)
 
-    def form(self, label: int) -> LinearForm:
-        """1-based access matching the labels used in all reported data."""
-        if not 1 <= label <= self.m:
-            raise IndexError(f"label out of range: {label}")
-        return self.forms[label - 1]
-
     def coefficient_matrix(self) -> QMatrix:
         """(n+1) x m matrix whose columns are the forms."""
         rows = [[self.forms[i].coeffs[k] for i in range(self.m)]
                 for k in range(self.n + 1)]
         return QMatrix.from_rows(rows, self.m)
-
-    def restrict(self, labels: Sequence[int]) -> "Arrangement":
-        """Sub-arrangement on a sorted subset of labels."""
-        return Arrangement(self.n, tuple(self.form(i) for i in sorted(labels)))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n,

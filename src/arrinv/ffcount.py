@@ -4,14 +4,17 @@ The count of points of F_p^(n+1) lying on none of the hyperplanes is an
 independent oracle for the lattice and Mobius computations; see
 `invariants.complement_count_prediction` for the lattice-side quantity it
 must match. The count walks the p^n fibers over the last coordinate and
-closes each fiber in O(m). A prime is accepted when every label set of the
-arrangement's rank table (`arrangement.subset_ranks`) keeps its rank mod p,
-so the reduction mod p keeps the lattice over Q.
+closes each fiber in O(m). A prime is accepted when it divides no basis
+gcd (`basis_minors`): then every label set of the arrangement's rank table
+(`arrangement.subset_ranks`) keeps its rank mod p, so the reduction mod p
+keeps the lattice over Q. The gcds come from one elimination over Z per
+minor; no rank is ever taken mod p.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 from .arrangement import Arrangement
 from .linalg import bareiss
@@ -101,25 +104,44 @@ def count_complement_points(a: Arrangement, p: int) -> int:
     return count_points_raw([f.coeffs for f in a.forms], p)
 
 
-def prime_preserves_lattice(a: Arrangement, ranks: dict[tuple[int, ...], int],
-                            p: int) -> bool:
-    """True when every label set in `ranks` (`subset_ranks(a)`) keeps its rank mod p.
+def basis_minors(a: Arrangement, ranks: dict[tuple[int, ...], int]
+                 ) -> tuple[int, ...]:
+    """g_B for every basis B in `ranks` (`subset_ranks(a)`), in table order.
 
-    Rank preservation of the small subsets forces the whole intersection
-    lattice mod p to agree with the lattice over Q, which is exactly what the
-    counting identity needs. (A stricter test than the pairwise check in
-    count_complement_points.)
+    A basis is a label set B with |B| = rank(B) = r, the rank of all the
+    forms, and g_B is the gcd of the r x r minors of B's forms. The minors
+    come from the integer forms, never from a lattice. For an essential
+    arrangement r = n + 1 and g_B is |det B|.
     """
+    r = max(ranks.values())
     forms = [f.coeffs for f in a.forms]
-    return all(bareiss([forms[i - 1] for i in labels], p)[0] == rank
-               for labels, rank in ranks.items())
+    column_sets = list(combinations(range(a.n + 1), r))
+    out = []
+    for labels, rank in ranks.items():
+        if len(labels) == rank == r:
+            minors = (bareiss([[forms[i - 1][c] for c in cols] for i in labels])[1]
+                      for cols in column_sets)
+            out.append(gcd(*map(int, minors)))
+    return tuple(out)
 
 
-def next_valid_prime(a: Arrangement, ranks: dict[tuple[int, ...], int],
-                     start: int) -> int:
-    """Smallest lattice-preserving prime >= start for `a` and its `subset_ranks`."""
+def prime_preserves_lattice(minors: tuple[int, ...], p: int) -> bool:
+    """True when p divides no basis gcd in `minors` (`basis_minors`).
+
+    Ranks can only drop mod p, and every independent set extends to a
+    basis, so p keeps the rank of every label set of the rank table exactly
+    when every basis keeps rank r mod p, that is when p divides none of its
+    gcds. Then the whole intersection lattice mod p agrees with the lattice
+    over Q, which is exactly what the counting identity needs. (A stricter
+    test than the pairwise check in count_complement_points.)
+    """
+    return all(g % p for g in minors)
+
+
+def next_valid_prime(minors: tuple[int, ...], start: int) -> int:
+    """Smallest prime >= start dividing no basis gcd in `minors` (`basis_minors`)."""
     p = max(2, start)
     while True:
-        if is_prime(p) and prime_preserves_lattice(a, ranks, p):
+        if is_prime(p) and prime_preserves_lattice(minors, p):
             return p
         p += 1

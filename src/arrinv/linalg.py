@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Nothing here ever rounds. One fraction-free integer elimination loop
-(Bareiss's) gives ranks, determinants, ranks mod p (`bareiss`) and the
-reduced row echelon form (`rref`). Bases are emitted in `fractions.Fraction`
-form, and the canonical forms fixed in this module are relied on across the
-package:
+Nothing here ever rounds, and nothing is reduced mod p. One fraction-free
+elimination loop over Z (Bareiss's) gives ranks, determinants (`bareiss`)
+and the reduced row echelon form (`rref`). Bases are emitted in
+`fractions.Fraction` form, and the canonical forms fixed in this module are
+relied on across the package:
 
 * `rref` produces the unique reduced row echelon form (pivots 1, zeros above
   and below each pivot).
@@ -99,24 +99,22 @@ def _cleared(row) -> tuple[list[int], int]:
     return [x.numerator * (lcm // x.denominator) for x in row], lcm
 
 
-def _eliminate(rows: Sequence[Sequence], modulus: int | None, reduce: bool = False):
+def _eliminate(rows: Sequence[Sequence], reduce: bool = False):
     """The one fraction-free elimination loop behind `bareiss` and `rref`.
 
     Returns (work rows, pivot columns, last pivot, sign of the row swaps,
     product of the row lcms). Each row is first multiplied by the lcm of its
-    denominators. Over Z (no modulus) the elimination is Bareiss's: after k
-    steps every entry is a minor of the scaled matrix, so dividing by the
-    previous pivot is exact. With `reduce` the rows above each pivot are
-    cleared by the same step (entries stay minors, so the division stays
+    denominators, and the elimination runs over Z only. It is Bareiss's:
+    after k steps every entry is a minor of the scaled matrix, so dividing
+    by the previous pivot is exact. With `reduce` the rows above each pivot
+    are cleared by the same step (entries stay minors, so the division stays
     exact) and every pivot entry ends equal to the last pivot d: the work
-    rows are d times the RREF. With a prime `modulus` the rows are reduced
-    mod p and each step cross-multiplies by the pivot instead of dividing,
-    which keeps the rank mod p; `reduce` is meant for Z only.
+    rows are d times the RREF.
     """
     work, scale = [], 1
     for row in rows:
         ints, lcm = _cleared(row)
-        work.append([x % modulus for x in ints] if modulus else ints)
+        work.append(ints)
         scale *= lcm
     nrows = len(work)
     ncols = len(work[0]) if work else 0
@@ -135,35 +133,27 @@ def _eliminate(rows: Sequence[Sequence], modulus: int | None, reduce: bool = Fal
         top = work[rank]
         pivot = top[c]
         below = range(rank + 1, nrows)
+        # every other row is updated, so the next division stays exact
         for r in chain(range(rank), below) if reduce else below:
             row = work[r]
             f = row[c]
-            if modulus:
-                if f:
-                    work[r] = [(pivot * x - f * y) % modulus for x, y in zip(row, top)]
-            else:
-                # every other row is updated, so the next division stays exact
-                work[r] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+            work[r] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
         prev = pivot
         pivots.append(c)
     return work, pivots, prev, sign, scale
 
 
-def bareiss(rows: Sequence[Sequence], modulus: int | None = None
-            ) -> tuple[int, Fraction | None]:
+def bareiss(rows: Sequence[Sequence]) -> tuple[int, Fraction]:
     """Rank and determinant of int or Fraction rows by fraction-free elimination.
 
     Scaling each row by the lcm of its denominators keeps the rank and scales
-    the determinant by that lcm; over Z the last pivot of a nonsingular
-    square matrix is the scaled determinant up to the sign of the row swaps.
-    The determinant returned is that of the square matrix the rows form over
-    Q (0 when singular or not square). With a prime `modulus` the rank is
-    taken mod p and the determinant is None.
+    the determinant by that lcm; the last pivot of a nonsingular square
+    matrix is the scaled determinant up to the sign of the row swaps. The
+    determinant returned is that of the square matrix the rows form over Q
+    (0 when singular or not square).
     """
-    work, pivots, last, sign, scale = _eliminate(rows, modulus)
+    work, pivots, last, sign, scale = _eliminate(rows)
     rank = len(pivots)
-    if modulus:
-        return rank, None
     if rank == len(work) == (len(work[0]) if work else 0):
         return rank, Q(sign * last, scale)
     return rank, Q(0)
@@ -171,7 +161,7 @@ def bareiss(rows: Sequence[Sequence], modulus: int | None = None
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     """Reduced row echelon form. Returns (R, pivot columns, rank)."""
-    work, pivots, d, _, _ = _eliminate(m.entries, None, reduce=True)
+    work, pivots, d, _, _ = _eliminate(m.entries, reduce=True)
     reduced = tuple(tuple(Fraction(x, d) for x in row) for row in work)
     return QMatrix(reduced, m.cols), tuple(pivots), len(pivots)
 

@@ -2,10 +2,11 @@
 
 A report is read from one `Analysis` of the arrangement, which computes each
 quantity at most once: above all the rank table of small subsets of forms,
-which the intersection lattice, the Gale primal sets and the prime check
-read, and the defining tensor, whose relation basis gives the Gale dual
-points. Stability, Torelli and Chern data share one availability rule,
-`Analysis.unavailable`. The CLI commands print sections of an Analysis, so
+which the intersection lattice and the Gale primal sets read; the gcd of
+each basis's maximal minors, taken over Z from the forms, so that an oracle
+prime is accepted when it divides none of them; and the defining tensor,
+whose relation basis gives the Gale dual points. Stability, Torelli and
+Chern data share one availability rule, `Analysis.unavailable`. The CLI commands print sections of an Analysis, so
 each prints what `analyze` does.
 
 Everything here returns plain dicts and lists ready for json.dumps. Field
@@ -24,7 +25,7 @@ from functools import cached_property
 from math import comb
 
 from .arrangement import Arrangement, is_essential, subset_ranks
-from .ffcount import (count_complement_points, next_valid_prime,
+from .ffcount import (basis_minors, count_complement_points, next_valid_prime,
                       prime_preserves_lattice)
 from .invariants import (ChernData, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
@@ -76,6 +77,10 @@ class Analysis:
     @cached_property
     def subset_ranks(self) -> dict[tuple[int, ...], int]:
         return subset_ranks(self.a)
+
+    @cached_property
+    def basis_minors(self) -> tuple[int, ...]:
+        return basis_minors(self.a, self.subset_ranks)
 
     @cached_property
     def lattice(self) -> IntersectionLattice:
@@ -274,12 +279,12 @@ class Analysis:
         a, lattice = self.a, self.lattice
         checks: list[dict] = []
 
-        ranks = self.subset_ranks
+        minors = self.basis_minors
         for p in self.primes:
             q = p
             note = None
-            if not prime_preserves_lattice(a, ranks, q):
-                q = next_valid_prime(a, ranks, q)
+            if not prime_preserves_lattice(minors, q):
+                q = next_valid_prime(minors, q)
                 note = f"p = {p} degenerates the reduction; retried with {q}"
             predicted = complement_count_prediction(self.poincare, q)
             counted = count_complement_points(a, q)

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .arrangement import (Arrangement, InvalidArrangement, parse_arrangement,
                           subset_ranks)
-from .linalg import QMatrix, det, kernel_basis, qval
+from .linalg import QMatrix, det, kernel_basis
 
 
 class GaleUndefined(ValueError):
@@ -76,19 +76,6 @@ def steiner_tensor(a: Arrangement) -> SteinerTensor:
                            for r in range(m - 1))
         slices.append(QMatrix(slice_rows, u.rows))
     return SteinerTensor(a, u, tuple(slices))
-
-
-def slice_at_point(t: SteinerTensor, point) -> QMatrix:
-    """The (m-1) x (m-n-1) matrix of the tensor contracted with a point."""
-    if len(point) != t.n + 1:
-        raise ValueError("point has wrong dimension")
-    rows = []
-    for r in range(t.m - 1):
-        rows.append(tuple(
-            sum((qval(point[k]) * t.slices[k].entries[r][j]
-                 for k in range(t.n + 1)), Fraction(0))
-            for j in range(t.m - t.n - 1)))
-    return QMatrix(tuple(rows), t.m - t.n - 1)
 
 
 def dual_columns(t: SteinerTensor) -> list[tuple[Fraction, ...]]:

@@ -6,7 +6,9 @@ agreement is meaningful: ranks and minors come from the textbook Fraction
 elimination below rather than the library's fraction-free routine, the
 Moebius oracle sums signed generating subsets instead of recursing over the
 poset, the point counter loops over the whole affine space instead of
-walking fibers, and Torelli rule 1 is an exhaustive scan of every subset.
+walking fibers, a prime is judged by re-ranking every set of the rank
+table mod p instead of by divisibility of basis minors, and Torelli rule 1
+is an exhaustive scan of every subset.
 
 One exception: for n >= 3 that scan asks the library's `rnc_test` whether a
 subset's dual points lie on a smooth rational normal curve. There is no
@@ -21,6 +23,8 @@ from itertools import combinations, product
 
 from arrinv.arrangement import Arrangement
 from arrinv.lattice import Flat
+from arrinv.linalg import QMatrix
+from arrinv.steiner import SteinerTensor
 from arrinv.torelli import RncVerdict, dual_points, rnc_test
 
 
@@ -80,8 +84,32 @@ def rank_mod_p(rows, p: int) -> int:
     return pr
 
 
+def prime_preserves_lattice_by_ranks(a: Arrangement, ranks: dict[tuple[int, ...], int],
+                                     p: int) -> bool:
+    """True when every label set in `ranks` (`subset_ranks(a)`) keeps its rank mod p.
+
+    The definition itself, one rank mod p per set, against which the
+    library's divisibility test on basis minors is checked.
+    """
+    return all(rank_mod_p([a.forms[i - 1].coeffs for i in labels], p) == rank
+               for labels, rank in ranks.items())
+
+
+def slice_at_point(t: SteinerTensor, point) -> QMatrix:
+    """The (m-1) x (m-n-1) matrix of the tensor contracted with a point."""
+    if len(point) != t.n + 1:
+        raise ValueError("point has wrong dimension")
+    rows = []
+    for r in range(t.m - 1):
+        rows.append(tuple(
+            sum((Fraction(point[k]) * t.slices[k].entries[r][j]
+                 for k in range(t.n + 1)), Fraction(0))
+            for j in range(t.m - t.n - 1)))
+    return QMatrix(tuple(rows), t.m - t.n - 1)
+
+
 def _rank_of(a: Arrangement, labels) -> int:
-    return fraction_rank([a.form(i).coeffs for i in labels])
+    return fraction_rank([a.forms[i - 1].coeffs for i in labels])
 
 
 def flats_by_closure(a: Arrangement) -> set[tuple[tuple[int, ...], int]]:
@@ -132,7 +160,7 @@ def brute_complement_count(a: Arrangement, p: int) -> int:
 def dependent_subsets_by_minors(a: Arrangement) -> set[tuple[int, ...]]:
     """(n+1)-subsets with vanishing maximal minor, straight off the matrix."""
     return {subset for subset in combinations(range(1, a.m + 1), a.n + 1)
-            if fraction_det([a.form(i).coeffs for i in subset]) == 0}
+            if fraction_det([a.forms[i - 1].coeffs for i in subset]) == 0}
 
 
 def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
@@ -158,7 +186,7 @@ def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
                 continue
             if a.n == 2:
                 rows = [[x * x, x * y, x * z, y * y, y * z, z * z]
-                        for x, y, z in (a.form(i).coeffs for i in subset)]
+                        for x, y, z in (a.forms[i - 1].coeffs for i in subset)]
                 off_curve = fraction_rank(rows) == 6
             else:
                 off_curve = (rnc_test(config.subset(subset)).verdict

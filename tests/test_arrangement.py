@@ -14,8 +14,8 @@ FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 def test_forms_are_canonicalized():
     a = parse_arrangement(2, [[2, 4, 0], ["1/2", 0, "1/2"]])
-    assert a.form(1).coeffs == (1, 2, 0)
-    assert a.form(2).coeffs == (1, 0, 1)
+    assert a.forms[0].coeffs == (1, 2, 0)
+    assert a.forms[1].coeffs == (1, 0, 1)
 
 
 def test_negative_leading_coefficient_is_flipped():
@@ -71,12 +71,6 @@ def test_json_parse_reports_position():
 def test_json_requires_both_keys():
     with pytest.raises(InvalidArrangement):
         parse_arrangement_json('{"n": 2}')
-
-
-def test_restrict_uses_sorted_labels():
-    a = fixture("a3_braid")
-    sub = a.restrict([4, 1])
-    assert [f.coeffs for f in sub.forms] == [(1, 0, 0), (1, 1, 0)]
 
 
 def test_essentiality():

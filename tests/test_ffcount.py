@@ -7,13 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrinv.arrangement import InvalidArrangement, parse_arrangement, subset_ranks
-from arrinv.ffcount import (DegenerateReduction, count_complement_points,
+from arrinv.ffcount import (DegenerateReduction, basis_minors, count_complement_points,
                             count_points_raw, is_prime, next_valid_prime,
                             prime_preserves_lattice)
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import complement_count_prediction, poincare
 from arrinv.lattice import build_lattice
-from oracles import brute_complement_count, rank_mod_p
+from oracles import (brute_complement_count, prime_preserves_lattice_by_ranks,
+                     rank_mod_p)
 
 
 def test_is_prime():
@@ -72,7 +73,7 @@ def test_degenerate_reduction_count_value():
 def test_fixture_counts_match_lattice_prediction(name, p):
     a = fixture(name)
     lat = build_lattice(a)
-    assert prime_preserves_lattice(a, subset_ranks(a), p)
+    assert prime_preserves_lattice(basis_minors(a, subset_ranks(a)), p)
     assert count_complement_points(a, p) == complement_count_prediction(poincare(lat), p)
 
 
@@ -85,10 +86,51 @@ def test_fixture_counts_match_at_101(name):
 
 def test_prime_validity_and_next_valid():
     a = parse_arrangement(1, [[1, 0], [1, 7]])
+    minors = basis_minors(a, subset_ranks(a))
+    assert minors == (7,)
+    assert not prime_preserves_lattice(minors, 7)
+    assert prime_preserves_lattice(minors, 11)
+    assert next_valid_prime(minors, 7) == 11
+
+
+def test_non_essential_prime_rejected_by_the_gcd_of_minors():
+    # three lines through (0 : 0 : 1); the 3 x 3 determinant is 0, but the
+    # pair {1, 2} has 2 x 2 minors (7, 0, 0): mod 7 lines 1 and 2 coincide
+    a = parse_arrangement(2, [[1, 0, 0], [1, 7, 0], [0, 1, 0]])
     ranks = subset_ranks(a)
-    assert not prime_preserves_lattice(a, ranks, 7)
-    assert prime_preserves_lattice(a, ranks, 11)
-    assert next_valid_prime(a, ranks, 7) == 11
+    minors = basis_minors(a, ranks)
+    assert minors == (7, 1, 1)
+    assert not prime_preserves_lattice(minors, 7)
+    assert not prime_preserves_lattice_by_ranks(a, ranks, 7)
+    assert next_valid_prime(minors, 7) == 11
+
+
+@st.composite
+def rank_tables(draw):
+    """Arrangements with n <= 4; with `flat` every last coefficient is 0, so
+    the forms span less than the whole dual space."""
+    n = draw(st.integers(1, 4))
+    flat = draw(st.booleans())
+    row = st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1)
+    rows = draw(st.lists(row, min_size=1, max_size=7 - n // 2))
+    if flat:
+        rows = [r[:-1] + [0] for r in rows]
+    try:
+        return parse_arrangement(n, rows)
+    except InvalidArrangement:   # a zero row, or two rows with the same form
+        assume(False)
+
+
+@given(rank_tables(), st.sampled_from([2, 3, 5, 7, 11, 13]))
+@settings(max_examples=300, deadline=None)
+def test_prime_check_matches_ranks_mod_p(a, p):
+    ranks = subset_ranks(a)
+    minors = basis_minors(a, ranks)
+    assert prime_preserves_lattice(minors, p) == prime_preserves_lattice_by_ranks(a, ranks, p)
+    q = p
+    while not (is_prime(q) and prime_preserves_lattice_by_ranks(a, ranks, q)):
+        q += 1
+    assert next_valid_prime(minors, p) == q
 
 
 def test_n3_arrangement_at_101():

@@ -133,7 +133,7 @@ def test_lattice_and_rank_table_match_the_closure_oracle(a):
     assert list(ranks) == [s for size in range(1, min(a.n + 1, a.m) + 1)
                            for s in combinations(range(1, a.m + 1), size)]
     for labels, rank in ranks.items():
-        assert rank == fraction_rank([a.form(i).coeffs for i in labels]), labels
+        assert rank == fraction_rank([a.forms[i - 1].coeffs for i in labels]), labels
     lat = build_lattice(a, ranks)
     pairs = [(f.indices, f.rank) for f in lat.flats]
     assert len(pairs) == len(set(pairs))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arrinv.linalg import (QMatrix, bareiss, det, kernel_basis,
                            primitive_integer_vector, qval, rref)
-from oracles import fraction_det, fraction_rank, rank_mod_p
+from oracles import fraction_det, fraction_rank
 
 small_int = st.integers(min_value=-6, max_value=6)
 small_rational = st.fractions(min_value=-6, max_value=6, max_denominator=5)
@@ -120,14 +120,6 @@ def test_bareiss_rank_and_det_match_fraction_elimination(rows):
         assert d == fraction_det(rows)
     else:
         assert d == 0
-
-
-@given(st.integers(1, 5).flatmap(lambda c: st.lists(
-    st.lists(st.integers(-30, 30), min_size=c, max_size=c), min_size=1, max_size=6)),
-    st.sampled_from([2, 3, 5, 7, 11, 101]))
-@settings(max_examples=150)
-def test_bareiss_rank_mod_p_matches_gauss_jordan(rows, p):
-    assert bareiss(rows, p) == (rank_mod_p(rows, p), None)
 
 
 def test_bareiss_cleared_denominators_and_empty_input():

@@ -9,10 +9,9 @@ from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.linalg import QMatrix, kernel_basis
 from arrinv.report import build_report
-from arrinv.steiner import (GaleUndefined, dual_columns, gale_dual,
-                            slice_at_point, steiner_tensor,
+from arrinv.steiner import (GaleUndefined, dual_columns, gale_dual, steiner_tensor,
                             verify_gale_bijection)
-from oracles import dependent_subsets_by_minors
+from oracles import dependent_subsets_by_minors, slice_at_point
 
 TENSOR_FIXTURES = [n for n in fixture_names() if n != "boolean_n2"]
 
@@ -54,7 +53,7 @@ def test_tensor_shapes():
 
 
 def _point_of_rank2_flat(a, flat):
-    eqs = QMatrix.from_rows([a.form(i).coeffs for i in flat.indices], 3)
+    eqs = QMatrix.from_rows([a.forms[i - 1].coeffs for i in flat.indices], 3)
     point = kernel_basis(eqs)
     assert point.rows == 1
     return point.entries[0]
