@@ -8,7 +8,7 @@ verdicts, together with a finite-field counting oracle that cross-checks
 the lattice computation.
 """
 
-from .arrangement import (Arrangement, InvalidArrangement, LinearForm,
+from .arrangement import (Arrangement, InvalidArrangement, canonical_form,
                           is_essential, parse_arrangement, parse_arrangement_json,
                           subset_ranks)
 from .ffcount import (DegenerateReduction, basis_minors, count_complement_points,
@@ -18,7 +18,7 @@ from .invariants import (ChernData, DeltaData, LocallyFree, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
                          local_data, poincare, twist_transform)
 from .lattice import (CrossingClass, Flat, IntersectionLattice, build_lattice,
-                      classify_crossing, mobius)
+                      classify_crossing)
 from .report import build_report
 from .stability import (StabilityVerdict, Status, Witness, WitnessKind, classify,
                         combinatorial_destabilizer, discriminant_test,
@@ -26,26 +26,26 @@ from .stability import (StabilityVerdict, Status, Witness, WitnessKind, classify
 from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
                       gale_dual, steiner_tensor, verify_gale_bijection)
 from .torelli import (ConicClass, ConicResult, RncResult, RncVerdict,
-                      TorelliStatus, TorelliVerdict, conic_test, dual_points,
-                      rnc_test, torelli_verdict)
+                      TorelliStatus, TorelliVerdict, conic_test, rnc_test,
+                      torelli_verdict)
 from .truncpoly import TruncPoly
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Arrangement", "ChernData", "ConicClass", "ConicResult", "CrossingClass",
-    "DegenerateReduction", "DeltaData", "Flat",
-    "GaleBijectionReport", "GaleUndefined", "IntersectionLattice", "LinearForm",
-    "LocallyFree", "InvalidArrangement", "PoincareData", "RncResult",
-    "RncVerdict", "StabilityVerdict", "Status", "SteinerTensor", "TorelliStatus",
+    "DegenerateReduction", "DeltaData", "Flat", "GaleBijectionReport",
+    "GaleUndefined", "IntersectionLattice", "LocallyFree",
+    "InvalidArrangement", "PoincareData", "RncResult", "RncVerdict",
+    "StabilityVerdict", "Status", "SteinerTensor", "TorelliStatus",
     "TorelliVerdict", "TruncPoly", "Witness", "WitnessKind", "basis_minors",
-    "build_lattice", "build_report", "chern", "classify", "classify_crossing",
-    "combinatorial_destabilizer", "complement_count_prediction", "conic_test",
-    "count_complement_points", "delta_invariant",
-    "discriminant_test", "dual_points", "fixture", "fixture_names",
+    "build_lattice", "build_report", "canonical_form", "chern", "classify",
+    "classify_crossing", "combinatorial_destabilizer",
+    "complement_count_prediction", "conic_test", "count_complement_points",
+    "delta_invariant", "discriminant_test", "fixture", "fixture_names",
     "fixture_note", "free_splitting_stability", "gale_dual", "git_ratio_test",
-    "h0_values", "is_essential", "local_data", "mobius",
-    "next_valid_prime", "parse_arrangement", "parse_arrangement_json",
-    "poincare", "prime_preserves_lattice", "rnc_test", "steiner_tensor",
-    "subset_ranks", "torelli_verdict", "twist_transform", "verify_gale_bijection",
+    "h0_values", "is_essential", "local_data", "next_valid_prime",
+    "parse_arrangement", "parse_arrangement_json", "poincare",
+    "prime_preserves_lattice", "rnc_test", "steiner_tensor", "subset_ranks",
+    "torelli_verdict", "twist_transform", "verify_gale_bijection",
 ]

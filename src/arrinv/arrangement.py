@@ -1,9 +1,11 @@
 """Hyperplane arrangements in projective space.
 
 An arrangement is a labeled list of m distinct hyperplanes in P^n, each given
-by a linear form in the n+1 homogeneous coordinates. Forms are stored in a
-canonical primitive integer representation: denominators cleared, content
-divided out, first nonzero coefficient positive. Labels are 1-based
+by a linear form in the n+1 homogeneous coordinates. Each form is stored as
+a plain tuple of ints, its canonical primitive row (`canonical_form`):
+denominators cleared, content divided out, first nonzero coefficient
+positive. The same rows, read as points of the dual projective space, are
+the dual configuration of the Torelli analysis. Labels are 1-based
 throughout the public surface.
 
 `subset_ranks` is the one rank table of an arrangement: the rank over Q of
@@ -17,11 +19,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .linalg import MAX_DIGITS, QMatrix, bareiss, primitive_integer_vector, qval
+from .linalg import MAX_DIGITS, bareiss, primitive_integer_vector, qval
 
 _COEFF_BOUND = 10 ** MAX_DIGITS   # canonical coefficients stay below it
 
@@ -30,59 +31,41 @@ class InvalidArrangement(ValueError):
     """Raised on malformed arrangement input."""
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """A primitive integer linear form c_0 T_0 + ... + c_n T_n."""
-
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def from_values(cls, values: Sequence) -> "LinearForm":
-        # bool is a subclass of int, so JSON true/false would pass as 1/0
-        if any(isinstance(v, bool) for v in values):
-            raise InvalidArrangement("bad coefficient: booleans are not numbers")
-        try:
-            rationals = [qval(v) for v in values]
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InvalidArrangement(f"bad coefficient: {exc}") from exc
-        if all(x == 0 for x in rationals):
-            raise InvalidArrangement("zero form is not a hyperplane")
-        coeffs = primitive_integer_vector(rationals)
-        if any(abs(c) >= _COEFF_BOUND for c in coeffs):
-            raise InvalidArrangement(
-                f"bad coefficient: the canonical form has more than {MAX_DIGITS} digits")
-        return cls(coeffs)
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != len(self.coeffs):
-            raise ValueError("dimension mismatch")
-        return sum((Fraction(c) * qval(p) for c, p in zip(self.coeffs, point)),
-                   Fraction(0))
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
+def canonical_form(values: Sequence) -> tuple[int, ...]:
+    """The primitive integer row of a nonzero rational form c_0 T_0 + ... + c_n T_n."""
+    # bool is a subclass of int, so JSON true/false would pass as 1/0
+    if any(isinstance(v, bool) for v in values):
+        raise InvalidArrangement("bad coefficient: booleans are not numbers")
+    try:
+        rationals = [qval(v) for v in values]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidArrangement(f"bad coefficient: {exc}") from exc
+    if all(x == 0 for x in rationals):
+        raise InvalidArrangement("zero form is not a hyperplane")
+    row = primitive_integer_vector(rationals)
+    if any(abs(c) >= _COEFF_BOUND for c in row):
+        raise InvalidArrangement(
+            f"bad coefficient: the canonical form has more than {MAX_DIGITS} digits")
+    return row
 
 
 @dataclass(frozen=True)
 class Arrangement:
-    """m labeled hyperplanes in P^n. Forms are canonical and pairwise distinct."""
+    """m labeled hyperplanes in P^n, one canonical integer row per hyperplane.
+
+    The rows are pairwise distinct. Read as points of the dual space they
+    are the arrangement's dual configuration.
+    """
 
     n: int
-    forms: tuple[LinearForm, ...]
+    forms: tuple[tuple[int, ...], ...]
 
     @property
     def m(self) -> int:
         return len(self.forms)
 
-    def coefficient_matrix(self) -> QMatrix:
-        """(n+1) x m matrix whose columns are the forms."""
-        rows = [[self.forms[i].coeffs[k] for i in range(self.m)]
-                for k in range(self.n + 1)]
-        return QMatrix.from_rows(rows, self.m)
-
     def to_json_dict(self) -> dict:
-        return {"n": self.n,
-                "hyperplanes": [list(f.coeffs) for f in self.forms]}
+        return {"n": self.n, "hyperplanes": [list(f) for f in self.forms]}
 
 
 def parse_arrangement(n: int, rows: Iterable[Sequence]) -> Arrangement:
@@ -95,18 +78,17 @@ def parse_arrangement(n: int, rows: Iterable[Sequence]) -> Arrangement:
             raise InvalidArrangement(
                 f"hyperplane {idx}: expected {n + 1} coefficients, got {row!r}")
         try:
-            forms.append(LinearForm.from_values(row))
+            forms.append(canonical_form(row))
         except InvalidArrangement as exc:
             raise InvalidArrangement(f"hyperplane {idx}: {exc}") from None
     if not forms:
         raise InvalidArrangement("an arrangement needs at least one hyperplane")
     seen: dict[tuple[int, ...], int] = {}
     for idx, f in enumerate(forms, start=1):
-        if f.coeffs in seen:
+        if f in seen:
             raise InvalidArrangement(
-                f"hyperplanes {seen[f.coeffs]} and {idx} coincide "
-                f"(both reduce to {f})")
-        seen[f.coeffs] = idx
+                f"hyperplanes {seen[f]} and {idx} coincide (both reduce to {f})")
+        seen[f] = idx
     return Arrangement(n, tuple(forms))
 
 
@@ -131,7 +113,7 @@ def parse_arrangement_json(text: str) -> Arrangement:
 
 def is_essential(a: Arrangement) -> bool:
     """True when the forms span the full dual space (rank n+1)."""
-    return bareiss([f.coeffs for f in a.forms])[0] == a.n + 1
+    return bareiss(a.forms)[0] == a.n + 1
 
 
 def subset_ranks(a: Arrangement) -> dict[tuple[int, ...], int]:
@@ -141,7 +123,6 @@ def subset_ranks(a: Arrangement) -> dict[tuple[int, ...], int]:
     alone, never from a lattice, so a prime judged against the table keeps
     the true lattice even when a lattice under test is wrong.
     """
-    forms = [f.coeffs for f in a.forms]
-    return {labels: bareiss([forms[i - 1] for i in labels])[0]
+    return {labels: bareiss([a.forms[i - 1] for i in labels])[0]
             for size in range(1, min(a.n + 1, a.m) + 1)
             for labels in combinations(range(1, a.m + 1), size)}

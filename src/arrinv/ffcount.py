@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd
+from typing import Sequence
 
 from .arrangement import Arrangement
 from .linalg import bareiss
@@ -39,7 +40,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def count_points_raw(coeffs: list[tuple[int, ...]], p: int) -> int:
+def count_points_raw(coeffs: Sequence[tuple[int, ...]], p: int) -> int:
     """Count F_p^d points avoiding all forms, no validity checking.
 
     Instead of visiting all p^d points it walks the p^(d-1) fibers over the
@@ -87,7 +88,7 @@ def check_reduction(a: Arrangement, p: int) -> None:
     """
     classes: dict[tuple[int, ...], list[int]] = {}
     for label, f in enumerate(a.forms, 1):
-        row = [c % p for c in f.coeffs]
+        row = [c % p for c in f]
         inv = pow(next(c for c in row if c), p - 2, p)
         classes.setdefault(tuple(c * inv % p for c in row), []).append(label)
     pairs = [labels[:2] for labels in classes.values() if len(labels) > 1]
@@ -101,7 +102,7 @@ def count_complement_points(a: Arrangement, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     check_reduction(a, p)
-    return count_points_raw([f.coeffs for f in a.forms], p)
+    return count_points_raw(a.forms, p)
 
 
 def basis_minors(a: Arrangement, ranks: dict[tuple[int, ...], int]
@@ -114,12 +115,12 @@ def basis_minors(a: Arrangement, ranks: dict[tuple[int, ...], int]
     arrangement r = n + 1 and g_B is |det B|.
     """
     r = max(ranks.values())
-    forms = [f.coeffs for f in a.forms]
     column_sets = list(combinations(range(a.n + 1), r))
     out = []
     for labels, rank in ranks.items():
         if len(labels) == rank == r:
-            minors = (bareiss([[forms[i - 1][c] for c in cols] for i in labels])[1]
+            rows = [a.forms[i - 1] for i in labels]
+            minors = (bareiss([[row[c] for c in cols] for row in rows])[1]
                       for cols in column_sets)
             out.append(gcd(*map(int, minors)))
     return tuple(out)

@@ -112,11 +112,6 @@ def mobius_values(flats: tuple[Flat, ...]) -> tuple[int, ...]:
     return tuple(mu)
 
 
-def mobius(lattice: IntersectionLattice) -> dict[tuple[int, ...], int]:
-    """Mobius values keyed by flat label sets."""
-    return {f.indices: v for f, v in lattice.items()}
-
-
 class CrossingClass(enum.Enum):
     GENERIC = "generic"
     NORMAL_CROSSING_CODIM2_ONLY = "normal_crossing_codim2_only"

@@ -149,7 +149,7 @@ class Analysis:
         return {
             "n": a.n,
             "m": a.m,
-            "hyperplanes": [list(f.coeffs) for f in a.forms],
+            "hyperplanes": [list(f) for f in a.forms],
             "essential": self.essential,
         }
 

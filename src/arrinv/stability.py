@@ -1,15 +1,24 @@
 """Slope-stability analysis of the logarithmic sheaf.
 
-Four independent tests feed a single classifier:
+`classify` runs these steps, in order:
 
 * a combinatorial flat test: a flat of rank r on s hyperplanes destabilizes
   when s is too large against the threshold (m-1)(r-1)/n + 1 (strict excess
   means unstable, equality rules out stability);
 * the n=2 discriminant test 4*sum(s-1) - (m-1)(m+3) < 0, which is
   4c2 - c1^2 < 0 for the n=2 Chern numbers;
-* a GIT test on the defining tensor: a subspace W' of the sum-zero space
-  destabilizes when dim(E meet W'xV*) / dim W' exceeds dim E / dim W;
-* a splitting test for arrangements known to be free with given exponents.
+* the literature rules: generic arrangements are stable, and so are n=2
+  arrangements with m >= 6 and delta = 1;
+* the parity upgrade: for n=2 and even m, a flat meeting the threshold
+  exactly (not stable) means unstable.
+
+Two more tests are implemented but not yet wired into `classify`:
+
+* `git_ratio_test`, a GIT test on the defining tensor: a subspace W' of
+  the sum-zero space destabilizes when dim(E meet W'xV*) / dim W' exceeds
+  dim E / dim W;
+* `free_splitting_stability`, a splitting test for arrangements known to
+  be free with given exponents.
 
 The classifier never guesses: when no implemented criterion decides, it
 returns Undetermined with the evidence that was gathered.

@@ -59,7 +59,8 @@ def steiner_tensor(a: Arrangement) -> SteinerTensor:
     m, n = a.m, a.n
     if m < n + 2:
         raise ValueError(f"defining tensor needs m >= n + 2, got m = {m}")
-    u = kernel_basis(a.coefficient_matrix())
+    # the (n+1) x m coefficient matrix has one column per form
+    u = kernel_basis(QMatrix.from_rows(zip(*a.forms), m))
     # the relations have dimension m - rank, so rank n + 1 means essential
     if u.rows != m - n - 1:
         raise ValueError("defining tensor needs an essential arrangement")
@@ -68,7 +69,7 @@ def steiner_tensor(a: Arrangement) -> SteinerTensor:
         cols = []
         for j in range(u.rows):
             rel = u.entries[j]
-            y = [rel[i] * a.forms[i].coeffs[k] for i in range(m)]
+            y = [rel[i] * a.forms[i][k] for i in range(m)]
             cols.append(_w_coordinates(y))
         # cols[j] is the image of basis relation j; transpose into a matrix
         # with one column per relation

@@ -2,7 +2,9 @@
 
 The question is whether the arrangement is determined by its logarithmic
 sheaf. The implemented criteria all run on the dual configuration, the m
-points of the dual projective space given by the coefficient vectors.
+points of the dual projective space given by the coefficient vectors: the
+integer rows of the `Arrangement` itself, so a sub-configuration is the
+arrangement of a subset of the rows.
 
 For n = 2 the central object is the space of conics through the dual points
 (`conic_test`). For higher n the analogous object is a smooth rational
@@ -30,25 +32,6 @@ from .arrangement import Arrangement
 from .lattice import IntersectionLattice
 from .linalg import QMatrix, bareiss, kernel_basis, primitive_integer_vector, rref
 from .stability import StabilityVerdict, Status
-
-
-@dataclass(frozen=True)
-class DualConfiguration:
-    """The m coefficient vectors read as labeled points of the dual space."""
-
-    n: int
-    points: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.points)
-
-    def subset(self, labels) -> "DualConfiguration":
-        return DualConfiguration(self.n, tuple(self.points[i - 1] for i in sorted(labels)))
-
-
-def dual_points(a: Arrangement) -> DualConfiguration:
-    return DualConfiguration(a.n, tuple(f.coeffs for f in a.forms))
 
 
 class ConicClass(enum.Enum):
@@ -105,17 +88,18 @@ def _classify_member(c, points) -> tuple[ConicClass, tuple[int, ...] | None, boo
     return ConicClass.DOUBLE_LINE, None, False
 
 
-def conic_test(config: DualConfiguration) -> ConicResult:
-    if config.n != 2:
+def conic_test(a: Arrangement) -> ConicResult:
+    """Conics through the dual points of a line arrangement."""
+    if a.n != 2:
         raise ValueError("conic test is defined for n = 2 only")
-    rows = [_veronese_row(p) for p in config.points]
+    rows = [_veronese_row(p) for p in a.forms]
     kern = kernel_basis(QMatrix.from_rows(rows, 6))
     kdim = kern.rows
     if kdim == 0:
         return ConicResult(0, None, None, False, None)
     if kdim == 1:
         c = primitive_integer_vector(kern.entries[0])
-        cls, vertex, ok = _classify_member(c, config.points)
+        cls, vertex, ok = _classify_member(c, a.forms)
         return ConicResult(1, c, cls, ok, vertex)
     # a family: look for a member that is smooth, or failing that a
     # two-distinct-lines member missing all the points with its vertex.
@@ -130,7 +114,7 @@ def conic_test(config: DualConfiguration) -> ConicResult:
             continue
         member = [sum(coeffs[j] * basis[j][i] for j in range(kdim))
                   for i in range(6)]
-        cls, _, ok = _classify_member(member, config.points)
+        cls, _, ok = _classify_member(member, a.forms)
         if cls is ConicClass.NONSINGULAR:
             return ConicResult(kdim, None, None, True, None)
         if ok:
@@ -162,11 +146,9 @@ def _in_linear_general_position(points, n: int) -> bool:
                for subset in combinations(range(len(points)), size))
 
 
-def rnc_test(config: DualConfiguration) -> RncResult:
-    """Do all points lie on a smooth rational normal curve of degree n?"""
-    n = config.n
-    pts = config.points
-    m = len(pts)
+def rnc_test(a: Arrangement) -> RncResult:
+    """Do all dual points lie on a smooth rational normal curve of degree n?"""
+    n, m, pts = a.n, a.m, a.forms
     if m <= n + 2:
         if _in_linear_general_position(pts, n):
             return RncResult(RncVerdict.ON_SMOOTH_RNC, None, None,
@@ -259,8 +241,8 @@ def _genericity(lattice: IntersectionLattice):
                               for flat, r in dependent)
 
 
-def _off_curve(config: DualConfiguration):
-    """Rule 1's failure test on label sets of `config`.
+def _off_curve(a: Arrangement):
+    """Rule 1's failure test on label sets of `a`.
 
     For n = 2 the points of a label set lie on no conic when their Veronese
     rows have rank 6, i.e. the kernel dimension `conic_test` would report is
@@ -268,12 +250,12 @@ def _off_curve(config: DualConfiguration):
     normal curve, by `rnc_test`; rule 1 asks only about generic label sets,
     whose first n+2 points already form the frame `rnc_test` looks for.
     """
-    if config.n == 2:
-        veronese = [_veronese_row(p) for p in config.points]
+    if a.n == 2:
+        veronese = [_veronese_row(p) for p in a.forms]
         return lambda labels: QMatrix.from_rows(
             [veronese[i - 1] for i in labels], 6).rank() == 6
-    return lambda labels: (rnc_test(config.subset(labels)).verdict
-                           is RncVerdict.NOT_ON_SMOOTH_RNC)
+    return lambda labels: rnc_test(Arrangement(a.n, tuple(
+        a.forms[i - 1] for i in labels))).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
 
 
 DEFAULT_MAX_SUBSETS = 20000
@@ -312,52 +294,56 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     Rule 5: everything else lands on the positive side of the conjecture.
 
     Unstable input yields Unknown: the moduli analysis behind the rules
-    assumes the sheaf is at least semi-stable.
+    assumes the sheaf is at least semi-stable. On P^1 (n = 1) the sheaf is
+    the line bundle of degree m - 2 whatever the m points are, so no rule
+    runs and the verdict is NotProved (`line-bundle-case`).
     """
     if lattice.arrangement != a:
         raise ValueError("the lattice belongs to a different arrangement")
     if max_subsets < 0:
         raise ValueError(f"max_subsets must be >= 0, got {max_subsets}")
-    trace: list[str] = []
-    config = dual_points(a)
     n, m = a.n, a.m
+    trace: list[str] = []
+    conic_full = rnc_full = None
+    cap_exceeded = False
+
+    def verdict(status: TorelliStatus, rule: str, line: str,
+                witness: tuple[int, ...] | None = None) -> TorelliVerdict:
+        trace.append(line)
+        return TorelliVerdict(status, rule, witness, conic_full, rnc_full,
+                              tuple(trace), cap_exceeded)
 
     if stability.status is Status.UNSTABLE:
-        return TorelliVerdict(TorelliStatus.UNKNOWN,
-                              "unstable input outside the analyzed range",
-                              None, None, None,
-                              ("stability status unstable: no rule applies",), False)
+        return verdict(TorelliStatus.UNKNOWN, "unstable input outside the analyzed range",
+                       "stability status unstable: no rule applies")
+    if n == 1:
+        return verdict(TorelliStatus.NOT_TORELLI_PROVED, "line-bundle-case",
+                       "n = 1: the sheaf is a line bundle of degree m - 2, the same "
+                       "for any m points")
 
-    conic_full = conic_test(config) if n == 2 else None
-    rnc_full = rnc_test(config) if n >= 3 else None
+    conic_full = conic_test(a) if n == 2 else None
+    rnc_full = rnc_test(a) if n >= 3 else None
     on_curve = (conic_full.kernel_dim >= 1 if n == 2
                 else rnc_full.verdict is RncVerdict.ON_SMOOTH_RNC)
 
     # rule 1: generic subset failing the osculation test
     sizes = range(max(n + 4, 6), m + 1)
-    witness = None
-    cap_exceeded = False
     if on_curve:
         # a curve through every dual point passes through every subset's
         # points: the scan would visit every subset, up to the cap, and find
         # nothing
         cap_exceeded = sum(comb(m, k) for k in sizes) > max_subsets
     else:
-        is_generic, off_curve = _genericity(lattice), _off_curve(config)
+        is_generic, off_curve = _genericity(lattice), _off_curve(a)
         subsets = (s for size in sizes for s in combinations(range(1, m + 1), size))
         for examined, subset in enumerate(subsets):
             if examined >= max_subsets:
                 cap_exceeded = True
                 break
             if is_generic(subset) and off_curve(subset):
-                witness = subset
-                break
-    if witness is not None:
-        trace.append(f"rule 1: generic subset {list(witness)} avoids every "
-                     "curve of the family")
-        return TorelliVerdict(TorelliStatus.TORELLI_PROVED,
-                              "generic-subset-off-curve", witness,
-                              conic_full, rnc_full, tuple(trace), cap_exceeded)
+                return verdict(TorelliStatus.TORELLI_PROVED, "generic-subset-off-curve",
+                               f"rule 1: generic subset {list(subset)} avoids every "
+                               "curve of the family", subset)
     trace.append("rule 1: no generic subset fails the osculation test"
                  + (" (subset cap hit)" if cap_exceeded else ""))
 
@@ -368,30 +354,24 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     # rule 2: six lines in the plane
     if n == 2 and m == 6:
         if not on_stable_curve:
-            trace.append("rule 2: the six dual points are not nonsingular "
-                         "points of any common conic")
-            return TorelliVerdict(TorelliStatus.TORELLI_PROVED, "six-line-conic-case",
-                                  None, conic_full, rnc_full, tuple(trace), cap_exceeded)
-        trace.append("rule 2: all six dual points sit on a common conic's "
-                     "nonsingular locus")
-        return TorelliVerdict(TorelliStatus.NOT_TORELLI_PROVED, "six-line-conic-case",
-                              None, conic_full, rnc_full, tuple(trace), cap_exceeded)
+            return verdict(TorelliStatus.TORELLI_PROVED, "six-line-conic-case",
+                           "rule 2: the six dual points are not nonsingular "
+                           "points of any common conic")
+        return verdict(TorelliStatus.NOT_TORELLI_PROVED, "six-line-conic-case",
+                       "rule 2: all six dual points sit on a common conic's "
+                       "nonsingular locus")
 
     # rule 3: five lines in the plane
     if n == 2 and m == 5:
-        trace.append("rule 3: five-line arrangements are never recoverable")
-        return TorelliVerdict(TorelliStatus.NOT_TORELLI_PROVED, "five-line-case",
-                              None, conic_full, rnc_full, tuple(trace), cap_exceeded)
+        return verdict(TorelliStatus.NOT_TORELLI_PROVED, "five-line-case",
+                       "rule 3: five-line arrangements are never recoverable")
 
     # rule 4: dual points on the nonsingular locus of a stable curve
     if on_stable_curve:
-        trace.append("rule 4: dual points on a stable conic's nonsingular locus"
-                     if n == 2 else
-                     "rule 4: dual points on a smooth rational normal curve")
-        return TorelliVerdict(TorelliStatus.NOT_TORELLI_CONJECTURED,
-                              "on-stable-curve", None, conic_full, rnc_full,
-                              tuple(trace), cap_exceeded)
+        return verdict(TorelliStatus.NOT_TORELLI_CONJECTURED, "on-stable-curve",
+                       "rule 4: dual points on a stable conic's nonsingular locus"
+                       if n == 2 else
+                       "rule 4: dual points on a smooth rational normal curve")
 
-    trace.append("rule 5: no obstruction found; conjectured recoverable")
-    return TorelliVerdict(TorelliStatus.TORELLI_CONJECTURED, "default-conjecture",
-                          None, conic_full, rnc_full, tuple(trace), cap_exceeded)
+    return verdict(TorelliStatus.TORELLI_CONJECTURED, "default-conjecture",
+                   "rule 5: no obstruction found; conjectured recoverable")

@@ -53,13 +53,6 @@ class TruncPoly:
         self._check(other)
         return TruncPoly(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "TruncPoly") -> "TruncPoly":
-        self._check(other)
-        return TruncPoly(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "TruncPoly":
-        return TruncPoly(tuple(-a for a in self.coeffs))
-
     def __mul__(self, other: "TruncPoly") -> "TruncPoly":
         self._check(other)
         cap = self.cap
@@ -72,9 +65,6 @@ class TruncPoly:
                     break
                 out[i + j] += a * b
         return TruncPoly(tuple(out))
-
-    def scale(self, k: int) -> "TruncPoly":
-        return TruncPoly(tuple(k * a for a in self.coeffs))
 
     def pow(self, k: int) -> "TruncPoly":
         if k < 0:

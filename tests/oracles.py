@@ -25,7 +25,7 @@ from arrinv.arrangement import Arrangement
 from arrinv.lattice import Flat
 from arrinv.linalg import QMatrix
 from arrinv.steiner import SteinerTensor
-from arrinv.torelli import RncVerdict, dual_points, rnc_test
+from arrinv.torelli import RncVerdict, rnc_test
 
 
 def _echelon(rows) -> tuple[list[list[Fraction]], int]:
@@ -91,7 +91,7 @@ def prime_preserves_lattice_by_ranks(a: Arrangement, ranks: dict[tuple[int, ...]
     The definition itself, one rank mod p per set, against which the
     library's divisibility test on basis minors is checked.
     """
-    return all(rank_mod_p([a.forms[i - 1].coeffs for i in labels], p) == rank
+    return all(rank_mod_p([a.forms[i - 1] for i in labels], p) == rank
                for labels, rank in ranks.items())
 
 
@@ -109,7 +109,7 @@ def slice_at_point(t: SteinerTensor, point) -> QMatrix:
 
 
 def _rank_of(a: Arrangement, labels) -> int:
-    return fraction_rank([a.forms[i - 1].coeffs for i in labels])
+    return fraction_rank([a.forms[i - 1] for i in labels])
 
 
 def flats_by_closure(a: Arrangement) -> set[tuple[tuple[int, ...], int]]:
@@ -149,10 +149,9 @@ def mobius_by_subsets(a: Arrangement, flat: Flat) -> int:
 
 def brute_complement_count(a: Arrangement, p: int) -> int:
     """Walk all of F_p^(n+1) and test every form. Slow and obviously right."""
-    forms = [f.coeffs for f in a.forms]
     count = 0
     for point in product(range(p), repeat=a.n + 1):
-        if all(sum(c * x for c, x in zip(f, point)) % p != 0 for f in forms):
+        if all(sum(c * x for c, x in zip(f, point)) % p != 0 for f in a.forms):
             count += 1
     return count
 
@@ -160,7 +159,7 @@ def brute_complement_count(a: Arrangement, p: int) -> int:
 def dependent_subsets_by_minors(a: Arrangement) -> set[tuple[int, ...]]:
     """(n+1)-subsets with vanishing maximal minor, straight off the matrix."""
     return {subset for subset in combinations(range(1, a.m + 1), a.n + 1)
-            if fraction_det([a.forms[i - 1].coeffs for i in subset]) == 0}
+            if fraction_det([a.forms[i - 1] for i in subset]) == 0}
 
 
 def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
@@ -175,7 +174,6 @@ def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
     curve.
     """
     dependent = dependent_subsets_by_minors(a)
-    config = dual_points(a)
     examined = 0
     for size in range(max(a.n + 4, 6), a.m + 1):
         for subset in combinations(range(1, a.m + 1), size):
@@ -186,11 +184,11 @@ def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
                 continue
             if a.n == 2:
                 rows = [[x * x, x * y, x * z, y * y, y * z, z * z]
-                        for x, y, z in (a.forms[i - 1].coeffs for i in subset)]
+                        for x, y, z in (a.forms[i - 1] for i in subset)]
                 off_curve = fraction_rank(rows) == 6
             else:
-                off_curve = (rnc_test(config.subset(subset)).verdict
-                             is RncVerdict.NOT_ON_SMOOTH_RNC)
+                sub = Arrangement(a.n, tuple(a.forms[i - 1] for i in subset))
+                off_curve = rnc_test(sub).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
             if off_curve:
                 return subset, False
     return None, False

@@ -26,7 +26,7 @@ from arrinv.stability import (Status, WitnessKind, classify,
 from arrinv.steiner import GaleUndefined, gale_dual, steiner_tensor, \
     verify_gale_bijection
 from arrinv.torelli import (ConicClass, RncVerdict, TorelliStatus, conic_test,
-                            dual_points, rnc_test, torelli_verdict)
+                            rnc_test, torelli_verdict)
 
 
 def _announce(capsys, number, label, ok):
@@ -250,13 +250,13 @@ def test_criterion_09_rational_normal_curve(capsys):
             ts = rng.sample(range(-20, 21), 7)
             rows = [[1, t, t * t, t ** 3] for t in ts]
             a = parse_arrangement(3, rows)
-            assert rnc_test(dual_points(a)).verdict is RncVerdict.ON_SMOOTH_RNC
+            assert rnc_test(a).verdict is RncVerdict.ON_SMOOTH_RNC
             i = rng.randrange(7)
             j = rng.randrange(1, 4)
             rows2 = [list(r) for r in rows]
             rows2[i][j] += 1
             a2 = parse_arrangement(3, rows2)
-            assert rnc_test(dual_points(a2)).verdict is \
+            assert rnc_test(a2).verdict is \
                 RncVerdict.NOT_ON_SMOOTH_RNC
 
 

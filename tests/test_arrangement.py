@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from arrinv.arrangement import (InvalidArrangement, LinearForm, is_essential,
+from arrinv.arrangement import (InvalidArrangement, canonical_form, is_essential,
                                 parse_arrangement, parse_arrangement_json)
 from arrinv.fixtures import fixture, fixture_names
 
@@ -14,12 +14,12 @@ FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 def test_forms_are_canonicalized():
     a = parse_arrangement(2, [[2, 4, 0], ["1/2", 0, "1/2"]])
-    assert a.forms[0].coeffs == (1, 2, 0)
-    assert a.forms[1].coeffs == (1, 0, 1)
+    assert a.forms[0] == (1, 2, 0)
+    assert a.forms[1] == (1, 0, 1)
 
 
 def test_negative_leading_coefficient_is_flipped():
-    assert LinearForm.from_values([-2, 4, 0]).coeffs == (1, -2, 0)
+    assert canonical_form([-2, 4, 0]) == (1, -2, 0)
 
 
 def test_duplicate_hyperplanes_rejected_with_both_indices():
@@ -57,9 +57,9 @@ def test_json_booleans_rejected(text, message):
     assert message in str(err.value)
 
 
-def test_boolean_coefficient_rejected_by_from_values():
+def test_boolean_coefficient_rejected_by_canonical_form():
     with pytest.raises(InvalidArrangement):
-        LinearForm.from_values([True, 0, 1])
+        canonical_form([True, 0, 1])
 
 
 def test_json_parse_reports_position():

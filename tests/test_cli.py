@@ -103,6 +103,19 @@ class TestAnalyze:
         assert rc == 0
         assert "gale dual: not defined (arrangement is not essential)" in out
 
+    def test_three_points_on_the_line(self, capsys, tmp_path):
+        f = tmp_path / "points.json"
+        f.write_text(json.dumps({"n": 1, "hyperplanes": [[1, 0], [0, 1], [1, 1]]}))
+        rc, out, err = run(capsys, ["analyze", str(f)])
+        assert rc == 0 and err == ""
+        torelli = json.loads(out)["torelli"]
+        assert torelli["status"] == "not_torelli_proved"
+        assert torelli["rule"] == "line-bundle-case"
+        assert len(torelli["trace"]) == 1
+        rc, out, err = run(capsys, ["torelli", str(f)])
+        assert rc == 0 and err == ""
+        assert json.loads(out) == torelli
+
 
 class TestTensor:
     def test_tensor_output_shape(self, capsys):

@@ -36,7 +36,7 @@ def small_arrangements(draw):
 @given(small_arrangements(), st.sampled_from([2, 3, 5, 7]))
 @settings(max_examples=300, deadline=None)
 def test_count_matches_brute_force(a, p):
-    coeffs = [f.coeffs for f in a.forms]
+    coeffs = a.forms
     brute = brute_complement_count(a, p)
     assert count_points_raw(coeffs, p) == brute
     if any(rank_mod_p(pair, p) < 2 for pair in combinations(coeffs, 2)):

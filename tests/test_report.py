@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
+import json
+import pathlib
 import sys
 
-from arrinv.fixtures import fixture
-from arrinv.report import build_report
+import pytest
+
+from arrinv.fixtures import fixture, fixture_names
+from arrinv.report import build_report, jsonable
+
+# the benchmark's committed digests; entry 0 of each fixture's stratum is
+# the fixture itself
+REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "fixtures.json"
 
 # (module, function): the expensive or checking steps a report must not repeat
 ONCE_PER_REPORT = (
@@ -37,3 +46,10 @@ def test_each_quantity_is_computed_once_per_report(monkeypatch):
                     monkeypatch.setattr(mod, key, counted)
     build_report(fixture("generic6_off_conic"))
     assert calls == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_report_matches_the_committed_digest(name):
+    text = json.dumps(jsonable(build_report(fixture(name))), indent=2)
+    want = json.loads(REFS.read_text(encoding="utf-8"))["digests"][name][0][1]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want

@@ -15,7 +15,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arrinv.arrangement import InvalidArrangement, parse_arrangement
+from arrinv.arrangement import Arrangement, InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.linalg import QMatrix, bareiss
@@ -24,13 +24,12 @@ from arrinv.report import DEFAULT_PRIMES, Analysis, build_report
 from arrinv.stability import classify
 from arrinv.torelli import (
     ConicClass,
-    DualConfiguration,
     RncVerdict,
     TorelliStatus,
     conic_test,
-    dual_points,
     rnc_test,
     _genericity,
+    _off_curve,
     torelli_verdict,
 )
 from oracles import dependent_subsets_by_minors, rule1_by_exhaustion
@@ -49,14 +48,24 @@ def twisted_cubic_rows(ts):
 
 class TestDualPoints:
     def test_dual_points_are_the_normal_vectors(self):
-        a = fixture("a3_braid")
-        cfg = dual_points(a)
-        assert cfg.n == 2
-        assert cfg.points == tuple(f.coeffs for f in a.forms)
+        # the rows the curve tests read are the canonical primitive forms
+        a = parse_arrangement(2, [[2, 4, 0], ["1/2", 0, "1/2"], [0, -3, 6],
+                                  [1, 1, 1]])
+        assert a.forms == ((1, 2, 0), (1, 0, 1), (0, 1, -2), (1, 1, 1))
+        assert all(type(c) is int for f in a.forms for c in f)
 
     def test_subset_picks_one_based_labels(self):
-        cfg = DualConfiguration(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
-        assert cfg.subset((1, 3, 4)).points == ((1, 0, 0), (0, 0, 1), (1, 1, 1))
+        # labels 1..6 lie on the conic xz = y^2, label 7 does not
+        a = Arrangement(2, tuple((1, t, t * t) for t in range(6)) + ((1, 0, 1),))
+        off_curve = _off_curve(a)
+        assert not off_curve((1, 2, 3, 4, 5, 6))
+        assert off_curve((2, 3, 4, 5, 6, 7))
+        # labels 1..7 lie on a twisted cubic, label 8 does not
+        cubic = Arrangement(3, tuple(map(tuple, twisted_cubic_rows(range(7))))
+                            + ((1, 0, 0, 1),))
+        off_curve = _off_curve(cubic)
+        assert not off_curve((1, 2, 3, 4, 5, 6, 7))
+        assert off_curve((2, 3, 4, 5, 6, 7, 8))
 
 
 CONIC_TABLE = {
@@ -78,7 +87,7 @@ class TestConic:
     @pytest.mark.parametrize("name", sorted(set(CONIC_TABLE) - {"m6_four_concurrent"}))
     def test_fixture_conics(self, name):
         kdim, cls, nonsing, vertex = CONIC_TABLE[name]
-        res = conic_test(dual_points(fixture(name)))
+        res = conic_test(fixture(name))
         assert res.kernel_dim == kdim
         assert res.classification is cls
         assert res.all_points_nonsingular == nonsing
@@ -88,47 +97,47 @@ class TestConic:
     def test_four_concurrent_lines_give_a_singular_pencil_member(self):
         # four collinear dual points force every conic through all six
         # points to contain that line, so no member is nonsingular
-        res = conic_test(dual_points(fixture("m6_four_concurrent")))
+        res = conic_test(fixture("m6_four_concurrent"))
         assert res.kernel_dim == 1
         assert res.classification is ConicClass.TWO_DISTINCT_LINES
 
     def test_unique_conic_through_five_generic_points(self):
         # 3xy - 4xz + yz vanishes on all five dual points of generic5
-        res = conic_test(dual_points(fixture("generic5")))
+        res = conic_test(fixture("generic5"))
         assert res.conic == (0, 3, -4, 0, 1, 0)
 
     def test_conic_through_six_veronese_points_is_the_veronese_conic(self):
         # the points (1, t, t^2) all satisfy xz = y^2
-        res = conic_test(dual_points(fixture("generic6_on_conic")))
+        res = conic_test(fixture("generic6_on_conic"))
         assert res.conic == (0, 0, 1, -1, 0, 0)
 
     def test_two_lines_conic_factor_check(self):
         # m5_one_triple: conic 2xz - yz = z(2x - y), vertex where both
         # lines meet, away from all five dual points
-        res = conic_test(dual_points(fixture("m5_one_triple")))
+        res = conic_test(fixture("m5_one_triple"))
         assert res.conic == (0, 0, 2, 0, -1, 0)
         assert res.vertex == (1, 2, 0)
-        assert res.vertex not in dual_points(fixture("m5_one_triple")).points
+        assert res.vertex not in fixture("m5_one_triple").forms
 
     def test_shared_point_of_two_triples_is_the_vertex(self):
         # m5_two_triples: label 1 sits on both concurrent triples, so the
         # reducible conic yz has its vertex (1,0,0) at that dual point
-        cfg = dual_points(fixture("m5_two_triples"))
-        res = conic_test(cfg)
+        a = fixture("m5_two_triples")
+        res = conic_test(a)
         assert res.conic == (0, 0, 0, 0, 1, 0)
         assert res.vertex == (1, 0, 0)
-        assert res.vertex == cfg.points[0]
+        assert res.vertex == a.forms[0]
         assert not res.all_points_nonsingular
 
     def test_three_points_leave_a_large_family_with_smooth_members(self):
-        res = conic_test(dual_points(fixture("boolean_n2")))
+        res = conic_test(fixture("boolean_n2"))
         assert res.kernel_dim == 3
         assert res.classification is None
         assert res.all_points_nonsingular
 
     def test_pencil_through_four_general_points_has_smooth_members(self):
-        cfg = DualConfiguration(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
-        res = conic_test(cfg)
+        a = Arrangement(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+        res = conic_test(a)
         assert res.kernel_dim == 2
         assert res.all_points_nonsingular
 
@@ -136,24 +145,23 @@ class TestConic:
                     max_size=6, unique=True))
     @settings(max_examples=40, deadline=None)
     def test_six_veronese_points_always_lie_on_a_conic(self, ts):
-        cfg = DualConfiguration(2, tuple((1, t, t * t) for t in ts))
-        res = conic_test(cfg)
+        res = conic_test(Arrangement(2, tuple((1, t, t * t) for t in ts)))
         assert res.kernel_dim >= 1
         assert res.all_points_nonsingular
 
 
 class TestRnc:
     def test_veronese_conic_points_lie_on_a_smooth_conic(self):
-        res = rnc_test(dual_points(fixture("generic6_on_conic")))
+        res = rnc_test(fixture("generic6_on_conic"))
         assert res.verdict is RncVerdict.ON_SMOOTH_RNC
 
     def test_generic_six_points_avoid_every_smooth_conic(self):
-        res = rnc_test(dual_points(fixture("generic6_off_conic")))
+        res = rnc_test(fixture("generic6_off_conic"))
         assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
 
     def test_collinear_triple_blocks_a_smooth_conic(self):
         # a line meets a smooth conic in at most two points
-        res = rnc_test(dual_points(fixture("m5_one_triple")))
+        res = rnc_test(fixture("m5_one_triple"))
         assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
 
     @pytest.mark.parametrize("name", ["m6_one_triple", "m6_two_triples_F1",
@@ -161,16 +169,16 @@ class TestRnc:
     def test_rnc_agrees_with_conic_test_on_six_points(self, name):
         # for six plane points: on a smooth conic iff the conic space is
         # one dimensional with a nonsingular generator
-        cfg = dual_points(fixture(name))
-        conic = conic_test(cfg)
-        rnc = rnc_test(cfg)
+        a = fixture(name)
+        conic = conic_test(a)
+        rnc = rnc_test(a)
         smooth = (conic.kernel_dim == 1
                   and conic.classification is ConicClass.NONSINGULAR)
         assert (rnc.verdict is RncVerdict.ON_SMOOTH_RNC) == smooth
 
     def test_twisted_cubic_points_are_on_a_smooth_rnc(self):
         a = parse_arrangement(3, twisted_cubic_rows((0, 1, 2, 3, -1, -2, 5)))
-        res = rnc_test(dual_points(a))
+        res = rnc_test(a)
         assert res.verdict is RncVerdict.ON_SMOOTH_RNC
         assert res.frame == (1, 2, 3, 4, 5)
         assert res.direction == (Fraction(2, 5), Fraction(3, 10),
@@ -181,7 +189,7 @@ class TestRnc:
         rows = twisted_cubic_rows((0, 1, 2, 3, -1, -2, 5))
         rows[3][2] += 1
         a = parse_arrangement(3, rows)
-        res = rnc_test(dual_points(a))
+        res = rnc_test(a)
         assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
         assert res.frame == (1, 2, 3, 4, 5)
         assert res.direction is None
@@ -191,9 +199,9 @@ class TestRnc:
         # point 7 = p1 + p2 - p3 lies in the plane of three base points of
         # the frame, so it lands on a coordinate hyperplane once normalized;
         # point 6 is on the cubic and passes
-        cfg = DualConfiguration(3, tuple(map(tuple, twisted_cubic_rows(
+        a = Arrangement(3, tuple(map(tuple, twisted_cubic_rows(
             (0, 1, 2, 3, -1, -2)))) + ((1, -1, -3, -7),))
-        res = rnc_test(cfg)
+        res = rnc_test(a)
         assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
         assert res.frame == (1, 2, 3, 4, 5)
         assert res.direction is None
@@ -206,10 +214,10 @@ class TestRnc:
             ts = rng.sample(range(-20, 21), 7)
             rows = twisted_cubic_rows(ts)
             a = parse_arrangement(3, rows)
-            assert rnc_test(dual_points(a)).verdict is RncVerdict.ON_SMOOTH_RNC
+            assert rnc_test(a).verdict is RncVerdict.ON_SMOOTH_RNC
             rows[rng.randrange(7)][rng.randrange(1, 4)] += 1
             a2 = parse_arrangement(3, rows)
-            assert rnc_test(dual_points(a2)).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
+            assert rnc_test(a2).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
 
     def test_general_position_ranks_only_the_largest_subsets(self, monkeypatch):
         # every pair or triple lies in some 4-subset, so C(6, 4) ranks decide
@@ -228,16 +236,16 @@ class TestRnc:
 
     def test_few_points_in_general_position_are_trivially_on_a_curve(self):
         a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-        assert rnc_test(dual_points(a)).verdict is RncVerdict.ON_SMOOTH_RNC
+        assert rnc_test(a).verdict is RncVerdict.ON_SMOOTH_RNC
 
     def test_few_degenerate_points_are_flagged(self):
-        cfg = DualConfiguration(2, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)))
-        assert rnc_test(cfg).verdict is RncVerdict.DEGENERATE_CONFIGURATION
+        a = Arrangement(2, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)))
+        assert rnc_test(a).verdict is RncVerdict.DEGENERATE_CONFIGURATION
 
     def test_fully_collinear_points_cannot_be_on_a_smooth_curve(self):
-        cfg = DualConfiguration(
+        a = Arrangement(
             2, ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 4, 0)))
-        assert rnc_test(cfg).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
+        assert rnc_test(a).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
 
 
 TORELLI_TABLE = {
@@ -482,9 +490,9 @@ def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
     conics, ranks = [], []
     rank = QMatrix.rank
 
-    def counted_conic(config):
-        conics.append(config.m)
-        return conic_test(config)
+    def counted_conic(arr):
+        conics.append(arr.m)
+        return conic_test(arr)
 
     def counted_rank(self):
         ranks.append(self.cols)
@@ -509,9 +517,9 @@ def test_eleven_planes_on_a_twisted_cubic_skip_the_scan(monkeypatch):
     stab = classify(a, lat)
     calls = []
 
-    def counted_rnc(config):
-        calls.append(config.m)
-        return rnc_test(config)
+    def counted_rnc(arr):
+        calls.append(arr.m)
+        return rnc_test(arr)
 
     monkeypatch.setattr(torelli_mod, "rnc_test", counted_rnc)
     v = torelli_verdict(a, lat, stab, max_subsets=561)
@@ -519,3 +527,23 @@ def test_eleven_planes_on_a_twisted_cubic_skip_the_scan(monkeypatch):
     assert v.subset_cap_exceeded
     assert v.rnc.verdict is RncVerdict.ON_SMOOTH_RNC
     assert v.rule == "on-stable-curve"
+
+
+@st.composite
+def line_points(draw):
+    """m <= 8 distinct points of P^1, some of them non-essential."""
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2)
+                         .filter(any), min_size=1, max_size=8))
+    try:
+        return parse_arrangement(1, rows)
+    except InvalidArrangement:   # two rows give the same point
+        assume(False)
+
+
+@given(line_points())
+@settings(max_examples=60, deadline=None)
+def test_every_report_on_the_line_is_made(a):
+    torelli = build_report(a)["torelli"]
+    if a.m >= 3:
+        assert torelli["status"] == "not_torelli_proved"
+        assert torelli["rule"] == "line-bundle-case"

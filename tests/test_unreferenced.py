@@ -3,6 +3,11 @@
 A function that nothing in `src/` calls is either public surface or dead
 code. The public surface is the allowlist below; anything else without a
 reference should go, or move into the tests' oracles if only tests use it.
+
+A module-level function is referenced only by a name read where no
+enclosing function binds that name as a local or a parameter, and a method
+only by an attribute access: a local `scale` does not keep a `scale` method
+alive, nor a `mobius` field a `mobius` function.
 """
 
 import ast
@@ -17,6 +22,9 @@ ALLOWED = {
     "git_ratio_test", "flat_subspace", "free_splitting_stability",
 }
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
 
 def _definitions(tree: ast.Module):
     """Module-level functions and the methods of module-level classes."""
@@ -29,24 +37,60 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{sub.name}", sub
 
 
-def _references(node: ast.AST) -> Counter:
-    """Names read and attributes accessed under `node`; imports do not count."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node)
-                   if isinstance(n, ast.Attribute)
-                   or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+def _own_nodes(scope: ast.AST):
+    """The nodes of `scope` outside the nested scopes it contains."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _own_nodes(child)
+
+
+def _bound(scope: ast.AST) -> set[str]:
+    """Parameters of a function scope and the names its own body binds."""
+    args = getattr(scope, "args", None)
+    params = [] if args is None else [
+        a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+        + [args.vararg, args.kwarg] if a is not None]
+    return set(params) | {
+        n.id for n in _own_nodes(scope)
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)} | {
+        n.name for n in _own_nodes(scope)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def _global_reads(node: ast.AST, hidden: frozenset = frozenset()) -> Counter:
+    """Names read under `node` that no enclosing function binds locally."""
+    if isinstance(node, _SCOPES):
+        hidden = hidden | _bound(node)
+    out = Counter()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            out[child.id] += child.id not in hidden
+        else:
+            out += _global_reads(child, hidden)
+    return out
+
+
+def _attributes(node: ast.AST) -> Counter:
+    """Attribute names accessed under `node`."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
 def unreferenced() -> dict[str, str]:
     """'module:qualified name' -> name, for every definition only it refers to."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    total = sum((_references(tree) for tree in trees.values()), Counter())
-    return {f"{module}:{qualname}": node.name
-            for module, tree in trees.items()
-            for qualname, node in _definitions(tree)
+    # methods are reached through attributes, functions through names
+    references = {kind: (sum(map(count, trees.values()), Counter()), count)
+                  for kind, count in (("method", _attributes), ("function", _global_reads))}
+    out = {}
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            total, count = references["method" if "." in qualname else "function"]
             # dunders are called by Python itself; a recursive call is no use
-            if not (node.name.startswith("__") and node.name.endswith("__"))
-            and total[node.name] == _references(node)[node.name]}
+            if not (node.name.startswith("__") and node.name.endswith("__")) \
+                    and total[node.name] == count(node)[node.name]:
+                out[f"{module}:{qualname}"] = node.name
+    return out
 
 
 def test_every_function_is_referenced_in_src():
