@@ -14,7 +14,7 @@ from .arrangement import (Arrangement, InvalidArrangement, canonical_form,
 from .ffcount import (DegenerateReduction, basis_minors, count_complement_points,
                       next_valid_prime, prime_preserves_lattice)
 from .fixtures import fixture, fixture_names, fixture_note
-from .invariants import (ChernData, DeltaData, LocallyFree, PoincareData, chern,
+from .invariants import (ChernData, LocallyFree, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
                          local_data, poincare, twist_transform)
 from .lattice import (CrossingClass, Flat, IntersectionLattice, build_lattice,
@@ -28,17 +28,15 @@ from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
 from .torelli import (ConicClass, ConicResult, RncResult, RncVerdict,
                       TorelliStatus, TorelliVerdict, conic_test, rnc_test,
                       torelli_verdict)
-from .truncpoly import TruncPoly
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Arrangement", "ChernData", "ConicClass", "ConicResult", "CrossingClass",
-    "DegenerateReduction", "DeltaData", "Flat", "GaleBijectionReport",
-    "GaleUndefined", "IntersectionLattice", "LocallyFree",
-    "InvalidArrangement", "PoincareData", "RncResult", "RncVerdict",
-    "StabilityVerdict", "Status", "SteinerTensor", "TorelliStatus",
-    "TorelliVerdict", "TruncPoly", "Witness", "WitnessKind", "basis_minors",
+    "DegenerateReduction", "Flat", "GaleBijectionReport", "GaleUndefined",
+    "IntersectionLattice", "LocallyFree", "InvalidArrangement", "PoincareData",
+    "RncResult", "RncVerdict", "StabilityVerdict", "Status", "SteinerTensor",
+    "TorelliStatus", "TorelliVerdict", "Witness", "WitnessKind", "basis_minors",
     "build_lattice", "build_report", "canonical_form", "chern", "classify",
     "classify_crossing", "combinatorial_destabilizer",
     "complement_count_prediction", "conic_test", "count_complement_points",

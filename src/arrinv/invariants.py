@@ -2,26 +2,26 @@
 
 Two sheaves are tracked throughout: the "Steiner log sheaf" (the one
 presented by the standard two-term resolution, available once m >= n+2) and
-the full log sheaf of rank n (its saturation). Chern polynomials are
-truncated at t^(n+1) as usual for sheaves on P^n.
+the full log sheaf of rank n (its saturation). Polynomials are tuples of int
+coefficients, low degree first; a Chern polynomial of a sheaf on P^n stops
+at t^n.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .arrangement import Arrangement
 from .lattice import CrossingClass, IntersectionLattice, classify_crossing
-from .truncpoly import TruncPoly
 
 
 @dataclass(frozen=True)
 class PoincareData:
-    projective: TruncPoly  # cap n
-    central: TruncPoly     # cap n+1
+    projective: tuple[int, ...]  # t^0 .. t^n
+    central: tuple[int, ...]     # t^0 .. t^(n+1)
 
 
 def poincare(lattice: IntersectionLattice) -> PoincareData:
@@ -35,11 +35,8 @@ def poincare(lattice: IntersectionLattice) -> PoincareData:
     coeffs = [0] * (n + 1)
     for flat, mu in lattice.items():
         coeffs[flat.rank] += mu * ((-1) ** flat.rank)
-    projective = TruncPoly.from_coeffs(coeffs, n)
-    p_at_minus1 = int(projective.evaluate(-1))
-    central_coeffs = coeffs + [((-1) ** n) * p_at_minus1]
-    central = TruncPoly.from_coeffs(central_coeffs, n + 1)
-    return PoincareData(projective, central)
+    top = (-1) ** n * sum((-1) ** i * c for i, c in enumerate(coeffs))
+    return PoincareData(tuple(coeffs), tuple(coeffs) + (top,))
 
 
 class LocallyFree(enum.Enum):
@@ -50,52 +47,47 @@ class LocallyFree(enum.Enum):
 
 @dataclass(frozen=True)
 class ChernData:
-    """Chern polynomial package, coefficients low degree first, cap n.
+    """Chern polynomials of the sheaves of an arrangement with m >= n + 2.
 
-    The Steiner fields are None when m < n+2 (no Steiner presentation); the
-    reason string says so explicitly.
+    Coefficients run low degree first, t^0 .. t^n. The Steiner resolution
+    0 -> O(-1)^(m-n-1) -> O^(m-1) -> F -> 0 makes both Steiner polynomials
+    binomial: c_t(F) = (1-t)^-(m-n-1) and c_t(F(1)) = (1+t)^(m-1).
     """
 
-    steiner_ct: TruncPoly | None
-    steiner_twisted_ct: TruncPoly | None
-    logfree_twisted_ct: TruncPoly
+    steiner_ct: tuple[int, ...]
+    steiner_twisted_ct: tuple[int, ...]
+    logfree_twisted_ct: tuple[int, ...]
     n2_c1: int | None
     n2_c2: int | None
     locally_free: LocallyFree
-    steiner_unavailable_reason: str | None
 
 
-def twist_transform(ct: TruncPoly, n: int) -> TruncPoly:
+def twist_transform(ct: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Chern polynomial of F(1) from that of F for a rank-n sheaf on P^n.
 
-    sum_i c_i t^i (1+t)^(n-i), computed in the t^(n+1) truncation.
+    sum_i c_i t^i (1+t)^(n-i), up to t^n.
     """
-    acc = TruncPoly.from_coeffs([0], n)
-    one_plus_t = TruncPoly.one_plus_t(n)
-    for i in range(n + 1):
-        term = TruncPoly.from_coeffs([0] * i + [ct.coeffs[i]], n)
-        acc = acc + term * one_plus_t.pow(n - i)
-    return acc
+    return tuple(sum(ct[i] * comb(n - i, k - i) for i in range(k + 1))
+                 for k in range(n + 1))
 
 
 def chern(a: Arrangement, lattice: IntersectionLattice,
           pd: PoincareData) -> ChernData:
-    """Chern data of the sheaves of `a`; `pd` is `poincare(lattice)`."""
-    n, m = a.n, a.m
-    logfree_twisted = pd.projective.divide(TruncPoly.one_plus_t(n))
+    """Chern data of the sheaves of `a`; `pd` is `poincare(lattice)`.
 
-    steiner_ct = None
-    steiner_twisted = None
-    reason = None
-    if m >= n + 2:
-        steiner_ct = TruncPoly.geometric(n).pow(m - 1 - n)
-        steiner_twisted = TruncPoly.one_plus_t(n).pow(m - 1)
-        # internal consistency: twisting the resolution-side polynomial must
-        # reproduce the closed form (1+t)^(m-1)
-        if twist_transform(steiner_ct, n) != steiner_twisted:
-            raise AssertionError("twist identity failed; truncation bug")
-    else:
-        reason = f"no Steiner presentation: m = {m} < n + 2 = {n + 2}"
+    Raises ValueError for m < n + 2, where there is no Steiner sheaf.
+    """
+    n, m = a.n, a.m
+    if m < n + 2:
+        raise ValueError(f"Chern data need m >= n + 2, got m = {m}")
+    steiner_ct = tuple(comb(m - n - 2 + i, i) for i in range(n + 1))
+    steiner_twisted = tuple(comb(m - 1, i) for i in range(n + 1))
+    # internal consistency: twisting the resolution-side polynomial must
+    # reproduce the closed form (1+t)^(m-1)
+    if twist_transform(steiner_ct, n) != steiner_twisted:
+        raise AssertionError("twist identity failed")
+    # projective / (1+t): q_k = p_k - q_(k-1)
+    logfree_twisted = tuple(accumulate(pd.projective, lambda q, c: c - q))
 
     n2_c1 = n2_c2 = None
     if n == 2:
@@ -114,7 +106,7 @@ def chern(a: Arrangement, lattice: IntersectionLattice,
         flag = LocallyFree.UNKNOWN
 
     return ChernData(steiner_ct, steiner_twisted, logfree_twisted,
-                     n2_c1, n2_c2, flag, reason)
+                     n2_c1, n2_c2, flag)
 
 
 @dataclass(frozen=True)
@@ -150,13 +142,7 @@ def local_data(lattice: IntersectionLattice) -> tuple[LocalPointData, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DeltaData:
-    total: int
-    per_point: tuple[tuple[tuple[int, ...], int], ...]  # (labels, local delta)
-
-
-def delta_invariant(lattice: IntersectionLattice) -> DeltaData:
+def delta_invariant(lattice: IntersectionLattice) -> int:
     """Sum of C(s(x)-1, 2) over the multiple points of a line arrangement.
 
     Also checks the pair-count identity C(m,2) - sum(s-1) = sum C(s-1,2),
@@ -164,17 +150,11 @@ def delta_invariant(lattice: IntersectionLattice) -> DeltaData:
     """
     if lattice.n != 2:
         raise ValueError("delta invariant is defined for n = 2 only")
-    per = []
-    total = 0
-    s_sum = 0
-    for f in lattice.flats_of_rank(2):
-        d = comb(f.s - 1, 2)
-        per.append((f.indices, d))
-        total += d
-        s_sum += f.s - 1
-    if comb(lattice.m, 2) - s_sum != total:
+    points = lattice.flats_of_rank(2)
+    total = sum(comb(f.s - 1, 2) for f in points)
+    if comb(lattice.m, 2) - sum(f.s - 1 for f in points) != total:
         raise AssertionError("pair-count identity violated; lattice bug")
-    return DeltaData(total, tuple(per))
+    return total
 
 
 def h0_values(lattice: IntersectionLattice) -> tuple[int, int]:
@@ -201,8 +181,5 @@ def complement_count_prediction(pd: PoincareData, p: int) -> int:
     central intersection data, including the origin flat of an essential
     arrangement that the projective lattice omits.
     """
-    central = pd.central
-    acc = 0
-    for i, c in enumerate(central.coeffs):
-        acc += c * ((-1) ** i) * p ** (central.cap - i)
-    return acc
+    top = len(pd.central) - 1
+    return sum(c * (-1) ** i * p ** (top - i) for i, c in enumerate(pd.central))

@@ -5,8 +5,9 @@ quantity at most once: above all the rank table of small subsets of forms,
 which the intersection lattice and the Gale primal sets read; the gcd of
 each basis's maximal minors, taken over Z from the forms, so that an oracle
 prime is accepted when it divides none of them; and the defining tensor,
-whose relation basis gives the Gale dual points. Stability, Torelli and
-Chern data share one availability rule, `Analysis.unavailable`. The CLI commands print sections of an Analysis, so
+whose relation basis gives the Gale dual points. Stability, Torelli, Chern
+data and the delta section's h0 values share one availability rule,
+`Analysis.unavailable`. The CLI commands print sections of an Analysis, so
 each prints what `analyze` does.
 
 Everything here returns plain dicts and lists ready for json.dumps. Field
@@ -36,7 +37,6 @@ from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
                       verify_gale_bijection)
 from .stability import StabilityVerdict, Status, classify
 from .torelli import DEFAULT_MAX_SUBSETS, TorelliVerdict, torelli_verdict
-from .truncpoly import TruncPoly
 
 DEFAULT_PRIMES = (7, 11, 101)
 SECTIONS = ("arrangement", "lattice", "poincare", "chern", "delta", "stability",
@@ -54,10 +54,6 @@ def jsonable(x):
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
     raise TypeError(f"not jsonable: {type(x)!r}")
-
-
-def _poly(p: TruncPoly | None):
-    return None if p is None else list(p.coeffs)
 
 
 @dataclass
@@ -96,7 +92,7 @@ class Analysis:
 
     @cached_property
     def unavailable(self) -> str | None:
-        """Why stability, Torelli and Chern data are missing, or None.
+        """Why stability, Torelli, Chern and h0 data are missing, or None.
 
         They need the Steiner presentation: an essential arrangement with
         m >= n + 2, which is also when the defining tensor exists.
@@ -168,16 +164,16 @@ class Analysis:
 
     def poincare_section(self) -> dict:
         pd = self.poincare
-        return {"projective": _poly(pd.projective), "central": _poly(pd.central)}
+        return {"projective": list(pd.projective), "central": list(pd.central)}
 
     def chern_section(self) -> dict:
         cd = self.chern_data
         if cd is None:
             return {"status": "unavailable", "reason": self.unavailable}
         out = {
-            "steiner_ct": _poly(cd.steiner_ct),
-            "steiner_twisted_ct": _poly(cd.steiner_twisted_ct),
-            "logfree_twisted_ct": _poly(cd.logfree_twisted_ct),
+            "steiner_ct": list(cd.steiner_ct),
+            "steiner_twisted_ct": list(cd.steiner_twisted_ct),
+            "logfree_twisted_ct": list(cd.logfree_twisted_ct),
             "locally_free": cd.locally_free.value,
         }
         if self.a.n == 2:
@@ -197,8 +193,8 @@ class Analysis:
             "branches": loc.branches,
             "torsion_length": loc.torsion_length,
         } for loc in local_data(lattice)]
-        out = {"total": delta_invariant(lattice).total, "per_point": per_point}
-        if a.m >= a.n + 2:
+        out = {"total": delta_invariant(lattice), "per_point": per_point}
+        if self.unavailable is None:
             h0_sheaf, h0_log = h0_values(lattice)
             out["h0_twisted_sheaf"] = h0_sheaf
             out["h0_twisted_log"] = h0_log
@@ -334,9 +330,9 @@ class Analysis:
         cd = self.chern_data
         if cd is not None:
             twisted = twist_transform(cd.steiner_ct, a.n)
-            ok = twisted.coeffs == cd.steiner_twisted_ct.coeffs
+            ok = twisted == cd.steiner_twisted_ct
             checks.append({"check": "twist_identity", "status": "pass" if ok else "fail",
-                           "lhs": _poly(twisted), "rhs": _poly(cd.steiner_twisted_ct)})
+                           "lhs": list(twisted), "rhs": list(cd.steiner_twisted_ct)})
         else:
             checks.append({"check": "twist_identity", "status": "skipped",
                            "reason": "needs an essential arrangement with m >= n + 2"})
@@ -362,7 +358,7 @@ def delta_bound_check(a: Arrangement, lattice: IntersectionLattice,
                 "reason": f"arrangement is {verdict.status.value}; bound applies "
                           "to semi-stable ones"}
     m = a.m
-    total = delta_invariant(lattice).total
+    total = delta_invariant(lattice)
     quarter = Fraction((m - 1) * (m - 3), 4)
     fifth = Fraction((m - 1) * (m - 3), 5)
     return {

@@ -248,7 +248,7 @@ def classify(a: Arrangement, lattice: IntersectionLattice,
                          "(Bohnhorst-Spindler)")
             return StabilityVerdict(Status.STABLE, tuple(witnesses), tuple(rules))
         if n == 2 and m >= 6:
-            if delta_invariant(lattice).total == 1:
+            if delta_invariant(lattice) == 1:
                 rules.append("single modest multiple point (delta = 1, m >= 6) "
                              "is stable (Schenck)")
                 return StabilityVerdict(Status.STABLE, tuple(witnesses), tuple(rules))

@@ -121,7 +121,6 @@ def _dependent_subsets(vectors, dim: int) -> tuple[tuple[int, ...], ...]:
 class GaleBijectionReport:
     ok: bool
     primal_dependent: tuple[tuple[int, ...], ...]
-    expected_dual: tuple[tuple[int, ...], ...]   # complements of the primal sets
     actual_dual: tuple[tuple[int, ...], ...]
     missing: tuple[tuple[int, ...], ...]
     extra: tuple[tuple[int, ...], ...]
@@ -153,7 +152,6 @@ def verify_gale_bijection(t: SteinerTensor,
     return GaleBijectionReport(
         ok=not missing and not extra,
         primal_dependent=primal,
-        expected_dual=expected,
         actual_dual=actual,
         missing=missing,
         extra=extra,

@@ -7,8 +7,9 @@ elimination below rather than the library's fraction-free routine, the
 Moebius oracle sums signed generating subsets instead of recursing over the
 poset, the point counter loops over the whole affine space instead of
 walking fibers, a prime is judged by re-ranking every set of the rank
-table mod p instead of by divisibility of basis minors, and Torelli rule 1
-is an exhaustive scan of every subset.
+table mod p instead of by divisibility of basis minors, polynomial products
+are multiplied out term by term instead of read off closed binomials, and
+Torelli rule 1 is an exhaustive scan of every subset.
 
 One exception: for n >= 3 that scan asks the library's `rnc_test` whether a
 subset's dual points lie on a smooth rational normal curve. There is no
@@ -145,6 +146,21 @@ def mobius_by_subsets(a: Arrangement, flat: Flat) -> int:
     if not labels:
         total = 1
     return total
+
+
+def truncated_product(factors, degree: int) -> tuple[int, ...]:
+    """Product of integer polynomials, low degree first, up to t^degree.
+
+    Every pair of terms is multiplied out in full; the cut comes at the end.
+    """
+    out = [1]
+    for f in factors:
+        new = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                new[i + j] += a * b
+        out = new
+    return tuple(out[:degree + 1] + [0] * (degree + 1 - len(out)))
 
 
 def brute_complement_count(a: Arrangement, p: int) -> int:

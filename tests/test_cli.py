@@ -103,6 +103,19 @@ class TestAnalyze:
         assert rc == 0
         assert "gale dual: not defined (arrangement is not essential)" in out
 
+    def test_no_h0_values_without_a_steiner_sheaf(self, capsys, tmp_path):
+        # five concurrent lines: m >= n + 2, but not essential
+        f = tmp_path / "concurrent5.json"
+        f.write_text(json.dumps({"n": 2, "hyperplanes": CONCURRENT6["hyperplanes"][:5]}))
+        rc, out, err = run(capsys, ["invariants", str(f)])
+        assert rc == 0 and err == ""
+        d = json.loads(out)
+        assert d["chern"] == {"status": "unavailable",
+                              "reason": "arrangement is not essential"}
+        assert d["delta"]["total"] == 6
+        assert "h0_twisted_sheaf" not in d["delta"]
+        assert "h0_twisted_log" not in d["delta"]
+
     def test_three_points_on_the_line(self, capsys, tmp_path):
         f = tmp_path / "points.json"
         f.write_text(json.dumps({"n": 1, "hyperplanes": [[1, 0], [0, 1], [1, 1]]}))

@@ -9,7 +9,7 @@ from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import (LocallyFree, chern, delta_invariant, h0_values,
                                local_data, poincare, twist_transform)
 from arrinv.lattice import build_lattice
-from arrinv.truncpoly import TruncPoly
+from oracles import truncated_product
 
 # projective coefficients, central coefficients, delta; all cross-validated
 # against the finite-field counts at p = 7, 11, 101 and the subset-sum
@@ -53,15 +53,14 @@ CHERN_TABLE = {
 def test_poincare_table(name):
     pd = poincare(build_lattice(fixture(name)))
     proj, central, _ = POINCARE_TABLE[name]
-    assert pd.projective.coeffs == proj
-    assert pd.central.coeffs == central
+    assert pd.projective == proj
+    assert pd.central == central
 
 
 def test_a3_central_factors():
     # (1+t)(1+2t)(1+3t), multiplied out exactly
-    product = TruncPoly((1, 1, 0, 0)) * TruncPoly((1, 2, 0, 0)) * TruncPoly((1, 3, 0, 0))
     pd = poincare(build_lattice(fixture("a3_braid")))
-    assert pd.central.coeffs == product.coeffs
+    assert pd.central == truncated_product([(1, 1), (1, 2), (1, 3)], 3)
 
 
 @pytest.mark.parametrize("name", sorted(CHERN_TABLE))
@@ -75,8 +74,8 @@ def test_steiner_ct_depends_only_on_size():
     for name in ("a3_braid", "generic6_on_conic", "m6_three_triples"):
         a = fixture(name)
         cd = _chern(a)
-        assert cd.steiner_ct.coeffs == (1, 3, 6)
-        assert cd.steiner_twisted_ct.coeffs == (1, 5, 10)
+        assert cd.steiner_ct == (1, 3, 6)
+        assert cd.steiner_twisted_ct == (1, 5, 10)
 
 
 def test_chern_generic_table():
@@ -89,16 +88,14 @@ def test_chern_generic_table():
         assert (cd.n2_c1, cd.n2_c2) == expected
         # for generic arrangements the Steiner polynomial matches the
         # point-count values
-        assert cd.steiner_ct.coeffs == (1,) + expected
+        assert cd.steiner_ct == (1,) + expected
 
 
 def test_logfree_twisted_is_projective_over_one_plus_t():
     a = fixture("a3_braid")
     lat = build_lattice(a)
     cd = chern(a, lat, poincare(lat))
-    assert cd.logfree_twisted_ct.coeffs == (1, 5, 6)
-    back = cd.logfree_twisted_ct * TruncPoly.one_plus_t(2)
-    assert back.coeffs == poincare(lat).projective.coeffs
+    assert cd.logfree_twisted_ct == (1, 5, 6)
 
 
 @pytest.mark.parametrize("name", sorted(CHERN_TABLE))
@@ -106,8 +103,7 @@ def test_twist_of_point_ct_matches_logfree_twisted(name):
     a = fixture(name)
     lat = build_lattice(a)
     cd = chern(a, lat, poincare(lat))
-    point_ct = TruncPoly((1, cd.n2_c1, cd.n2_c2))
-    assert twist_transform(point_ct, 2).coeffs == cd.logfree_twisted_ct.coeffs
+    assert twist_transform((1, cd.n2_c1, cd.n2_c2), 2) == cd.logfree_twisted_ct
 
 
 @given(st.lists(st.integers(-8, 8), min_size=4, max_size=4))
@@ -117,19 +113,51 @@ def test_twist_transform_is_multiplicative_shift(coeffs):
     # few integers through the truncation-safe identity
     # twist(f)(t) = (1+t)^n f(t/(1+t)) as power series; check degree-0 and
     # degree-1 coefficients directly
-    f = TruncPoly(tuple(coeffs))
-    tw = twist_transform(f, 3)
-    assert tw.coeffs[0] == coeffs[0]
-    assert tw.coeffs[1] == 3 * coeffs[0] + coeffs[1]
+    tw = twist_transform(tuple(coeffs), 3)
+    assert tw[0] == coeffs[0]
+    assert tw[1] == 3 * coeffs[0] + coeffs[1]
+
+
+def _pencil(n, m):
+    """The n+1 coordinate hyperplanes and m-n-1 more through x_0 = x_1 = 0."""
+    rows = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    rows += [[1, k] + [0] * (n - 1) for k in range(1, m - n)]
+    return parse_arrangement(n, rows)
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=30, deadline=None)
+def test_steiner_polynomials_are_the_resolution_products(n, data):
+    # 0 -> O(-1)^(m-n-1) -> O^(m-1) -> F -> 0: c_t(F) = (1-t)^-(m-n-1),
+    # which up to t^n is (1+t+...+t^n)^(m-n-1), and c_t(F(1)) = (1+t)^(m-1)
+    m = data.draw(st.integers(n + 2, n + 12), label="m")
+    cd = _chern(_pencil(n, m))
+    assert cd.steiner_ct == truncated_product([(1,) * (n + 1)] * (m - n - 1), n)
+    assert cd.steiner_twisted_ct == truncated_product([(1, 1)] * (m - 1), n)
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=60)
+def test_twist_transform_is_the_twisted_sum(n, data):
+    f = data.draw(st.lists(st.integers(-20, 20), min_size=n + 1, max_size=n + 1),
+                  label="f")
+    terms = [truncated_product([(0,) * i + (c,)] + [(1, 1)] * (n - i), n)
+             for i, c in enumerate(f)]
+    assert twist_transform(tuple(f), n) == tuple(map(sum, zip(*terms)))
+
+
+@pytest.mark.parametrize("name", [n for n in fixture_names() if n != "boolean_n2"])
+def test_logfree_twisted_times_one_plus_t_is_projective(name):
+    a = fixture(name)
+    lat = build_lattice(a)
+    pd = poincare(lat)
+    cd = chern(a, lat, pd)
+    assert truncated_product([cd.logfree_twisted_ct, (1, 1)], a.n) == pd.projective
 
 
 def test_chern_small_arrangement_has_no_steiner_fields():
-    a = fixture("boolean_n2")
-    cd = _chern(a)
-    assert cd.steiner_ct is None
-    assert cd.steiner_twisted_ct is None
-    assert "m = 3" in cd.steiner_unavailable_reason
-    assert cd.logfree_twisted_ct.coeffs == (1, 2, 1)
+    with pytest.raises(ValueError, match=r"m >= n \+ 2, got m = 3"):
+        _chern(fixture("boolean_n2"))
 
 
 def test_locally_free_flags():
@@ -152,14 +180,15 @@ def test_locally_free_flags():
 @pytest.mark.parametrize("name", sorted(POINCARE_TABLE))
 def test_delta_invariant_table(name):
     _, _, delta = POINCARE_TABLE[name]
-    assert delta_invariant(build_lattice(fixture(name))).total == delta
+    assert delta_invariant(build_lattice(fixture(name))) == delta
 
 
 def test_delta_per_point():
-    dd = delta_invariant(build_lattice(fixture("m6_four_concurrent")))
-    contributions = {labels: d for labels, d in dd.per_point}
+    lat = build_lattice(fixture("m6_four_concurrent"))
+    contributions = {r.indices: r.torsion_length for r in local_data(lat)}
     assert contributions[(1, 2, 3, 4)] == 3
-    assert all(d == 0 for labels, d in dd.per_point if len(labels) == 2)
+    assert all(d == 0 for labels, d in contributions.items() if len(labels) == 2)
+    assert sum(contributions.values()) == delta_invariant(lat)
 
 
 def test_local_data_values():
@@ -184,7 +213,7 @@ def test_h0_gap_equals_delta(name):
     lat = build_lattice(fixture(name))
     h0_steiner, h0_log = h0_values(lat)
     assert h0_steiner == lat.m - 1
-    assert h0_log - h0_steiner == delta_invariant(lat).total
+    assert h0_log - h0_steiner == delta_invariant(lat)
 
 
 def test_h0_values_a3():

@@ -1,13 +1,15 @@
-"""Every function and method in the package is used by the package itself.
+"""Every function, method and dataclass field is used by the package itself.
 
-A function that nothing in `src/` calls is either public surface or dead
-code. The public surface is the allowlist below; anything else without a
-reference should go, or move into the tests' oracles if only tests use it.
+A function that nothing in `src/` calls, or a field that nothing in `src/`
+reads, is either public surface or dead code. The public surface is the
+allowlist below; anything else without a reference should go, or move into
+the tests' oracles if only tests use it.
 
 A module-level function is referenced only by a name read where no
 enclosing function binds that name as a local or a parameter, and a method
 only by an attribute access: a local `scale` does not keep a `scale` method
-alive, nor a `mobius` field a `mobius` function.
+alive, nor a `mobius` field a `mobius` function. A field is read only by an
+attribute load: the constructor call that fills it does not count.
 """
 
 import ast
@@ -20,6 +22,9 @@ ALLOWED = {
     "build_report",   # the library's entry point
     # stability evidence not yet in a report (ROADMAP items 4, 5 and 7)
     "git_ratio_test", "flat_subspace", "free_splitting_stability",
+    "GitRatioResult.dim_e", "GitRatioResult.dim_w", "GitRatioResult.dim_wprime",
+    "GitRatioResult.dim_intersection", "GitRatioResult.destabilizing",
+    "GitRatioResult.strict_ok", "GitRatioResult.semistable_ok",
 }
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
@@ -76,9 +81,32 @@ def _attributes(node: ast.AST) -> Counter:
     return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated `@dataclass` or `@dataclass(...)`."""
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_fields() -> dict[str, str]:
+    """'module:Class.field' -> 'Class.field', for every field no attribute load reads."""
+    trees = _trees()
+    reads = Counter(n.attr for tree in trees.values() for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    return {f"{module}:{cls.name}.{f.target.id}": f"{cls.name}.{f.target.id}"
+            for module, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            for f in cls.body
+            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+            and not reads[f.target.id]}
+
+
 def unreferenced() -> dict[str, str]:
     """'module:qualified name' -> name, for every definition only it refers to."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     # methods are reached through attributes, functions through names
     references = {kind: (sum(map(count, trees.values()), Counter()), count)
                   for kind, count in (("method", _attributes), ("function", _global_reads))}
@@ -99,5 +127,9 @@ def test_every_function_is_referenced_in_src():
             if name not in ALLOWED and not name.endswith("_section")] == []
 
 
+def test_every_dataclass_field_is_read_in_src():
+    assert [where for where, name in unread_fields().items() if name not in ALLOWED] == []
+
+
 def test_allowlist_names_unreferenced_functions_only():
-    assert ALLOWED <= set(unreferenced().values())
+    assert ALLOWED <= set(unreferenced().values()) | set(unread_fields().values())
