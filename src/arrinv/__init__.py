@@ -9,14 +9,14 @@ the lattice computation.
 """
 
 from .arrangement import (Arrangement, InvalidArrangement, canonical_form,
-                          is_essential, parse_arrangement, parse_arrangement_json,
-                          subset_ranks)
+                          parse_arrangement, parse_arrangement_json, subset_ranks)
 from .ffcount import (DegenerateReduction, basis_minors, count_complement_points,
                       next_valid_prime, prime_preserves_lattice)
 from .fixtures import fixture, fixture_names, fixture_note
 from .invariants import (ChernData, LocallyFree, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
-                         local_data, poincare, twist_transform)
+                         local_data, poincare, steiner_unavailable,
+                         twist_transform)
 from .lattice import (CrossingClass, Flat, IntersectionLattice, build_lattice,
                       classify_crossing)
 from .report import build_report
@@ -42,8 +42,8 @@ __all__ = [
     "complement_count_prediction", "conic_test", "count_complement_points",
     "delta_invariant", "discriminant_test", "fixture", "fixture_names",
     "fixture_note", "free_splitting_stability", "gale_dual", "git_ratio_test",
-    "h0_values", "is_essential", "local_data", "next_valid_prime",
-    "parse_arrangement", "parse_arrangement_json", "poincare",
-    "prime_preserves_lattice", "rnc_test", "steiner_tensor", "subset_ranks",
-    "torelli_verdict", "twist_transform", "verify_gale_bijection",
+    "h0_values", "local_data", "next_valid_prime", "parse_arrangement",
+    "parse_arrangement_json", "poincare", "prime_preserves_lattice", "rnc_test",
+    "steiner_tensor", "steiner_unavailable", "subset_ranks", "torelli_verdict",
+    "twist_transform", "verify_gale_bijection",
 ]

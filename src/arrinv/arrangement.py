@@ -111,11 +111,6 @@ def parse_arrangement_json(text: str) -> Arrangement:
     return parse_arrangement(obj["n"], obj["hyperplanes"])
 
 
-def is_essential(a: Arrangement) -> bool:
-    """True when the forms span the full dual space (rank n+1)."""
-    return bareiss(a.forms)[0] == a.n + 1
-
-
 def subset_ranks(a: Arrangement) -> dict[tuple[int, ...], int]:
     """Rank over Q of the forms of every sorted label set of size 1..n+1.
 

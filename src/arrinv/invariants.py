@@ -1,10 +1,10 @@
 """Numerical invariants of an arrangement and its logarithmic sheaves.
 
 Two sheaves are tracked throughout: the "Steiner log sheaf" (the one
-presented by the standard two-term resolution, available once m >= n+2) and
-the full log sheaf of rank n (its saturation). Polynomials are tuples of int
-coefficients, low degree first; a Chern polynomial of a sheaf on P^n stops
-at t^n.
+presented by the standard two-term resolution) and the full log sheaf of
+rank n (its saturation). `steiner_unavailable` decides, for the whole sheaf
+layer, where the resolution exists. Polynomials are tuples of int
+coefficients, low degree first; a Chern polynomial on P^n stops at t^n.
 """
 
 from __future__ import annotations
@@ -14,8 +14,27 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .arrangement import Arrangement
 from .lattice import CrossingClass, IntersectionLattice, classify_crossing
+
+
+def steiner_unavailable(lattice: IntersectionLattice) -> str | None:
+    """Why the arrangement of `lattice` has no Steiner sheaf, or None.
+
+    The resolution 0 -> O(-1)^(m-n-1) -> O^(m-1) -> F -> 0 needs an
+    essential arrangement (the m-n-1 relations of the forms) with m >= n + 2.
+    """
+    if not lattice.essential:
+        return "arrangement is not essential"
+    if lattice.m < lattice.n + 2:
+        return f"needs m >= n + 2, got m = {lattice.m}"
+    return None
+
+
+def require_steiner(lattice: IntersectionLattice, subject: str) -> None:
+    """Raise ValueError naming `subject` when `steiner_unavailable` objects."""
+    why = steiner_unavailable(lattice)
+    if why is not None:
+        raise ValueError(f"{subject}: {why}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +66,7 @@ class LocallyFree(enum.Enum):
 
 @dataclass(frozen=True)
 class ChernData:
-    """Chern polynomials of the sheaves of an arrangement with m >= n + 2.
+    """Chern polynomials of the sheaves of an arrangement with a Steiner sheaf.
 
     Coefficients run low degree first, t^0 .. t^n. The Steiner resolution
     0 -> O(-1)^(m-n-1) -> O^(m-1) -> F -> 0 makes both Steiner polynomials
@@ -71,15 +90,14 @@ def twist_transform(ct: tuple[int, ...], n: int) -> tuple[int, ...]:
                  for k in range(n + 1))
 
 
-def chern(a: Arrangement, lattice: IntersectionLattice,
-          pd: PoincareData) -> ChernData:
-    """Chern data of the sheaves of `a`; `pd` is `poincare(lattice)`.
+def chern(lattice: IntersectionLattice, pd: PoincareData) -> ChernData:
+    """Chern data of the sheaves of the lattice's arrangement.
 
-    Raises ValueError for m < n + 2, where there is no Steiner sheaf.
+    `pd` is `poincare(lattice)`. Raises ValueError where there is no
+    Steiner sheaf (`steiner_unavailable`).
     """
-    n, m = a.n, a.m
-    if m < n + 2:
-        raise ValueError(f"Chern data need m >= n + 2, got m = {m}")
+    require_steiner(lattice, "Chern data")
+    n, m = lattice.n, lattice.m
     steiner_ct = tuple(comb(m - n - 2 + i, i) for i in range(n + 1))
     steiner_twisted = tuple(comb(m - 1, i) for i in range(n + 1))
     # internal consistency: twisting the resolution-side polynomial must
@@ -122,24 +140,13 @@ class LocalPointData:
 
 
 def local_data(lattice: IntersectionLattice) -> tuple[LocalPointData, ...]:
-    """Per-point data for n = 2; each record satisfies mu = 2*delta - r + 1."""
+    """Per-point data for n = 2; mu = 2*delta - r + 1 holds for every s."""
     if lattice.n != 2:
         raise ValueError("local singularity data is defined for n = 2 only")
-    out = []
-    for f in lattice.flats_of_rank(2):
-        s = f.s
-        rec = LocalPointData(
-            indices=f.indices,
-            s=s,
-            milnor=(s - 1) ** 2,
-            delta_local=comb(s, 2),
-            branches=s,
-            torsion_length=comb(s - 1, 2),
-        )
-        if rec.milnor != 2 * rec.delta_local - rec.branches + 1:
-            raise AssertionError("Jung-Milnor relation violated")
-        out.append(rec)
-    return tuple(out)
+    return tuple(LocalPointData(indices=f.indices, s=f.s, milnor=(f.s - 1) ** 2,
+                                delta_local=comb(f.s, 2), branches=f.s,
+                                torsion_length=comb(f.s - 1, 2))
+                 for f in lattice.flats_of_rank(2))
 
 
 def delta_invariant(lattice: IntersectionLattice) -> int:
@@ -164,9 +171,8 @@ def h0_values(lattice: IntersectionLattice) -> tuple[int, int]:
     """
     if lattice.n != 2:
         raise ValueError("h0 formulas implemented for n = 2 only")
+    require_steiner(lattice, "h0 formulas")
     m = lattice.m
-    if m < lattice.n + 2:
-        raise ValueError(f"h0 formulas need m >= n + 2, got m = {m}")
     s_sum = sum(f.s - 1 for f in lattice.flats_of_rank(2))
     h0_steiner = m - 1
     h0_log = m - 1 - s_sum + comb(m, 2)

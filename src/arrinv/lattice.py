@@ -48,6 +48,11 @@ class IntersectionLattice:
     def m(self) -> int:
         return self.arrangement.m
 
+    @property
+    def essential(self) -> bool:
+        """True when the forms have rank n+1: no flat lies on all m hyperplanes."""
+        return all(f.s < self.m for f in self.flats)
+
     def flats_of_rank(self, r: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.rank == r)
 

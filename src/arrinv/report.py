@@ -6,9 +6,11 @@ which the intersection lattice and the Gale primal sets read; the gcd of
 each basis's maximal minors, taken over Z from the forms, so that an oracle
 prime is accepted when it divides none of them; and the defining tensor,
 whose relation basis gives the Gale dual points. Stability, Torelli, Chern
-data and the delta section's h0 values share one availability rule,
-`Analysis.unavailable`. The CLI commands print sections of an Analysis, so
-each prints what `analyze` does.
+data, the delta section's h0 values and the tensor exist only where the
+Steiner sheaf does; `Analysis.unavailable` reads that off the lattice with
+`invariants.steiner_unavailable`, the rule the sheaf layer itself enforces.
+The CLI commands print sections of an Analysis, so each prints what
+`analyze` does.
 
 Everything here returns plain dicts and lists ready for json.dumps. Field
 order is fixed by construction and all collection iteration is over sorted
@@ -25,12 +27,13 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .arrangement import Arrangement, is_essential, subset_ranks
+from .arrangement import Arrangement, subset_ranks
 from .ffcount import (basis_minors, count_complement_points, next_valid_prime,
                       prime_preserves_lattice)
-from .invariants import (ChernData, PoincareData, chern,
+from .invariants import (ChernData, LocalPointData, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
-                         local_data, poincare, twist_transform)
+                         local_data, poincare, steiner_unavailable,
+                         twist_transform)
 from .lattice import IntersectionLattice, build_lattice, classify_crossing
 from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
                       dual_columns, gale_dual, steiner_tensor,
@@ -87,21 +90,13 @@ class Analysis:
         return poincare(self.lattice)
 
     @cached_property
-    def essential(self) -> bool:
-        return is_essential(self.a)
+    def local_data(self) -> tuple[LocalPointData, ...]:
+        return local_data(self.lattice)
 
     @cached_property
     def unavailable(self) -> str | None:
-        """Why stability, Torelli, Chern and h0 data are missing, or None.
-
-        They need the Steiner presentation: an essential arrangement with
-        m >= n + 2, which is also when the defining tensor exists.
-        """
-        if not self.essential:
-            return "arrangement is not essential"
-        if self.a.m < self.a.n + 2:
-            return f"needs m >= n + 2, got m = {self.a.m}"
-        return None
+        """Why stability, Torelli, Chern, h0 and tensor data are missing, or None."""
+        return steiner_unavailable(self.lattice)
 
     @cached_property
     def tensor(self) -> SteinerTensor | None:
@@ -111,18 +106,18 @@ class Analysis:
     def stability(self) -> StabilityVerdict | None:
         if self.unavailable:
             return None
-        return classify(self.a, self.lattice, literature_rules=self.literature_rules)
+        return classify(self.lattice, literature_rules=self.literature_rules)
 
     @cached_property
     def torelli(self) -> TorelliVerdict | None:
         if self.unavailable:
             return None
-        return torelli_verdict(self.a, self.lattice, self.stability,
+        return torelli_verdict(self.lattice, self.stability,
                                max_subsets=self.max_subsets)
 
     @cached_property
     def chern_data(self) -> ChernData | None:
-        return None if self.unavailable else chern(self.a, self.lattice, self.poincare)
+        return None if self.unavailable else chern(self.lattice, self.poincare)
 
     @cached_property
     def gale_check(self) -> GaleBijectionReport | None:
@@ -146,7 +141,7 @@ class Analysis:
             "n": a.n,
             "m": a.m,
             "hyperplanes": [list(f) for f in a.forms],
-            "essential": self.essential,
+            "essential": self.lattice.essential,
         }
 
     def lattice_section(self) -> dict:
@@ -192,7 +187,7 @@ class Analysis:
             "delta_local": loc.delta_local,
             "branches": loc.branches,
             "torsion_length": loc.torsion_length,
-        } for loc in local_data(lattice)]
+        } for loc in self.local_data]
         out = {"total": delta_invariant(lattice), "per_point": per_point}
         if self.unavailable is None:
             h0_sheaf, h0_log = h0_values(lattice)
@@ -294,7 +289,7 @@ class Analysis:
         if a.n == 2:
             ok = True
             detail = []
-            for loc in local_data(lattice):
+            for loc in self.local_data:
                 lhs = loc.milnor
                 rhs = 2 * loc.delta_local - loc.branches + 1
                 if lhs != rhs:
@@ -337,11 +332,11 @@ class Analysis:
             checks.append({"check": "twist_identity", "status": "skipped",
                            "reason": "needs an essential arrangement with m >= n + 2"})
 
-        checks.append(delta_bound_check(a, lattice, self.stability))
+        checks.append(delta_bound_check(lattice, self.stability))
         return checks
 
 
-def delta_bound_check(a: Arrangement, lattice: IntersectionLattice,
+def delta_bound_check(lattice: IntersectionLattice,
                       verdict: StabilityVerdict | None) -> dict:
     """Bound on the delta invariant for semi-stable plane arrangements.
 
@@ -350,14 +345,14 @@ def delta_bound_check(a: Arrangement, lattice: IntersectionLattice,
     two-triple five-line example sits exactly on the quarter bound while
     violating the fifth one.
     """
-    if a.n != 2 or verdict is None:
+    if lattice.n != 2 or verdict is None:
         return {"check": "delta_bound", "status": "skipped",
                 "reason": "defined for n = 2 with a stability verdict"}
     if verdict.status not in (Status.STABLE, Status.NOT_STABLE):
         return {"check": "delta_bound", "status": "skipped",
                 "reason": f"arrangement is {verdict.status.value}; bound applies "
                           "to semi-stable ones"}
-    m = a.m
+    m = lattice.m
     total = delta_invariant(lattice)
     quarter = Fraction((m - 1) * (m - 3), 4)
     fifth = Fraction((m - 1) * (m - 3), 5)

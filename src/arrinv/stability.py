@@ -30,8 +30,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Arrangement
-from .invariants import delta_invariant
+from .invariants import delta_invariant, require_steiner
 from .lattice import CrossingClass, Flat, IntersectionLattice, classify_crossing
 from .steiner import SteinerTensor
 from .linalg import QMatrix
@@ -95,9 +94,8 @@ def discriminant_test(lattice: IntersectionLattice) -> tuple[Fraction, Witness |
     """n=2 only: value 4*sum(s-1) - (m-1)(m+3); negative means unstable."""
     if lattice.n != 2:
         raise ValueError("discriminant test is defined for n = 2 only")
+    require_steiner(lattice, "discriminant test")
     m = lattice.m
-    if m < 4:
-        raise ValueError("discriminant test needs m >= 4")
     s_sum = sum(f.s - 1 for f in lattice.flats_of_rank(2))
     value = Fraction(4 * s_sum - (m - 1) * (m + 3))
     if value < 0:
@@ -201,18 +199,18 @@ def free_splitting_stability(exponents: list[int]) -> StabilityVerdict:
                             ("splitting: equal exponents, semi-stable but not stable",))
 
 
-def classify(a: Arrangement, lattice: IntersectionLattice,
+def classify(lattice: IntersectionLattice,
              literature_rules: bool = True) -> StabilityVerdict:
-    """Combine the implemented tests into one verdict.
+    """Combine the implemented tests into one verdict on the lattice's sheaf.
 
     Order: destabilizing witnesses first (combinatorial, then the n=2
     discriminant), then stability via the literature rules (generic
     arrangements; n=2 single-triple-point arrangements with m >= 6), then the
-    parity upgrade for n=2 and even m, else Undetermined.
+    parity upgrade for n=2 and even m, else Undetermined. Raises ValueError
+    where there is no Steiner sheaf (`invariants.steiner_unavailable`).
     """
-    m, n = a.m, a.n
-    if m < n + 2:
-        raise ValueError(f"stability analysis needs m >= n + 2, got m = {m}")
+    require_steiner(lattice, "stability analysis")
+    m, n = lattice.m, lattice.n
     witnesses: list[Witness] = []
     rules: list[str] = []
 
@@ -224,7 +222,7 @@ def classify(a: Arrangement, lattice: IntersectionLattice,
         if comb_wit.strict:
             return StabilityVerdict(Status.UNSTABLE, tuple(witnesses), tuple(rules))
 
-    if n == 2 and m >= 4:
+    if n == 2:
         value, disc_wit = discriminant_test(lattice)
         if disc_wit is not None:
             witnesses.append(disc_wit)

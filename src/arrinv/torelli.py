@@ -25,10 +25,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb
 
 from .arrangement import Arrangement
+from .invariants import require_steiner
 from .lattice import IntersectionLattice
 from .linalg import QMatrix, bareiss, kernel_basis, primitive_integer_vector, rref
 from .stability import StabilityVerdict, Status
@@ -261,30 +262,30 @@ def _off_curve(a: Arrangement):
 DEFAULT_MAX_SUBSETS = 20000
 
 
-def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
-                    stability: StabilityVerdict,
+def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
                     max_subsets: int = DEFAULT_MAX_SUBSETS) -> TorelliVerdict:
     """Five-rule cascade deciding what is known about recoverability.
 
+    The arrangement is the lattice's own; `stability` is `classify(lattice)`.
     Rule 1: a generic sub-arrangement whose dual points avoid every curve of
     the relevant family certifies recoverability, and adding hyperplanes
-    preserves it. Subsets are searched by ascending size starting at
-    max(n+4, 6) (for n = 2 any five points lie on a conic, so smaller subsets
-    cannot fail), lexicographically within a size; for n = 2 the conservative
-    failure reading "kernel dimension 0, on no conic at all" is used, decided
-    by the rank of the subset's Veronese rows. Genericity is read off
-    `lattice`, the lattice of `a`. Every subset visited counts toward
-    `max_subsets`, non-generic ones included; hitting the cap moves on to
-    the later rules with `subset_cap_exceeded` set. A negative `max_subsets`
-    raises ValueError.
+    preserves it. Any n+3 points in linear general position lie on exactly
+    one curve of the family (a conic for n = 2, a rational normal curve for
+    n >= 3: Castelnuovo), so a generic set on no such curve holds n+4 points
+    on none, and only the (n+4)-subsets are scanned, lexicographically. For
+    n = 2 the conservative failure reading "kernel dimension 0, on no
+    conic at all" is used, decided by the rank of the subset's Veronese
+    rows. Genericity is read off `lattice`. Every subset visited counts
+    toward `max_subsets`, non-generic ones included. When no witness turns
+    up, `subset_cap_exceeded` is set exactly when the subsets of every size
+    k >= n+4, sum of C(m, k), exceed `max_subsets`: the count a scan of all
+    sizes would have to visit to find nothing. The later rules then run. A
+    negative `max_subsets` raises ValueError.
     The scan is skipped when all m dual points lie on one curve of the
     family: for n = 2 on a conic (kernel dimension >= 1; a subset's Veronese
     rows are rows of the whole set's, so no subset can have kernel dimension
     0), for n >= 3 on a smooth rational normal curve (`rnc_test` of the
-    whole set; the curve passes through every subset's points). The scan
-    would then have visited every subset of size >= max(n+4, 6), so
-    `subset_cap_exceeded` is set exactly when their number, sum of C(m, k)
-    over those sizes k, exceeds `max_subsets`.
+    whole set; the curve passes through every subset's points).
     Rule 2: the six-line planar case is decided by whether all six dual
     points are nonsingular points of a common conic.
     Rule 3: five-line planar arrangements are never recoverable.
@@ -296,12 +297,14 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     Unstable input yields Unknown: the moduli analysis behind the rules
     assumes the sheaf is at least semi-stable. On P^1 (n = 1) the sheaf is
     the line bundle of degree m - 2 whatever the m points are, so no rule
-    runs and the verdict is NotProved (`line-bundle-case`).
+    runs and the verdict is NotProved (`line-bundle-case`). Raises
+    ValueError where there is no Steiner sheaf
+    (`invariants.steiner_unavailable`).
     """
-    if lattice.arrangement != a:
-        raise ValueError("the lattice belongs to a different arrangement")
     if max_subsets < 0:
         raise ValueError(f"max_subsets must be >= 0, got {max_subsets}")
+    require_steiner(lattice, "Torelli analysis")
+    a = lattice.arrangement
     n, m = a.n, a.m
     trace: list[str] = []
     conic_full = rnc_full = None
@@ -326,24 +329,17 @@ def torelli_verdict(a: Arrangement, lattice: IntersectionLattice,
     on_curve = (conic_full.kernel_dim >= 1 if n == 2
                 else rnc_full.verdict is RncVerdict.ON_SMOOTH_RNC)
 
-    # rule 1: generic subset failing the osculation test
-    sizes = range(max(n + 4, 6), m + 1)
-    if on_curve:
-        # a curve through every dual point passes through every subset's
-        # points: the scan would visit every subset, up to the cap, and find
-        # nothing
-        cap_exceeded = sum(comb(m, k) for k in sizes) > max_subsets
-    else:
+    # rule 1: generic subset failing the osculation test; none can fail when
+    # a curve passes through every dual point, hence every subset's points
+    if not on_curve:
         is_generic, off_curve = _genericity(lattice), _off_curve(a)
-        subsets = (s for size in sizes for s in combinations(range(1, m + 1), size))
-        for examined, subset in enumerate(subsets):
-            if examined >= max_subsets:
-                cap_exceeded = True
-                break
+        subsets = combinations(range(1, m + 1), n + 4)
+        for subset in islice(subsets, max_subsets):
             if is_generic(subset) and off_curve(subset):
                 return verdict(TorelliStatus.TORELLI_PROVED, "generic-subset-off-curve",
                                f"rule 1: generic subset {list(subset)} avoids every "
                                "curve of the family", subset)
+    cap_exceeded = sum(comb(m, k) for k in range(n + 4, m + 1)) > max_subsets
     trace.append("rule 1: no generic subset fails the osculation test"
                  + (" (subset cap hit)" if cap_exceeded else ""))
 

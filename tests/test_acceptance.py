@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from arrinv.arrangement import InvalidArrangement, is_essential, parse_arrangement
+from arrinv.arrangement import InvalidArrangement, parse_arrangement
 from arrinv.ffcount import count_complement_points
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import (chern, complement_count_prediction,
@@ -64,12 +64,12 @@ def test_criterion_01_braid_invariants(capsys):
         p = poincare(lat)
         assert p.projective == (1, 6, 11)
         assert p.central == truncated_product([(1, 1), (1, 2), (1, 3)], 3)
-        c = chern(a, lat, p)
+        c = chern(lat, p)
         assert (c.n2_c1, c.n2_c2) == (3, 2)
         disc, witness = discriminant_test(lat)
         assert disc == Fraction(-1)
         assert witness is not None
-        verdict = classify(a, lat)
+        verdict = classify(lat)
         assert verdict.status is Status.UNSTABLE
         assert delta_invariant(lat) == 4
         assert comb(6, 2) - p.projective[2] == 4
@@ -82,7 +82,7 @@ def test_criterion_02_chern_table(capsys):
                  (fixture("generic6_off_conic"), (3, 6))]
         for a, (c1, c2) in cases:
             lat = build_lattice(a)
-            c = chern(a, lat, poincare(lat))
+            c = chern(lat, poincare(lat))
             assert (c.n2_c1, c.n2_c2) == (c1, c2)
         c1, c2 = 3, 6
         assert 4 * c2 - c1 * c1 - 3 == 12 == 6 * (6 - 4)
@@ -91,13 +91,13 @@ def test_criterion_02_chern_table(capsys):
 def test_criterion_03_combinatorial_stability(capsys):
     with _Criterion(capsys, 3, "combinatorial stability behavior"):
         a, lat = _lattice_of("m6_four_concurrent")
-        v = classify(a, lat)
+        v = classify(lat)
         assert v.status is Status.UNSTABLE
         w = next(w for w in v.witnesses if w.kind is WitnessKind.FLAT_RATIO)
         assert (w.lhs, w.rhs, w.strict) == (Fraction(4), Fraction(7, 2), True)
 
         a, lat = _lattice_of("m5_one_triple")
-        v = classify(a, lat)
+        v = classify(lat)
         assert v.status is Status.NOT_STABLE
         w = next(w for w in v.witnesses if w.kind is WitnessKind.FLAT_RATIO)
         assert (w.lhs, w.rhs, w.strict) == (Fraction(3), Fraction(3), False)
@@ -159,7 +159,7 @@ def test_criterion_05_gale_bijection(capsys):
             n, rows = _random_rational_arrangement(rng)
             try:
                 a = parse_arrangement(n, rows)
-                if a.m < a.n + 3 or not is_essential(a):
+                if a.m < a.n + 3 or not build_lattice(a).essential:
                     continue
                 t = steiner_tensor(a)
                 gale_dual(t)
@@ -214,7 +214,7 @@ def test_criterion_08_torelli_case_analysis(capsys):
     def verdict(name):
         a = fixture(name)
         lat = build_lattice(a)
-        return torelli_verdict(a, lat, classify(a, lat))
+        return torelli_verdict(lat, classify(lat))
 
     with _Criterion(capsys, 8, "six and five line verdicts"):
         for name in ("m5_one_triple", "m5_two_triples"):
@@ -257,7 +257,7 @@ def test_criterion_10_delta_stratum_bound(capsys):
             if a.n != 2 or a.m < a.n + 2:
                 continue
             lat = build_lattice(a)
-            v = classify(a, lat)
+            v = classify(lat)
             if v.status not in (Status.STABLE, Status.NOT_STABLE):
                 continue
             delta = delta_invariant(lat)
@@ -270,7 +270,7 @@ def test_criterion_10_delta_stratum_bound(capsys):
         # the discriminant-zero arrangement saturates the quarter bound and
         # beats the stronger fifth bound; the verify report records this
         a, lat = _lattice_of("m5_two_triples")
-        check = delta_bound_check(a, lat, classify(a, lat))
+        check = delta_bound_check(lat, classify(lat))
         assert check["status"] == "pass"
         assert check["delta"] == 2
         assert check["quarter_bound"] == 2 and check["quarter_holds"]

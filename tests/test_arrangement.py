@@ -5,9 +5,10 @@ import pathlib
 
 import pytest
 
-from arrinv.arrangement import (InvalidArrangement, canonical_form, is_essential,
-                                parse_arrangement, parse_arrangement_json)
+from arrinv.arrangement import (InvalidArrangement, canonical_form, parse_arrangement,
+                                parse_arrangement_json)
 from arrinv.fixtures import fixture, fixture_names
+from arrinv.lattice import build_lattice
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -74,9 +75,9 @@ def test_json_requires_both_keys():
 
 
 def test_essentiality():
-    assert is_essential(fixture("boolean_n2"))
+    assert build_lattice(fixture("boolean_n2")).essential
     concurrent = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-    assert not is_essential(concurrent)
+    assert not build_lattice(concurrent).essential
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -91,4 +92,4 @@ def test_fixture_files_round_trip(name):
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_fixtures_are_essential(name):
-    assert is_essential(fixture(name))
+    assert build_lattice(fixture(name)).essential

@@ -1,15 +1,19 @@
 """Poincare and Chern data, local singularity numbers, delta invariant."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrinv.arrangement import parse_arrangement
+from arrinv.arrangement import Arrangement, canonical_form, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import (LocallyFree, chern, delta_invariant, h0_values,
-                               local_data, poincare, twist_transform)
+                               local_data, poincare, steiner_unavailable,
+                               twist_transform)
 from arrinv.lattice import build_lattice
-from oracles import truncated_product
+from arrinv.stability import StabilityVerdict, Status, classify, discriminant_test
+from arrinv.steiner import steiner_tensor
+from arrinv.torelli import torelli_verdict
+from oracles import fraction_rank, truncated_product
 
 # projective coefficients, central coefficients, delta; all cross-validated
 # against the finite-field counts at p = 7, 11, 101 and the subset-sum
@@ -32,7 +36,7 @@ POINCARE_TABLE = {
 
 def _chern(a):
     lat = build_lattice(a)
-    return chern(a, lat, poincare(lat))
+    return chern(lat, poincare(lat))
 
 CHERN_TABLE = {
     "a3_braid": (3, 2),
@@ -94,7 +98,7 @@ def test_chern_generic_table():
 def test_logfree_twisted_is_projective_over_one_plus_t():
     a = fixture("a3_braid")
     lat = build_lattice(a)
-    cd = chern(a, lat, poincare(lat))
+    cd = chern(lat, poincare(lat))
     assert cd.logfree_twisted_ct == (1, 5, 6)
 
 
@@ -102,7 +106,7 @@ def test_logfree_twisted_is_projective_over_one_plus_t():
 def test_twist_of_point_ct_matches_logfree_twisted(name):
     a = fixture(name)
     lat = build_lattice(a)
-    cd = chern(a, lat, poincare(lat))
+    cd = chern(lat, poincare(lat))
     assert twist_transform((1, cd.n2_c1, cd.n2_c2), 2) == cd.logfree_twisted_ct
 
 
@@ -151,13 +155,60 @@ def test_logfree_twisted_times_one_plus_t_is_projective(name):
     a = fixture(name)
     lat = build_lattice(a)
     pd = poincare(lat)
-    cd = chern(a, lat, pd)
+    cd = chern(lat, pd)
     assert truncated_product([cd.logfree_twisted_ct, (1, 1)], a.n) == pd.projective
 
 
 def test_chern_small_arrangement_has_no_steiner_fields():
     with pytest.raises(ValueError, match=r"m >= n \+ 2, got m = 3"):
         _chern(fixture("boolean_n2"))
+
+
+# five lines through one point: m >= n + 2, but the forms have rank 2
+CONCURRENT = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0], [1, 3, 0]]
+
+
+def test_no_sheaf_data_for_a_non_essential_arrangement():
+    lat = build_lattice(parse_arrangement(2, CONCURRENT))
+    assert steiner_unavailable(lat) == "arrangement is not essential"
+    semistable = StabilityVerdict(Status.NOT_STABLE, (), ())
+    for call in (lambda: chern(lat, poincare(lat)), lambda: h0_values(lat),
+                 lambda: classify(lat), lambda: discriminant_test(lat),
+                 lambda: torelli_verdict(lat, semistable)):
+        with pytest.raises(ValueError, match="arrangement is not essential"):
+            call()
+
+
+@st.composite
+def arrangements_of_any_rank(draw):
+    """n 1..4 and m 1..n+4, the rows drawn from a random span of rank <= n+1."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.one_of(st.just(n + 1), st.integers(1, n)))
+    coeffs = st.integers(-3, 3)
+    basis = draw(st.lists(st.lists(coeffs, min_size=n + 1, max_size=n + 1),
+                          min_size=r, max_size=r))
+    m = draw(st.integers(1, n + 4))
+    mults = draw(st.lists(st.lists(coeffs, min_size=r, max_size=r),
+                          min_size=m, max_size=m))
+    rows = ([sum(c * b[t] for c, b in zip(ms, basis)) for t in range(n + 1)]
+            for ms in mults)
+    # proportional rows are one hyperplane: keep one of each
+    forms = tuple(dict.fromkeys(canonical_form(row) for row in rows if any(row)))
+    assume(forms)
+    return Arrangement(n, forms)
+
+
+@given(arrangements_of_any_rank())
+@settings(max_examples=150, deadline=None)
+def test_steiner_availability_matches_rank_and_tensor(a):
+    lat = build_lattice(a)
+    assert lat.essential == (fraction_rank(a.forms) == a.n + 1)
+    try:
+        steiner_tensor(a)
+        made = True
+    except ValueError:
+        made = False
+    assert (steiner_unavailable(lat) is None) == made
 
 
 def test_locally_free_flags():

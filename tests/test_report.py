@@ -22,7 +22,7 @@ ONCE_PER_REPORT = (
     ("steiner", "verify_gale_bijection"),
     ("invariants", "chern"),
     ("invariants", "poincare"),
-    ("arrangement", "is_essential"),
+    ("invariants", "local_data"),
     ("arrangement", "subset_ranks"),
     ("lattice", "build_lattice"),
 )

@@ -31,7 +31,7 @@ EXPECTED_STATUS = {
 def classified(name, literature_rules=True):
     a = fixture(name)
     lat = build_lattice(a)
-    return classify(a, lat, literature_rules=literature_rules)
+    return classify(lat, literature_rules=literature_rules)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_STATUS))
@@ -166,7 +166,7 @@ def test_n3_strict_combinatorial_instability():
     a = parse_arrangement(3, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0],
                               [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     lat = build_lattice(a)
-    v = classify(a, lat)
+    v = classify(lat)
     assert v.status is Status.UNSTABLE
     w = v.witnesses[0]
     assert w.flat_indices == (1, 2, 3, 4)
@@ -176,4 +176,4 @@ def test_n3_strict_combinatorial_instability():
 def test_classify_rejects_small_arrangements():
     a = fixture("boolean_n2")
     with pytest.raises(ValueError):
-        classify(a, build_lattice(a))
+        classify(build_lattice(a))

@@ -38,8 +38,8 @@ from oracles import dependent_subsets_by_minors, rule1_by_exhaustion
 def verdict_for(name, **kwargs):
     a = fixture(name)
     lat = build_lattice(a)
-    stab = classify(a, lat)
-    return torelli_verdict(a, lat, stab, **kwargs)
+    stab = classify(lat)
+    return torelli_verdict(lat, stab, **kwargs)
 
 
 def twisted_cubic_rows(ts):
@@ -300,8 +300,8 @@ class TestTorelliVerdict:
     def test_planes_dual_to_twisted_cubic_points(self):
         a = parse_arrangement(3, twisted_cubic_rows((0, 1, 2, 3, -1, -2, 5)))
         lat = build_lattice(a)
-        stab = classify(a, lat)
-        v = torelli_verdict(a, lat, stab)
+        stab = classify(lat)
+        v = torelli_verdict(lat, stab)
         assert v.status is TorelliStatus.NOT_TORELLI_CONJECTURED
         assert v.rule == "on-stable-curve"
         assert v.rnc is not None
@@ -312,7 +312,7 @@ class TestTorelliVerdict:
         rows[3][2] += 1
         a = parse_arrangement(3, rows)
         lat = build_lattice(a)
-        v = torelli_verdict(a, lat, classify(a, lat))
+        v = torelli_verdict(lat, classify(lat))
         assert v.status is TorelliStatus.TORELLI_PROVED
         assert v.rule == "generic-subset-off-curve"
         assert v.witness_subset == (1, 2, 3, 4, 5, 6, 7)
@@ -322,7 +322,7 @@ class TestTorelliVerdict:
         rows[3][2] += 1
         a = parse_arrangement(3, rows)
         lat = build_lattice(a)
-        v = torelli_verdict(a, lat, classify(a, lat), max_subsets=0)
+        v = torelli_verdict(lat, classify(lat), max_subsets=0)
         assert v.subset_cap_exceeded
         assert v.status is TorelliStatus.TORELLI_CONJECTURED
         assert v.rule == "default-conjecture"
@@ -331,19 +331,13 @@ class TestTorelliVerdict:
         a = fixture("generic6_off_conic")
         lat = build_lattice(a)
         with pytest.raises(ValueError, match="max_subsets"):
-            torelli_verdict(a, lat, classify(a, lat), max_subsets=-1)
+            torelli_verdict(lat, classify(lat), max_subsets=-1)
         with pytest.raises(ValueError, match="max_subsets"):
             build_report(a, max_subsets=-1)
 
     def test_trace_records_the_rules_tried(self):
         v = verdict_for("generic6_on_conic")
         assert any("conic" in line for line in v.trace)
-
-    def test_lattice_of_another_arrangement_is_refused(self):
-        a = fixture("generic6_off_conic")
-        other = build_lattice(fixture("generic6_on_conic"))
-        with pytest.raises(ValueError):
-            torelli_verdict(a, other, classify(a, build_lattice(a)))
 
 
 # Lines 1, 2, 3 meet in a point and so do lines 1, 5, 7: the first six
@@ -358,7 +352,7 @@ class TestRule1Cap:
     def _verdict(self, max_subsets):
         a = parse_arrangement(2, SKIPS_BEFORE_WITNESS)
         lat = build_lattice(a)
-        return torelli_verdict(a, lat, classify(a, lat), max_subsets=max_subsets)
+        return torelli_verdict(lat, classify(lat), max_subsets=max_subsets)
 
     def test_skipped_subsets_precede_the_witness(self):
         a = parse_arrangement(2, SKIPS_BEFORE_WITNESS)
@@ -486,7 +480,7 @@ def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
     # the only one made, and no Veronese rank is taken
     a = parse_arrangement(2, [[1, t, t * t] for t in range(-8, 8)])
     lat = build_lattice(a)
-    stab = classify(a, lat)
+    stab = classify(lat)
     conics, ranks = [], []
     rank = QMatrix.rank
 
@@ -500,7 +494,7 @@ def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
 
     monkeypatch.setattr(torelli_mod, "conic_test", counted_conic)
     monkeypatch.setattr(QMatrix, "rank", counted_rank)
-    v = torelli_verdict(a, lat, stab)
+    v = torelli_verdict(lat, stab)
     assert conics == [16]
     assert 6 not in ranks
     assert v.subset_cap_exceeded
@@ -514,7 +508,7 @@ def test_eleven_planes_on_a_twisted_cubic_skip_the_scan(monkeypatch):
     # test is the only one made
     a = parse_arrangement(3, twisted_cubic_rows(range(-5, 6)))
     lat = build_lattice(a)
-    stab = classify(a, lat)
+    stab = classify(lat)
     calls = []
 
     def counted_rnc(arr):
@@ -522,7 +516,7 @@ def test_eleven_planes_on_a_twisted_cubic_skip_the_scan(monkeypatch):
         return rnc_test(arr)
 
     monkeypatch.setattr(torelli_mod, "rnc_test", counted_rnc)
-    v = torelli_verdict(a, lat, stab, max_subsets=561)
+    v = torelli_verdict(lat, stab, max_subsets=561)
     assert calls == [11]
     assert v.subset_cap_exceeded
     assert v.rnc.verdict is RncVerdict.ON_SMOOTH_RNC
