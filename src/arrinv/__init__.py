@@ -15,8 +15,8 @@ from .ffcount import (DegenerateReduction, basis_minors, count_complement_points
 from .fixtures import fixture, fixture_names, fixture_note
 from .invariants import (ChernData, LocallyFree, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
-                         local_data, poincare, steiner_unavailable,
-                         twist_transform)
+                         local_data, poincare, require_steiner,
+                         steiner_unavailable, twist_transform)
 from .lattice import (CrossingClass, Flat, IntersectionLattice, build_lattice,
                       classify_crossing)
 from .report import build_report
@@ -24,7 +24,8 @@ from .stability import (StabilityVerdict, Status, Witness, WitnessKind, classify
                         combinatorial_destabilizer, discriminant_test,
                         free_splitting_stability, git_ratio_test)
 from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
-                      gale_dual, steiner_tensor, verify_gale_bijection)
+                      dual_columns, gale_dual, steiner_tensor,
+                      verify_gale_bijection)
 from .torelli import (ConicClass, ConicResult, RncResult, RncVerdict,
                       TorelliStatus, TorelliVerdict, conic_test, rnc_test,
                       torelli_verdict)
@@ -40,10 +41,11 @@ __all__ = [
     "build_lattice", "build_report", "canonical_form", "chern", "classify",
     "classify_crossing", "combinatorial_destabilizer",
     "complement_count_prediction", "conic_test", "count_complement_points",
-    "delta_invariant", "discriminant_test", "fixture", "fixture_names",
-    "fixture_note", "free_splitting_stability", "gale_dual", "git_ratio_test",
-    "h0_values", "local_data", "next_valid_prime", "parse_arrangement",
-    "parse_arrangement_json", "poincare", "prime_preserves_lattice", "rnc_test",
-    "steiner_tensor", "steiner_unavailable", "subset_ranks", "torelli_verdict",
-    "twist_transform", "verify_gale_bijection",
+    "delta_invariant", "discriminant_test", "dual_columns", "fixture",
+    "fixture_names", "fixture_note", "free_splitting_stability", "gale_dual",
+    "git_ratio_test", "h0_values", "local_data", "next_valid_prime",
+    "parse_arrangement", "parse_arrangement_json", "poincare",
+    "prime_preserves_lattice", "require_steiner", "rnc_test", "steiner_tensor",
+    "steiner_unavailable", "subset_ranks", "torelli_verdict", "twist_transform",
+    "verify_gale_bijection",
 ]

@@ -100,10 +100,6 @@ def chern(lattice: IntersectionLattice, pd: PoincareData) -> ChernData:
     n, m = lattice.n, lattice.m
     steiner_ct = tuple(comb(m - n - 2 + i, i) for i in range(n + 1))
     steiner_twisted = tuple(comb(m - 1, i) for i in range(n + 1))
-    # internal consistency: twisting the resolution-side polynomial must
-    # reproduce the closed form (1+t)^(m-1)
-    if twist_transform(steiner_ct, n) != steiner_twisted:
-        raise AssertionError("twist identity failed")
     # projective / (1+t): q_k = p_k - q_(k-1)
     logfree_twisted = tuple(accumulate(pd.projective, lambda q, c: c - q))
 

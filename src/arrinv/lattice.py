@@ -4,15 +4,17 @@ Flats are the nonempty intersections of subsets of hyperplanes, labeled by
 the maximal set of hyperplane labels containing them. Ranks are
 codimensions; only flats of rank <= n (nonempty in P^n) are kept. This is
 the lattice of flats of the matroid of the forms, so it is read off the
-arrangement's rank table (`arrangement.subset_ranks`): a flat of rank r
-spanned by r independent labels B, cut by a hyperplane j outside it, is the
-rank-(r+1) flat of every label i with rank(B + j + i) = r + 1.
+arrangement's rank table (`arrangement.subset_ranks`): the flat of rank r
+spanned by r independent labels S is their closure, every label i with
+rank(S + i) = r. The lattice is the one place that decides dependence:
+`IntersectionLattice.independent` answers it for any label set.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arrangement import Arrangement, subset_ranks
 
@@ -53,6 +55,22 @@ class IntersectionLattice:
         """True when the forms have rank n+1: no flat lies on all m hyperplanes."""
         return all(f.s < self.m for f in self.flats)
 
+    @cached_property
+    def dependent_flats(self) -> tuple[Flat, ...]:
+        """Flats through more hyperplanes than their rank, in lattice order."""
+        return tuple(f for f in self.flats if f.s > f.rank)
+
+    def independent(self, labels) -> bool:
+        """True when every n+1 of the labels' forms (all, if fewer) are independent.
+
+        Dependent labels span a flat of some rank r <= n holding more than r
+        of them, and more than r labels of a rank-r flat are dependent, so
+        only the flats through more hyperplanes than their rank are asked.
+        """
+        labels = set(labels)
+        return all(len(labels.intersection(f.indices)) <= f.rank
+                   for f in self.dependent_flats)
+
     def flats_of_rank(self, r: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.rank == r)
 
@@ -64,30 +82,18 @@ def build_lattice(a: Arrangement,
                   ranks: dict[tuple[int, ...], int] | None = None) -> IntersectionLattice:
     """Enumerate all flats from the rank table and compute Mobius values.
 
-    `ranks` is `subset_ranks(a)`, computed here when not given. Each flat
-    keeps a basis of independent labels while its rank level is cut; a label
-    already on a flat found from the same parent is not cut again.
+    `ranks` is `subset_ranks(a)`, computed here when not given. The flats of
+    rank r are the closures of the table's independent r-sets.
     """
     if ranks is None:
         ranks = subset_ranks(a)
     labels = range(1, a.m + 1)
-    flats = [Flat((), 0)]
-    level: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}   # flat -> basis
-    for r in range(1, a.n + 1):
-        found: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for indices, basis in level.items():
-            covered = set(indices)
-            for j in labels:
-                if j in covered:
-                    continue
-                span = basis + (j,)
-                flat = tuple(i for i in labels
-                             if ranks[tuple(sorted({*span, i}))] == r)
-                covered.update(flat)
-                found.setdefault(flat, span)
-        level = dict(sorted(found.items()))
-        flats.extend(Flat(f, r) for f in level)
-    flats = tuple(flats)
+    found = {(0, ())}
+    for span, rank in ranks.items():
+        if len(span) == rank <= a.n:
+            found.add((rank, tuple(i for i in labels
+                                   if ranks[tuple(sorted({*span, i}))] == rank)))
+    flats = tuple(Flat(indices, rank) for rank, indices in sorted(found))
     return IntersectionLattice(a, flats, mobius_values(flats))
 
 
@@ -137,16 +143,10 @@ def classify_crossing(lattice: IntersectionLattice) -> CrossingReport:
     crossings in codimension 2. Witnesses report the shallowest offending
     flat.
     """
-    bad_rank2 = None
-    bad_deeper = None
-    for f in lattice.flats:
-        if f.s > f.rank:
-            if f.rank == 2 and bad_rank2 is None:
-                bad_rank2 = f
-            elif f.rank > 2 and bad_deeper is None:
-                bad_deeper = f
-    if bad_rank2 is not None:
-        return CrossingReport(CrossingClass.NOT_NORMAL_CROSSING_CODIM2, bad_rank2)
-    if bad_deeper is not None:
-        return CrossingReport(CrossingClass.NORMAL_CROSSING_CODIM2_ONLY, bad_deeper)
-    return CrossingReport(CrossingClass.GENERIC, None)
+    heavy = [f for f in lattice.dependent_flats if f.rank >= 2]
+    if not heavy:
+        return CrossingReport(CrossingClass.GENERIC, None)
+    # flats run by rank, so the first is the shallowest
+    kind = (CrossingClass.NOT_NORMAL_CROSSING_CODIM2 if heavy[0].rank == 2
+            else CrossingClass.NORMAL_CROSSING_CODIM2_ONLY)
+    return CrossingReport(kind, heavy[0])

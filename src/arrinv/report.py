@@ -1,13 +1,15 @@
 """Deterministic report assembly shared by the CLI commands.
 
 A report is read from one `Analysis` of the arrangement, which computes each
-quantity at most once: above all the rank table of small subsets of forms,
-which the intersection lattice and the Gale primal sets read; the gcd of
-each basis's maximal minors, taken over Z from the forms, so that an oracle
-prime is accepted when it divides none of them; and the defining tensor,
-whose relation basis gives the Gale dual points. Stability, Torelli, Chern
-data, the delta section's h0 values and the tensor exist only where the
-Steiner sheaf does; `Analysis.unavailable` reads that off the lattice with
+quantity at most once. The rank table of small subsets of forms has two
+readers: the intersection lattice, and the gcd of each basis's maximal
+minors, taken over Z from the forms, so that an oracle prime is accepted
+when it divides none of them. The lattice is the one place that decides
+dependence: the Torelli genericity and the Gale primal sets ask it. The
+defining tensor is built from the lattice, and its relation basis gives the
+Gale dual points. Stability, Torelli, Chern data, the delta section's h0
+values and the tensor exist only where the Steiner sheaf does;
+`Analysis.unavailable` reads that off the lattice with
 `invariants.steiner_unavailable`, the rule the sheaf layer itself enforces.
 The CLI commands print sections of an Analysis, so each prints what
 `analyze` does.
@@ -100,7 +102,7 @@ class Analysis:
 
     @cached_property
     def tensor(self) -> SteinerTensor | None:
-        return None if self.unavailable else steiner_tensor(self.a)
+        return None if self.unavailable else steiner_tensor(self.lattice)
 
     @cached_property
     def stability(self) -> StabilityVerdict | None:
@@ -124,7 +126,7 @@ class Analysis:
         """The bijection check, when the Gale dual configuration is defined."""
         if self.a.m < self.a.n + 3 or self.unavailable:
             return None
-        return verify_gale_bijection(self.tensor, self.subset_ranks)
+        return verify_gale_bijection(self.tensor)
 
     # -- sections -------------------------------------------------------
 

@@ -13,9 +13,11 @@ as m forms in m-n-1 variables, so the tensor is the one source of the dual
 points. Dependent subsets of maximal size swap with their complements under
 this duality; `verify_gale_bijection` checks that at the level of coordinate
 configurations, so it also covers duals whose points collide (which cannot
-be represented as an Arrangement). The primal dependent (n+1)-sets are read
-off the arrangement's rank table (`arrangement.subset_ranks`); the dual ones
-come from determinants on the tensor's columns alone.
+be represented as an Arrangement). The tensor holds the intersection
+lattice it was built from: the primal dependent (n+1)-sets are the ones
+`IntersectionLattice.independent` rejects, and the dual ones come from
+determinants on the tensor's columns alone, so the check sets the lattice
+against the kernel of the forms.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arrangement import (Arrangement, InvalidArrangement, parse_arrangement,
-                          subset_ranks)
+from .arrangement import Arrangement, InvalidArrangement, parse_arrangement
+from .invariants import require_steiner
+from .lattice import IntersectionLattice
 from .linalg import QMatrix, det, kernel_basis
 
 
@@ -35,18 +38,22 @@ class GaleUndefined(ValueError):
 
 @dataclass(frozen=True)
 class SteinerTensor:
-    arrangement: Arrangement
+    lattice: IntersectionLattice
     u_basis: QMatrix                  # (m-n-1) x m, canonical kernel basis
     slices: tuple[QMatrix, ...]       # n+1 matrices, each (m-1) x (m-n-1),
                                       # rows in the basis e_i - e_m of W
 
     @property
+    def arrangement(self) -> Arrangement:
+        return self.lattice.arrangement
+
+    @property
     def m(self) -> int:
-        return self.arrangement.m
+        return self.lattice.m
 
     @property
     def n(self) -> int:
-        return self.arrangement.n
+        return self.lattice.n
 
 
 def _w_coordinates(y: list[Fraction]) -> tuple[Fraction, ...]:
@@ -55,15 +62,18 @@ def _w_coordinates(y: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(y[:-1])
 
 
-def steiner_tensor(a: Arrangement) -> SteinerTensor:
+def steiner_tensor(lattice: IntersectionLattice) -> SteinerTensor:
+    """The defining tensor of the lattice's arrangement.
+
+    Raises ValueError where there is no Steiner sheaf
+    (`invariants.steiner_unavailable`).
+    """
+    require_steiner(lattice, "defining tensor")
+    a = lattice.arrangement
     m, n = a.m, a.n
-    if m < n + 2:
-        raise ValueError(f"defining tensor needs m >= n + 2, got m = {m}")
-    # the (n+1) x m coefficient matrix has one column per form
+    # the (n+1) x m coefficient matrix has one column per form; an essential
+    # arrangement has m - n - 1 relations
     u = kernel_basis(QMatrix.from_rows(zip(*a.forms), m))
-    # the relations have dimension m - rank, so rank n + 1 means essential
-    if u.rows != m - n - 1:
-        raise ValueError("defining tensor needs an essential arrangement")
     slices = []
     for k in range(n + 1):
         cols = []
@@ -76,7 +86,7 @@ def steiner_tensor(a: Arrangement) -> SteinerTensor:
         slice_rows = tuple(tuple(cols[j][r] for j in range(u.rows))
                            for r in range(m - 1))
         slices.append(QMatrix(slice_rows, u.rows))
-    return SteinerTensor(a, u, tuple(slices))
+    return SteinerTensor(lattice, u, tuple(slices))
 
 
 def dual_columns(t: SteinerTensor) -> list[tuple[Fraction, ...]]:
@@ -126,22 +136,18 @@ class GaleBijectionReport:
     extra: tuple[tuple[int, ...], ...]
 
 
-def verify_gale_bijection(t: SteinerTensor,
-                          ranks: dict[tuple[int, ...], int] | None = None
-                          ) -> GaleBijectionReport:
+def verify_gale_bijection(t: SteinerTensor) -> GaleBijectionReport:
     """Check that dual dependent sets are exactly complements of primal ones.
 
-    The primal sets are the (n+1)-sets of rank < n+1 in `ranks`
-    (`subset_ranks` of the tensor's arrangement, computed here when not
-    given), in its lexicographic order. Works on the raw dual configuration,
-    so coincident dual points are fine.
+    The primal sets are the (n+1)-sets that the tensor's lattice finds
+    dependent (`IntersectionLattice.independent`), in lexicographic order.
+    Works on the raw dual configuration, so coincident dual points are fine.
     """
     m, n = t.m, t.n
     if m < n + 3:
         raise GaleUndefined(f"need m >= n + 3, got m = {m}")
-    if ranks is None:
-        ranks = subset_ranks(t.arrangement)
-    primal = tuple(s for s, r in ranks.items() if len(s) == n + 1 and r <= n)
+    primal = tuple(s for s in combinations(range(1, m + 1), n + 1)
+                   if not t.lattice.independent(s))
     cols = dual_columns(t)
     dual_size = m - n - 1
     actual = _dependent_subsets(cols, dual_size)

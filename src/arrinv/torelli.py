@@ -15,7 +15,9 @@ frame are exactly t -> (1/(t - a_0) : ... : 1/(t - a_n)) with pairwise
 distinct poles a_k, so membership reduces to a rank condition on
 coordinatewise reciprocals.
 
-`torelli_verdict` combines the criteria into a five-way cascade; Proved and
+`torelli_verdict` combines the criteria into a five-way cascade. It reads
+the genericity of a label set off the lattice (`lattice.independent`, the
+dependence test the Gale check uses too). Proved and
 NotProved verdicts rest on implemented case analysis, the Conjectured pair
 reports which side of the open conjecture the configuration falls on.
 """
@@ -229,19 +231,6 @@ class TorelliVerdict:
     subset_cap_exceeded: bool
 
 
-def _genericity(lattice: IntersectionLattice):
-    """Genericity predicate on label sets, read off the lattice.
-
-    A label set is generic when every n+1 of its forms (all, if fewer) are
-    independent. Dependent labels span a flat of some rank r <= n holding
-    more than r of them, and more than r labels of a rank-r flat are
-    dependent; only flats through more hyperplanes than their rank count.
-    """
-    dependent = [(frozenset(f.indices), f.rank) for f in lattice.flats if f.s > f.rank]
-    return lambda labels: all(len(flat.intersection(labels)) <= r
-                              for flat, r in dependent)
-
-
 def _off_curve(a: Arrangement):
     """Rule 1's failure test on label sets of `a`.
 
@@ -332,14 +321,14 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
     # rule 1: generic subset failing the osculation test; none can fail when
     # a curve passes through every dual point, hence every subset's points
     if not on_curve:
-        is_generic, off_curve = _genericity(lattice), _off_curve(a)
+        off_curve = _off_curve(a)
         subsets = combinations(range(1, m + 1), n + 4)
         for subset in islice(subsets, max_subsets):
-            if is_generic(subset) and off_curve(subset):
+            if lattice.independent(subset) and off_curve(subset):
                 return verdict(TorelliStatus.TORELLI_PROVED, "generic-subset-off-curve",
                                f"rule 1: generic subset {list(subset)} avoids every "
                                "curve of the family", subset)
-    cap_exceeded = sum(comb(m, k) for k in range(n + 4, m + 1)) > max_subsets
+        cap_exceeded = comb(m, n + 4) > max_subsets
     trace.append("rule 1: no generic subset fails the osculation test"
                  + (" (subset cap hit)" if cap_exceeded else ""))
 

@@ -122,7 +122,7 @@ def test_criterion_04_git_cross_validation(capsys):
             if w is None or not w.strict or w.kind is not WitnessKind.FLAT_RATIO:
                 continue
             flat = next(f for f in lat.flats if f.indices == w.flat_indices)
-            git = git_ratio_test(steiner_tensor(a), flat_subspace(flat, a.m))
+            git = git_ratio_test(steiner_tensor(lat), flat_subspace(flat, a.m))
             s, r = flat.s, flat.rank
             assert git.lhs == Fraction(s - r, s - 1)
             assert git.rhs == Fraction(a.m - 1 - a.n, a.m - 1)
@@ -148,7 +148,7 @@ def test_criterion_05_gale_bijection(capsys):
             a = fixture(name)
             if a.m < a.n + 3:
                 continue
-            assert verify_gale_bijection(steiner_tensor(a)).ok, name
+            assert verify_gale_bijection(steiner_tensor(build_lattice(a))).ok, name
 
         rng = random.Random(20250823)
         accepted = 0
@@ -159,9 +159,10 @@ def test_criterion_05_gale_bijection(capsys):
             n, rows = _random_rational_arrangement(rng)
             try:
                 a = parse_arrangement(n, rows)
-                if a.m < a.n + 3 or not build_lattice(a).essential:
+                lat = build_lattice(a)
+                if a.m < a.n + 3 or not lat.essential:
                     continue
-                t = steiner_tensor(a)
+                t = steiner_tensor(lat)
                 gale_dual(t)
             except (InvalidArrangement, GaleUndefined):
                 continue

@@ -174,7 +174,8 @@ def test_no_sheaf_data_for_a_non_essential_arrangement():
     semistable = StabilityVerdict(Status.NOT_STABLE, (), ())
     for call in (lambda: chern(lat, poincare(lat)), lambda: h0_values(lat),
                  lambda: classify(lat), lambda: discriminant_test(lat),
-                 lambda: torelli_verdict(lat, semistable)):
+                 lambda: torelli_verdict(lat, semistable),
+                 lambda: steiner_tensor(lat)):
         with pytest.raises(ValueError, match="arrangement is not essential"):
             call()
 
@@ -204,11 +205,12 @@ def test_steiner_availability_matches_rank_and_tensor(a):
     lat = build_lattice(a)
     assert lat.essential == (fraction_rank(a.forms) == a.n + 1)
     try:
-        steiner_tensor(a)
-        made = True
+        t = steiner_tensor(lat)
     except ValueError:
-        made = False
-    assert (steiner_unavailable(lat) is None) == made
+        t = None
+    assert (steiner_unavailable(lat) is None) == (t is not None)
+    if t is not None:   # rank n + 1 leaves m - n - 1 relations
+        assert t.u_basis.rows == a.m - a.n - 1
 
 
 def test_locally_free_flags():

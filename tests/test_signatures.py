@@ -1,9 +1,12 @@
-"""The sheaf layer takes the lattice alone.
+"""The sheaf layer takes the lattice alone, and the rank table has two readers.
 
-An `IntersectionLattice` carries its arrangement, so a function taking both
-an `Arrangement` and an `IntersectionLattice` lets a caller pass a lattice
-of some other arrangement. No function in `src/` may annotate parameters
-with both types.
+An `IntersectionLattice` carries its arrangement and a `SteinerTensor` its
+lattice, so a function taking two of `Arrangement`, `IntersectionLattice`
+and `SteinerTensor` lets a caller pass objects of different arrangements.
+No function in `src/` may annotate parameters with two of these types.
+
+The lattice decides dependence for everyone else, so only `build_lattice`
+and `basis_minors` take the rank table, as a `ranks` parameter.
 """
 
 import ast
@@ -11,6 +14,8 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "arrinv"
 PAIR = {"Arrangement", "IntersectionLattice"}
+TENSOR_PAIRS = ({"Arrangement", "SteinerTensor"},
+                {"IntersectionLattice", "SteinerTensor"})
 
 
 def _names(annotation: ast.AST) -> set[str]:
@@ -26,23 +31,51 @@ def _names(annotation: ast.AST) -> set[str]:
     return out
 
 
-def _parameter_types(fn: ast.FunctionDef) -> set[str]:
+def _parameters(fn: ast.FunctionDef) -> list[ast.arg]:
     args = fn.args
-    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
-    return set().union(*(_names(p.annotation) for p in params
-                         if p is not None and p.annotation is not None))
+    return [p for p in args.posonlyargs + args.args + args.kwonlyargs
+            + [args.vararg, args.kwarg] if p is not None]
 
 
-def paired(tree: ast.Module) -> list[str]:
-    """Functions of `tree`, nested ones and methods included, taking both types."""
-    return [node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and PAIR <= _parameter_types(node)]
+def _parameter_types(fn: ast.FunctionDef) -> set[str]:
+    return set().union(*(_names(p.annotation) for p in _parameters(fn)
+                         if p.annotation is not None))
+
+
+def _functions(tree: ast.Module):
+    """Functions of `tree`, nested ones and methods included."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def paired(tree: ast.Module, pairs=(PAIR,)) -> list[str]:
+    """Functions of `tree` taking both types of some pair in `pairs`."""
+    return [fn.name for fn in _functions(tree)
+            if any(pair <= _parameter_types(fn) for pair in pairs)]
+
+
+def taking(tree: ast.Module, name: str) -> list[str]:
+    """Functions of `tree` with a parameter called `name`."""
+    return [fn.name for fn in _functions(tree)
+            if name in {p.arg for p in _parameters(fn)}]
+
+
+def _in_src(check) -> list[str]:
+    return [f"{path.stem}:{name}" for path in sorted(SRC.glob("*.py"))
+            for name in check(ast.parse(path.read_text()))]
 
 
 def test_no_function_takes_an_arrangement_beside_its_lattice():
-    assert [f"{path.stem}:{name}" for path in sorted(SRC.glob("*.py"))
-            for name in paired(ast.parse(path.read_text()))] == []
+    assert _in_src(paired) == []
+
+
+def test_no_function_takes_a_tensor_beside_its_lattice_or_arrangement():
+    assert _in_src(lambda tree: paired(tree, TENSOR_PAIRS)) == []
+
+
+def test_only_the_lattice_and_the_basis_minors_take_the_rank_table():
+    assert _in_src(lambda tree: taking(tree, "ranks")) == [
+        "ffcount:basis_minors", "lattice:build_lattice"]
 
 
 def test_the_check_sees_every_spelling_of_a_pair():
@@ -53,5 +86,12 @@ def dotted(*, a: arrangement.Arrangement, lattice: lattice.IntersectionLattice):
 class Holder:
     def method(self, a: Arrangement, lats: list[IntersectionLattice]): ...
 def alone(lattice: IntersectionLattice, n: int): ...
+def tensor_and_lattice(t: SteinerTensor, lattice: IntersectionLattice): ...
+def tensor_and_arrangement(t: "SteinerTensor", *, a: Arrangement | None = None): ...
+def tensor_alone(t: SteinerTensor, ranks: dict[tuple[int, ...], int]): ...
 '''
-    assert paired(ast.parse(source)) == ["plain", "quoted", "dotted", "method"]
+    tree = ast.parse(source)
+    assert paired(tree) == ["plain", "quoted", "dotted", "method"]
+    assert paired(tree, TENSOR_PAIRS) == ["tensor_and_lattice",
+                                          "tensor_and_arrangement"]
+    assert taking(tree, "ranks") == ["tensor_alone"]

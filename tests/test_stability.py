@@ -97,7 +97,7 @@ def test_git_cross_validates_strict_combinatorial_witness():
         witness = combinatorial_destabilizer(lat)
         if witness is None or not witness.strict:
             continue
-        t = steiner_tensor(a)
+        t = steiner_tensor(lat)
         flat = next(f for f in lat.flats if f.indices == witness.flat_indices)
         res = git_ratio_test(t, flat_subspace(flat, a.m))
         s, r = flat.s, flat.rank
@@ -112,8 +112,9 @@ def test_git_dimension_law_on_heavy_flats():
     for name in ("a3_braid", "m5_two_triples", "m6_four_concurrent",
                  "m6_three_triples"):
         a = fixture(name)
-        t = steiner_tensor(a)
-        for f in build_lattice(a).flats_of_rank(2):
+        lat = build_lattice(a)
+        t = steiner_tensor(lat)
+        for f in lat.flats_of_rank(2):
             if f.s < 3:
                 continue
             res = git_ratio_test(t, flat_subspace(f, a.m))
@@ -123,8 +124,8 @@ def test_git_dimension_law_on_heavy_flats():
 
 def test_git_triple_in_a3_is_not_destabilizing():
     a = fixture("a3_braid")
-    t = steiner_tensor(a)
     lat = build_lattice(a)
+    t = steiner_tensor(lat)
     triple = next(f for f in lat.flats_of_rank(2) if f.s == 3)
     res = git_ratio_test(t, flat_subspace(triple, a.m))
     assert res.lhs == Fraction(1, 2)

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from arrinv.arrangement import parse_arrangement, subset_ranks
+from arrinv.arrangement import (InvalidArrangement, canonical_form, parse_arrangement,
+                                subset_ranks)
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.linalg import QMatrix, kernel_basis
@@ -19,7 +21,7 @@ TENSOR_FIXTURES = [n for n in fixture_names() if n != "boolean_n2"]
 @pytest.mark.parametrize("name", TENSOR_FIXTURES)
 def test_u_basis_spans_the_relation_space(name):
     a = fixture(name)
-    t = steiner_tensor(a)
+    t = steiner_tensor(build_lattice(a))
     assert t.u_basis.rows == a.m - a.n - 1
     assert t.u_basis.rank() == a.m - a.n - 1
     for rel in t.u_basis.entries:
@@ -29,7 +31,7 @@ def test_u_basis_spans_the_relation_space(name):
 
 def test_boolean_plus_one_relation():
     a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-    t = steiner_tensor(a)
+    t = steiner_tensor(build_lattice(a))
     assert t.u_basis.entries == ((Fraction(-1), Fraction(-1), Fraction(-1),
                                   Fraction(1)),)
 
@@ -37,7 +39,7 @@ def test_boolean_plus_one_relation():
 @pytest.mark.parametrize("name", ["a3_braid", "generic5", "m6_three_triples"])
 def test_slice_entries_follow_definition(name):
     a = fixture(name)
-    t = steiner_tensor(a)
+    t = steiner_tensor(build_lattice(a))
     for k in range(a.n + 1):
         for j in range(a.m - a.n - 1):
             for r in range(a.m - 1):
@@ -46,7 +48,7 @@ def test_slice_entries_follow_definition(name):
 
 
 def test_tensor_shapes():
-    t = steiner_tensor(fixture("a3_braid"))
+    t = steiner_tensor(build_lattice(fixture("a3_braid")))
     assert len(t.slices) == 3
     for s in t.slices:
         assert (s.rows, s.cols) == (5, 3)
@@ -63,7 +65,7 @@ def _point_of_rank2_flat(a, flat):
 def test_slice_rank_drop_equals_excess(name):
     """Contracting at a point of a flat drops the rank by exactly s - r."""
     a = fixture(name)
-    t = steiner_tensor(a)
+    t = steiner_tensor(build_lattice(a))
     lat = build_lattice(a)
     full = a.m - 1 - a.n
     for flat in lat.flats_of_rank(2):
@@ -73,7 +75,7 @@ def test_slice_rank_drop_equals_excess(name):
 
 def test_slice_full_rank_at_generic_point():
     a = fixture("a3_braid")
-    t = steiner_tensor(a)
+    t = steiner_tensor(build_lattice(a))
     q = (1, 2, 5)  # on none of the six lines
     assert all(sum(c * x for c, x in zip(f, q)) != 0 for f in a.forms)
     assert slice_at_point(t, q).rank() == 3
@@ -81,30 +83,30 @@ def test_slice_full_rank_at_generic_point():
 
 def test_dual_columns_one_per_hyperplane():
     a = fixture("generic5")
-    cols = dual_columns(steiner_tensor(a))
+    cols = dual_columns(steiner_tensor(build_lattice(a)))
     assert len(cols) == 5
     assert all(len(c) == 2 for c in cols)
 
 
 def test_gale_dual_defined_for_generic6():
     a = fixture("generic6_off_conic")
-    dual = gale_dual(steiner_tensor(a))
+    dual = gale_dual(steiner_tensor(build_lattice(a)))
     assert dual.n == 2
     assert dual.m == 6
 
 
 def test_gale_dual_undefined_when_dual_points_collide():
     with pytest.raises(GaleUndefined) as err:
-        gale_dual(steiner_tensor(fixture("m5_one_triple")))
+        gale_dual(steiner_tensor(build_lattice(fixture("m5_one_triple"))))
     assert "collide" in str(err.value)
 
 
 def test_gale_dual_needs_room():
     a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
     with pytest.raises(GaleUndefined):
-        gale_dual(steiner_tensor(a))
+        gale_dual(steiner_tensor(build_lattice(a)))
     with pytest.raises(GaleUndefined):
-        verify_gale_bijection(steiner_tensor(a))
+        verify_gale_bijection(steiner_tensor(build_lattice(a)))
 
 
 def test_gale_dual_needs_essential():
@@ -113,7 +115,7 @@ def test_gale_dual_needs_essential():
     a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0],
                               [1, 3, 0], [1, 4, 0]])
     with pytest.raises(ValueError, match="essential"):
-        steiner_tensor(a)
+        steiner_tensor(build_lattice(a))
     gale = build_report(a)["gale"]
     assert gale == {"defined": False, "reason": "arrangement is not essential"}
 
@@ -130,7 +132,31 @@ def test_dependent_sets_match_minor_oracle(name):
     assert list(primal) == sorted(primal)
     assert set(primal) == dependent_subsets_by_minors(a)
     if a.m >= a.n + 3:
-        assert verify_gale_bijection(steiner_tensor(a)).primal_dependent == primal
+        assert verify_gale_bijection(steiner_tensor(build_lattice(a))).primal_dependent == primal
+
+
+@st.composite
+def essential_lattices(draw):
+    """Lattices of essential arrangements: n 1..4, m n+3..n+7, coefficients in [-2, 2]."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n + 3, n + 7))
+    row = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1).filter(any)
+    rows = draw(st.lists(row, min_size=m, max_size=m, unique_by=canonical_form))
+    try:
+        lat = build_lattice(parse_arrangement(n, rows))
+    except InvalidArrangement:
+        assume(False)
+    assume(lat.essential)
+    return lat
+
+
+@given(essential_lattices())
+@settings(max_examples=100, deadline=None)
+def test_gale_primal_sets_are_the_dependent_minors(lat):
+    rep = verify_gale_bijection(steiner_tensor(lat))
+    minors = dependent_subsets_by_minors(lat.arrangement)
+    assert rep.primal_dependent == tuple(sorted(minors))
+    assert rep.ok, (rep.missing, rep.extra)
 
 
 def test_a3_dependent_triples_are_the_triple_points():
@@ -143,7 +169,7 @@ def test_a3_dependent_triples_are_the_triple_points():
                           if fixture(n).m >= fixture(n).n + 3])
 def test_gale_bijection_on_fixtures(name):
     a = fixture(name)
-    rep = verify_gale_bijection(steiner_tensor(a))
+    rep = verify_gale_bijection(steiner_tensor(build_lattice(a)))
     assert rep.ok, (rep.missing, rep.extra)
     labels = set(range(1, a.m + 1))
     assert set(rep.actual_dual) == {tuple(sorted(labels - set(s)))
@@ -151,7 +177,7 @@ def test_gale_bijection_on_fixtures(name):
 
 
 def test_gale_bijection_report_contents():
-    rep = verify_gale_bijection(steiner_tensor(fixture("a3_braid")))
+    rep = verify_gale_bijection(steiner_tensor(build_lattice(fixture("a3_braid"))))
     assert rep.primal_dependent == ((1, 2, 4), (1, 5, 6), (2, 3, 5), (3, 4, 6))
     assert set(rep.actual_dual) == {(3, 5, 6), (2, 3, 4), (1, 4, 6), (1, 2, 5)}
     assert rep.missing == rep.extra == ()
@@ -159,10 +185,11 @@ def test_gale_bijection_report_contents():
 
 def test_double_dual_preserves_dependencies():
     a = fixture("generic6_off_conic")
-    double = gale_dual(steiner_tensor(gale_dual(steiner_tensor(a))))
+    dual = gale_dual(steiner_tensor(build_lattice(a)))
+    double = gale_dual(steiner_tensor(build_lattice(dual)))
     assert double.m == a.m and double.n == a.n
     assert _primal_dependent(double) == _primal_dependent(a)
-    assert (verify_gale_bijection(steiner_tensor(double)).primal_dependent
-            == verify_gale_bijection(steiner_tensor(a)).primal_dependent)
+    assert (verify_gale_bijection(steiner_tensor(build_lattice(double))).primal_dependent
+            == verify_gale_bijection(steiner_tensor(build_lattice(a))).primal_dependent)
 
 

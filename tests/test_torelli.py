@@ -28,7 +28,6 @@ from arrinv.torelli import (
     TorelliStatus,
     conic_test,
     rnc_test,
-    _genericity,
     _off_curve,
     torelli_verdict,
 )
@@ -407,12 +406,12 @@ def concurrent_arrangements(draw):
 @settings(max_examples=60, deadline=None)
 def test_lattice_genericity_matches_minors(a):
     dependent = dependent_subsets_by_minors(a)
-    is_generic = _genericity(build_lattice(a))
+    lat = build_lattice(a)
     for size in range(a.n + 1, a.m + 1):
         for subset in combinations(range(1, a.m + 1), size):
             by_minors = not any(t in dependent
                                 for t in combinations(subset, a.n + 1))
-            assert is_generic(subset) == by_minors, subset
+            assert lat.independent(subset) == by_minors, subset
 
 
 @st.composite
@@ -435,7 +434,9 @@ def plane_configurations(draw):
     except InvalidArrangement:
         assume(False)
     total = sum(comb(m, k) for k in range(6, m + 1))
-    return a, draw(st.sampled_from([0, total - 1, total, total + 1]))
+    scanned = comb(m, 6)
+    return a, draw(st.sampled_from([0, scanned - 1, scanned, scanned + 1,
+                                    total - 1, total, total + 1]))
 
 
 @st.composite
@@ -458,7 +459,9 @@ def space_configurations(draw):
     except InvalidArrangement:
         assume(False)
     total = sum(comb(m, k) for k in range(7, m + 1))
-    return a, draw(st.sampled_from([0, total - 1, total, total + 1]))
+    scanned = comb(m, 7)
+    return a, draw(st.sampled_from([0, scanned - 1, scanned, scanned + 1,
+                                    total - 1, total, total + 1]))
 
 
 @given(st.one_of(plane_configurations(), space_configurations()))
@@ -468,16 +471,24 @@ def test_pruned_rule1_matches_the_exhaustive_scan(case):
     verdict = Analysis(a, DEFAULT_PRIMES, max_subsets, True).torelli
     assume(verdict is not None)
     if verdict.status is TorelliStatus.UNKNOWN:   # unstable: no rule applies
-        expected = (None, False)
+        witness, oracle_cap_hit = None, False
     else:
-        expected = rule1_by_exhaustion(a, max_subsets)
-    assert (verdict.witness_subset, verdict.subset_cap_exceeded) == expected
+        witness, oracle_cap_hit = rule1_by_exhaustion(a, max_subsets)
+    assert verdict.witness_subset == witness
+    # the oracle visits the same (n+4)-subsets first, then the larger ones
+    assert oracle_cap_hit or not verdict.subset_cap_exceeded
+    if verdict.status is not TorelliStatus.UNKNOWN:
+        on_curve = (verdict.conic.kernel_dim >= 1 if a.n == 2
+                    else verdict.rnc.verdict is RncVerdict.ON_SMOOTH_RNC)
+        assert verdict.subset_cap_exceeded == (
+            witness is None and not on_curve and comb(a.m, a.n + 4) > max_subsets)
 
 
 def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
-    # C(16, >= 6) = 58,651 subsets exceed the default cap; with every dual
-    # point on one conic no subset is examined: the full-set conic test is
-    # the only one made, and no Veronese rank is taken
+    # C(16, 6) = 8,008 subsets fit the default cap, and C(16, >= 6) = 58,651
+    # would not; with every dual point on one conic no subset is examined:
+    # the full-set conic test is the only one made, no Veronese rank is
+    # taken, and no cap is hit
     a = parse_arrangement(2, [[1, t, t * t] for t in range(-8, 8)])
     lat = build_lattice(a)
     stab = classify(lat)
@@ -497,15 +508,16 @@ def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
     v = torelli_verdict(lat, stab)
     assert conics == [16]
     assert 6 not in ranks
-    assert v.subset_cap_exceeded
+    assert not v.subset_cap_exceeded
     assert v.conic.kernel_dim == 1
     assert v.rule == "on-stable-curve"
 
 
 def test_eleven_planes_on_a_twisted_cubic_skip_the_scan(monkeypatch):
-    # C(11, >= 7) = 562 subsets exceed the cap of 561; with every dual point
-    # on one smooth twisted cubic no subset is examined: the full-set curve
-    # test is the only one made
+    # C(11, 7) = 330 subsets fit the cap of 561 and C(11, >= 7) = 562 would
+    # not; with every dual point on one smooth twisted cubic no subset is
+    # examined: the full-set curve test is the only one made, and no cap is
+    # hit
     a = parse_arrangement(3, twisted_cubic_rows(range(-5, 6)))
     lat = build_lattice(a)
     stab = classify(lat)
@@ -518,9 +530,27 @@ def test_eleven_planes_on_a_twisted_cubic_skip_the_scan(monkeypatch):
     monkeypatch.setattr(torelli_mod, "rnc_test", counted_rnc)
     v = torelli_verdict(lat, stab, max_subsets=561)
     assert calls == [11]
-    assert v.subset_cap_exceeded
+    assert not v.subset_cap_exceeded
     assert v.rnc.verdict is RncVerdict.ON_SMOOTH_RNC
     assert v.rule == "on-stable-curve"
+
+
+# Seven dual points (1, t, t^2) on the conic y^2 = xz and (0, 1, 0) off it.
+# A 6-subset without the off point lies on the conic; one with it holds five
+# of the seven parameters, hence a pair t, -t, whose points are collinear
+# with (0, 1, 0). So none of the C(8, 6) = 28 6-subsets is a witness.
+CONIC_PAIRS_AND_A_POINT = ([[1, t, t * t] for t in (0, 1, -1, 2, -2, 3, -3)]
+                           + [[0, 1, 0]])
+
+
+@pytest.mark.parametrize("cap, hit", [(27, True), (28, False), (20000, False)])
+def test_subset_cap_is_hit_only_when_the_scan_stops_early(cap, hit):
+    a = parse_arrangement(2, CONIC_PAIRS_AND_A_POINT)
+    lat = build_lattice(a)
+    v = torelli_verdict(lat, classify(lat), max_subsets=cap)
+    assert v.witness_subset is None
+    assert v.subset_cap_exceeded is hit
+    assert v.trace[0].endswith("(subset cap hit)") is hit
 
 
 @st.composite
