@@ -5,14 +5,14 @@ quantity at most once. The rank table of small subsets of forms has two
 readers: the intersection lattice, and the gcd of each basis's maximal
 minors, taken over Z from the forms, so that an oracle prime is accepted
 when it divides none of them. The lattice is the one place that decides
-dependence: the Torelli genericity and the Gale primal sets ask it. The
-defining tensor is built from the lattice, and its relation basis gives the
-Gale dual points. Stability, Torelli, Chern data, the delta section's h0
-values and the tensor exist only where the Steiner sheaf does;
-`Analysis.unavailable` reads that off the lattice with
-`invariants.steiner_unavailable`, the rule the sheaf layer itself enforces.
-The CLI commands print sections of an Analysis, so each prints what
-`analyze` does.
+dependence: the Torelli genericity, the linear general position `rnc_test`
+needs and the Gale primal sets ask it. The defining tensor is built from
+the lattice, and its relation basis gives the Gale dual points. Stability,
+Torelli, Chern data, the delta section's h0 values and the tensor exist
+only where the Steiner sheaf does; `Analysis.unavailable` reads that off
+the lattice with `invariants.steiner_unavailable`, the rule the sheaf layer
+itself enforces. The CLI commands print sections of an Analysis, so each
+prints what `analyze` does.
 
 Everything here returns plain dicts and lists ready for json.dumps. Field
 order is fixed by construction and all collection iteration is over sorted
@@ -96,6 +96,11 @@ class Analysis:
         return local_data(self.lattice)
 
     @cached_property
+    def delta(self) -> int | None:
+        """The delta invariant of a line arrangement; None unless n = 2."""
+        return delta_invariant(self.lattice) if self.a.n == 2 else None
+
+    @cached_property
     def unavailable(self) -> str | None:
         """Why stability, Torelli, Chern, h0 and tensor data are missing, or None."""
         return steiner_unavailable(self.lattice)
@@ -108,7 +113,7 @@ class Analysis:
     def stability(self) -> StabilityVerdict | None:
         if self.unavailable:
             return None
-        return classify(self.lattice, literature_rules=self.literature_rules)
+        return classify(self.lattice, self.delta, self.literature_rules)
 
     @cached_property
     def torelli(self) -> TorelliVerdict | None:
@@ -179,8 +184,7 @@ class Analysis:
         return out
 
     def delta_section(self) -> dict | None:
-        a, lattice = self.a, self.lattice
-        if a.n != 2:
+        if self.a.n != 2:
             return None
         per_point = [{
             "indices": list(loc.indices),
@@ -190,9 +194,9 @@ class Analysis:
             "branches": loc.branches,
             "torsion_length": loc.torsion_length,
         } for loc in self.local_data]
-        out = {"total": delta_invariant(lattice), "per_point": per_point}
+        out = {"total": self.delta, "per_point": per_point}
         if self.unavailable is None:
-            h0_sheaf, h0_log = h0_values(lattice)
+            h0_sheaf, h0_log = h0_values(self.lattice)
             out["h0_twisted_sheaf"] = h0_sheaf
             out["h0_twisted_log"] = h0_log
         return out
@@ -334,38 +338,36 @@ class Analysis:
             checks.append({"check": "twist_identity", "status": "skipped",
                            "reason": "needs an essential arrangement with m >= n + 2"})
 
-        checks.append(delta_bound_check(lattice, self.stability))
+        checks.append(delta_bound_check(a.m, self.delta, self.stability))
         return checks
 
 
-def delta_bound_check(lattice: IntersectionLattice,
+def delta_bound_check(m: int, delta: int | None,
                       verdict: StabilityVerdict | None) -> dict:
-    """Bound on the delta invariant for semi-stable plane arrangements.
+    """Bound on the delta invariant of m semi-stable lines (None unless n = 2).
 
     The quarter bound delta <= (m-1)(m-3)/4 follows from non-negativity of
     the discriminant; the stricter fifth bound is also reported because the
     two-triple five-line example sits exactly on the quarter bound while
     violating the fifth one.
     """
-    if lattice.n != 2 or verdict is None:
+    if delta is None or verdict is None:
         return {"check": "delta_bound", "status": "skipped",
                 "reason": "defined for n = 2 with a stability verdict"}
     if verdict.status not in (Status.STABLE, Status.NOT_STABLE):
         return {"check": "delta_bound", "status": "skipped",
                 "reason": f"arrangement is {verdict.status.value}; bound applies "
                           "to semi-stable ones"}
-    m = lattice.m
-    total = delta_invariant(lattice)
     quarter = Fraction((m - 1) * (m - 3), 4)
     fifth = Fraction((m - 1) * (m - 3), 5)
     return {
         "check": "delta_bound",
-        "status": "pass" if Fraction(total) <= quarter else "fail",
-        "delta": total,
+        "status": "pass" if Fraction(delta) <= quarter else "fail",
+        "delta": delta,
         "quarter_bound": jsonable(quarter),
-        "quarter_holds": Fraction(total) <= quarter,
+        "quarter_holds": Fraction(delta) <= quarter,
         "fifth_bound": jsonable(fifth),
-        "fifth_holds": Fraction(total) <= fifth,
+        "fifth_holds": Fraction(delta) <= fifth,
     }
 
 

@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariants import delta_invariant, require_steiner
+from .invariants import require_steiner
 from .lattice import CrossingClass, Flat, IntersectionLattice, classify_crossing
 from .steiner import SteinerTensor
 from .linalg import QMatrix
@@ -199,14 +199,15 @@ def free_splitting_stability(exponents: list[int]) -> StabilityVerdict:
                             ("splitting: equal exponents, semi-stable but not stable",))
 
 
-def classify(lattice: IntersectionLattice,
+def classify(lattice: IntersectionLattice, delta: int | None,
              literature_rules: bool = True) -> StabilityVerdict:
     """Combine the implemented tests into one verdict on the lattice's sheaf.
 
     Order: destabilizing witnesses first (combinatorial, then the n=2
     discriminant), then stability via the literature rules (generic
     arrangements; n=2 single-triple-point arrangements with m >= 6), then the
-    parity upgrade for n=2 and even m, else Undetermined. Raises ValueError
+    parity upgrade for n=2 and even m, else Undetermined. `delta` is
+    `delta_invariant(lattice)` for n = 2, else None. Raises ValueError
     where there is no Steiner sheaf (`invariants.steiner_unavailable`).
     """
     require_steiner(lattice, "stability analysis")
@@ -245,11 +246,10 @@ def classify(lattice: IntersectionLattice,
             rules.append("generic arrangements give stable Steiner bundles "
                          "(Bohnhorst-Spindler)")
             return StabilityVerdict(Status.STABLE, tuple(witnesses), tuple(rules))
-        if n == 2 and m >= 6:
-            if delta_invariant(lattice) == 1:
-                rules.append("single modest multiple point (delta = 1, m >= 6) "
-                             "is stable (Schenck)")
-                return StabilityVerdict(Status.STABLE, tuple(witnesses), tuple(rules))
+        if n == 2 and m >= 6 and delta == 1:
+            rules.append("single modest multiple point (delta = 1, m >= 6) "
+                         "is stable (Schenck)")
+            return StabilityVerdict(Status.STABLE, tuple(witnesses), tuple(rules))
 
     rules.append("no implemented criterion decides; verdict left open")
     return StabilityVerdict(Status.UNDETERMINED, tuple(witnesses), tuple(rules))

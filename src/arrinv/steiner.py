@@ -44,10 +44,6 @@ class SteinerTensor:
                                       # rows in the basis e_i - e_m of W
 
     @property
-    def arrangement(self) -> Arrangement:
-        return self.lattice.arrangement
-
-    @property
     def m(self) -> int:
         return self.lattice.m
 

@@ -3,23 +3,25 @@
 The question is whether the arrangement is determined by its logarithmic
 sheaf. The implemented criteria all run on the dual configuration, the m
 points of the dual projective space given by the coefficient vectors: the
-integer rows of the `Arrangement` itself, so a sub-configuration is the
-arrangement of a subset of the rows.
+integer rows of the `Arrangement` itself, so a sub-configuration is a set
+of hyperplane labels.
 
 For n = 2 the central object is the space of conics through the dual points
-(`conic_test`). For higher n the analogous object is a smooth rational
-normal curve through the points (`rnc_test`): after normalizing a frame of
-n+2 points to the coordinate simplex plus the all-ones point (one RREF of
-the frame's first n+1 points beside the others), the curves through the
-frame are exactly t -> (1/(t - a_0) : ... : 1/(t - a_n)) with pairwise
+(`conic_test`, which takes the arrangement). For higher n the analogous
+object is a smooth rational normal curve through the points (`rnc_test`,
+which takes the intersection lattice and a label set): after normalizing a
+frame of n+2 points to the coordinate simplex plus the all-ones point (one
+RREF of the frame's first n+1 points beside the others), the curves through
+the frame are exactly t -> (1/(t - a_0) : ... : 1/(t - a_n)) with pairwise
 distinct poles a_k, so membership reduces to a rank condition on
 coordinatewise reciprocals.
 
-`torelli_verdict` combines the criteria into a five-way cascade. It reads
-the genericity of a label set off the lattice (`lattice.independent`, the
-dependence test the Gale check uses too). Proved and
-NotProved verdicts rest on implemented case analysis, the Conjectured pair
-reports which side of the open conjecture the configuration falls on.
+Linear general position is never decided here: `rnc_test` and
+`torelli_verdict` read it off the lattice (`lattice.independent`, the
+dependence test the Gale check uses too). `torelli_verdict` combines the
+criteria into a five-way cascade. Proved and NotProved verdicts rest on
+implemented case analysis, the Conjectured pair reports which side of the
+open conjecture the configuration falls on.
 """
 
 from __future__ import annotations
@@ -139,47 +141,41 @@ class RncResult:
     detail: str
 
 
-def _in_linear_general_position(points, n: int) -> bool:
-    """Every min(k, n+1) of the k points are linearly independent.
+def rnc_test(lattice: IntersectionLattice,
+             labels: tuple[int, ...] | None = None) -> RncResult:
+    """Do the dual points of `labels` lie on a smooth rational normal curve?
 
-    Every smaller subset lies inside one of those, so it is independent too.
+    `labels` are 1-based, all m when None; the curve has degree n. Linear
+    general position of a label set is read off `lattice.independent`.
     """
-    size = min(len(points), n + 1)
-    return all(bareiss([points[i] for i in subset])[0] == size
-               for subset in combinations(range(len(points)), size))
-
-
-def rnc_test(a: Arrangement) -> RncResult:
-    """Do all dual points lie on a smooth rational normal curve of degree n?"""
-    n, m, pts = a.n, a.m, a.forms
-    if m <= n + 2:
-        if _in_linear_general_position(pts, n):
+    n = lattice.n
+    if labels is None:
+        labels = tuple(range(1, lattice.m + 1))
+    if len(labels) <= n + 2:
+        if lattice.independent(labels):
             return RncResult(RncVerdict.ON_SMOOTH_RNC, None, None,
                              "at most n+2 points in linear general position "
                              "always lie on a smooth curve")
         return RncResult(RncVerdict.DEGENERATE_CONFIGURATION, None, None,
                          "points are linearly degenerate")
 
-    # frame: first n+2 points (lexicographic subset order) in linear general
+    # frame: first n+2 labels (lexicographic subset order) in linear general
     # position. On a smooth curve every n+2 points qualify, so a missing
     # frame already settles the verdict.
-    frame = None
-    for subset in combinations(range(m), n + 2):
-        if _in_linear_general_position([pts[i] for i in subset], n):
-            frame = subset
-            break
+    frame = next((s for s in combinations(labels, n + 2)
+                  if lattice.independent(s)), None)
     if frame is None:
         return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, None, None,
                          "no n+2 points in linear general position; points on "
                          "a smooth curve would all qualify")
-    labels = tuple(i + 1 for i in frame)
 
     # normalize the frame to e_0, ..., e_n, (1, ..., 1): with the base points
     # as the columns of B, the RREF of [B | unit point | other points] is
     # [I | lam | x_1 | ...], lam = B^-1 (unit point) and x = B^-1 p; the map
     # diag(lam)^-1 B^-1 sends p to x_c / lam_c, whose reciprocals are lam_c / x_c
-    rest = [i for i in range(m) if i not in frame]
-    columns = [pts[i] for i in frame + tuple(rest)]
+    forms = lattice.arrangement.forms
+    rest = [i for i in labels if i not in frame]
+    columns = [forms[i - 1] for i in frame + tuple(rest)]
     reduced = rref(QMatrix.from_rows(zip(*columns), len(columns)))[0].entries
     lam = [row[n + 1] for row in reduced]
     recips = []
@@ -187,14 +183,14 @@ def rnc_test(a: Arrangement) -> RncResult:
         x = [row[k] for row in reduced]
         if 0 in x:
             return RncResult(
-                RncVerdict.NOT_ON_SMOOTH_RNC, labels, None,
-                f"point {i + 1} lands on a coordinate hyperplane of the "
+                RncVerdict.NOT_ON_SMOOTH_RNC, frame, None,
+                f"point {i} lands on a coordinate hyperplane of the "
                 "normalized frame; curve points there are frame points")
         recips.append(tuple(l / c for l, c in zip(lam, x)))
 
     ones = tuple(Fraction(1) for _ in range(n + 1))
     if bareiss([ones] + recips)[0] > 2:
-        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, labels,
+        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, frame,
                          None, "reciprocal vectors span more than a pencil")
 
     # a reciprocal vector independent of the all-ones one, i.e. not constant
@@ -202,13 +198,13 @@ def rnc_test(a: Arrangement) -> RncResult:
     if direction is None:
         # every residual point equals the unit point; impossible for distinct
         # points, but keep the branch total
-        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, labels,
+        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, frame,
                          None, "no independent reciprocal direction")
     if len(set(direction)) != n + 1:
-        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, labels,
+        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, frame,
                          direction, "pole parameters collide; every curve of the "
                          "family through these points is degenerate")
-    return RncResult(RncVerdict.ON_SMOOTH_RNC, labels,
+    return RncResult(RncVerdict.ON_SMOOTH_RNC, frame,
                      direction, "reciprocals fit a pole vector with distinct entries")
 
 
@@ -231,21 +227,22 @@ class TorelliVerdict:
     subset_cap_exceeded: bool
 
 
-def _off_curve(a: Arrangement):
-    """Rule 1's failure test on label sets of `a`.
+def _off_curve(lattice: IntersectionLattice):
+    """Rule 1's failure test on label sets of the lattice's arrangement.
 
     For n = 2 the points of a label set lie on no conic when their Veronese
     rows have rank 6, i.e. the kernel dimension `conic_test` would report is
     0; rule 1 reads nothing else. For n >= 3 they lie on no smooth rational
-    normal curve, by `rnc_test`; rule 1 asks only about generic label sets,
-    whose first n+2 points already form the frame `rnc_test` looks for.
+    normal curve, by `rnc_test` on the label set, which reads linear general
+    position off `lattice`; rule 1 asks only about generic label sets, whose
+    first n+2 labels already form the frame `rnc_test` looks for.
     """
-    if a.n == 2:
-        veronese = [_veronese_row(p) for p in a.forms]
+    if lattice.n == 2:
+        veronese = [_veronese_row(p) for p in lattice.arrangement.forms]
         return lambda labels: QMatrix.from_rows(
             [veronese[i - 1] for i in labels], 6).rank() == 6
-    return lambda labels: rnc_test(Arrangement(a.n, tuple(
-        a.forms[i - 1] for i in labels))).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
+    return lambda labels: (rnc_test(lattice, labels).verdict
+                           is RncVerdict.NOT_ON_SMOOTH_RNC)
 
 
 DEFAULT_MAX_SUBSETS = 20000
@@ -255,7 +252,8 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
                     max_subsets: int = DEFAULT_MAX_SUBSETS) -> TorelliVerdict:
     """Five-rule cascade deciding what is known about recoverability.
 
-    The arrangement is the lattice's own; `stability` is `classify(lattice)`.
+    The arrangement is the lattice's own; `stability` is its
+    `stability.classify` verdict.
     Rule 1: a generic sub-arrangement whose dual points avoid every curve of
     the relevant family certifies recoverability, and adding hyperplanes
     preserves it. Any n+3 points in linear general position lie on exactly
@@ -314,14 +312,14 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
                        "for any m points")
 
     conic_full = conic_test(a) if n == 2 else None
-    rnc_full = rnc_test(a) if n >= 3 else None
+    rnc_full = rnc_test(lattice) if n >= 3 else None
     on_curve = (conic_full.kernel_dim >= 1 if n == 2
                 else rnc_full.verdict is RncVerdict.ON_SMOOTH_RNC)
 
     # rule 1: generic subset failing the osculation test; none can fail when
     # a curve passes through every dual point, hence every subset's points
     if not on_curve:
-        off_curve = _off_curve(a)
+        off_curve = _off_curve(lattice)
         subsets = combinations(range(1, m + 1), n + 4)
         for subset in islice(subsets, max_subsets):
             if lattice.independent(subset) and off_curve(subset):

@@ -11,10 +11,11 @@ table mod p instead of by divisibility of basis minors, polynomial products
 are multiplied out term by term instead of read off closed binomials, and
 Torelli rule 1 is an exhaustive scan of every subset.
 
-One exception: for n >= 3 that scan asks the library's `rnc_test` whether a
-subset's dual points lie on a smooth rational normal curve. There is no
-second implementation of that test here; its own sample tests (twisted
-cubics, their perturbations, hand-made frames) cover it.
+One exception: for n >= 3 that scan asks the library's `rnc_test`, on the
+sub-arrangement's own lattice, whether a subset's dual points lie on a
+smooth rational normal curve. There is no second implementation of that
+test here; its own sample tests (twisted cubics, their perturbations,
+hand-made frames) cover it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from arrinv.arrangement import Arrangement
-from arrinv.lattice import Flat
+from arrinv.lattice import Flat, build_lattice
 from arrinv.linalg import QMatrix
 from arrinv.steiner import SteinerTensor
 from arrinv.torelli import RncVerdict, rnc_test
@@ -186,8 +187,8 @@ def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
     generic when no n+1 of its forms have a vanishing minor. It is a
     witness when it is generic and its dual points lie on no curve of the
     family: for n = 2 its Veronese rows have rank 6 (no conic through
-    them), for n >= 3 `rnc_test` finds them on no smooth rational normal
-    curve.
+    them), for n >= 3 `rnc_test` of the sub-arrangement's lattice finds them
+    on no smooth rational normal curve.
     """
     dependent = dependent_subsets_by_minors(a)
     examined = 0
@@ -204,7 +205,8 @@ def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
                 off_curve = fraction_rank(rows) == 6
             else:
                 sub = Arrangement(a.n, tuple(a.forms[i - 1] for i in subset))
-                off_curve = rnc_test(sub).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
+                off_curve = (rnc_test(build_lattice(sub)).verdict
+                             is RncVerdict.NOT_ON_SMOOTH_RNC)
             if off_curve:
                 return subset, False
     return None, False

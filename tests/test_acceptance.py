@@ -69,7 +69,7 @@ def test_criterion_01_braid_invariants(capsys):
         disc, witness = discriminant_test(lat)
         assert disc == Fraction(-1)
         assert witness is not None
-        verdict = classify(lat)
+        verdict = classify(lat, delta_invariant(lat))
         assert verdict.status is Status.UNSTABLE
         assert delta_invariant(lat) == 4
         assert comb(6, 2) - p.projective[2] == 4
@@ -91,13 +91,13 @@ def test_criterion_02_chern_table(capsys):
 def test_criterion_03_combinatorial_stability(capsys):
     with _Criterion(capsys, 3, "combinatorial stability behavior"):
         a, lat = _lattice_of("m6_four_concurrent")
-        v = classify(lat)
+        v = classify(lat, delta_invariant(lat))
         assert v.status is Status.UNSTABLE
         w = next(w for w in v.witnesses if w.kind is WitnessKind.FLAT_RATIO)
         assert (w.lhs, w.rhs, w.strict) == (Fraction(4), Fraction(7, 2), True)
 
         a, lat = _lattice_of("m5_one_triple")
-        v = classify(lat)
+        v = classify(lat, delta_invariant(lat))
         assert v.status is Status.NOT_STABLE
         w = next(w for w in v.witnesses if w.kind is WitnessKind.FLAT_RATIO)
         assert (w.lhs, w.rhs, w.strict) == (Fraction(3), Fraction(3), False)
@@ -215,7 +215,7 @@ def test_criterion_08_torelli_case_analysis(capsys):
     def verdict(name):
         a = fixture(name)
         lat = build_lattice(a)
-        return torelli_verdict(lat, classify(lat))
+        return torelli_verdict(lat, classify(lat, delta_invariant(lat)))
 
     with _Criterion(capsys, 8, "six and five line verdicts"):
         for name in ("m5_one_triple", "m5_two_triples"):
@@ -240,13 +240,13 @@ def test_criterion_09_rational_normal_curve(capsys):
             ts = rng.sample(range(-20, 21), 7)
             rows = [[1, t, t * t, t ** 3] for t in ts]
             a = parse_arrangement(3, rows)
-            assert rnc_test(a).verdict is RncVerdict.ON_SMOOTH_RNC
+            assert rnc_test(build_lattice(a)).verdict is RncVerdict.ON_SMOOTH_RNC
             i = rng.randrange(7)
             j = rng.randrange(1, 4)
             rows2 = [list(r) for r in rows]
             rows2[i][j] += 1
             a2 = parse_arrangement(3, rows2)
-            assert rnc_test(a2).verdict is \
+            assert rnc_test(build_lattice(a2)).verdict is \
                 RncVerdict.NOT_ON_SMOOTH_RNC
 
 
@@ -258,7 +258,7 @@ def test_criterion_10_delta_stratum_bound(capsys):
             if a.n != 2 or a.m < a.n + 2:
                 continue
             lat = build_lattice(a)
-            v = classify(lat)
+            v = classify(lat, delta_invariant(lat))
             if v.status not in (Status.STABLE, Status.NOT_STABLE):
                 continue
             delta = delta_invariant(lat)
@@ -271,7 +271,8 @@ def test_criterion_10_delta_stratum_bound(capsys):
         # the discriminant-zero arrangement saturates the quarter bound and
         # beats the stronger fifth bound; the verify report records this
         a, lat = _lattice_of("m5_two_triples")
-        check = delta_bound_check(lat, classify(lat))
+        check = delta_bound_check(a.m, delta_invariant(lat),
+                                  classify(lat, delta_invariant(lat)))
         assert check["status"] == "pass"
         assert check["delta"] == 2
         assert check["quarter_bound"] == 2 and check["quarter_holds"]

@@ -173,7 +173,8 @@ def test_no_sheaf_data_for_a_non_essential_arrangement():
     assert steiner_unavailable(lat) == "arrangement is not essential"
     semistable = StabilityVerdict(Status.NOT_STABLE, (), ())
     for call in (lambda: chern(lat, poincare(lat)), lambda: h0_values(lat),
-                 lambda: classify(lat), lambda: discriminant_test(lat),
+                 lambda: classify(lat, delta_invariant(lat)),
+                 lambda: discriminant_test(lat),
                  lambda: torelli_verdict(lat, semistable),
                  lambda: steiner_tensor(lat)):
         with pytest.raises(ValueError, match="arrangement is not essential"):

@@ -11,7 +11,9 @@ import sys
 import pytest
 
 from arrinv.fixtures import fixture, fixture_names
-from arrinv.report import build_report, jsonable
+from arrinv.lattice import IntersectionLattice, build_lattice
+from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
+from arrinv.torelli import DEFAULT_MAX_SUBSETS
 
 # the benchmark's committed digests; entry 0 of each fixture's stratum is
 # the fixture itself
@@ -23,6 +25,7 @@ ONCE_PER_REPORT = (
     ("invariants", "chern"),
     ("invariants", "poincare"),
     ("invariants", "local_data"),
+    ("invariants", "delta_invariant"),
     ("arrangement", "subset_ranks"),
     ("lattice", "build_lattice"),
 )
@@ -46,6 +49,18 @@ def test_each_quantity_is_computed_once_per_report(monkeypatch):
                     monkeypatch.setattr(mod, key, counted)
     build_report(fixture("generic6_off_conic"))
     assert calls == dict.fromkeys(calls, 1)
+
+
+def test_a_lattice_breaking_the_pair_count_stops_the_report():
+    # every pair of lines meets in one point, so C(m, 2) - sum(s - 1) =
+    # sum C(s - 1, 2) over the points; the delta invariant, computed once,
+    # checks that, and a lattice missing a double point fails it
+    a = fixture("generic6_off_conic")
+    kept = [(f, mu) for f, mu in build_lattice(a).items() if f.indices != (1, 2)]
+    analysis = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS, True)
+    analysis.lattice = IntersectionLattice(a, *map(tuple, zip(*kept)))
+    with pytest.raises(AssertionError, match="pair-count identity"):
+        analysis.report()
 
 
 @pytest.mark.parametrize("name", fixture_names())

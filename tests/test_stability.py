@@ -6,6 +6,7 @@ import pytest
 
 from arrinv.arrangement import parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
+from arrinv.invariants import delta_invariant
 from arrinv.lattice import build_lattice
 from arrinv.stability import (Status, WitnessKind, classify,
                               combinatorial_destabilizer, discriminant_test,
@@ -31,7 +32,7 @@ EXPECTED_STATUS = {
 def classified(name, literature_rules=True):
     a = fixture(name)
     lat = build_lattice(a)
-    return classify(lat, literature_rules=literature_rules)
+    return classify(lat, delta_invariant(lat), literature_rules=literature_rules)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_STATUS))
@@ -167,7 +168,7 @@ def test_n3_strict_combinatorial_instability():
     a = parse_arrangement(3, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0],
                               [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     lat = build_lattice(a)
-    v = classify(lat)
+    v = classify(lat, None)
     assert v.status is Status.UNSTABLE
     w = v.witnesses[0]
     assert w.flat_indices == (1, 2, 3, 4)
@@ -175,6 +176,6 @@ def test_n3_strict_combinatorial_instability():
 
 
 def test_classify_rejects_small_arrangements():
-    a = fixture("boolean_n2")
+    lat = build_lattice(fixture("boolean_n2"))
     with pytest.raises(ValueError):
-        classify(build_lattice(a))
+        classify(lat, delta_invariant(lat))

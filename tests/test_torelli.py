@@ -7,6 +7,8 @@ fixture against independently derived expectations.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -17,12 +19,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from arrinv.arrangement import Arrangement, InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
+from arrinv.invariants import delta_invariant
 from arrinv.lattice import build_lattice
-from arrinv.linalg import QMatrix, bareiss
+from arrinv.linalg import QMatrix
 from arrinv import torelli as torelli_mod
-from arrinv.report import DEFAULT_PRIMES, Analysis, build_report
+from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
 from arrinv.stability import classify
 from arrinv.torelli import (
+    DEFAULT_MAX_SUBSETS,
     ConicClass,
     RncVerdict,
     TorelliStatus,
@@ -31,13 +35,13 @@ from arrinv.torelli import (
     _off_curve,
     torelli_verdict,
 )
-from oracles import dependent_subsets_by_minors, rule1_by_exhaustion
+from oracles import dependent_subsets_by_minors, fraction_rank, rule1_by_exhaustion
 
 
 def verdict_for(name, **kwargs):
     a = fixture(name)
     lat = build_lattice(a)
-    stab = classify(lat)
+    stab = classify(lat, delta_invariant(lat))
     return torelli_verdict(lat, stab, **kwargs)
 
 
@@ -56,13 +60,13 @@ class TestDualPoints:
     def test_subset_picks_one_based_labels(self):
         # labels 1..6 lie on the conic xz = y^2, label 7 does not
         a = Arrangement(2, tuple((1, t, t * t) for t in range(6)) + ((1, 0, 1),))
-        off_curve = _off_curve(a)
+        off_curve = _off_curve(build_lattice(a))
         assert not off_curve((1, 2, 3, 4, 5, 6))
         assert off_curve((2, 3, 4, 5, 6, 7))
         # labels 1..7 lie on a twisted cubic, label 8 does not
         cubic = Arrangement(3, tuple(map(tuple, twisted_cubic_rows(range(7))))
                             + ((1, 0, 0, 1),))
-        off_curve = _off_curve(cubic)
+        off_curve = _off_curve(build_lattice(cubic))
         assert not off_curve((1, 2, 3, 4, 5, 6, 7))
         assert off_curve((2, 3, 4, 5, 6, 7, 8))
 
@@ -151,16 +155,16 @@ class TestConic:
 
 class TestRnc:
     def test_veronese_conic_points_lie_on_a_smooth_conic(self):
-        res = rnc_test(fixture("generic6_on_conic"))
+        res = rnc_test(build_lattice(fixture("generic6_on_conic")))
         assert res.verdict is RncVerdict.ON_SMOOTH_RNC
 
     def test_generic_six_points_avoid_every_smooth_conic(self):
-        res = rnc_test(fixture("generic6_off_conic"))
+        res = rnc_test(build_lattice(fixture("generic6_off_conic")))
         assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
 
     def test_collinear_triple_blocks_a_smooth_conic(self):
         # a line meets a smooth conic in at most two points
-        res = rnc_test(fixture("m5_one_triple"))
+        res = rnc_test(build_lattice(fixture("m5_one_triple")))
         assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
 
     @pytest.mark.parametrize("name", ["m6_one_triple", "m6_two_triples_F1",
@@ -170,14 +174,14 @@ class TestRnc:
         # one dimensional with a nonsingular generator
         a = fixture(name)
         conic = conic_test(a)
-        rnc = rnc_test(a)
+        rnc = rnc_test(build_lattice(a))
         smooth = (conic.kernel_dim == 1
                   and conic.classification is ConicClass.NONSINGULAR)
         assert (rnc.verdict is RncVerdict.ON_SMOOTH_RNC) == smooth
 
     def test_twisted_cubic_points_are_on_a_smooth_rnc(self):
         a = parse_arrangement(3, twisted_cubic_rows((0, 1, 2, 3, -1, -2, 5)))
-        res = rnc_test(a)
+        res = rnc_test(build_lattice(a))
         assert res.verdict is RncVerdict.ON_SMOOTH_RNC
         assert res.frame == (1, 2, 3, 4, 5)
         assert res.direction == (Fraction(2, 5), Fraction(3, 10),
@@ -188,7 +192,7 @@ class TestRnc:
         rows = twisted_cubic_rows((0, 1, 2, 3, -1, -2, 5))
         rows[3][2] += 1
         a = parse_arrangement(3, rows)
-        res = rnc_test(a)
+        res = rnc_test(build_lattice(a))
         assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
         assert res.frame == (1, 2, 3, 4, 5)
         assert res.direction is None
@@ -200,7 +204,7 @@ class TestRnc:
         # point 6 is on the cubic and passes
         a = Arrangement(3, tuple(map(tuple, twisted_cubic_rows(
             (0, 1, 2, 3, -1, -2)))) + ((1, -1, -3, -7),))
-        res = rnc_test(a)
+        res = rnc_test(build_lattice(a))
         assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
         assert res.frame == (1, 2, 3, 4, 5)
         assert res.direction is None
@@ -213,38 +217,23 @@ class TestRnc:
             ts = rng.sample(range(-20, 21), 7)
             rows = twisted_cubic_rows(ts)
             a = parse_arrangement(3, rows)
-            assert rnc_test(a).verdict is RncVerdict.ON_SMOOTH_RNC
+            assert rnc_test(build_lattice(a)).verdict is RncVerdict.ON_SMOOTH_RNC
             rows[rng.randrange(7)][rng.randrange(1, 4)] += 1
             a2 = parse_arrangement(3, rows)
-            assert rnc_test(a2).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
-
-    def test_general_position_ranks_only_the_largest_subsets(self, monkeypatch):
-        # every pair or triple lies in some 4-subset, so C(6, 4) ranks decide
-        # six points of P^3, a repeated point included
-        sizes = []
-
-        def counted(rows):
-            sizes.append(len(rows))
-            return bareiss(rows)
-
-        monkeypatch.setattr(torelli_mod, "bareiss", counted)
-        pts = tuple(map(tuple, twisted_cubic_rows(range(6))))
-        assert torelli_mod._in_linear_general_position(pts, 3)
-        assert sizes == [4] * comb(6, 4)
-        assert not torelli_mod._in_linear_general_position(pts[:5] + pts[:1], 3)
+            assert rnc_test(build_lattice(a2)).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
 
     def test_few_points_in_general_position_are_trivially_on_a_curve(self):
         a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-        assert rnc_test(a).verdict is RncVerdict.ON_SMOOTH_RNC
+        assert rnc_test(build_lattice(a)).verdict is RncVerdict.ON_SMOOTH_RNC
 
     def test_few_degenerate_points_are_flagged(self):
         a = Arrangement(2, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)))
-        assert rnc_test(a).verdict is RncVerdict.DEGENERATE_CONFIGURATION
+        assert rnc_test(build_lattice(a)).verdict is RncVerdict.DEGENERATE_CONFIGURATION
 
     def test_fully_collinear_points_cannot_be_on_a_smooth_curve(self):
         a = Arrangement(
             2, ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 4, 0)))
-        assert rnc_test(a).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
+        assert rnc_test(build_lattice(a)).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
 
 
 TORELLI_TABLE = {
@@ -299,7 +288,7 @@ class TestTorelliVerdict:
     def test_planes_dual_to_twisted_cubic_points(self):
         a = parse_arrangement(3, twisted_cubic_rows((0, 1, 2, 3, -1, -2, 5)))
         lat = build_lattice(a)
-        stab = classify(lat)
+        stab = classify(lat, None)
         v = torelli_verdict(lat, stab)
         assert v.status is TorelliStatus.NOT_TORELLI_CONJECTURED
         assert v.rule == "on-stable-curve"
@@ -311,7 +300,7 @@ class TestTorelliVerdict:
         rows[3][2] += 1
         a = parse_arrangement(3, rows)
         lat = build_lattice(a)
-        v = torelli_verdict(lat, classify(lat))
+        v = torelli_verdict(lat, classify(lat, None))
         assert v.status is TorelliStatus.TORELLI_PROVED
         assert v.rule == "generic-subset-off-curve"
         assert v.witness_subset == (1, 2, 3, 4, 5, 6, 7)
@@ -321,7 +310,7 @@ class TestTorelliVerdict:
         rows[3][2] += 1
         a = parse_arrangement(3, rows)
         lat = build_lattice(a)
-        v = torelli_verdict(lat, classify(lat), max_subsets=0)
+        v = torelli_verdict(lat, classify(lat, None), max_subsets=0)
         assert v.subset_cap_exceeded
         assert v.status is TorelliStatus.TORELLI_CONJECTURED
         assert v.rule == "default-conjecture"
@@ -330,7 +319,7 @@ class TestTorelliVerdict:
         a = fixture("generic6_off_conic")
         lat = build_lattice(a)
         with pytest.raises(ValueError, match="max_subsets"):
-            torelli_verdict(lat, classify(lat), max_subsets=-1)
+            torelli_verdict(lat, classify(lat, delta_invariant(lat)), max_subsets=-1)
         with pytest.raises(ValueError, match="max_subsets"):
             build_report(a, max_subsets=-1)
 
@@ -351,7 +340,8 @@ class TestRule1Cap:
     def _verdict(self, max_subsets):
         a = parse_arrangement(2, SKIPS_BEFORE_WITNESS)
         lat = build_lattice(a)
-        return torelli_verdict(lat, classify(lat), max_subsets=max_subsets)
+        return torelli_verdict(lat, classify(lat, delta_invariant(lat)),
+                               max_subsets=max_subsets)
 
     def test_skipped_subsets_precede_the_witness(self):
         a = parse_arrangement(2, SKIPS_BEFORE_WITNESS)
@@ -380,9 +370,9 @@ class TestRule1Cap:
 
 @st.composite
 def concurrent_arrangements(draw):
-    """Random n = 2 or 3 arrangements, some forms combinations of earlier ones."""
-    n = draw(st.sampled_from([2, 3]))
-    m = draw(st.integers(n + 2, 7))
+    """Random n = 2, 3 or 4 arrangements, some forms combinations of earlier ones."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(n + 2, max(7, n + 4)))
     rows: list[list[int]] = []
     for i in range(m):
         if i >= 2 and draw(st.booleans()):
@@ -405,13 +395,18 @@ def concurrent_arrangements(draw):
 @given(concurrent_arrangements())
 @settings(max_examples=60, deadline=None)
 def test_lattice_genericity_matches_minors(a):
+    # a label set of at most n forms is independent when its rank is its
+    # size; a larger one when no n+1 of its forms have a vanishing minor
     dependent = dependent_subsets_by_minors(a)
     lat = build_lattice(a)
-    for size in range(a.n + 1, a.m + 1):
+    for size in range(1, a.m + 1):
         for subset in combinations(range(1, a.m + 1), size):
-            by_minors = not any(t in dependent
-                                for t in combinations(subset, a.n + 1))
-            assert lat.independent(subset) == by_minors, subset
+            if size <= a.n:
+                expected = fraction_rank([a.forms[i - 1] for i in subset]) == size
+            else:
+                expected = not any(t in dependent
+                                   for t in combinations(subset, a.n + 1))
+            assert lat.independent(subset) == expected, subset
 
 
 @st.composite
@@ -491,7 +486,7 @@ def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
     # taken, and no cap is hit
     a = parse_arrangement(2, [[1, t, t * t] for t in range(-8, 8)])
     lat = build_lattice(a)
-    stab = classify(lat)
+    stab = classify(lat, delta_invariant(lat))
     conics, ranks = [], []
     rank = QMatrix.rank
 
@@ -520,12 +515,12 @@ def test_eleven_planes_on_a_twisted_cubic_skip_the_scan(monkeypatch):
     # hit
     a = parse_arrangement(3, twisted_cubic_rows(range(-5, 6)))
     lat = build_lattice(a)
-    stab = classify(lat)
+    stab = classify(lat, None)
     calls = []
 
-    def counted_rnc(arr):
-        calls.append(arr.m)
-        return rnc_test(arr)
+    def counted_rnc(lattice, labels=None):
+        calls.append(lattice.m if labels is None else len(labels))
+        return rnc_test(lattice, labels)
 
     monkeypatch.setattr(torelli_mod, "rnc_test", counted_rnc)
     v = torelli_verdict(lat, stab, max_subsets=561)
@@ -547,7 +542,7 @@ CONIC_PAIRS_AND_A_POINT = ([[1, t, t * t] for t in (0, 1, -1, 2, -2, 3, -3)]
 def test_subset_cap_is_hit_only_when_the_scan_stops_early(cap, hit):
     a = parse_arrangement(2, CONIC_PAIRS_AND_A_POINT)
     lat = build_lattice(a)
-    v = torelli_verdict(lat, classify(lat), max_subsets=cap)
+    v = torelli_verdict(lat, classify(lat, delta_invariant(lat)), max_subsets=cap)
     assert v.witness_subset is None
     assert v.subset_cap_exceeded is hit
     assert v.trace[0].endswith("(subset cap hit)") is hit
@@ -571,3 +566,86 @@ def test_every_report_on_the_line_is_made(a):
     if a.m >= 3:
         assert torelli["status"] == "not_torelli_proved"
         assert torelli["rule"] == "line-bundle-case"
+
+
+def sweep_arrangement(n, m, kind, seed):
+    """Seeded input: dual points (1, t, ..., t^n), or coefficients in [-3, 3]."""
+    rng = random.Random(f"{n}/{m}/{kind}/{seed}")
+    while True:
+        if kind == "curve":
+            rows = [[t ** k for k in range(n + 1)] for t in rng.sample(range(-6, 7), m)]
+        else:
+            rows = [[rng.randint(-3, 3) for _ in range(n + 1)] for _ in range(m)]
+        try:
+            return parse_arrangement(n, rows)
+        except InvalidArrangement:   # a zero row or two rows on one point
+            continue
+
+
+# SHA-256 of the JSON Torelli section of each sweep input, pinned so that the
+# n >= 3 verdicts (rnc_test and rule 1 over (n+4)-subsets) cannot drift
+TORELLI_SWEEP_DIGESTS = {
+    (3, 6, "curve", 0): "a40dede8499f9f6b3d82ad51ca2aac332af097d6de3fe730ba67be6166d23aac",
+    (3, 6, "curve", 1): "3c0401d535120251fc5b3e0447a3cad01dcca2dacf2caf9ac2bb61db3b97ffab",
+    (3, 6, "curve", 2): "1c45c760e4143793a55f7fa9ddb6151e3c156db576405de078731f2a04e5e7da",
+    (3, 6, "random", 0): "2553fbf75897c96c0c76570f3c16eb45b81bb112765656d4740c5eefbac19b19",
+    (3, 6, "random", 1): "a15bf78b292a4be5ecdeae9a25aced8683d700e3cb5f4f4d08c33922c5500501",
+    (3, 6, "random", 2): "85171e0c125be8c25afb3b557447a24b8d75162f8c27578533fb17756a02005a",
+    (3, 7, "curve", 0): "27c2cab816f6ed90081ffd04920c33d6a96bba91a29498f10c7fb158fde08668",
+    (3, 7, "curve", 1): "2a0b0271f2b51ff7339415e6f9994f8389d147d88d1ba02fafb6e888906faa2a",
+    (3, 7, "curve", 2): "f890cf0b8fa087c1eb3f244519a98da2f2d3b1f42109748392f8a4b7e3ba1676",
+    (3, 7, "random", 0): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
+    (3, 7, "random", 1): "e03026cae2bd72800cb76cbb456cb7a9a937d191022548442a772fb9db7b267b",
+    (3, 7, "random", 2): "cafcd059a4e4e9575e49aada6cffae40bf6beced9e8de0824724ca418a5737a3",
+    (3, 8, "curve", 0): "917e3e65964f08fd5345b05f44260bf20e30a5bd5c5cc7dc61bc304d2da742f0",
+    (3, 8, "curve", 1): "3f494ba4aa0116ea3ab04c55134a603df7fe27efece224ae2edd1a14f69b0976",
+    (3, 8, "curve", 2): "fdc755896d7dc8ae347fd14f0de53c0581ae0fde3d6a8c94a6da834f2b44f553",
+    (3, 8, "random", 0): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
+    (3, 8, "random", 1): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
+    (3, 8, "random", 2): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
+    (3, 9, "curve", 0): "4d548d77ea0df4f9fea4a8057bbca2f8efc89479355dd4c76d3c356d2384cea1",
+    (3, 9, "curve", 1): "12b107c4c1775dec7639f3363e3ab5c32cc892f5f1dfb3ddceb3e6f9cfa52ccb",
+    (3, 9, "curve", 2): "c261173696be92abce58cfd473cdfa080633eeab6ecd393fd50fb27752a8aa82",
+    (3, 9, "random", 0): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
+    (3, 9, "random", 1): "f1992b06887cc4c7293da754586300f91bf3d65ea933e859617cbf64d8fa60e7",
+    (3, 9, "random", 2): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
+    (3, 10, "curve", 0): "e5712cd19718e8edfa5a9cdb2daddc0ed8cd1af7784b236b9d9562c40a486628",
+    (3, 10, "curve", 1): "837c42b1ec6a654173eda867ef9d6b8e965972a10d88191ea351b89a88e3308e",
+    (3, 10, "curve", 2): "91077a12a2ce4d1549821dca8ece3514a6b888766feea8c16481e7a8125dd812",
+    (3, 10, "random", 0): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
+    (3, 10, "random", 1): "f1992b06887cc4c7293da754586300f91bf3d65ea933e859617cbf64d8fa60e7",
+    (3, 10, "random", 2): "404a8820be6c05381ec8a7fec44828652c19d0ad3d67e44f35e2167f500e0019",
+    (4, 7, "curve", 0): "850b4a954b269fbd966eb1927eb5a864e0a0b935b2aca63d172891970ba981cf",
+    (4, 7, "curve", 1): "dc6fdb1445cb60e83bc05072e5fb0c244a26eb0426aa1d30fca695e9e8fc59b4",
+    (4, 7, "curve", 2): "57debae75be475a3e8ee481190e2f64cc046b210804cf342b993b5a6357a069f",
+    (4, 7, "random", 0): "4d41930289d70ab592b69aa57041775a42cb5074314f08afe129c889e6955981",
+    (4, 7, "random", 1): "dba249ab7e939cf80fb5c883e900a79e0b2d9a8d598dc92fbc57529e1c2e83f8",
+    (4, 7, "random", 2): "bf25c9fbaa73d494cb330bf9f76bd2f59b0b603b26f76af7d5383c1421bfaa79",
+    (4, 8, "curve", 0): "08496c31957b1027c61f49f0b4f1cd2fbaf87c5d97cefbcfc69359524d7cf068",
+    (4, 8, "curve", 1): "99511cf188418b280794f86c716b1c840df51ad3722a06e876ec6df608172d4d",
+    (4, 8, "curve", 2): "e68302dbcd3b24f152fbe77d58b419405a5b36e62ec0ff16fe0e563e3f980ef0",
+    (4, 8, "random", 0): "d329be0bdb9e38bc4656572b75fdb91fbc657a412f262eb58ba9c4a00e2dc5ef",
+    (4, 8, "random", 1): "d329be0bdb9e38bc4656572b75fdb91fbc657a412f262eb58ba9c4a00e2dc5ef",
+    (4, 8, "random", 2): "7545f9d5fba5e6629215252f5f45978e75bf7ac294fc41b690a3df4137eb378c",
+    (4, 9, "curve", 0): "33bcc9ab4268e3e32c27281821417119c6602f4ba2ac006622a6b73c53a7a55a",
+    (4, 9, "curve", 1): "d2fed884fc45f3507a3fa5bae46f154a9b399267178edad2c10f4416de7733d9",
+    (4, 9, "curve", 2): "38ec936e7bd30970bbe5a6be43a2328291c21504405d83b2e6254bd2d16d7eeb",
+    (4, 9, "random", 0): "d329be0bdb9e38bc4656572b75fdb91fbc657a412f262eb58ba9c4a00e2dc5ef",
+    (4, 9, "random", 1): "d329be0bdb9e38bc4656572b75fdb91fbc657a412f262eb58ba9c4a00e2dc5ef",
+    (4, 9, "random", 2): "d329be0bdb9e38bc4656572b75fdb91fbc657a412f262eb58ba9c4a00e2dc5ef",
+    (4, 10, "curve", 0): "534471b15922bc3f7b4bf6bdf7cea7390b882bbe3154217fd21187d0b470bcba",
+    (4, 10, "curve", 1): "d757ad8846f6335076fc1f5864ab2e035f04699901c5555ccf18b2465c778726",
+    (4, 10, "curve", 2): "4eed3c59da875b0b0167efa08246daf1dcd6578d3f6d4bfc9557089c2f67f14b",
+    (4, 10, "random", 0): "d329be0bdb9e38bc4656572b75fdb91fbc657a412f262eb58ba9c4a00e2dc5ef",
+    (4, 10, "random", 1): "d329be0bdb9e38bc4656572b75fdb91fbc657a412f262eb58ba9c4a00e2dc5ef",
+    (4, 10, "random", 2): "ab0b7e81b77d6a812523788c7f284bd3068d984b52584d4681696f0f58409225",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TORELLI_SWEEP_DIGESTS),
+                         ids=lambda c: "n{}-m{}-{}-{}".format(*c))
+def test_torelli_section_matches_the_pinned_digest(case):
+    section = Analysis(sweep_arrangement(*case), DEFAULT_PRIMES,
+                       DEFAULT_MAX_SUBSETS, True).torelli_section()
+    text = json.dumps(jsonable(section), indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TORELLI_SWEEP_DIGESTS[case]
