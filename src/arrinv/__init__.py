@@ -24,8 +24,8 @@ from .stability import (StabilityVerdict, Status, Witness, WitnessKind, classify
                         combinatorial_destabilizer, discriminant_test,
                         free_splitting_stability, git_ratio_test)
 from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
-                      dual_columns, gale_dual, steiner_tensor,
-                      verify_gale_bijection)
+                      dual_columns, gale_dual, gale_unavailable,
+                      steiner_tensor, verify_gale_bijection)
 from .torelli import (ConicClass, ConicResult, RncResult, RncVerdict,
                       TorelliStatus, TorelliVerdict, conic_test, rnc_test,
                       torelli_verdict)
@@ -43,8 +43,8 @@ __all__ = [
     "complement_count_prediction", "conic_test", "count_complement_points",
     "delta_invariant", "discriminant_test", "dual_columns", "fixture",
     "fixture_names", "fixture_note", "free_splitting_stability", "gale_dual",
-    "git_ratio_test", "h0_values", "local_data", "next_valid_prime",
-    "parse_arrangement", "parse_arrangement_json", "poincare",
+    "gale_unavailable", "git_ratio_test", "h0_values", "local_data",
+    "next_valid_prime", "parse_arrangement", "parse_arrangement_json", "poincare",
     "prime_preserves_lattice", "require_steiner", "rnc_test", "steiner_tensor",
     "steiner_unavailable", "subset_ranks", "torelli_verdict", "twist_transform",
     "verify_gale_bijection",

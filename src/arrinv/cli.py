@@ -20,7 +20,7 @@ from .ffcount import is_prime
 from .fixtures import fixture, fixture_names, fixture_note
 from .report import DEFAULT_PRIMES, Analysis, jsonable, render_pretty
 from .stability import Status
-from .steiner import GaleUndefined, gale_dual
+from .steiner import GaleUndefined, gale_dual, gale_unavailable
 from .torelli import DEFAULT_MAX_SUBSETS
 
 
@@ -67,10 +67,10 @@ def _sections(*names):
 
 
 def cmd_tensor(args) -> int:
-    t = _analysis(args).tensor
+    an = _analysis(args)
+    t = an.tensor
     if t is None:
-        raise InvalidArrangement(
-            "tensor needs an essential arrangement with m >= n + 2")
+        raise InvalidArrangement(f"defining tensor: {an.unavailable}")
     return _print({
         "m": t.m,
         "n": t.n,
@@ -100,14 +100,9 @@ def cmd_verify(args) -> int:
 
 def cmd_conjecture(args) -> int:
     primal = _analysis(args)
-    a = primal.a
-    if a.m < a.n + 3:
-        raise InvalidArrangement(
-            f"the dual construction needs m >= n + 3; m = {a.m}, n = {a.n} "
-            "leaves no dual ambient space")
-    if primal.tensor is None:
-        raise InvalidArrangement(
-            "dual arrangement undefined: Gale dual needs an essential arrangement")
+    why = gale_unavailable(primal.lattice)
+    if why is not None:
+        raise InvalidArrangement(f"dual arrangement undefined: {why}")
     try:
         dual = Analysis(gale_dual(primal.tensor), primal.primes,
                         primal.max_subsets, primal.literature_rules)

@@ -7,12 +7,13 @@ minors, taken over Z from the forms, so that an oracle prime is accepted
 when it divides none of them. The lattice is the one place that decides
 dependence: the Torelli genericity, the linear general position `rnc_test`
 needs and the Gale primal sets ask it. The defining tensor is built from
-the lattice, and its relation basis gives the Gale dual points. Stability,
-Torelli, Chern data, the delta section's h0 values and the tensor exist
-only where the Steiner sheaf does; `Analysis.unavailable` reads that off
-the lattice with `invariants.steiner_unavailable`, the rule the sheaf layer
-itself enforces. The CLI commands print sections of an Analysis, so each
-prints what `analyze` does.
+the lattice, and its relation basis gives the Gale dual points wherever
+`steiner.gale_unavailable` allows. Stability, Torelli, Chern data, the
+delta section's h0 values and the tensor exist only where the Steiner
+sheaf does; `Analysis.unavailable` reads that off the lattice with
+`invariants.steiner_unavailable`, the rule the sheaf layer itself
+enforces. The CLI commands print sections of an Analysis, so each prints
+what `analyze` does.
 
 Everything here returns plain dicts and lists ready for json.dumps. Field
 order is fixed by construction and all collection iteration is over sorted
@@ -38,8 +39,8 @@ from .invariants import (ChernData, LocalPointData, PoincareData, chern,
                          twist_transform)
 from .lattice import IntersectionLattice, build_lattice, classify_crossing
 from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
-                      dual_columns, gale_dual, steiner_tensor,
-                      verify_gale_bijection)
+                      dual_columns, gale_dual, gale_unavailable,
+                      steiner_tensor, verify_gale_bijection)
 from .stability import StabilityVerdict, Status, classify
 from .torelli import DEFAULT_MAX_SUBSETS, TorelliVerdict, torelli_verdict
 
@@ -128,8 +129,8 @@ class Analysis:
 
     @cached_property
     def gale_check(self) -> GaleBijectionReport | None:
-        """The bijection check, when the Gale dual configuration is defined."""
-        if self.a.m < self.a.n + 3 or self.unavailable:
+        """The bijection check, where `gale_unavailable` finds no objection."""
+        if gale_unavailable(self.lattice):
             return None
         return verify_gale_bijection(self.tensor)
 
@@ -250,12 +251,8 @@ class Analysis:
 
     def gale_section(self) -> dict:
         a, rep = self.a, self.gale_check
-        if a.m < a.n + 3:
-            return {"defined": False,
-                    "reason": f"dual ambient space is empty or a point for m = {a.m}, "
-                              f"n = {a.n}; the construction needs m >= n + 3"}
         if rep is None:
-            return {"defined": False, "reason": self.unavailable}
+            return {"defined": False, "reason": gale_unavailable(self.lattice)}
         out = {
             "defined": True,
             "dual_n": a.m - a.n - 2,
@@ -417,8 +414,7 @@ def render_pretty(report: dict) -> str:
         lines.append(f"gale dual: points in P^{ga['dual_n']}, complement "
                      f"bijection {'holds' if ga['complement_bijection'] else 'FAILS'}")
     else:
-        lines.append("gale dual: not defined " + ("at this size" if arr["m"] < arr["n"] + 3
-                                                  else f"({ga['reason']})"))
+        lines.append(f"gale dual: not defined ({ga['reason']})")
     lines.append("oracle checks:")
     for c in report["oracles"]:
         lines.append(f"  {c['check']}: {c['status'].upper()}")

@@ -10,7 +10,9 @@ presentation and everything the stability analysis needs.
 
 The Gale dual arrangement reads the columns of the tensor's relation basis
 as m forms in m-n-1 variables, so the tensor is the one source of the dual
-points. Dependent subsets of maximal size swap with their complements under
+points; `gale_unavailable` is the one rule, read off the lattice, for where
+they exist: a Steiner sheaf and m >= n+3, so that P^(m-n-2) is at least a
+line. Dependent subsets of maximal size swap with their complements under
 this duality; `verify_gale_bijection` checks that at the level of coordinate
 configurations, so it also covers duals whose points collide (which cannot
 be represented as an Arrangement). The tensor holds the intersection
@@ -27,13 +29,21 @@ from fractions import Fraction
 from itertools import combinations
 
 from .arrangement import Arrangement, InvalidArrangement, parse_arrangement
-from .invariants import require_steiner
+from .invariants import require_steiner, steiner_unavailable
 from .lattice import IntersectionLattice
 from .linalg import QMatrix, det, kernel_basis
 
 
 class GaleUndefined(ValueError):
     """The Gale dual does not exist as an arrangement of distinct hyperplanes."""
+
+
+def gale_unavailable(lattice: IntersectionLattice) -> str | None:
+    """Why the arrangement of `lattice` has no Gale dual configuration, or None."""
+    if lattice.m < lattice.n + 3:
+        return (f"dual ambient space is empty or a point for m = {lattice.m}, "
+                f"n = {lattice.n}; the construction needs m >= n + 3")
+    return steiner_unavailable(lattice)
 
 
 @dataclass(frozen=True)
@@ -93,22 +103,19 @@ def dual_columns(t: SteinerTensor) -> list[tuple[Fraction, ...]]:
 def gale_dual(t: SteinerTensor) -> Arrangement:
     """The dual arrangement of m hyperplanes in P^(m-n-2).
 
-    Requires m >= n+3 (so the dual ambient space is at least a line) and a
-    dual configuration that actually consists of m distinct nonzero forms.
-    The arrangement is essential, since it has a defining tensor.
+    Raises GaleUndefined with the reason of `gale_unavailable`, or when the
+    dual configuration is not m distinct nonzero forms.
     """
-    m, n = t.m, t.n
-    if m < n + 3:
-        raise GaleUndefined(
-            f"dual ambient space P^{m - n - 2} is not a projective space "
-            f"(need m >= n + 3, got m = {m})")
+    why = gale_unavailable(t.lattice)
+    if why is not None:
+        raise GaleUndefined(why)
     cols = dual_columns(t)
     for i, c in enumerate(cols, start=1):
         if all(x == 0 for x in c):
             raise GaleUndefined(
                 f"hyperplane {i} appears in no relation; its dual form is zero")
     try:
-        return parse_arrangement(m - n - 2, [list(c) for c in cols])
+        return parse_arrangement(t.m - t.n - 2, [list(c) for c in cols])
     except InvalidArrangement as exc:
         raise GaleUndefined(f"dual points collide: {exc}") from exc
 
@@ -138,19 +145,20 @@ def verify_gale_bijection(t: SteinerTensor) -> GaleBijectionReport:
     The primal sets are the (n+1)-sets that the tensor's lattice finds
     dependent (`IntersectionLattice.independent`), in lexicographic order.
     Works on the raw dual configuration, so coincident dual points are fine.
+    Raises GaleUndefined with the reason of `gale_unavailable`.
     """
+    why = gale_unavailable(t.lattice)
+    if why is not None:
+        raise GaleUndefined(why)
     m, n = t.m, t.n
-    if m < n + 3:
-        raise GaleUndefined(f"need m >= n + 3, got m = {m}")
     primal = tuple(s for s in combinations(range(1, m + 1), n + 1)
                    if not t.lattice.independent(s))
-    cols = dual_columns(t)
-    dual_size = m - n - 1
-    actual = _dependent_subsets(cols, dual_size)
+    actual = _dependent_subsets(dual_columns(t), m - n - 1)
     full = set(range(1, m + 1))
     expected = tuple(sorted(tuple(sorted(full - set(s))) for s in primal))
-    missing = tuple(s for s in expected if s not in set(actual))
-    extra = tuple(s for s in actual if s not in set(expected))
+    actual_set, expected_set = set(actual), set(expected)
+    missing = tuple(s for s in expected if s not in actual_set)
+    extra = tuple(s for s in actual if s not in expected_set)
     return GaleBijectionReport(
         ok=not missing and not extra,
         primal_dependent=primal,

@@ -57,6 +57,12 @@ class TestAnalyze:
         assert "projective [1, 6, 11]" in out
         assert "stability: unstable" in out
 
+    def test_pretty_mode_prints_why_the_gale_dual_is_undefined(self, capsys):
+        rc, out, _ = run(capsys, ["analyze", "--pretty", path("boolean_n2")])
+        assert rc == 0
+        assert ("gale dual: not defined (dual ambient space is empty or a point "
+                "for m = 3, n = 2; the construction needs m >= n + 3)\n") in out
+
     @pytest.mark.parametrize("name", fixture_names() + ["concurrent6"])
     def test_single_section_commands_match_analyze(self, capsys, tmp_path, name):
         if name == "concurrent6":
@@ -140,6 +146,14 @@ class TestTensor:
         assert len(d["slices"]) == 3              # n + 1
         assert len(d["slices"][0]) == 5           # m - 1 rows
         assert len(d["slices"][0][0]) == 3        # m - n - 1 columns
+
+    def test_tensor_prints_why_it_is_undefined(self, capsys, tmp_path):
+        # five concurrent lines: m >= n + 2, but not essential
+        f = tmp_path / "concurrent5.json"
+        f.write_text(json.dumps({"n": 2, "hyperplanes": CONCURRENT6["hyperplanes"][:5]}))
+        rc, out, err = run(capsys, ["tensor", str(f)])
+        assert rc == 2 and out == ""
+        assert err == "error: defining tensor: arrangement is not essential\n"
 
 
 class TestVerify:
@@ -231,6 +245,14 @@ class TestConjecture:
         rc, _, err = run(capsys, ["conjecture", path("boolean_n2")])
         assert rc == 2
         assert "m >= n + 3" in err
+
+    def test_non_essential_input_prints_the_reason(self, capsys, tmp_path):
+        f = tmp_path / "concurrent6.json"
+        f.write_text(json.dumps(CONCURRENT6))
+        rc, out, err = run(capsys, ["conjecture", str(f)])
+        assert rc == 2 and out == ""
+        assert err == ("error: dual arrangement undefined: "
+                       "arrangement is not essential\n")
 
     def test_undefined_dual_is_a_usage_error(self, capsys):
         rc, _, err = run(capsys, ["conjecture", path("m5_one_triple")])

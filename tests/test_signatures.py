@@ -7,6 +7,10 @@ No function in `src/` may annotate parameters with two of these types.
 
 The lattice decides dependence for everyone else, so only `build_lattice`
 and `basis_minors` take the rank table, as a `ranks` parameter.
+
+The Gale dual exists where m >= n + 3 and the Steiner sheaf does, and
+`steiner.gale_unavailable` is the one place that says so: no other function
+compares against an expression `... + 3`.
 """
 
 import ast
@@ -60,6 +64,20 @@ def taking(tree: ast.Module, name: str) -> list[str]:
             if name in {p.arg for p in _parameters(fn)}]
 
 
+def _plus_three(node: ast.AST) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and any(isinstance(side, ast.Constant) and side.value == 3
+                    for side in (node.left, node.right)))
+
+
+def comparing_plus_three(tree: ast.Module) -> list[str]:
+    """Functions of `tree` with a comparison one of whose operands is `... + 3`."""
+    return [fn.name for fn in _functions(tree)
+            if any(isinstance(node, ast.Compare)
+                   and any(map(_plus_three, [node.left, *node.comparators]))
+                   for node in ast.walk(fn))]
+
+
 def _in_src(check) -> list[str]:
     return [f"{path.stem}:{name}" for path in sorted(SRC.glob("*.py"))
             for name in check(ast.parse(path.read_text()))]
@@ -95,3 +113,23 @@ def tensor_alone(t: SteinerTensor, ranks: dict[tuple[int, ...], int]): ...
     assert paired(tree, TENSOR_PAIRS) == ["tensor_and_lattice",
                                           "tensor_and_arrangement"]
     assert taking(tree, "ranks") == ["tensor_alone"]
+
+
+def test_only_the_gale_rule_compares_against_n_plus_3():
+    assert _in_src(comparing_plus_three) == ["steiner:gale_unavailable"]
+
+
+def test_the_check_sees_every_spelling_of_plus_3():
+    source = """
+def less(m, n): return m < n + 3
+def reversed_sum(a): return a.n + 3 > a.m or False
+def constant_first(arr): return arr["m"] >= 3 + arr["n"]
+def chained(m, n): return 0 <= m < n + 3
+class Holder:
+    def method(self): return self.a.m < self.a.n + 3
+def two(m, n): return m < n + 2
+def assigned(m, n): x = n + 3; return x
+def product(m): return (m - 1) * (m + 3) < 0
+"""
+    assert comparing_plus_three(ast.parse(source)) == [
+        "less", "reversed_sum", "constant_first", "chained", "method"]

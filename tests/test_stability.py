@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from arrinv.arrangement import parse_arrangement
+from arrinv.arrangement import Arrangement, canonical_form, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
-from arrinv.invariants import delta_invariant
+from arrinv.invariants import delta_invariant, steiner_unavailable
 from arrinv.lattice import build_lattice
+from arrinv.report import delta_bound_check
 from arrinv.stability import (Status, WitnessKind, classify,
                               combinatorial_destabilizer, discriminant_test,
                               flat_subspace, free_splitting_stability,
@@ -85,6 +87,51 @@ def test_discriminant_values():
     assert value == 15 and witness is None
     value, witness = discriminant_test(build_lattice(fixture("m5_two_triples")))
     assert value == 0 and witness is None
+
+
+def _check_discriminant_identity(lat):
+    """The discriminant is (m-1)(m-3) - 4 delta, by the pair-count identity.
+
+    So it is >= 0 exactly when delta meets the quarter bound (m-1)(m-3)/4,
+    and every STABLE or NOT_STABLE verdict on P^2 passes the discriminant
+    first: the `delta_bound` oracle's quarter check cannot fail.
+    """
+    m, delta = lat.m, delta_invariant(lat)
+    value, _ = discriminant_test(lat)
+    assert value == (m - 1) * (m - 3) - 4 * delta
+    verdict = classify(lat, delta)
+    if verdict.status in (Status.STABLE, Status.NOT_STABLE):
+        assert delta_bound_check(m, delta, verdict)["quarter_holds"]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_STATUS))
+def test_discriminant_is_the_quarter_bound_slack(name):
+    _check_discriminant_identity(build_lattice(fixture(name)))
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0]]
+
+
+@st.composite
+def line_arrangements_with_concurrences(draw):
+    """Essential line arrangements with up to 3 points forced onto 2..4 lines each."""
+    vec = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+    rows = draw(st.lists(vec, max_size=5))
+    for point in draw(st.lists(vec, max_size=3)):
+        rows += [_cross(point, q) for q in draw(st.lists(vec, min_size=2, max_size=4))]
+    forms = tuple(dict.fromkeys(canonical_form(r) for r in rows if any(r)))
+    assume(forms)
+    lat = build_lattice(Arrangement(2, forms))
+    assume(steiner_unavailable(lat) is None)
+    return lat
+
+
+@given(line_arrangements_with_concurrences())
+@settings(max_examples=150, deadline=None)
+def test_discriminant_is_the_quarter_bound_slack_with_concurrences(lat):
+    _check_discriminant_identity(lat)
 
 
 def test_git_cross_validates_strict_combinatorial_witness():

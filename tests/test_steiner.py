@@ -11,8 +11,8 @@ from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.linalg import QMatrix, kernel_basis
 from arrinv.report import build_report
-from arrinv.steiner import (GaleUndefined, dual_columns, gale_dual, steiner_tensor,
-                            verify_gale_bijection)
+from arrinv.steiner import (GaleUndefined, dual_columns, gale_dual, gale_unavailable,
+                            steiner_tensor, verify_gale_bijection)
 from oracles import dependent_subsets_by_minors, slice_at_point
 
 TENSOR_FIXTURES = [n for n in fixture_names() if n != "boolean_n2"]
@@ -103,10 +103,14 @@ def test_gale_dual_undefined_when_dual_points_collide():
 
 def test_gale_dual_needs_room():
     a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-    with pytest.raises(GaleUndefined):
-        gale_dual(steiner_tensor(build_lattice(a)))
-    with pytest.raises(GaleUndefined):
-        verify_gale_bijection(steiner_tensor(build_lattice(a)))
+    lat = build_lattice(a)
+    reason = gale_unavailable(lat)
+    assert reason == ("dual ambient space is empty or a point for m = 4, n = 2; "
+                      "the construction needs m >= n + 3")
+    for call in (gale_dual, verify_gale_bijection):
+        with pytest.raises(GaleUndefined) as err:
+            call(steiner_tensor(lat))
+        assert str(err.value) == reason
 
 
 def test_gale_dual_needs_essential():
@@ -116,6 +120,7 @@ def test_gale_dual_needs_essential():
                               [1, 3, 0], [1, 4, 0]])
     with pytest.raises(ValueError, match="essential"):
         steiner_tensor(build_lattice(a))
+    assert gale_unavailable(build_lattice(a)) == "arrangement is not essential"
     gale = build_report(a)["gale"]
     assert gale == {"defined": False, "reason": "arrangement is not essential"}
 
