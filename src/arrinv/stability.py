@@ -8,9 +8,10 @@
 * the n=2 discriminant test 4*sum(s-1) - (m-1)(m+3) < 0, which is
   4c2 - c1^2 < 0 for the n=2 Chern numbers;
 * the literature rules: generic arrangements are stable, and so are n=2
-  arrangements with m >= 6 and delta = 1;
-* the parity upgrade: for n=2 and even m, a flat meeting the threshold
-  exactly (not stable) means unstable.
+  arrangements with m >= 6 and delta = 1.
+
+On P^2 the flats of rank >= 2 are points, with threshold (m+1)/2, so an
+equality witness needs odd m.
 
 Two more tests are implemented but not yet wired into `classify`:
 
@@ -46,7 +47,6 @@ class Status(enum.Enum):
 class WitnessKind(enum.Enum):
     FLAT_RATIO = "flat_ratio"
     DISCRIMINANT = "discriminant"
-    GIT_SUBSPACE = "git_subspace"
     SPLITTING = "splitting"
 
 
@@ -205,10 +205,10 @@ def classify(lattice: IntersectionLattice, delta: int | None,
 
     Order: destabilizing witnesses first (combinatorial, then the n=2
     discriminant), then stability via the literature rules (generic
-    arrangements; n=2 single-triple-point arrangements with m >= 6), then the
-    parity upgrade for n=2 and even m, else Undetermined. `delta` is
-    `delta_invariant(lattice)` for n = 2, else None. Raises ValueError
-    where there is no Steiner sheaf (`invariants.steiner_unavailable`).
+    arrangements; n=2 single-triple-point arrangements with m >= 6), else
+    Undetermined. `delta` is `delta_invariant(lattice)` for n = 2, else
+    None. Raises ValueError where there is no Steiner sheaf
+    (`invariants.steiner_unavailable`).
     """
     require_steiner(lattice, "stability analysis")
     m, n = lattice.m, lattice.n
@@ -233,13 +233,7 @@ def classify(lattice: IntersectionLattice, delta: int | None,
 
     if comb_wit is not None:
         # equality witness survived the unstable checks
-        status = Status.NOT_STABLE
-        if n == 2 and m % 2 == 0:
-            # even m makes c1 = m-3 odd and gcd(c1, 2) = 1, so semi-stable
-            # would imply stable; "not stable" then forces unstable
-            rules.append("parity upgrade: coprime slope excludes strict semi-stability")
-            status = Status.UNSTABLE
-        return StabilityVerdict(status, tuple(witnesses), tuple(rules))
+        return StabilityVerdict(Status.NOT_STABLE, tuple(witnesses), tuple(rules))
 
     if literature_rules:
         if classify_crossing(lattice).kind is CrossingClass.GENERIC:

@@ -9,7 +9,8 @@ poset, the point counter loops over the whole affine space instead of
 walking fibers, a prime is judged by re-ranking every set of the rank
 table mod p instead of by divisibility of basis minors, polynomial products
 are multiplied out term by term instead of read off closed binomials, and
-Torelli rule 1 is an exhaustive scan of every subset.
+Torelli rule 1 is an exhaustive scan of every subset, which for n = 2
+decides conics by brackets of the points instead of by Veronese rank.
 
 One exception: for n >= 3 that scan asks the library's `rnc_test`, on the
 sub-arrangement's own lattice, whether a subset's dual points lie on a
@@ -179,6 +180,18 @@ def dependent_subsets_by_minors(a: Arrangement) -> set[tuple[int, ...]]:
             if fraction_det([a.forms[i - 1] for i in subset]) == 0}
 
 
+def sextuple_on_conic(points) -> bool:
+    """Six points of P^2, no three collinear: do they lie on a conic?
+
+    They do exactly when [123][145][246][356] = [124][135][236][456], where
+    [ijk] is the determinant of points i, j and k.
+    """
+    def b(i, j, k):
+        return fraction_det([points[i - 1], points[j - 1], points[k - 1]])
+    return (b(1, 2, 3) * b(1, 4, 5) * b(2, 4, 6) * b(3, 5, 6)
+            == b(1, 2, 4) * b(1, 3, 5) * b(2, 3, 6) * b(4, 5, 6))
+
+
 def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
     """Torelli rule 1 by scanning every subset: (witness, cap hit).
 
@@ -186,9 +199,11 @@ def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
     lexicographically, each counted toward `max_subsets`. A subset is
     generic when no n+1 of its forms have a vanishing minor. It is a
     witness when it is generic and its dual points lie on no curve of the
-    family: for n = 2 its Veronese rows have rank 6 (no conic through
-    them), for n >= 3 `rnc_test` of the sub-arrangement's lattice finds them
-    on no smooth rational normal curve.
+    family. For n = 2 the first five points lie on exactly one conic, so
+    the subset misses every conic when some later point makes a sextuple
+    with them that `sextuple_on_conic` rejects. For n >= 3 `rnc_test` of
+    the sub-arrangement's lattice finds them on no smooth rational normal
+    curve.
     """
     dependent = dependent_subsets_by_minors(a)
     examined = 0
@@ -200,9 +215,9 @@ def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
             if any(t in dependent for t in combinations(subset, a.n + 1)):
                 continue
             if a.n == 2:
-                rows = [[x * x, x * y, x * z, y * y, y * z, z * z]
-                        for x, y, z in (a.forms[i - 1] for i in subset)]
-                off_curve = fraction_rank(rows) == 6
+                points = [a.forms[i - 1] for i in subset]
+                off_curve = not all(sextuple_on_conic(points[:5] + [p])
+                                    for p in points[5:])
             else:
                 sub = Arrangement(a.n, tuple(a.forms[i - 1] for i in subset))
                 off_curve = (rnc_test(build_lattice(sub)).verdict

@@ -7,18 +7,22 @@ same entry point the console script uses.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 import arrinv.report as report_mod
+import arrinv.steiner as steiner_mod
 from arrinv.cli import main
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
+from arrinv.stability import Status, StabilityVerdict
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
 
 
 FIXDIR = "fixtures"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # six concurrent lines: not essential, yet m >= n + 3
 CONCURRENT6 = {"n": 2, "hyperplanes": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0],
@@ -122,6 +126,18 @@ class TestAnalyze:
         assert "h0_twisted_sheaf" not in d["delta"]
         assert "h0_twisted_log" not in d["delta"]
 
+    def test_pretty_mode_prints_no_delta_line_above_the_plane(self, capsys, tmp_path):
+        # the delta invariant is defined for line arrangements only
+        f = tmp_path / "planes.json"
+        f.write_text(json.dumps({"n": 3, "hyperplanes": [
+            [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]}))
+        rc, out, err = run(capsys, ["analyze", "--pretty", str(f)])
+        assert rc == 0 and err == ""
+        lines = out.splitlines()
+        assert not any(line.startswith("delta") for line in lines)
+        chern = next(i for i, line in enumerate(lines) if line.startswith("chern: "))
+        assert lines[chern + 1] == "stability: stable"
+
     def test_three_points_on_the_line(self, capsys, tmp_path):
         f = tmp_path / "points.json"
         f.write_text(json.dumps({"n": 1, "hyperplanes": [[1, 0], [0, 1], [1, 1]]}))
@@ -134,6 +150,26 @@ class TestAnalyze:
         rc, out, err = run(capsys, ["torelli", str(f)])
         assert rc == 0 and err == ""
         assert json.loads(out) == torelli
+
+
+class TestGale:
+    def test_a_form_in_no_relation_has_no_dual_form(self, capsys, tmp_path):
+        # five concurrent lines and z = 0: only form 6 has a z coefficient, so
+        # every relation among the forms leaves it out
+        f = tmp_path / "concurrent5_and_z.json"
+        f.write_text(json.dumps({"n": 2, "hyperplanes": CONCURRENT6["hyperplanes"][:5]
+                                 + [[0, 0, 1]]}))
+        rc, out, err = run(capsys, ["gale", str(f)])
+        assert rc == 0 and err == ""
+        d = json.loads(out)
+        assert d["dual_arrangement"] == ("undefined: hyperplane 6 appears in no "
+                                         "relation; its dual form is zero")
+        assert d["dual_points"][5] == [0, 0, 0]
+        # the ten triples of the five concurrent lines swap with the ten
+        # triples holding the zero point
+        assert d["complement_bijection"] is True
+        assert len(d["dependent_sets_primal"]) == 10
+        assert all(6 in s for s in d["dependent_sets_dual"])
 
 
 class TestTensor:
@@ -198,6 +234,42 @@ class TestVerify:
         assert "finite_field_count_p7: PASS" in out
         assert "all checks passed" in out
 
+    def test_pretty_mode_prints_the_readme_example(self, capsys):
+        # the one fixture whose pretty output shows the delta bound detail
+        expected = ("finite_field_count_p7: PASS\n"
+                    "finite_field_count_p11: PASS\n"
+                    "finite_field_count_p101: PASS\n"
+                    "milnor_delta_branches: PASS\n"
+                    "pair_count_identity: PASS\n"
+                    "gale_complement_bijection: PASS\n"
+                    "twist_identity: PASS\n"
+                    "delta_bound: PASS (delta = 2, quarter bound 2 holds, "
+                    "fifth bound 8/5 fails)\n"
+                    "all checks passed\n")
+        rc, out, err = run(capsys, ["verify", "--pretty", path("m5_two_triples")])
+        assert (rc, out, err) == (0, expected, "")
+        assert ("$ arrinv verify --pretty fixtures/m5_two_triples.json\n"
+                + expected) in README.read_text()
+
+    def test_wrong_dual_configuration_fails_the_bijection(self, capsys, monkeypatch):
+        # swapping dual points 1 and 4 moves the complement of the triple
+        # point's lines {1, 2, 3} from {4, 5, 6} to {1, 5, 6}
+        columns = steiner_mod.dual_columns
+
+        def swapped(t):
+            cols = columns(t)
+            cols[0], cols[3] = cols[3], cols[0]
+            return cols
+
+        monkeypatch.setattr(steiner_mod, "dual_columns", swapped)
+        rc, out, _ = run(capsys, ["verify", path("m6_one_triple")])
+        assert rc == 1
+        d = json.loads(out)
+        assert d["ok"] is False
+        gale = {c["check"]: c for c in d["checks"]}["gale_complement_bijection"]
+        assert gale == {"check": "gale_complement_bijection", "status": "fail",
+                        "missing": [[4, 5, 6]], "extra": [[1, 5, 6]]}
+
     def test_delta_bound_documents_the_failing_fifth_bound(self, capsys):
         # discriminant-zero five line arrangement: delta meets the quarter
         # bound exactly while the stronger fifth bound fails
@@ -240,6 +312,44 @@ class TestConjecture:
         assert d["dual"]["status"] == "stable"
         assert d["agreement"] == "agree"
         assert d["counterexample_candidate"] is False
+
+    def test_unstable_braid_agrees_with_its_dual(self, capsys):
+        rc, out, err = run(capsys, ["conjecture", path("a3_braid")])
+        assert rc == 0 and err == ""
+        d = json.loads(out)
+        assert d["primal"]["status"] == "unstable"
+        assert d["dual"]["status"] == "unstable"
+        assert d["agreement"] == "agree"
+        assert d["counterexample_candidate"] is False
+
+    def test_open_verdicts_leave_the_agreement_undetermined(self, capsys):
+        rc, out, err = run(capsys, ["conjecture", path("m6_three_triples")])
+        assert rc == 0 and err == ""
+        d = json.loads(out)
+        assert d["primal"]["status"] == "undetermined"
+        assert d["agreement"] == "undetermined"
+        assert d["counterexample_candidate"] is False
+
+    def test_disagreement_is_flagged_but_exits_zero(self, capsys, monkeypatch):
+        primal = fixture("generic6_off_conic")
+        classify = report_mod.classify
+
+        def unstable_dual(lattice, delta, literature_rules):
+            if lattice.arrangement == primal:
+                return classify(lattice, delta, literature_rules)
+            return StabilityVerdict(Status.UNSTABLE, (), ("forced for the test",))
+
+        monkeypatch.setattr(report_mod, "classify", unstable_dual)
+        rc, out, err = run(capsys, ["conjecture", path("generic6_off_conic")])
+        assert rc == 0
+        d = json.loads(out)
+        assert d["primal"]["status"] == "stable"
+        assert d["dual"]["status"] == "unstable"
+        assert d["agreement"] == "disagree"
+        assert d["counterexample_candidate"] is True
+        assert err == ("WARNING: primal and dual stability verdicts disagree; this "
+                       "contradicts the duality conjecture, check the input "
+                       "carefully\n")
 
     def test_too_few_hyperplanes_is_a_usage_error(self, capsys):
         rc, _, err = run(capsys, ["conjecture", path("boolean_n2")])
@@ -310,6 +420,17 @@ class TestErrors:
         rc, _, err = run(capsys, ["analyze", str(f)])
         assert rc == 2
         assert "zero" in err
+
+    @pytest.mark.parametrize("hyperplanes, message", [
+        ([], "an arrangement needs at least one hyperplane"),
+        (5, '"hyperplanes" must be a list of coefficient rows'),
+    ])
+    def test_hyperplanes_must_be_a_nonempty_list(self, capsys, tmp_path,
+                                                 hyperplanes, message):
+        f = tmp_path / "rows.json"
+        f.write_text(json.dumps({"n": 2, "hyperplanes": hyperplanes}))
+        rc, out, err = run(capsys, ["analyze", str(f)])
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_extra_keys_are_tolerated(self, capsys, tmp_path):
         f = tmp_path / "extra.json"

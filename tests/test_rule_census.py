@@ -1,0 +1,106 @@
+"""Every verdict rule the code can state is stated for some input.
+
+The rule texts `stability.classify` appends and the verdicts
+`torelli.torelli_verdict` returns are read from the source's syntax tree:
+each `rules.append(...)` in `classify`, and each `verdict(status, rule,
+line)` call in `torelli_verdict`. An f-string becomes a pattern whose
+formatted values match any text, and both arms of an `if` expression count.
+Every one of them, and every `WitnessKind`, must come out of some input in
+the table below: the bundled fixtures plus a few constructed arrangements.
+A rule no input reaches is either dead code or a missing test, in the way
+an uncalled function is (`test_unreferenced.py`).
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+
+from arrinv.arrangement import parse_arrangement
+from arrinv.fixtures import fixture, fixture_names
+from arrinv.report import DEFAULT_PRIMES, Analysis
+from arrinv.stability import WitnessKind, free_splitting_stability
+from arrinv.torelli import DEFAULT_MAX_SUBSETS
+from test_torelli import CONIC_PAIRS_AND_A_POINT, twisted_cubic_rows
+from test_unreferenced import SRC
+
+INPUTS = {name: fixture(name) for name in fixture_names()} | {
+    # on P^1 the sheaf is a line bundle
+    "three_points": parse_arrangement(1, [[1, 0], [0, 1], [1, 1]]),
+    # seven lines dual to points of the smooth conic y^2 = xz
+    "conic7": parse_arrangement(2, [[1, t, t * t] for t in range(7)]),
+    # seven planes dual to points of a twisted cubic
+    "cubic7": parse_arrangement(3, twisted_cubic_rows(range(7))),
+    "conic_pairs_and_a_point": parse_arrangement(2, CONIC_PAIRS_AND_A_POINT),
+}
+
+
+def _patterns(node: ast.expr) -> list[str]:
+    """Regular expressions for every text `node` can evaluate to."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [re.escape(node.value)]
+    if isinstance(node, ast.JoinedStr):
+        return ["".join(re.escape(part.value) if isinstance(part, ast.Constant)
+                        else ".+" for part in node.values)]
+    if isinstance(node, ast.IfExp):
+        return _patterns(node.body) + _patterns(node.orelse)
+    raise AssertionError(f"no census reading of {ast.dump(node)}")
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _calls(fn: ast.FunctionDef, matches) -> list[ast.Call]:
+    return [node for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and matches(node.func)]
+
+
+def stability_rules() -> list[str]:
+    """Patterns of every rule text `classify` appends."""
+    calls = _calls(_function("stability", "classify"),
+                   lambda f: isinstance(f, ast.Attribute) and f.attr == "append"
+                   and isinstance(f.value, ast.Name) and f.value.id == "rules")
+    return [p for call in calls for p in _patterns(call.args[0])]
+
+
+def torelli_rules() -> list[tuple[str, str, str]]:
+    """(status, rule, final trace line pattern) of every verdict `torelli_verdict` returns."""
+    calls = _calls(_function("torelli", "torelli_verdict"),
+                   lambda f: isinstance(f, ast.Name) and f.id == "verdict")
+    return [(call.args[0].attr, rule, line) for call in calls
+            for rule in _patterns(call.args[1]) for line in _patterns(call.args[2])]
+
+
+def outcomes():
+    """Rule texts, witness kinds and Torelli verdicts the inputs produce."""
+    rules, kinds, verdicts = set(), set(), set()
+    for a in INPUTS.values():
+        an = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS, True)
+        stab, tv = an.stability, an.torelli
+        if stab is None:   # no Steiner sheaf, no verdicts
+            continue
+        rules.update(stab.rules)
+        kinds.update(w.kind for w in stab.witnesses)
+        verdicts.add((tv.status.name, tv.rule, tv.trace[-1]))
+    # the splitting test, not yet in `classify`, is the one producer of its kind
+    kinds.update(w.kind for w in free_splitting_stability([1, 2]).witnesses)
+    return rules, kinds, verdicts
+
+
+def test_the_census_reads_every_rule_site():
+    # a renamed trail or helper would otherwise leave nothing to check
+    assert len(stability_rules()) == 7
+    assert len(torelli_rules()) == 9
+
+
+def test_every_rule_and_witness_kind_is_reached():
+    rules, kinds, verdicts = outcomes()
+    assert [p for p in stability_rules()
+            if not any(re.fullmatch(p, text) for text in rules)] == []
+    assert [(status, rule, line) for status, rule, line in torelli_rules()
+            if not any(s == status and re.fullmatch(rule, r) and re.fullmatch(line, t)
+                       for s, r, t in verdicts)] == []
+    assert set(WitnessKind) - kinds == set()

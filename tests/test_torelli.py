@@ -28,6 +28,7 @@ from arrinv.stability import classify
 from arrinv.torelli import (
     DEFAULT_MAX_SUBSETS,
     ConicClass,
+    ConicResult,
     RncVerdict,
     TorelliStatus,
     conic_test,
@@ -35,7 +36,8 @@ from arrinv.torelli import (
     _off_curve,
     torelli_verdict,
 )
-from oracles import dependent_subsets_by_minors, fraction_rank, rule1_by_exhaustion
+from oracles import (dependent_subsets_by_minors, fraction_det, fraction_rank,
+                     rule1_by_exhaustion, sextuple_on_conic)
 
 
 def verdict_for(name, **kwargs):
@@ -143,6 +145,27 @@ class TestConic:
         res = conic_test(a)
         assert res.kernel_dim == 2
         assert res.all_points_nonsingular
+
+    def test_five_collinear_points_leave_only_reducible_members(self, monkeypatch):
+        # the points (1, t, 0) lie on z = 0; a conic a x^2 + b xy + d y^2 + z(..)
+        # through them has a + bt + dt^2 = 0 for five t, so a = b = d = 0:
+        # the family z(alpha x + beta y + gamma z), of dimension 3. Every
+        # member holds the line z = 0, so none is smooth; gamma z^2 is a
+        # double line, and xz has its vertex (0, 1, 0) off the points
+        classify_member = torelli_mod._classify_member
+        classes = []
+
+        def spied(c, points):
+            out = classify_member(c, points)
+            classes.append(out[0])
+            return out
+
+        monkeypatch.setattr(torelli_mod, "_classify_member", spied)
+        res = conic_test(parse_arrangement(2, [[1, t, 0] for t in range(5)]))
+        assert res == ConicResult(3, None, None, True, None)
+        assert len(classes) == 4 ** 3 - 1      # the whole grid was scanned
+        assert ConicClass.NONSINGULAR not in classes
+        assert ConicClass.DOUBLE_LINE in classes
 
     @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=6,
                     max_size=6, unique=True))
@@ -477,6 +500,33 @@ def test_pruned_rule1_matches_the_exhaustive_scan(case):
                     else verdict.rnc.verdict is RncVerdict.ON_SMOOTH_RNC)
         assert verdict.subset_cap_exceeded == (
             witness is None and not on_curve and comb(a.m, a.n + 4) > max_subsets)
+
+
+def generic_sextuple(rng, on_conic):
+    """Six points of P^2, no three collinear, on a random conic or anywhere."""
+    while True:
+        if on_conic:
+            # points (1, t, t^2) of y^2 = xz under a random integer matrix
+            matrix = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+            points = [[sum(r * c for r, c in zip(row, (1, t, t * t))) for row in matrix]
+                      for t in rng.sample(range(-6, 7), 6)]
+        else:
+            points = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(6)]
+        if all(fraction_det(triple) for triple in combinations(points, 3)):
+            return points
+
+
+def test_conic_brackets_agree_with_the_veronese_rank():
+    # the rule 1 oracle decides conics by brackets, the library by the rank of
+    # the Veronese rows; on generic sextuples the two must agree
+    rng = random.Random(20)
+    on = 0
+    for k in range(300):
+        points = generic_sextuple(rng, k % 2 == 0)
+        off_curve = _off_curve(build_lattice(parse_arrangement(2, points)))
+        assert sextuple_on_conic(points) is not off_curve(range(1, 7)), points
+        on += sextuple_on_conic(points)
+    assert on >= 150
 
 
 def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
