@@ -10,8 +10,8 @@ the lattice computation.
 
 from .arrangement import (Arrangement, InvalidArrangement, canonical_form,
                           parse_arrangement, parse_arrangement_json, subset_ranks)
-from .ffcount import (DegenerateReduction, basis_minors, count_complement_points,
-                      next_valid_prime, prime_preserves_lattice)
+from .ffcount import (basis_minors, count_complement_points, next_valid_prime,
+                      prime_preserves_lattice)
 from .fixtures import fixture, fixture_names, fixture_note
 from .invariants import (ChernData, LocallyFree, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arrangement", "ChernData", "ConicClass", "ConicResult", "CrossingClass",
-    "DegenerateReduction", "Flat", "GaleBijectionReport", "GaleUndefined",
+    "Flat", "GaleBijectionReport", "GaleUndefined",
     "IntersectionLattice", "LocallyFree", "InvalidArrangement", "PoincareData",
     "RncResult", "RncVerdict", "StabilityVerdict", "Status", "SteinerTensor",
     "TorelliStatus", "TorelliVerdict", "Witness", "WitnessKind", "basis_minors",

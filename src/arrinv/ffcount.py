@@ -4,25 +4,22 @@ The count of points of F_p^(n+1) lying on none of the hyperplanes is an
 independent oracle for the lattice and Mobius computations; see
 `invariants.complement_count_prediction` for the lattice-side quantity it
 must match. The count walks the p^n fibers over the last coordinate and
-closes each fiber in O(m). A prime is accepted when it divides no basis
-gcd (`basis_minors`): then every label set of the arrangement's rank table
-(`arrangement.subset_ranks`) keeps its rank mod p, so the reduction mod p
-keeps the lattice over Q. The gcds come from one elimination over Z per
-minor; no rank is ever taken mod p.
+closes each fiber in O(m); it is exact at every prime, forms that coincide
+mod p included. One rule says when it must equal the prediction: a prime
+is accepted when it divides no basis gcd (`basis_minors`). Then every
+label set of the arrangement's rank table (`arrangement.subset_ranks`)
+keeps its rank mod p, so the reduction mod p keeps the lattice over Q.
+The gcds come from one elimination over Z per minor; no rank is ever
+taken mod p.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd
-from typing import Sequence
 
 from .arrangement import Arrangement
 from .linalg import bareiss
-
-
-class DegenerateReduction(ValueError):
-    """A prime under which the arrangement degenerates."""
 
 
 def is_prime(p: int) -> bool:
@@ -40,22 +37,21 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def count_points_raw(coeffs: Sequence[tuple[int, ...]], p: int) -> int:
-    """Count F_p^d points avoiding all forms, no validity checking.
+def count_complement_points(a: Arrangement, p: int) -> int:
+    """Points of F_p^(n+1) on none of the hyperplanes, exact at every prime.
 
-    Instead of visiting all p^d points it walks the p^(d-1) fibers over the
-    last coordinate and, within a fiber, counts the union of the single roots
-    each form contributes.
+    Instead of visiting all p^(n+1) points it walks the p^n fibers over the
+    last coordinate and, within a fiber, counts the union of the single
+    roots each form contributes.
     """
-    m = len(coeffs)
-    if m == 0:
-        raise ValueError("no forms")
-    d = len(coeffs[0])
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    m, d = a.m, a.n + 1
     inv = [0] * p  # inverse table; inv[0] unused
-    for a in range(1, p):
-        inv[a] = pow(a, p - 2, p)
-    last = [f[d - 1] % p for f in coeffs]
-    heads = [tuple(c % p for c in f[: d - 1]) for f in coeffs]
+    for x in range(1, p):
+        inv[x] = pow(x, p - 2, p)
+    last = [f[d - 1] % p for f in a.forms]
+    heads = [tuple(c % p for c in f[: d - 1]) for f in a.forms]
     count = 0
     for prefix in product(range(p), repeat=d - 1):
         roots = set()
@@ -66,43 +62,16 @@ def count_points_raw(coeffs: Sequence[tuple[int, ...]], p: int) -> int:
             for c, v in zip(head, prefix):
                 s += c * v
             s %= p
-            a = last[i]
-            if a == 0:
+            x = last[i]
+            if x == 0:
                 if s == 0:
                     dead = True  # the form vanishes on the whole fiber
                     break
             else:
-                roots.add((-s * inv[a]) % p)
+                roots.add((-s * inv[x]) % p)
         if not dead:
             count += p - len(roots)
     return count
-
-
-def check_reduction(a: Arrangement, p: int) -> None:
-    """Raise DegenerateReduction if two forms become proportional mod p.
-
-    Each form is scaled mod p so its first nonzero entry is 1 (a primitive
-    form is never 0 mod p); proportional forms then repeat. The pair named
-    is the lexicographically first: the first two labels of the class whose
-    first label is smallest.
-    """
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for label, f in enumerate(a.forms, 1):
-        row = [c % p for c in f]
-        inv = pow(next(c for c in row if c), p - 2, p)
-        classes.setdefault(tuple(c * inv % p for c in row), []).append(label)
-    pairs = [labels[:2] for labels in classes.values() if len(labels) > 1]
-    if pairs:
-        i, j = min(pairs)
-        raise DegenerateReduction(f"hyperplanes {i} and {j} coincide mod {p}")
-
-
-def count_complement_points(a: Arrangement, p: int) -> int:
-    """Points of F_p^(n+1) on none of the hyperplanes, counted directly."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    check_reduction(a, p)
-    return count_points_raw(a.forms, p)
 
 
 def basis_minors(a: Arrangement, ranks: dict[tuple[int, ...], int]
@@ -133,8 +102,7 @@ def prime_preserves_lattice(minors: tuple[int, ...], p: int) -> bool:
     basis, so p keeps the rank of every label set of the rank table exactly
     when every basis keeps rank r mod p, that is when p divides none of its
     gcds. Then the whole intersection lattice mod p agrees with the lattice
-    over Q, which is exactly what the counting identity needs. (A stricter
-    test than the pairwise check in count_complement_points.)
+    over Q, which is exactly what the counting identity needs.
     """
     return all(g % p for g in minors)
 

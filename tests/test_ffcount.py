@@ -1,18 +1,21 @@
 """Finite-field point counting against the brute oracle, and prime choice."""
 
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arrinv import report
 from arrinv.arrangement import InvalidArrangement, parse_arrangement, subset_ranks
-from arrinv.ffcount import (DegenerateReduction, basis_minors, count_complement_points,
-                            count_points_raw, is_prime, next_valid_prime,
-                            prime_preserves_lattice)
+from arrinv.ffcount import (basis_minors, count_complement_points, is_prime,
+                            next_valid_prime, prime_preserves_lattice)
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import complement_count_prediction, poincare
 from arrinv.lattice import build_lattice
+from arrinv.report import Analysis
+from arrinv.torelli import DEFAULT_MAX_SUBSETS
 from oracles import (brute_complement_count, prime_preserves_lattice_by_ranks,
                      rank_mod_p)
 
@@ -32,33 +35,17 @@ def small_arrangements(draw):
         assume(False)
 
 
-# at the smallest primes forms most often coincide or become proportional
+# at the smallest primes forms most often coincide or become proportional,
+# and the count stays exact there
 @given(small_arrangements(), st.sampled_from([2, 3, 5, 7]))
 @settings(max_examples=300, deadline=None)
 def test_count_matches_brute_force(a, p):
-    coeffs = a.forms
-    brute = brute_complement_count(a, p)
-    assert count_points_raw(coeffs, p) == brute
-    if any(rank_mod_p(pair, p) < 2 for pair in combinations(coeffs, 2)):
-        with pytest.raises(DegenerateReduction):
-            count_complement_points(a, p)
-    else:
-        assert count_complement_points(a, p) == brute
+    assert count_complement_points(a, p) == brute_complement_count(a, p)
 
 
-def test_degenerate_reduction_detected():
-    # the two forms x and x + 7y coincide mod 7
-    a = parse_arrangement(1, [[1, 0], [1, 7]])
-    with pytest.raises(DegenerateReduction):
-        count_complement_points(a, 7)
-
-
-def test_degenerate_reduction_names_the_first_pair():
-    # pairs (2, 3) and (1, 4) both coincide mod 7; (1, 4) comes first
-    a = parse_arrangement(1, [[1, 0], [0, 1], [7, 1], [1, 7]])
-    with pytest.raises(DegenerateReduction,
-                       match=r"^hyperplanes 1 and 4 coincide mod 7$"):
-        count_complement_points(a, 7)
+def test_count_rejects_a_non_prime():
+    with pytest.raises(ValueError, match=r"^4 is not prime$"):
+        count_complement_points(parse_arrangement(1, [[1, 0], [0, 1]]), 4)
 
 
 def test_degenerate_reduction_count_value():
@@ -131,6 +118,51 @@ def test_prime_check_matches_ranks_mod_p(a, p):
     while not (is_prime(q) and prime_preserves_lattice_by_ranks(a, ranks, q)):
         q += 1
     assert next_valid_prime(minors, p) == q
+
+
+@st.composite
+def reports_with_coincidences(draw):
+    """(arrangement, report primes, forced): when forced, the forms x_0 and
+    x_0 + p x_1, which coincide mod the first report prime p, are rows."""
+    n = draw(st.integers(1, 3))
+    primes = tuple(draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1,
+                                 max_size=2, unique=True)))
+    row = st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1)
+    rows = draw(st.lists(row, min_size=1, max_size=6 - n))
+    forced = draw(st.booleans())
+    if forced:
+        rows += [[1] + [0] * n, [1, primes[0]] + [0] * (n - 1)]
+    try:
+        return parse_arrangement(n, rows), primes, forced
+    except InvalidArrangement:   # a zero row, or two rows with the same form
+        assume(False)
+
+
+@given(reports_with_coincidences())
+@settings(max_examples=150, deadline=None)
+def test_every_prime_a_report_counts_at_keeps_every_pair_apart(drawn):
+    # the one prime rule of a report implies that no two forms coincide mod
+    # the prime counted at, so a pairwise check inside the count could never
+    # fire from a report
+    a, primes, forced = drawn
+    counted_at = []
+
+    def recording(arr, q):
+        counted_at.append(q)
+        return count_complement_points(arr, q)
+
+    with patch.object(report, "count_complement_points", recording):
+        checks = Analysis(a, primes, DEFAULT_MAX_SUBSETS, True).oracles_section()
+    ranks = subset_ranks(a)
+    assert len(counted_at) == len(primes)
+    for q in counted_at:
+        assert all(rank_mod_p(pair, q) == 2 for pair in combinations(a.forms, 2))
+        assert prime_preserves_lattice_by_ranks(a, ranks, q)
+    counts = [c for c in checks if c["check"].startswith("finite_field_count_p")]
+    assert all(c["status"] == "pass" for c in counts)
+    if forced:   # x_0 and x_0 + p x_1 coincide mod p: the retry note path ran
+        assert counts[0]["note"].startswith(f"p = {primes[0]} degenerates")
+        assert counted_at[0] > primes[0]
 
 
 def test_n3_arrangement_at_101():

@@ -6,10 +6,12 @@ import hashlib
 import importlib
 import json
 import pathlib
+import random
 import sys
 
 import pytest
 
+from arrinv.arrangement import InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import IntersectionLattice, build_lattice
 from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
@@ -68,3 +70,54 @@ def test_fixture_report_matches_the_committed_digest(name):
     text = json.dumps(jsonable(build_report(fixture(name))), indent=2)
     want = json.loads(REFS.read_text(encoding="utf-8"))["digests"][name][0][1]
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+
+
+# SHA-256 of the indented JSON of build_report(a, primes=(7, 11)) on the
+# sweep below, keyed by (row kind, n, m). The sweep covers n = 1 and
+# n = 3, which the benchmark's n = 2 corpus does not, and most entries
+# carry a retried-prime note (random n = 3, m = 8 retries both primes with
+# 47). n = 4 is left out to keep the test fast: each count walks p^4 fibers.
+SWEEP_DIGESTS = {
+    ("curve", 1, 2): "c47ec441c4edfc523614af39e4c793b274d3dfbdc4301f8399168657d399b34f",
+    ("random", 1, 2): "de37b3941f3ebb49efedb649b8ff0d6bfc4548358f5ab27887e26c47b389850a",
+    ("curve", 1, 3): "c218b0eea71f18a2d085a19db8047786e8f67509fe42c19c0cc44a9816d1824c",
+    ("random", 1, 3): "7b9d3ef8a1edca655a540abdacababdfcb41741e4fd5ce95941d23bc00fa4c58",
+    ("curve", 1, 4): "f95b8b6c718b6967708b560d2bef1e232aeaf56645c82b03a76efa535d5182ea",
+    ("random", 1, 4): "87bd802678eec58bf1cfba618d7a54f56fbce27a0d7ba195ba5b8db883edef9b",
+    ("curve", 1, 5): "979cf75e4eb76129282f05ef901c5a26ab606123abbc2ba17e53d4207f7e47e8",
+    ("random", 1, 5): "846800b9bf3eafbe1bad51cb4934032bf5c732fdbfc31cfd16ec1ab9479aea6b",
+    ("curve", 1, 6): "bc5797c3ec053002e0d4b8ee8ec2d5bf2883f92f193e1baabe396f6767cbf115",
+    ("random", 1, 6): "72591df9ee145bb8bfc439c546fa3ef33a61205490e9161c0240ef154baf3e0d",
+    ("curve", 3, 4): "b72654cd6d4bea62d1d505c8f3b67202c087c5595a87c4d17be057d4bd796923",
+    ("random", 3, 4): "fe4d053916d75a874db232ce3dee6a5121976423716b427fe64172045964b1c7",
+    ("curve", 3, 5): "0aadca3923de9271fe0232b335cc801b6e628099cbc4f51a4a3380a68cc28b6a",
+    ("random", 3, 5): "3f719b92963006b3d878e95bc5e7c7153bc67e5a3e39b3a5991af7f77d70bcc6",
+    ("curve", 3, 6): "d891e755ded9dd8d5456727e5c0f9996f075af654cd2671668b73a43740a5798",
+    ("random", 3, 6): "3bb6b01cde56c1cd31ebe80debff10f182fe80467b9ff26b35d27c59d2802c37",
+    ("curve", 3, 7): "9096acf1e2a39a4e45f8bbc24e4f0b3645be5140988ed65eb74c9846b55b6cfc",
+    ("random", 3, 7): "40434cb66433f04efa6820b3fe24122e2ef073d8b6fbf8dd471ab96541033234",
+    ("curve", 3, 8): "ef55defd1ffd46e3921f88eb3a95c097fa5db6f6eac7e47cd1895cf8b5c927d7",
+    ("random", 3, 8): "d705b7d91962c9b4aa4500715e018d28946172efca6fd1e881d816c75329041b",
+}
+
+
+def sweep_input(kind: str, n: int, m: int):
+    """m forms in P^n: rows (1, t, ..., t^n) for distinct t in [-12, 12],
+    or random rows with coefficients in [-5, 5], seeded by the key."""
+    rng = random.Random(f"report-sweep/{kind}/{n}/{m}")
+    if kind == "curve":
+        ts = sorted(rng.sample(range(-12, 13), m))
+        return parse_arrangement(n, [[t ** k for k in range(n + 1)] for t in ts])
+    while True:
+        rows = [[rng.randint(-5, 5) for _ in range(n + 1)] for _ in range(m)]
+        try:
+            return parse_arrangement(n, rows)
+        except InvalidArrangement:   # a zero row, or two rows with the same form
+            continue
+
+
+@pytest.mark.parametrize("kind, n, m", list(SWEEP_DIGESTS))
+def test_sweep_report_matches_the_pinned_digest(kind, n, m):
+    report = jsonable(build_report(sweep_input(kind, n, m), primes=(7, 11)))
+    text = json.dumps(report, indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SWEEP_DIGESTS[kind, n, m]
