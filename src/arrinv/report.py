@@ -408,7 +408,8 @@ def render_pretty(report: dict) -> str:
                      + (f" at flat {w['flat_indices']}" if w["flat_indices"] else ""))
     to = report["torelli"]
     lines.append(f"torelli: {to.get('status')}"
-                 + (f" via {to['rule']}" if to.get("rule") else ""))
+                 + (f" via {to['rule']}" if to.get("rule") else "")
+                 + (f" ({to['reason']})" if to.get("reason") else ""))
     ga = report["gale"]
     if ga["defined"]:
         lines.append(f"gale dual: points in P^{ga['dual_n']}, complement "

@@ -7,7 +7,10 @@ integer rows of the `Arrangement` itself, so a sub-configuration is a set
 of hyperplane labels.
 
 For n = 2 the central object is the space of conics through the dual points
-(`conic_test`, which takes the arrangement). For higher n the analogous
+(`conic_test`, which takes the arrangement). It is decided by geometry, with
+no search: a family of conics through distinct points always has a member
+nonsingular at all of them, and a unique conic is smooth or two distinct
+lines, whose vertex is the one point to check. For higher n the analogous
 object is a smooth rational normal curve through the points (`rnc_test`,
 which takes the intersection lattice and a label set): after normalizing a
 frame of n+2 points to the coordinate simplex plus the all-ones point (one
@@ -29,7 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from math import comb
 
 from .arrangement import Arrangement
@@ -42,7 +45,6 @@ from .stability import StabilityVerdict, Status
 class ConicClass(enum.Enum):
     NONSINGULAR = "nonsingular"
     TWO_DISTINCT_LINES = "two_distinct_lines"
-    DOUBLE_LINE = "double_line"
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,24 @@ class ConicResult:
     kernel_dim: dimension of the linear system of conics through the points.
     conic / classification / vertex describe the unique conic when
     kernel_dim == 1. all_points_nonsingular answers "is every configuration
-    point a nonsingular point of some common conic"; for pencils and larger
-    families it is decided by an exact search for a smooth member.
+    point a nonsingular point of some common conic".
+
+    The points are distinct, and for kernel_dim >= 2 the answer is always
+    yes, with no search:
+    - five points with no three collinear impose independent conditions,
+      so a family means at most four points or three collinear ones;
+    - at most four points with no three collinear lie on a smooth conic;
+    - three collinear points among at most four lie on their line L times
+      a line through the point off L, if any, meeting L away from the
+      points;
+    - five points impose dependent conditions only when four of them lie on
+      a line L. Then every conic through all the points contains L, the
+      family is L times lines, and its dimension >= 2 leaves at most one
+      point off L: again take L times a line through that point meeting L
+      away from the points.
+    For kernel_dim == 1 the conic is smooth or two distinct lines: were it
+    a double line L^2, the points would all lie on L, and every L times a
+    line would pass through them, a family of dimension 3.
     """
 
     kernel_dim: int
@@ -78,53 +96,25 @@ def _sym_matrix_2q(c) -> QMatrix:
     ], 3)
 
 
-def _classify_member(c, points) -> tuple[ConicClass, tuple[int, ...] | None, bool]:
-    """Classify one conic and check the points avoid its singular locus."""
-    q2 = _sym_matrix_2q(c)
-    rank = q2.rank()
-    if rank == 3:
-        return ConicClass.NONSINGULAR, None, True
-    if rank == 2:
-        vertex_rows = kernel_basis(q2)
-        vertex = primitive_integer_vector(vertex_rows.entries[0])
-        ok = all(primitive_integer_vector(p) != vertex for p in points)
-        return ConicClass.TWO_DISTINCT_LINES, vertex, ok
-    # rank 1: a double line is singular everywhere along its support
-    return ConicClass.DOUBLE_LINE, None, False
-
-
 def conic_test(a: Arrangement) -> ConicResult:
-    """Conics through the dual points of a line arrangement."""
+    """Conics through the dual points of a line arrangement.
+
+    all_points_nonsingular is False when no conic passes through the
+    points and True for a family (see `ConicResult`); a unique conic is
+    smooth, or two distinct lines whose vertex must miss the points.
+    """
     if a.n != 2:
         raise ValueError("conic test is defined for n = 2 only")
-    rows = [_veronese_row(p) for p in a.forms]
-    kern = kernel_basis(QMatrix.from_rows(rows, 6))
+    kern = kernel_basis(QMatrix.from_rows([_veronese_row(p) for p in a.forms], 6))
     kdim = kern.rows
-    if kdim == 0:
-        return ConicResult(0, None, None, False, None)
-    if kdim == 1:
-        c = primitive_integer_vector(kern.entries[0])
-        cls, vertex, ok = _classify_member(c, a.forms)
-        return ConicResult(1, c, cls, ok, vertex)
-    # a family: look for a member that is smooth, or failing that a
-    # two-distinct-lines member missing all the points with its vertex.
-    # det of the member's symmetric matrix is a cubic form in the family
-    # parameters, so scanning {0..3}^kdim decides "exists smooth member"
-    # exactly; the reducible fallback on the same grid is sound when it
-    # answers True.
-    basis = [tuple(row) for row in kern.entries]
-    best_ok = False
-    for coeffs in product(range(4), repeat=kdim):
-        if all(c == 0 for c in coeffs):
-            continue
-        member = [sum(coeffs[j] * basis[j][i] for j in range(kdim))
-                  for i in range(6)]
-        cls, _, ok = _classify_member(member, a.forms)
-        if cls is ConicClass.NONSINGULAR:
-            return ConicResult(kdim, None, None, True, None)
-        if ok:
-            best_ok = True
-    return ConicResult(kdim, None, None, best_ok, None)
+    if kdim != 1:
+        return ConicResult(kdim, None, None, kdim >= 2, None)
+    c = primitive_integer_vector(kern.entries[0])
+    singular = kernel_basis(_sym_matrix_2q(c))
+    if singular.rows == 0:
+        return ConicResult(1, c, ConicClass.NONSINGULAR, True, None)
+    vertex = primitive_integer_vector(singular.entries[0])
+    return ConicResult(1, c, ConicClass.TWO_DISTINCT_LINES, vertex not in a.forms, vertex)
 
 
 class RncVerdict(enum.Enum):
@@ -145,12 +135,15 @@ def rnc_test(lattice: IntersectionLattice,
              labels: tuple[int, ...] | None = None) -> RncResult:
     """Do the dual points of `labels` lie on a smooth rational normal curve?
 
-    `labels` are 1-based, all m when None; the curve has degree n. Linear
-    general position of a label set is read off `lattice.independent`.
+    `labels` are distinct and 1-based, all m when None (others raise
+    ValueError); the curve has degree n. Linear general position of a label
+    set is read off `lattice.independent`.
     """
-    n = lattice.n
+    n, m = lattice.n, lattice.m
     if labels is None:
-        labels = tuple(range(1, lattice.m + 1))
+        labels = tuple(range(1, m + 1))
+    elif len(set(labels)) != len(labels) or not all(1 <= i <= m for i in labels):
+        raise ValueError(f"labels must be distinct and in 1..{m}, got {list(labels)}")
     if len(labels) <= n + 2:
         if lattice.independent(labels):
             return RncResult(RncVerdict.ON_SMOOTH_RNC, None, None,
@@ -193,13 +186,10 @@ def rnc_test(lattice: IntersectionLattice,
         return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, frame,
                          None, "reciprocal vectors span more than a pencil")
 
-    # a reciprocal vector independent of the all-ones one, i.e. not constant
-    direction = next((w for w in recips if len(set(w)) > 1), None)
-    if direction is None:
-        # every residual point equals the unit point; impossible for distinct
-        # points, but keep the branch total
-        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, frame,
-                         None, "no independent reciprocal direction")
+    # a reciprocal vector independent of the all-ones one, i.e. not constant:
+    # a constant lam / x means x is proportional to lam, the unit point,
+    # and the other points are distinct from it
+    direction = next(w for w in recips if len(set(w)) > 1)
     if len(set(direction)) != n + 1:
         return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, frame,
                          direction, "pole parameters collide; every curve of the "

@@ -10,7 +10,9 @@ walking fibers, a prime is judged by re-ranking every set of the rank
 table mod p instead of by divisibility of basis minors, polynomial products
 are multiplied out term by term instead of read off closed binomials, and
 Torelli rule 1 is an exhaustive scan of every subset, which for n = 2
-decides conics by brackets of the points instead of by Veronese rank.
+decides conics by brackets of the points instead of by Veronese rank, and
+a conic nonsingular at every point of a small or nearly collinear set is
+built from line pairs instead of read off the space of conics.
 
 One exception: for n >= 3 that scan asks the library's `rnc_test`, on the
 sub-arrangement's own lattice, whether a subset's dual points lie on a
@@ -190,6 +192,64 @@ def sextuple_on_conic(points) -> bool:
         return fraction_det([points[i - 1], points[j - 1], points[k - 1]])
     return (b(1, 2, 3) * b(1, 4, 5) * b(2, 4, 6) * b(3, 5, 6)
             == b(1, 2, 4) * b(1, 3, 5) * b(2, 3, 6) * b(4, 5, 6))
+
+
+def _cross(u, v) -> tuple[int, ...]:
+    """The line through two points of P^2, or the point on two lines."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _line_pair(line, other) -> list[list[int]]:
+    """Symmetric matrix of the conic line * other, times two."""
+    return [[line[i] * other[j] + other[i] * line[j] for j in range(3)]
+            for i in range(3)]
+
+
+# points of P^2 to complete a configuration with
+_GRID = [p for p in product(range(-4, 5), repeat=3) if any(p)]
+
+
+def conic_nonsingular_at(points) -> list[list[int]]:
+    """Symmetric matrix of a conic through `points`, nonsingular at each.
+
+    The points are distinct integer points of P^2: at most four, or all but
+    at most one on a line. With no three collinear, they are completed to
+    four such points p1..p4, and the pencil spanned by the line pairs
+    (p1p2)(p3p4) and (p1p3)(p2p4) has only three singular members, so one
+    of three members tried has a nonzero determinant. Otherwise, with L
+    the line of a collinear triple, the conic is L times a line through the
+    point off L (or any point off L) that meets L at none of the points.
+    """
+    def collinear(p, q, r):
+        return fraction_det([p, q, r]) == 0
+
+    triple = next((t for t in combinations(points, 3) if collinear(*t)), None)
+    if triple is None:
+        four = list(points)
+        while len(four) < 4:
+            four.append(next(g for g in _GRID
+                             if all(any(_cross(p, g)) for p in four)
+                             and not any(collinear(p, q, g)
+                                         for p, q in combinations(four, 2))))
+        p1, p2, p3, p4 = four
+        first = _line_pair(_cross(p1, p2), _cross(p3, p4))
+        second = _line_pair(_cross(p1, p3), _cross(p2, p4))
+        members = ([[f + t * s for f, s in zip(fr, sr)] for fr, sr in zip(first, second)]
+                   for t in (1, 2, 3))
+        return next(q for q in members if fraction_det(q) != 0)
+    line = _cross(triple[0], triple[1])
+    off = [p for p in points if _dot(line, p) != 0]
+    if len(off) > 1:
+        raise ValueError("more than one point off the line of a collinear triple")
+    q = off[0] if off else next(g for g in _GRID if _dot(line, g) != 0)
+    other = next(o for o in (_cross(q, g) for g in _GRID)
+                 if any(o) and all(any(_cross(_cross(line, o), p)) for p in points))
+    return _line_pair(line, other)
 
 
 def rule1_by_exhaustion(a: Arrangement, max_subsets: int):

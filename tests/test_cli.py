@@ -67,6 +67,13 @@ class TestAnalyze:
         assert ("gale dual: not defined (dual ambient space is empty or a point "
                 "for m = 3, n = 2; the construction needs m >= n + 3)\n") in out
 
+    def test_pretty_mode_prints_why_there_is_no_torelli_verdict(self, capsys):
+        # the same availability reason as the stability line above it
+        rc, out, _ = run(capsys, ["analyze", "--pretty", path("boolean_n2")])
+        assert rc == 0
+        assert ("stability: unavailable (needs m >= n + 2, got m = 3)\n"
+                "torelli: unavailable (needs m >= n + 2, got m = 3)\n") in out
+
     @pytest.mark.parametrize("name", fixture_names() + ["concurrent6"])
     def test_single_section_commands_match_analyze(self, capsys, tmp_path, name):
         if name == "concurrent6":

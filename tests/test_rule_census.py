@@ -7,8 +7,11 @@ line)` call in `torelli_verdict`. An f-string becomes a pattern whose
 formatted values match any text, and both arms of an `if` expression count.
 Every one of them, and every `WitnessKind`, must come out of some input in
 the table below: the bundled fixtures plus a few constructed arrangements.
-A rule no input reaches is either dead code or a missing test, in the way
-an uncalled function is (`test_unreferenced.py`).
+So must the curve tests' outcomes: every `ConicClass` out of `conic_test`,
+and every `RncVerdict` and every `detail` text (each `RncResult(...)` in
+`rnc_test`) out of `rnc_test` on the whole label set. A rule no input
+reaches is either dead code or a missing test, in the way an uncalled
+function is (`test_unreferenced.py`).
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ import re
 
 from arrinv.arrangement import parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
+from arrinv.lattice import build_lattice
 from arrinv.report import DEFAULT_PRIMES, Analysis
 from arrinv.stability import WitnessKind, free_splitting_stability
-from arrinv.torelli import DEFAULT_MAX_SUBSETS
+from arrinv.torelli import (DEFAULT_MAX_SUBSETS, ConicClass, RncVerdict, conic_test,
+                            rnc_test)
 from test_torelli import CONIC_PAIRS_AND_A_POINT, twisted_cubic_rows
 from test_unreferenced import SRC
 
@@ -32,6 +37,14 @@ INPUTS = {name: fixture(name) for name in fixture_names()} | {
     # seven planes dual to points of a twisted cubic
     "cubic7": parse_arrangement(3, twisted_cubic_rows(range(7))),
     "conic_pairs_and_a_point": parse_arrangement(2, CONIC_PAIRS_AND_A_POINT),
+    # four points, three of them collinear: linearly degenerate
+    "triple_and_a_point": parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0],
+                                                [0, 0, 1]]),
+    # five concurrent lines: no four dual points in linear general position
+    "five_concurrent": parse_arrangement(2, [[1, t, 0] for t in range(5)]),
+    # a frame and (1, 1, 2), whose reciprocals (1, 1, 1/2) repeat a pole
+    "pole_collision": parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                            [1, 1, 1], [1, 1, 2]]),
 }
 
 
@@ -74,6 +87,13 @@ def torelli_rules() -> list[tuple[str, str, str]]:
             for rule in _patterns(call.args[1]) for line in _patterns(call.args[2])]
 
 
+def rnc_details() -> list[str]:
+    """Patterns of every detail text `rnc_test` returns."""
+    calls = _calls(_function("torelli", "rnc_test"),
+                   lambda f: isinstance(f, ast.Name) and f.id == "RncResult")
+    return [p for call in calls for p in _patterns(call.args[3])]
+
+
 def outcomes():
     """Rule texts, witness kinds and Torelli verdicts the inputs produce."""
     rules, kinds, verdicts = set(), set(), set()
@@ -90,10 +110,24 @@ def outcomes():
     return rules, kinds, verdicts
 
 
+def curve_outcomes():
+    """Conic classes, RNC verdicts and RNC detail texts the inputs produce."""
+    classes, verdicts, details = set(), set(), set()
+    for a in INPUTS.values():
+        if a.n == 2:
+            classes.add(conic_test(a).classification)
+        if a.n >= 2:
+            rnc = rnc_test(build_lattice(a))
+            verdicts.add(rnc.verdict)
+            details.add(rnc.detail)
+    return classes, verdicts, details
+
+
 def test_the_census_reads_every_rule_site():
     # a renamed trail or helper would otherwise leave nothing to check
     assert len(stability_rules()) == 7
     assert len(torelli_rules()) == 9
+    assert len(rnc_details()) == 7
 
 
 def test_every_rule_and_witness_kind_is_reached():
@@ -104,3 +138,11 @@ def test_every_rule_and_witness_kind_is_reached():
             if not any(s == status and re.fullmatch(rule, r) and re.fullmatch(line, t)
                        for s, r, t in verdicts)] == []
     assert set(WitnessKind) - kinds == set()
+
+
+def test_every_curve_test_outcome_is_reached():
+    classes, verdicts, details = curve_outcomes()
+    assert set(ConicClass) - classes == set()
+    assert set(RncVerdict) - verdicts == set()
+    assert [p for p in rnc_details()
+            if not any(re.fullmatch(p, text) for text in details)] == []

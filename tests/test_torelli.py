@@ -36,8 +36,8 @@ from arrinv.torelli import (
     _off_curve,
     torelli_verdict,
 )
-from oracles import (dependent_subsets_by_minors, fraction_det, fraction_rank,
-                     rule1_by_exhaustion, sextuple_on_conic)
+from oracles import (conic_nonsingular_at, dependent_subsets_by_minors, fraction_det,
+                     fraction_rank, rule1_by_exhaustion, sextuple_on_conic)
 
 
 def verdict_for(name, **kwargs):
@@ -146,26 +146,14 @@ class TestConic:
         assert res.kernel_dim == 2
         assert res.all_points_nonsingular
 
-    def test_five_collinear_points_leave_only_reducible_members(self, monkeypatch):
+    def test_five_collinear_points_leave_only_reducible_members(self):
         # the points (1, t, 0) lie on z = 0; a conic a x^2 + b xy + d y^2 + z(..)
         # through them has a + bt + dt^2 = 0 for five t, so a = b = d = 0:
         # the family z(alpha x + beta y + gamma z), of dimension 3. Every
-        # member holds the line z = 0, so none is smooth; gamma z^2 is a
-        # double line, and xz has its vertex (0, 1, 0) off the points
-        classify_member = torelli_mod._classify_member
-        classes = []
-
-        def spied(c, points):
-            out = classify_member(c, points)
-            classes.append(out[0])
-            return out
-
-        monkeypatch.setattr(torelli_mod, "_classify_member", spied)
+        # member holds the line z = 0, so none is smooth, yet xz has its
+        # vertex (0, 1, 0) off the points
         res = conic_test(parse_arrangement(2, [[1, t, 0] for t in range(5)]))
         assert res == ConicResult(3, None, None, True, None)
-        assert len(classes) == 4 ** 3 - 1      # the whole grid was scanned
-        assert ConicClass.NONSINGULAR not in classes
-        assert ConicClass.DOUBLE_LINE in classes
 
     @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=6,
                     max_size=6, unique=True))
@@ -174,6 +162,72 @@ class TestConic:
         res = conic_test(Arrangement(2, tuple((1, t, t * t) for t in ts)))
         assert res.kernel_dim >= 1
         assert res.all_points_nonsingular
+
+
+@st.composite
+def conic_families(draw):
+    """At most four points of P^2, or k >= 2 collinear points and at most one more."""
+    point = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+    if draw(st.booleans()):
+        rows = draw(st.lists(point, min_size=1, max_size=4))
+    else:
+        # points base + t * step of one line
+        base, step = draw(point), draw(point)
+        ts = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=7, unique=True))
+        rows = ([[b + t * d for b, d in zip(base, step)] for t in ts]
+                + draw(st.lists(point, max_size=1)))
+    try:
+        return parse_arrangement(2, rows)
+    except InvalidArrangement:   # a zero row or two rows on one point
+        assume(False)
+
+
+@st.composite
+def single_conics(draw):
+    """Five to seven points of P^2: anywhere, on the conic y^2 = xz, or on two lines."""
+    m = draw(st.integers(5, 7))
+    kind = draw(st.sampled_from(["any", "conic", "lines"]))
+    if kind == "any":
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                             min_size=m, max_size=m))
+    elif kind == "conic":
+        ts = draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m, unique=True))
+        rows = [[1, t, t * t] for t in ts]
+    else:
+        # points (1, t, 0) of z = 0 and (1, 0, t) of y = 0
+        k = draw(st.integers(2, m - 2))
+        ts = draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m, unique=True))
+        rows = [[1, t, 0] for t in ts[:k]] + [[1, 0, t] for t in ts[k:]]
+    try:
+        return parse_arrangement(2, rows)
+    except InvalidArrangement:
+        assume(False)
+
+
+@given(conic_families())
+@settings(max_examples=200, deadline=None)
+def test_a_family_of_conics_has_a_member_nonsingular_at_every_point(a):
+    # at most four points, or k collinear and one more, impose at most four
+    # conditions on conics
+    res = conic_test(a)
+    assert res.kernel_dim >= 2
+    assert res.all_points_nonsingular
+    q = conic_nonsingular_at(a.forms)
+    for p in a.forms:
+        grad = [sum(r * x for r, x in zip(row, p)) for row in q]
+        assert sum(g * x for g, x in zip(grad, p)) == 0   # p is on the conic
+        assert any(grad)                                  # and nonsingular on it
+
+
+@given(single_conics())
+@settings(max_examples=200, deadline=None)
+def test_a_unique_conic_is_never_a_double_line(a):
+    res = conic_test(a)
+    if res.kernel_dim == 1:
+        xx, xy, xz, yy, yz, zz = res.conic
+        rank = fraction_rank([[2 * xx, xy, xz], [xy, 2 * yy, yz], [xz, yz, 2 * zz]])
+        assert rank >= 2
+        assert (res.classification is ConicClass.NONSINGULAR) == (rank == 3)
 
 
 class TestRnc:
@@ -244,6 +298,15 @@ class TestRnc:
             rows[rng.randrange(7)][rng.randrange(1, 4)] += 1
             a2 = parse_arrangement(3, rows)
             assert rnc_test(build_lattice(a2)).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
+
+    @pytest.mark.parametrize("labels", [(1, 2, 3, 4, 4), (1, 1, 2, 3, 4, 5),
+                                        (1, 2, 3, 4, 6), (0, 1, 2, 3, 4)])
+    def test_labels_must_be_distinct_labels_of_the_lattice(self, labels):
+        # a repeated label would count as a frame point twice
+        a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1],
+                                  [1, 2, 3]])
+        with pytest.raises(ValueError, match="distinct"):
+            rnc_test(build_lattice(a), labels)
 
     def test_few_points_in_general_position_are_trivially_on_a_curve(self):
         a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
@@ -633,8 +696,45 @@ def sweep_arrangement(n, m, kind, seed):
 
 
 # SHA-256 of the JSON Torelli section of each sweep input, pinned so that the
-# n >= 3 verdicts (rnc_test and rule 1 over (n+4)-subsets) cannot drift
+# verdicts cannot drift: for n = 2 the conic section (a random m = 4 draw
+# reaches a pencil), for n >= 3 rnc_test and rule 1 over (n+4)-subsets
 TORELLI_SWEEP_DIGESTS = {
+    (2, 4, "curve", 0): "46eb62362dc396448bde9b5613c1ff6608677e795dfd5365c544b8fc0b756f5d",
+    (2, 4, "curve", 1): "46eb62362dc396448bde9b5613c1ff6608677e795dfd5365c544b8fc0b756f5d",
+    (2, 4, "curve", 2): "46eb62362dc396448bde9b5613c1ff6608677e795dfd5365c544b8fc0b756f5d",
+    (2, 4, "random", 0): "46eb62362dc396448bde9b5613c1ff6608677e795dfd5365c544b8fc0b756f5d",
+    (2, 4, "random", 1): "46eb62362dc396448bde9b5613c1ff6608677e795dfd5365c544b8fc0b756f5d",
+    (2, 4, "random", 2): "46eb62362dc396448bde9b5613c1ff6608677e795dfd5365c544b8fc0b756f5d",
+    (2, 5, "curve", 0): "4ac2fc4d20381edb70e6e0411cba7cb63c86b30f298553c8accfdf160df43401",
+    (2, 5, "curve", 1): "4ac2fc4d20381edb70e6e0411cba7cb63c86b30f298553c8accfdf160df43401",
+    (2, 5, "curve", 2): "4ac2fc4d20381edb70e6e0411cba7cb63c86b30f298553c8accfdf160df43401",
+    (2, 5, "random", 0): "a65bb212f1dfd8d0e9a55da37a10aca371342e03f920d2e942d5aed7e7f5c5af",
+    (2, 5, "random", 1): "44cbca5e7a21cda21703e07ca0a2b838fae233457e7f9f7e9aac4467d587de86",
+    (2, 5, "random", 2): "c5180a103c97116de217290860aa8b5b2ddb425a528abc7ac853ffccb03e5cf4",
+    (2, 6, "curve", 0): "ff5755ba32036f1d6e77c917bda72d3aac35b9688dd612d5e2152007d9de5aa8",
+    (2, 6, "curve", 1): "ff5755ba32036f1d6e77c917bda72d3aac35b9688dd612d5e2152007d9de5aa8",
+    (2, 6, "curve", 2): "ff5755ba32036f1d6e77c917bda72d3aac35b9688dd612d5e2152007d9de5aa8",
+    (2, 6, "random", 0): "d3b375dd77f0bc22e0aaf2bad402becf2f0b1abf100c0c7ad8ef74cfa662d534",
+    (2, 6, "random", 1): "c40edbade1069222136cde84227e8cb147ad10680856b8a1acd1d177e7f9a8fc",
+    (2, 6, "random", 2): "c40edbade1069222136cde84227e8cb147ad10680856b8a1acd1d177e7f9a8fc",
+    (2, 7, "curve", 0): "46e0ccede30c6d1ae093e464613679b93a1bea75c57048a4c8e2e5f4a601939e",
+    (2, 7, "curve", 1): "46e0ccede30c6d1ae093e464613679b93a1bea75c57048a4c8e2e5f4a601939e",
+    (2, 7, "curve", 2): "46e0ccede30c6d1ae093e464613679b93a1bea75c57048a4c8e2e5f4a601939e",
+    (2, 7, "random", 0): "c40edbade1069222136cde84227e8cb147ad10680856b8a1acd1d177e7f9a8fc",
+    (2, 7, "random", 1): "c40edbade1069222136cde84227e8cb147ad10680856b8a1acd1d177e7f9a8fc",
+    (2, 7, "random", 2): "585f243a71b4178b51dd51fe7f3558f9fdf7b047caf34765d3ac346afc6fa552",
+    (2, 8, "curve", 0): "46e0ccede30c6d1ae093e464613679b93a1bea75c57048a4c8e2e5f4a601939e",
+    (2, 8, "curve", 1): "46e0ccede30c6d1ae093e464613679b93a1bea75c57048a4c8e2e5f4a601939e",
+    (2, 8, "curve", 2): "46e0ccede30c6d1ae093e464613679b93a1bea75c57048a4c8e2e5f4a601939e",
+    (2, 8, "random", 0): "ce427abef42441a2356d645bc87d2862060c17ef9e25e06b4557507d73961a71",
+    (2, 8, "random", 1): "c40edbade1069222136cde84227e8cb147ad10680856b8a1acd1d177e7f9a8fc",
+    (2, 8, "random", 2): "c40edbade1069222136cde84227e8cb147ad10680856b8a1acd1d177e7f9a8fc",
+    (2, 9, "curve", 0): "46e0ccede30c6d1ae093e464613679b93a1bea75c57048a4c8e2e5f4a601939e",
+    (2, 9, "curve", 1): "46e0ccede30c6d1ae093e464613679b93a1bea75c57048a4c8e2e5f4a601939e",
+    (2, 9, "curve", 2): "46e0ccede30c6d1ae093e464613679b93a1bea75c57048a4c8e2e5f4a601939e",
+    (2, 9, "random", 0): "46c1452df8ea891e0701de22be1e842fa18c05da9fe74aca557b39afadc6cc05",
+    (2, 9, "random", 1): "11e94125dbcd5bd11654f3bb5f9f6a38d7b2b1d407ae79423491d13116c6faef",
+    (2, 9, "random", 2): "ce427abef42441a2356d645bc87d2862060c17ef9e25e06b4557507d73961a71",
     (3, 6, "curve", 0): "a40dede8499f9f6b3d82ad51ca2aac332af097d6de3fe730ba67be6166d23aac",
     (3, 6, "curve", 1): "3c0401d535120251fc5b3e0447a3cad01dcca2dacf2caf9ac2bb61db3b97ffab",
     (3, 6, "curve", 2): "1c45c760e4143793a55f7fa9ddb6151e3c156db576405de078731f2a04e5e7da",
