@@ -31,8 +31,8 @@ from functools import cached_property
 from math import comb
 
 from .arrangement import Arrangement, subset_ranks
-from .ffcount import (basis_minors, count_complement_points, next_valid_prime,
-                      prime_preserves_lattice)
+from .ffcount import (basis_minors, count_complement_points, is_prime,
+                      next_valid_prime, prime_preserves_lattice)
 from .invariants import (ChernData, LocalPointData, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
                          local_data, poincare, steiner_unavailable,
@@ -269,7 +269,13 @@ class Analysis:
         return out
 
     def oracles_section(self) -> list[dict]:
-        """The verification suite: named exact checks, each pass/fail/skip."""
+        """The verification suite: named exact checks, each pass/fail/skip.
+
+        A non-prime in `primes` raises ValueError before any count runs.
+        """
+        for p in self.primes:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
         a, lattice = self.a, self.lattice
         checks: list[dict] = []
 

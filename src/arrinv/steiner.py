@@ -4,9 +4,10 @@ For an essential arrangement of m >= n+2 hyperplanes the relation space U of
 the coefficient matrix has dimension m-n-1. The defining tensor sends a
 relation a and a point v to the vector (a_1 f_1(v), ..., a_m f_m(v)), which
 always sums to zero and therefore lands in the sum-zero subspace W of k^m.
-Slicing the tensor along the coordinate directions of v produces n+1
-matrices in the fixed bases of U and W; those slices determine the sheaf
-presentation and everything the stability analysis needs.
+A basis of U fixes the tensor and the map of the Steiner resolution
+0 -> O(-1)^(m-n-1) -> O^(m-1) -> F -> 0, so a `SteinerTensor` is that basis.
+Its n+1 slices along the coordinate directions of v are a view of it, built
+on first use for `arrinv tensor` and `stability.git_ratio_test` only.
 
 The Gale dual arrangement reads the columns of the tensor's relation basis
 as m forms in m-n-1 variables, so the tensor is the one source of the dual
@@ -16,16 +17,18 @@ line. Dependent subsets of maximal size swap with their complements under
 this duality; `verify_gale_bijection` checks that at the level of coordinate
 configurations, so it also covers duals whose points collide (which cannot
 be represented as an Arrangement). The tensor holds the intersection
-lattice it was built from: the primal dependent (n+1)-sets are the ones
-`IntersectionLattice.independent` rejects, and the dual ones come from
-determinants on the tensor's columns alone, so the check sets the lattice
-against the kernel of the forms.
+lattice it was built from. The check lists both families of dependent sets
+the same way, in lexicographic order: the primal (n+1)-sets are the ones
+`IntersectionLattice.independent` rejects, and the dual (m-n-1)-sets the
+ones whose dual points have a vanishing determinant, so the check sets the
+lattice against the kernel of the forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .arrangement import Arrangement, InvalidArrangement, parse_arrangement
@@ -48,10 +51,10 @@ def gale_unavailable(lattice: IntersectionLattice) -> str | None:
 
 @dataclass(frozen=True)
 class SteinerTensor:
+    """The defining tensor as its relation basis; `slices` is a view of it."""
+
     lattice: IntersectionLattice
     u_basis: QMatrix                  # (m-n-1) x m, canonical kernel basis
-    slices: tuple[QMatrix, ...]       # n+1 matrices, each (m-1) x (m-n-1),
-                                      # rows in the basis e_i - e_m of W
 
     @property
     def m(self) -> int:
@@ -61,11 +64,18 @@ class SteinerTensor:
     def n(self) -> int:
         return self.lattice.n
 
+    @cached_property
+    def slices(self) -> tuple[QMatrix, ...]:
+        """n+1 matrices, each (m-1) x (m-n-1), rows in the basis e_i - e_m of W.
 
-def _w_coordinates(y: list[Fraction]) -> tuple[Fraction, ...]:
-    """Coordinates of a sum-zero vector of k^m in the basis e_i - e_m."""
-    assert sum(y) == 0
-    return tuple(y[:-1])
+        Column j of slice k is (rel_j[r] f_r[k]) for r < m-1: the image of
+        relation j at v = e_k, whose last coordinate the zero sum implies.
+        """
+        forms, rels = self.lattice.arrangement.forms, self.u_basis.entries
+        return tuple(
+            QMatrix(tuple(tuple(rel[r] * forms[r][k] for rel in rels)
+                          for r in range(self.m - 1)), self.u_basis.rows)
+            for k in range(self.n + 1))
 
 
 def steiner_tensor(lattice: IntersectionLattice) -> SteinerTensor:
@@ -75,24 +85,10 @@ def steiner_tensor(lattice: IntersectionLattice) -> SteinerTensor:
     (`invariants.steiner_unavailable`).
     """
     require_steiner(lattice, "defining tensor")
-    a = lattice.arrangement
-    m, n = a.m, a.n
     # the (n+1) x m coefficient matrix has one column per form; an essential
     # arrangement has m - n - 1 relations
-    u = kernel_basis(QMatrix.from_rows(zip(*a.forms), m))
-    slices = []
-    for k in range(n + 1):
-        cols = []
-        for j in range(u.rows):
-            rel = u.entries[j]
-            y = [rel[i] * a.forms[i][k] for i in range(m)]
-            cols.append(_w_coordinates(y))
-        # cols[j] is the image of basis relation j; transpose into a matrix
-        # with one column per relation
-        slice_rows = tuple(tuple(cols[j][r] for j in range(u.rows))
-                           for r in range(m - 1))
-        slices.append(QMatrix(slice_rows, u.rows))
-    return SteinerTensor(lattice, u, tuple(slices))
+    a = lattice.arrangement
+    return SteinerTensor(lattice, kernel_basis(QMatrix.from_rows(zip(*a.forms), a.m)))
 
 
 def dual_columns(t: SteinerTensor) -> list[tuple[Fraction, ...]]:
@@ -120,16 +116,6 @@ def gale_dual(t: SteinerTensor) -> Arrangement:
         raise GaleUndefined(f"dual points collide: {exc}") from exc
 
 
-def _dependent_subsets(vectors, dim: int) -> tuple[tuple[int, ...], ...]:
-    """Index subsets of size dim whose vectors have a vanishing determinant."""
-    out = []
-    for subset in combinations(range(len(vectors)), dim):
-        mat = QMatrix.from_rows([vectors[i] for i in subset], dim)
-        if det(mat) == 0:
-            out.append(tuple(i + 1 for i in subset))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GaleBijectionReport:
     ok: bool
@@ -153,7 +139,9 @@ def verify_gale_bijection(t: SteinerTensor) -> GaleBijectionReport:
     m, n = t.m, t.n
     primal = tuple(s for s in combinations(range(1, m + 1), n + 1)
                    if not t.lattice.independent(s))
-    actual = _dependent_subsets(dual_columns(t), m - n - 1)
+    cols = dual_columns(t)
+    actual = tuple(s for s in combinations(range(1, m + 1), m - n - 1)
+                   if det(QMatrix.from_rows([cols[i - 1] for i in s])) == 0)
     full = set(range(1, m + 1))
     expected = tuple(sorted(tuple(sorted(full - set(s))) for s in primal))
     actual_set, expected_set = set(actual), set(expected)

@@ -6,19 +6,23 @@ same entry point the console script uses.
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
 import pathlib
+import re
 
 import pytest
 
 import arrinv.report as report_mod
 import arrinv.steiner as steiner_mod
-from arrinv.cli import main
+from arrinv.cli import OPTIONS, build_parser, main
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
 from arrinv.stability import Status, StabilityVerdict
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
+from test_report import sweep_input
 
 
 FIXDIR = "fixtures"
@@ -27,6 +31,58 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # six concurrent lines: not essential, yet m >= n + 3
 CONCURRENT6 = {"n": 2, "hyperplanes": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0],
                                        [1, 3, 0], [1, 4, 0]]}
+
+
+# SHA-256 of the stdout of `arrinv tensor`: the relation basis and the n+1
+# slices. Keyed by fixture (boolean_n2 has no tensor and prints nothing)
+# and by (row kind, n, m) of `test_report.sweep_input`, n = 1..4 and
+# m = n+2..n+5, so slices of every n up to 4 are covered.
+TENSOR_DIGESTS = {
+    "a3_braid": "1e720645ec19de29c2ec5446a8ac883fbdec749922dc6093b96dd742e2b89028",
+    "boolean_n2": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "generic5": "81ff9b45bc244285344cc84a50be514b5f5a1d59308c1bc5aa5a3603d2310ac7",
+    "generic6_off_conic": "c27b31e94f358ceada6a8632b517092332ee6ec440a9e48fabebe3f566a95838",
+    "generic6_on_conic": "9cdb2218aea30a3134eb0637bc0d70478636a0a3412fcd233b3fd69abbfc677a",
+    "m5_one_triple": "fed87eaa1fada96f3312f59e99c25c92c3d8363ecaef27815a40beea0299d165",
+    "m5_two_triples": "16ef087bf0b4092a0173489490167cb6603230b80d15475fdc385afd3f508eb9",
+    "m6_four_concurrent": "319c111b62a4515e035dceb85499ea21cec724defc6ffc424b2c8a00f1b181df",
+    "m6_one_triple": "4f1aa771546e0ef0e213be2f4a8fa82ae69d63ec7b79182620ad403494cf1703",
+    "m6_three_triples": "7f1a43530eb4792b389b0ee73940665104ad4e52d055202132c8bde37936177d",
+    "m6_two_triples_F1": "59a060004d9128c20c38634b8f8b7aa0f3871ff5eb1943a737038f46ff9ce319",
+    "m6_two_triples_F2": "0717050bef5854387399952b22798a59afe24a277b68ca3ea5f109b3143d215b",
+    ("curve", 1, 3): "935e72329e5caa22e649a45f8107da1db223ec812800f1bbf79a28be7b0e559f",
+    ("random", 1, 3): "8aac69defd4989449390dfa5344f04f93272880e6b8c901013901218afabe47e",
+    ("curve", 1, 4): "8abcdfac0c0a4b2cbfbbad1334ec9faac0ce84b5ac38e0e2a61c605d8c506871",
+    ("random", 1, 4): "a36b00a0166e9f9f38a1b3bfb2ffbd7d1b13e789087814da16ba6bd396345b22",
+    ("curve", 1, 5): "ea32af89ff72a7f70886193ed6ad8c6588afd542311c730834620c594edd4028",
+    ("random", 1, 5): "5a4ee6ad23891cf32a389dd6c3a586b5e271e079f667726e5fa6b3406050921f",
+    ("curve", 1, 6): "c1a220e32fb2edd7fb587d7b52b29472e1f1b307ba06185049ea57d5b9c4a156",
+    ("random", 1, 6): "c146a611a87ac78709ae0d4fcc4636e1d3ced728c3f8dcbe68ae56060d88bf8b",
+    ("curve", 2, 4): "70083c8a3222b96fdff097da1020d73243904f8d36e3ce678706c00d30565e27",
+    ("random", 2, 4): "b74999c2c41741a4842b85ace5997001b68bbffcf68c10407b3ffdd855ac84c7",
+    ("curve", 2, 5): "78b21e2a7a57dc89f6631fa98a04ded6100a5d188f5171b73f52f6b1954736cc",
+    ("random", 2, 5): "1b2f71faccf7c49b3ce333b32b8d9c22a8206e10ee845b09214cc44142e41040",
+    ("curve", 2, 6): "ed9a25641d5ee472805a1ba6e2733a0aab7f7d6a418d3b88f724a5d47144e0c8",
+    ("random", 2, 6): "76d60f1147d928894228007a43fa0242295e9d4d56343be959f93d07b41a5524",
+    ("curve", 2, 7): "8eca77b504b53de4c070100bcaa359b32ccff872a037b2fe6b6597951ed1c0ce",
+    ("random", 2, 7): "820a858d63e66ffca3cc78b506c1808854a887d7b814c657b3efda85e2b515eb",
+    ("curve", 3, 5): "71d17e068ec33e31e17bc76d6e2f6add36f2f01e265c023c7a030a78d93ebef4",
+    ("random", 3, 5): "7bfed1edd00859b530e4e05768241acce38b25521e3b1162ca3d434be12f9131",
+    ("curve", 3, 6): "30ce29c8f6a27054bd3cb03dde2a9893bf971b6e325f58fd8724ed7aa385fe6e",
+    ("random", 3, 6): "53246d2cf5f8fed8840f85b1f616962f93400be0aaaf6ae39b344c7b50b7a01d",
+    ("curve", 3, 7): "f9acfc752e51b34b131bec150d95e7203781051d9c8c8b6542ed0537d2a2db45",
+    ("random", 3, 7): "838d37780dcb3fead9d38a6b9033ab19cc1145b15e7a7b501f6221cf78b3ebe9",
+    ("curve", 3, 8): "dd8c18ca51788661bdca60e2b0a9fab50c096e704b88ef01f6296cd7d3a137f4",
+    ("random", 3, 8): "499028019f0c216a60966aa0c4e7279199722513d2479c35bc4e14fb094c1fff",
+    ("curve", 4, 6): "303c1319076f3d87343b710af6b60dd7a9fa634778182d6b39d4285980668b42",
+    ("random", 4, 6): "98f74a5f0dcf93db5a57364341dd1efe6b136dd8edecaefb86dc5e5fb323125e",
+    ("curve", 4, 7): "c4ca9abbc656a94f6d03b8533d92cf2269f8c9332745e316595d0738e328532c",
+    ("random", 4, 7): "931bcc040138d42fa1bd013e197ee6c67a1892fc27452cfc64eeca7e6daf4267",
+    ("curve", 4, 8): "5148307eaf23a4ae98fb5e3bc9f582db27cbffd92814589e9ac2637004ae0499",
+    ("random", 4, 8): "0b50507daee8c2d5042ef13170e7fc9df993a11673a14071212c2fe6f2265c6e",
+    ("curve", 4, 9): "2a155e8364e845ed8a4b666127a9f519c615e4ef69df6be8da0ec19b25a49fda",
+    ("random", 4, 9): "965653159a917d24c36bfbb834f54018d1e191e12bdcdaa1b09bc24c2edc9850",
+}
 
 
 def run(capsys, args):
@@ -197,6 +253,17 @@ class TestTensor:
         rc, out, err = run(capsys, ["tensor", str(f)])
         assert rc == 2 and out == ""
         assert err == "error: defining tensor: arrangement is not essential\n"
+
+    @pytest.mark.parametrize("key", list(TENSOR_DIGESTS), ids=lambda k: (
+        k if isinstance(k, str) else "-".join(map(str, k))))
+    def test_tensor_output_matches_the_pinned_digest(self, capsys, tmp_path, key):
+        if isinstance(key, str):
+            arg = path(key)
+        else:
+            arg = tmp_path / "sweep.json"
+            arg.write_text(json.dumps(sweep_input(*key).to_json_dict()))
+        _, out, _ = run(capsys, ["tensor", str(arg)])
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TENSOR_DIGESTS[key]
 
 
 class TestVerify:
@@ -399,6 +466,44 @@ class TestExamples:
         rc, _, err = run(capsys, ["examples", "show", "nope"])
         assert rc == 2
         assert "examples list" in err
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixture_file_is_the_show_output(self, capsys, name):
+        # fixtures.py is the one source of the bundled files
+        rc, out, _ = run(capsys, ["examples", "show", name])
+        assert rc == 0
+        assert (README.parent / path(name)).read_bytes() == out.encode("utf-8")
+
+    def test_fixture_directory_holds_exactly_the_fixtures(self):
+        files = sorted(f.name for f in (README.parent / FIXDIR).iterdir())
+        assert files == sorted(f"{name}.json" for name in fixture_names())
+
+
+class TestReadme:
+    """README's command block and flags paragraph name what the parser has."""
+
+    @staticmethod
+    def _commands() -> dict[str, argparse.ArgumentParser]:
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        return sub.choices
+
+    def test_command_block_names_every_subcommand_and_no_other(self):
+        block = README.read_text().split("Commands:\n\n```\n", 1)[1].split("\n```", 1)[0]
+        named = {line.split()[1] for line in block.splitlines()
+                 if line.startswith("arrinv ")}
+        assert named == set(self._commands())
+
+    def test_flags_paragraph_names_every_option_and_no_other(self):
+        para = README.read_text().split("\nFlags, ", 1)[1].split("\n\n", 1)[0]
+        flags = {flag for flag, _ in OPTIONS.values()}
+        assert set(re.findall(r"--[a-z][a-z-]*", para)) == flags
+        # each flag is followed by the commands that accept it
+        named = {flag: set(re.findall(r"`(\w+)`", commands)) for flag, commands
+                 in re.findall(r"`(--[a-z-]+)[^`]*`\s+\(([^)]*)\)", para)}
+        assert named == {flag: {name for name, p in self._commands().items()
+                                if flag in p._option_string_actions}
+                         for flag in flags}
 
 
 class TestErrors:

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import arrinv.report as report_mod
 from arrinv.arrangement import InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import IntersectionLattice, build_lattice
@@ -63,6 +64,18 @@ def test_a_lattice_breaking_the_pair_count_stops_the_report():
     analysis.lattice = IntersectionLattice(a, *map(tuple, zip(*kept)))
     with pytest.raises(AssertionError, match="pair-count identity"):
         analysis.report()
+
+
+@pytest.mark.parametrize("name", ["generic5", "generic6_on_conic"])
+def test_a_non_prime_is_rejected_before_any_count(monkeypatch, name):
+    # 4 divides a basis gcd of generic6_on_conic and none of generic5, so a
+    # retry could stand in for it on one and not the other
+    counted = []
+    monkeypatch.setattr(report_mod, "count_complement_points",
+                        lambda a, p: counted.append(p))
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        build_report(fixture(name), primes=(7, 4))
+    assert counted == []
 
 
 @pytest.mark.parametrize("name", fixture_names())

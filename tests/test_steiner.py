@@ -10,9 +10,10 @@ from arrinv.arrangement import (InvalidArrangement, canonical_form, parse_arrang
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.linalg import QMatrix, kernel_basis
-from arrinv.report import build_report
+from arrinv.report import DEFAULT_PRIMES, Analysis, build_report
 from arrinv.steiner import (GaleUndefined, dual_columns, gale_dual, gale_unavailable,
                             steiner_tensor, verify_gale_bijection)
+from arrinv.torelli import DEFAULT_MAX_SUBSETS
 from oracles import dependent_subsets_by_minors, slice_at_point
 
 TENSOR_FIXTURES = [n for n in fixture_names() if n != "boolean_n2"]
@@ -45,6 +46,13 @@ def test_slice_entries_follow_definition(name):
             for r in range(a.m - 1):
                 expected = t.u_basis.entries[j][r] * a.forms[r][k]
                 assert t.slices[k].entries[r][j] == expected
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_a_report_builds_no_slices(name):
+    an = Analysis(fixture(name), DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS, True)
+    an.report()
+    assert an.tensor is None or "slices" not in an.tensor.__dict__
 
 
 def test_tensor_shapes():
