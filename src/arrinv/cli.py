@@ -74,8 +74,8 @@ def cmd_tensor(args) -> int:
     return _print({
         "m": t.m,
         "n": t.n,
-        "relation_basis": [list(r) for r in t.u_basis.entries],
-        "slices": [[list(row) for row in s.entries] for s in t.slices],
+        "relation_basis": [list(r) for r in t.u_basis],
+        "slices": [[list(row) for row in s] for s in t.slices],
     })
 
 
@@ -168,12 +168,21 @@ def _int_where(ok, what: str):
     return parse
 
 
+class _AppendOnce(argparse.Action):
+    """Append the value to a list, a usage error (exit 2) if it is there."""
+    def __call__(self, parser, namespace, value, option_string=None):
+        seen = getattr(namespace, self.dest) or []
+        if value in seen:
+            raise argparse.ArgumentError(self, f"{value} is given twice")
+        setattr(namespace, self.dest, seen + [value])
+
+
 # each option by name: (flag, add_argument keywords); a command gets only
 # the options it reads, so any other flag is a usage error
 OPTIONS = {
     "pretty": ("--pretty", dict(action="store_true",
                                 help="human-readable rendering instead of JSON")),
-    "prime": ("--prime", dict(dest="primes", action="append", metavar="P",
+    "prime": ("--prime", dict(dest="primes", action=_AppendOnce, metavar="P",
                               type=_int_where(is_prime, "a prime"),
                               help="oracle prime, repeatable "
                               f"(default {list(DEFAULT_PRIMES)})")),

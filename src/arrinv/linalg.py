@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Nothing here ever rounds, and nothing is reduced mod p. One fraction-free
-elimination loop over Z (Bareiss's) gives ranks, determinants (`bareiss`)
-and the reduced row echelon form (`rref`). Bases are emitted in
-`fractions.Fraction` form, and the canonical forms fixed in this module are
-relied on across the package:
+Nothing here ever rounds, and nothing is reduced mod p. A matrix is a
+sequence of rows of ints or `fractions.Fraction`s. One fraction-free
+elimination loop over Z (Bareiss's) gives ranks, determinants (`bareiss`,
+`det`) and the reduced row echelon form (`rref`). Bases are emitted as tuples
+of `Fraction` rows, equal for int rows and their `Fraction` copies, and the
+canonical forms fixed in this module are relied on across the package:
 
 * `rref` produces the unique reduced row echelon form (pivots 1, zeros above
   and below each pivot).
@@ -12,6 +13,8 @@ relied on across the package:
   variable to 1 and the others to 0, free columns in increasing order. This
   makes downstream constructions (relation spaces, dual configurations)
   reproducible bit for bit.
+
+`QMatrix`, rows with a column count, serves only the GIT test in `stability`.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Q = Fraction
+Rows = tuple[tuple[Fraction, ...], ...]
 
 # Python converts integers of at most this many digits to and from text (its
 # default sys.get_int_max_str_digits()); a decimal exponent beyond it would
@@ -53,8 +57,8 @@ def qval(x) -> Fraction:
 class QMatrix:
     """Immutable rational matrix, row major.
 
-    `cols` is stored explicitly so zero-row matrices (empty kernels and the
-    like) keep their shape.
+    `cols` is stored explicitly so a subspace given by no rows keeps its
+    shape.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
@@ -64,19 +68,6 @@ class QMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence], cols: int | None = None) -> "QMatrix":
-        data = tuple(tuple(qval(x) for x in row) for row in rows)
-        if cols is None:
-            if not data:
-                raise ValueError("cannot infer column count of an empty matrix")
-            cols = len(data[0])
-        return cls(data, cols)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
 
     def stack(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.cols:
@@ -159,32 +150,32 @@ def bareiss(rows: Sequence[Sequence]) -> tuple[int, Fraction]:
     return rank, Q(0)
 
 
-def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
-    """Reduced row echelon form. Returns (R, pivot columns, rank)."""
-    work, pivots, d, _, _ = _eliminate(m.entries, reduce=True)
-    reduced = tuple(tuple(Fraction(x, d) for x in row) for row in work)
-    return QMatrix(reduced, m.cols), tuple(pivots), len(pivots)
+def rref(rows: Sequence[Sequence]) -> tuple[Rows, tuple[int, ...]]:
+    """Reduced row echelon form of rows. Returns (R, pivot columns)."""
+    work, pivots, d, _, _ = _eliminate(rows, reduce=True)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in work), tuple(pivots)
 
 
-def kernel_basis(m: QMatrix) -> QMatrix:
-    """Canonical basis of the right null space, one row per free column."""
-    reduced, pivots, _ = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+def kernel_basis(rows: Sequence[Sequence]) -> Rows:
+    """Canonical right null-space basis of nonempty rows, one per free column."""
+    reduced, pivots = rref(rows)
+    cols = len(rows[0])
+    free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Q(0)] * m.cols
+        v = [Q(0)] * cols
         v[f] = Q(1)
         for r, c in enumerate(pivots):
-            v[c] = -reduced.entries[r][f]
+            v[c] = -reduced[r][f]
         basis.append(tuple(v))
-    return QMatrix(tuple(basis), m.cols)
+    return tuple(basis)
 
 
-def det(m: QMatrix) -> Fraction:
-    """Determinant by fraction-free elimination."""
-    if m.rows != m.cols:
+def det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of square rows by fraction-free elimination."""
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    return bareiss(m.entries)[1]
+    return bareiss(rows)[1]
 
 
 def primitive_integer_vector(v: Sequence) -> tuple[int, ...]:

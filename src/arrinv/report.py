@@ -271,11 +271,13 @@ class Analysis:
     def oracles_section(self) -> list[dict]:
         """The verification suite: named exact checks, each pass/fail/skip.
 
-        A non-prime in `primes` raises ValueError before any count runs.
+        A non-prime or repeated prime raises ValueError before any count runs.
         """
-        for p in self.primes:
+        for i, p in enumerate(self.primes):
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+            if p in self.primes[:i]:
+                raise ValueError(f"prime {p} is repeated")
         a, lattice = self.a, self.lattice
         checks: list[dict] = []
 

@@ -124,7 +124,7 @@ def _tensor_image_vectors(t: SteinerTensor) -> QMatrix:
     for j in range(t.m - t.n - 1):
         vec = []
         for k in range(t.n + 1):
-            vec.extend(t.slices[k].entries[r][j] for r in range(t.m - 1))
+            vec.extend(t.slices[k][r][j] for r in range(t.m - 1))
         rows.append(tuple(vec))
     return QMatrix(tuple(rows), amb)
 

@@ -5,9 +5,10 @@ the coefficient matrix has dimension m-n-1. The defining tensor sends a
 relation a and a point v to the vector (a_1 f_1(v), ..., a_m f_m(v)), which
 always sums to zero and therefore lands in the sum-zero subspace W of k^m.
 A basis of U fixes the tensor and the map of the Steiner resolution
-0 -> O(-1)^(m-n-1) -> O^(m-1) -> F -> 0, so a `SteinerTensor` is that basis.
-Its n+1 slices along the coordinate directions of v are a view of it, built
-on first use for `arrinv tensor` and `stability.git_ratio_test` only.
+0 -> O(-1)^(m-n-1) -> O^(m-1) -> F -> 0, so a `SteinerTensor` is that basis,
+a tuple of m-n-1 `Fraction` rows. Its n+1 slices along the coordinate
+directions of v are a view of it, tuples of rows too, built on first use
+for `arrinv tensor` and `stability.git_ratio_test` only.
 
 The Gale dual arrangement reads the columns of the tensor's relation basis
 as m forms in m-n-1 variables, so the tensor is the one source of the dual
@@ -34,7 +35,7 @@ from itertools import combinations
 from .arrangement import Arrangement, InvalidArrangement, parse_arrangement
 from .invariants import require_steiner, steiner_unavailable
 from .lattice import IntersectionLattice
-from .linalg import QMatrix, det, kernel_basis
+from .linalg import Rows, det, kernel_basis
 
 
 class GaleUndefined(ValueError):
@@ -51,10 +52,10 @@ def gale_unavailable(lattice: IntersectionLattice) -> str | None:
 
 @dataclass(frozen=True)
 class SteinerTensor:
-    """The defining tensor as its relation basis; `slices` is a view of it."""
+    """The defining tensor as its relation basis rows; `slices` is a view of it."""
 
     lattice: IntersectionLattice
-    u_basis: QMatrix                  # (m-n-1) x m, canonical kernel basis
+    u_basis: Rows                     # (m-n-1) x m, canonical kernel basis
 
     @property
     def m(self) -> int:
@@ -65,17 +66,16 @@ class SteinerTensor:
         return self.lattice.n
 
     @cached_property
-    def slices(self) -> tuple[QMatrix, ...]:
+    def slices(self) -> tuple[Rows, ...]:
         """n+1 matrices, each (m-1) x (m-n-1), rows in the basis e_i - e_m of W.
 
         Column j of slice k is (rel_j[r] f_r[k]) for r < m-1: the image of
         relation j at v = e_k, whose last coordinate the zero sum implies.
         """
-        forms, rels = self.lattice.arrangement.forms, self.u_basis.entries
-        return tuple(
-            QMatrix(tuple(tuple(rel[r] * forms[r][k] for rel in rels)
-                          for r in range(self.m - 1)), self.u_basis.rows)
-            for k in range(self.n + 1))
+        forms, rels = self.lattice.arrangement.forms, self.u_basis
+        return tuple(tuple(tuple(rel[r] * forms[r][k] for rel in rels)
+                           for r in range(self.m - 1))
+                     for k in range(self.n + 1))
 
 
 def steiner_tensor(lattice: IntersectionLattice) -> SteinerTensor:
@@ -88,12 +88,12 @@ def steiner_tensor(lattice: IntersectionLattice) -> SteinerTensor:
     # the (n+1) x m coefficient matrix has one column per form; an essential
     # arrangement has m - n - 1 relations
     a = lattice.arrangement
-    return SteinerTensor(lattice, kernel_basis(QMatrix.from_rows(zip(*a.forms), a.m)))
+    return SteinerTensor(lattice, kernel_basis(tuple(zip(*a.forms))))
 
 
 def dual_columns(t: SteinerTensor) -> list[tuple[Fraction, ...]]:
     """Columns of the tensor's relation basis, one per hyperplane."""
-    return [tuple(row[i] for row in t.u_basis.entries) for i in range(t.m)]
+    return [tuple(row[i] for row in t.u_basis) for i in range(t.m)]
 
 
 def gale_dual(t: SteinerTensor) -> Arrangement:
@@ -141,7 +141,7 @@ def verify_gale_bijection(t: SteinerTensor) -> GaleBijectionReport:
                    if not t.lattice.independent(s))
     cols = dual_columns(t)
     actual = tuple(s for s in combinations(range(1, m + 1), m - n - 1)
-                   if det(QMatrix.from_rows([cols[i - 1] for i in s])) == 0)
+                   if det([cols[i - 1] for i in s]) == 0)
     full = set(range(1, m + 1))
     expected = tuple(sorted(tuple(sorted(full - set(s))) for s in primal))
     actual_set, expected_set = set(actual), set(expected)

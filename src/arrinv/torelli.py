@@ -38,7 +38,7 @@ from math import comb
 from .arrangement import Arrangement
 from .invariants import require_steiner
 from .lattice import IntersectionLattice
-from .linalg import QMatrix, bareiss, kernel_basis, primitive_integer_vector, rref
+from .linalg import bareiss, kernel_basis, primitive_integer_vector, rref
 from .stability import StabilityVerdict, Status
 
 
@@ -86,14 +86,10 @@ def _veronese_row(pt) -> list:
     return [x * x, x * y, x * z, y * y, y * z, z * z]
 
 
-def _sym_matrix_2q(c) -> QMatrix:
-    """Twice the symmetric matrix of the conic, integer for integer input."""
+def _sym_matrix_2q(c) -> list[list[int]]:
+    """Twice the symmetric matrix of the integer conic c."""
     a, b, cc, d, e, f = c
-    return QMatrix.from_rows([
-        [2 * a, b, cc],
-        [b, 2 * d, e],
-        [cc, e, 2 * f],
-    ], 3)
+    return [[2 * a, b, cc], [b, 2 * d, e], [cc, e, 2 * f]]
 
 
 def conic_test(a: Arrangement) -> ConicResult:
@@ -105,15 +101,15 @@ def conic_test(a: Arrangement) -> ConicResult:
     """
     if a.n != 2:
         raise ValueError("conic test is defined for n = 2 only")
-    kern = kernel_basis(QMatrix.from_rows([_veronese_row(p) for p in a.forms], 6))
-    kdim = kern.rows
+    kern = kernel_basis([_veronese_row(p) for p in a.forms])
+    kdim = len(kern)
     if kdim != 1:
         return ConicResult(kdim, None, None, kdim >= 2, None)
-    c = primitive_integer_vector(kern.entries[0])
+    c = primitive_integer_vector(kern[0])
     singular = kernel_basis(_sym_matrix_2q(c))
-    if singular.rows == 0:
+    if not singular:
         return ConicResult(1, c, ConicClass.NONSINGULAR, True, None)
-    vertex = primitive_integer_vector(singular.entries[0])
+    vertex = primitive_integer_vector(singular[0])
     return ConicResult(1, c, ConicClass.TWO_DISTINCT_LINES, vertex not in a.forms, vertex)
 
 
@@ -169,7 +165,7 @@ def rnc_test(lattice: IntersectionLattice,
     forms = lattice.arrangement.forms
     rest = [i for i in labels if i not in frame]
     columns = [forms[i - 1] for i in frame + tuple(rest)]
-    reduced = rref(QMatrix.from_rows(zip(*columns), len(columns)))[0].entries
+    reduced = rref(tuple(zip(*columns)))[0]
     lam = [row[n + 1] for row in reduced]
     recips = []
     for k, i in enumerate(rest, n + 2):
@@ -229,8 +225,7 @@ def _off_curve(lattice: IntersectionLattice):
     """
     if lattice.n == 2:
         veronese = [_veronese_row(p) for p in lattice.arrangement.forms]
-        return lambda labels: QMatrix.from_rows(
-            [veronese[i - 1] for i in labels], 6).rank() == 6
+        return lambda labels: bareiss([veronese[i - 1] for i in labels])[0] == 6
     return lambda labels: (rnc_test(lattice, labels).verdict
                            is RncVerdict.NOT_ON_SMOOTH_RNC)
 

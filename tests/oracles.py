@@ -28,7 +28,6 @@ from itertools import combinations, product
 
 from arrinv.arrangement import Arrangement
 from arrinv.lattice import Flat, build_lattice
-from arrinv.linalg import QMatrix
 from arrinv.steiner import SteinerTensor
 from arrinv.torelli import RncVerdict, rnc_test
 
@@ -100,17 +99,17 @@ def prime_preserves_lattice_by_ranks(a: Arrangement, ranks: dict[tuple[int, ...]
                for labels, rank in ranks.items())
 
 
-def slice_at_point(t: SteinerTensor, point) -> QMatrix:
+def slice_at_point(t: SteinerTensor, point) -> tuple[tuple[Fraction, ...], ...]:
     """The (m-1) x (m-n-1) matrix of the tensor contracted with a point."""
     if len(point) != t.n + 1:
         raise ValueError("point has wrong dimension")
     rows = []
     for r in range(t.m - 1):
         rows.append(tuple(
-            sum((Fraction(point[k]) * t.slices[k].entries[r][j]
+            sum((Fraction(point[k]) * t.slices[k][r][j]
                  for k in range(t.n + 1)), Fraction(0))
             for j in range(t.m - t.n - 1)))
-    return QMatrix(tuple(rows), t.m - t.n - 1)
+    return tuple(rows)
 
 
 def _rank_of(a: Arrangement, labels) -> int:

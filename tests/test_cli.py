@@ -25,8 +25,8 @@ from arrinv.torelli import DEFAULT_MAX_SUBSETS
 from test_report import sweep_input
 
 
-FIXDIR = "fixtures"
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+FIXDIR = README.parent / "fixtures"
 
 # six concurrent lines: not essential, yet m >= n + 3
 CONCURRENT6 = {"n": 2, "hyperplanes": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0],
@@ -92,7 +92,7 @@ def run(capsys, args):
 
 
 def path(name):
-    return f"{FIXDIR}/{name}.json"
+    return str(FIXDIR / f"{name}.json")
 
 
 class TestAnalyze:
@@ -472,10 +472,10 @@ class TestExamples:
         # fixtures.py is the one source of the bundled files
         rc, out, _ = run(capsys, ["examples", "show", name])
         assert rc == 0
-        assert (README.parent / path(name)).read_bytes() == out.encode("utf-8")
+        assert (FIXDIR / f"{name}.json").read_bytes() == out.encode("utf-8")
 
     def test_fixture_directory_holds_exactly_the_fixtures(self):
-        files = sorted(f.name for f in (README.parent / FIXDIR).iterdir())
+        files = sorted(f.name for f in FIXDIR.iterdir())
         assert files == sorted(f"{name}.json" for name in fixture_names())
 
 
@@ -639,6 +639,16 @@ class TestFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: must be" in captured.err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_a_repeated_prime_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--prime", "7", "--prime", "11", "--prime", "7",
+                  path("generic5")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --prime: 7 is given twice" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["examples", "list", "--prime", "7"],

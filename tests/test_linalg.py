@@ -1,7 +1,8 @@
-"""Exact linear algebra kernel."""
+"""Exact linear algebra kernel: matrices are plain sequences of rows."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +19,7 @@ def matrices(max_rows=4, max_cols=4):
         lambda r: st.integers(1, max_cols).flatmap(
             lambda c: st.lists(
                 st.lists(small_int, min_size=c, max_size=c),
-                min_size=r, max_size=r).map(
-                    lambda rows: QMatrix.from_rows(rows, c))))
+                min_size=r, max_size=r)))
 
 
 def test_qval_accepts_fraction_strings():
@@ -29,21 +29,20 @@ def test_qval_accepts_fraction_strings():
 
 
 def test_rref_known_case():
-    m = QMatrix.from_rows([[2, 4, 0], [1, 2, 1]], 3)
-    r, pivots, rank = rref(m)
-    assert rank == 2
+    r, pivots = rref([[2, 4, 0], [1, 2, 1]])
+    assert len(pivots) == 2
     assert pivots == (0, 2)
-    assert r.entries == ((Fraction(1), Fraction(2), Fraction(0)),
-                         (Fraction(0), Fraction(0), Fraction(1)))
+    assert r == ((Fraction(1), Fraction(2), Fraction(0)),
+                 (Fraction(0), Fraction(0), Fraction(1)))
 
 
 @given(matrices())
 @settings(max_examples=60)
 def test_rref_is_idempotent(m):
-    r, _, rank = rref(m)
-    r2, _, rank2 = rref(r)
-    assert r2.entries == r.entries
-    assert rank2 == rank
+    r, pivots = rref(m)
+    r2, pivots2 = rref(r)
+    assert r2 == r
+    assert len(pivots2) == len(pivots)
 
 
 @st.composite
@@ -64,33 +63,34 @@ def rational_matrices(draw):
     if draw(st.booleans()):
         lead = draw(st.integers(1, c))
         rows[0][:lead] = [Fraction(0)] * lead
-    return QMatrix.from_rows(rows, c)
+    return rows
 
 
 @given(rational_matrices())
 @settings(max_examples=200)
 def test_rref_is_the_reduced_echelon_form_of_the_row_space(m):
-    r, pivots, rank = rref(m)
-    assert rank == len(pivots) == fraction_rank(m.entries)
+    r, pivots = rref(m)
+    rank = len(pivots)
+    assert rank == fraction_rank(m)
     assert list(pivots) == sorted(set(pivots))
-    for i, row in enumerate(r.entries):
+    for i, row in enumerate(r):
         if i >= rank:
             assert not any(row)
             continue
         p = pivots[i]
         assert not any(row[:p]) and row[p] == 1
-        assert all(other[p] == 0 for k, other in enumerate(r.entries) if k != i)
+        assert all(other[p] == 0 for k, other in enumerate(r) if k != i)
     # same row space: stacking R adds no rank, which with the shape fixes R
-    assert fraction_rank(m.stack(r).entries) == rank
+    assert fraction_rank([*m, *r]) == rank
 
 
 def test_kernel_basis_golden_with_row_swap_and_skipped_column():
     F = Fraction
-    m = QMatrix.from_rows([[0, 0, F(1, 2), 1, 3],
-                           [F(2, 3), 1, 0, -1, F(1, 5)],
-                           [F(4, 3), 2, 1, -1, 0]])
-    assert rref(m)[1:] == ((0, 2, 3), 3)
-    assert kernel_basis(m).entries == (
+    m = [[0, 0, F(1, 2), 1, 3],
+         [F(2, 3), 1, 0, -1, F(1, 5)],
+         [F(4, 3), 2, 1, -1, 0]]
+    assert rref(m)[1] == (0, 2, 3)
+    assert kernel_basis(m) == (
         (F(-3, 2), F(1), F(0), F(0), F(0)),
         (F(-99, 10), F(0), F(34, 5), F(-32, 5), F(1)))
 
@@ -98,16 +98,16 @@ def test_kernel_basis_golden_with_row_swap_and_skipped_column():
 @given(matrices())
 @settings(max_examples=60)
 def test_rank_equals_transpose_rank(m):
-    assert m.rank() == QMatrix.from_rows(zip(*m.entries), m.rows).rank()
+    assert bareiss(m)[0] == bareiss(list(zip(*m)))[0]
 
 
 @given(matrices())
 @settings(max_examples=60)
 def test_kernel_vectors_annihilate(m):
     k = kernel_basis(m)
-    assert k.rows == m.cols - m.rank()
-    for row in k.entries:
-        assert all(sum(a * x for a, x in zip(r, row)) == 0 for r in m.entries)
+    assert len(k) == len(m[0]) - bareiss(m)[0]
+    for row in k:
+        assert all(sum(a * x for a, x in zip(r, row)) == 0 for r in m)
 
 
 @given(st.integers(1, 6).flatmap(lambda c: st.lists(
@@ -115,7 +115,7 @@ def test_kernel_vectors_annihilate(m):
 @settings(max_examples=150)
 def test_bareiss_rank_and_det_match_fraction_elimination(rows):
     rank, d = bareiss(rows)
-    assert rank == fraction_rank(rows) == rref(QMatrix.from_rows(rows))[2]
+    assert rank == fraction_rank(rows) == len(rref(rows)[1])
     if len(rows) == len(rows[0]):
         assert d == fraction_det(rows)
     else:
@@ -127,19 +127,40 @@ def test_bareiss_cleared_denominators_and_empty_input():
     assert bareiss([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == (2, Fraction(1, 3))
     assert bareiss([[0, 0], [0, 0]]) == (0, 0)
     assert bareiss([]) == (0, 1)
-    assert det(QMatrix((), 0)) == 1
+    assert det(()) == 1
+
+
+def test_det_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="non-square"):
+        det([[1, 2]])
+    with pytest.raises(ValueError, match="non-square"):
+        det([[1, 2], [3]])
 
 
 def test_kernel_of_full_rank_matrix_is_empty():
-    m = QMatrix.from_rows([[1, 0], [0, 1]], 2)
-    assert kernel_basis(m).rows == 0
+    assert kernel_basis([[1, 0], [0, 1]]) == ()
 
 
 @given(st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=3, max_size=3))
 @settings(max_examples=60)
 def test_det_zero_iff_rank_deficient(rows):
-    m = QMatrix.from_rows(rows, 3)
-    assert (det(m) == 0) == (m.rank() < 3)
+    assert (det(rows) == 0) == (bareiss(rows)[0] < 3)
+
+
+@given(matrices(5, 5))
+@settings(max_examples=100)
+def test_int_rows_give_the_values_of_their_fraction_copies(m):
+    # reports pass the integer forms as int rows; what they print is the
+    # same as for Fraction rows only if every value and its type agree
+    q = [[Fraction(x) for x in row] for row in m]
+    r, pivots = rref(m)
+    assert (r, pivots) == rref(q)
+    k = kernel_basis(m)
+    assert k == kernel_basis(q)
+    assert all(type(x) is Fraction for row in r + k for x in row)
+    if len(m) == len(m[0]):
+        d = det(m)
+        assert d == det(q) and type(d) is Fraction
 
 
 def test_primitive_integer_vector():
@@ -151,5 +172,5 @@ def test_primitive_integer_vector():
 @given(matrices(3, 3))
 @settings(max_examples=40)
 def test_stack_rank_bounds(m):
-    stacked = m.stack(m)
-    assert stacked.rank() == m.rank()
+    q = QMatrix(tuple(map(tuple, m)), len(m[0]))
+    assert q.stack(q).rank() == q.rank() == bareiss(m)[0]

@@ -78,6 +78,16 @@ def test_a_non_prime_is_rejected_before_any_count(monkeypatch, name):
     assert counted == []
 
 
+def test_a_repeated_prime_is_rejected_before_any_count(monkeypatch):
+    # counted twice it would give two finite_field_count_p7 entries
+    counted = []
+    monkeypatch.setattr(report_mod, "count_complement_points",
+                        lambda a, p: counted.append(p))
+    with pytest.raises(ValueError, match="^prime 7 is repeated$"):
+        build_report(fixture("generic5"), primes=(7, 11, 7))
+    assert counted == []
+
+
 @pytest.mark.parametrize("name", fixture_names())
 def test_fixture_report_matches_the_committed_digest(name):
     text = json.dumps(jsonable(build_report(fixture(name))), indent=2)

@@ -11,6 +11,9 @@ and `basis_minors` take the rank table, as a `ranks` parameter.
 The Gale dual exists where m >= n + 3 and the Steiner sheaf does, and
 `steiner.gale_unavailable` is the one place that says so: no other function
 compares against an expression `... + 3`.
+
+A matrix is a sequence of rows. `linalg.QMatrix`, rows beside a column
+count, serves only the GIT test in `stability`, so no other module names it.
 """
 
 import ast
@@ -62,6 +65,23 @@ def taking(tree: ast.Module, name: str) -> list[str]:
     """Functions of `tree` with a parameter called `name`."""
     return [fn.name for fn in _functions(tree)
             if name in {p.arg for p in _parameters(fn)}]
+
+
+def names(tree: ast.Module) -> set[str]:
+    """Names `tree` reads, imports or annotates with, string annotations too."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        for annotation in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None)):
+            if annotation is not None:
+                out |= _names(annotation)
+    return out
 
 
 def _plus_three(node: ast.AST) -> bool:
@@ -133,3 +153,24 @@ def product(m): return (m - 1) * (m + 3) < 0
 """
     assert comparing_plus_three(ast.parse(source)) == [
         "less", "reversed_sum", "constant_first", "chained", "method"]
+
+
+def test_only_linalg_and_stability_name_qmatrix():
+    assert [path.stem for path in sorted(SRC.glob("*.py"))
+            if "QMatrix" in names(ast.parse(path.read_text()))] == ["linalg", "stability"]
+
+
+def test_the_check_sees_every_spelling_of_a_name():
+    spellings = [
+        "from .linalg import QMatrix",
+        "from .linalg import QMatrix as M",
+        "import arrinv.linalg.QMatrix",
+        "from . import linalg\nx = linalg.QMatrix((), 0)",
+        "def f(m: 'QMatrix | None'): ...",
+        "def f() -> tuple['QMatrix', ...]: ...",
+        "x: 'list[QMatrix]' = []",
+        "y = QMatrix",
+    ]
+    for source in spellings:
+        assert "QMatrix" in names(ast.parse(source)), source
+    assert "QMatrix" not in names(ast.parse('"""A QMatrix in prose."""\n# QMatrix'))

@@ -21,7 +21,6 @@ from arrinv.arrangement import Arrangement, InvalidArrangement, parse_arrangemen
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import delta_invariant
 from arrinv.lattice import build_lattice
-from arrinv.linalg import QMatrix
 from arrinv import torelli as torelli_mod
 from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
 from arrinv.stability import classify
@@ -596,23 +595,23 @@ def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
     # C(16, 6) = 8,008 subsets fit the default cap, and C(16, >= 6) = 58,651
     # would not; with every dual point on one conic no subset is examined:
     # the full-set conic test is the only one made, no Veronese rank is
-    # taken, and no cap is hit
+    # taken (the scan's `bareiss` on six columns), and no cap is hit
     a = parse_arrangement(2, [[1, t, t * t] for t in range(-8, 8)])
     lat = build_lattice(a)
     stab = classify(lat, delta_invariant(lat))
     conics, ranks = [], []
-    rank = QMatrix.rank
+    rank = torelli_mod.bareiss
 
     def counted_conic(arr):
         conics.append(arr.m)
         return conic_test(arr)
 
-    def counted_rank(self):
-        ranks.append(self.cols)
-        return rank(self)
+    def counted_rank(rows):
+        ranks.append(len(rows[0]))
+        return rank(rows)
 
     monkeypatch.setattr(torelli_mod, "conic_test", counted_conic)
-    monkeypatch.setattr(QMatrix, "rank", counted_rank)
+    monkeypatch.setattr(torelli_mod, "bareiss", counted_rank)
     v = torelli_verdict(lat, stab)
     assert conics == [16]
     assert 6 not in ranks
