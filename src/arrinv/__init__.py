@@ -17,8 +17,7 @@ from .invariants import (ChernData, LocallyFree, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
                          local_data, poincare, require_steiner,
                          steiner_unavailable, twist_transform)
-from .lattice import (CrossingClass, Flat, IntersectionLattice, build_lattice,
-                      classify_crossing)
+from .lattice import CrossingClass, Flat, IntersectionLattice, build_lattice
 from .report import build_report
 from .stability import (StabilityVerdict, Status, Witness, WitnessKind, classify,
                         combinatorial_destabilizer, discriminant_test,
@@ -39,7 +38,7 @@ __all__ = [
     "RncResult", "RncVerdict", "StabilityVerdict", "Status", "SteinerTensor",
     "TorelliStatus", "TorelliVerdict", "Witness", "WitnessKind", "basis_minors",
     "build_lattice", "build_report", "canonical_form", "chern", "classify",
-    "classify_crossing", "combinatorial_destabilizer",
+    "combinatorial_destabilizer",
     "complement_count_prediction", "conic_test", "count_complement_points",
     "delta_invariant", "discriminant_test", "dual_columns", "fixture",
     "fixture_names", "fixture_note", "free_splitting_stability", "gale_dual",

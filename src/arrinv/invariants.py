@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .lattice import CrossingClass, IntersectionLattice, classify_crossing
+from .lattice import CrossingClass, IntersectionLattice
 
 
 def steiner_unavailable(lattice: IntersectionLattice) -> str | None:
@@ -109,7 +109,7 @@ def chern(lattice: IntersectionLattice, pd: PoincareData) -> ChernData:
         s_sum = sum(f.s - 1 for f in lattice.flats_of_rank(2))
         n2_c2 = s_sum - 2 * m + 3
 
-    crossing = classify_crossing(lattice).kind
+    crossing = lattice.crossing.kind
     if n <= 2 or crossing is CrossingClass.GENERIC:
         flag = LocallyFree.YES
     elif crossing is CrossingClass.NORMAL_CROSSING_CODIM2_ONLY:
@@ -161,9 +161,10 @@ def delta_invariant(lattice: IntersectionLattice) -> int:
 
 
 def h0_values(lattice: IntersectionLattice) -> tuple[int, int]:
-    """Global sections (steiner log sheaf, log sheaf) twisted by 1, n = 2.
+    """Global sections (steiner log sheaf, log sheaf), untwisted, n = 2.
 
-    steiner: m - 1.  log sheaf: m - 1 - sum(s-1) + C(m,2).
+    steiner: m - 1, from 0 -> O(-1)^(m-3) -> O^(m-1) -> F -> 0 (h0(F(1)) is
+    2m).  log sheaf: m - 1 - sum(s-1) + C(m,2), that is m - 1 + delta.
     """
     if lattice.n != 2:
         raise ValueError("h0 formulas implemented for n = 2 only")

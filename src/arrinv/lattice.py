@@ -7,7 +7,7 @@ the lattice of flats of the matroid of the forms, so it is read off the
 arrangement's rank table (`arrangement.subset_ranks`): the flat of rank r
 spanned by r independent labels S is their closure, every label i with
 rank(S + i) = r. The lattice is the one place that decides dependence:
-`IntersectionLattice.independent` answers it for any label set.
+`independent` answers it for any label set, and `crossing` classifies it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,18 @@ class Flat:
         return len(self.indices)
 
 
+class CrossingClass(enum.Enum):
+    GENERIC = "generic"
+    NORMAL_CROSSING_CODIM2_ONLY = "normal_crossing_codim2_only"
+    NOT_NORMAL_CROSSING_CODIM2 = "not_normal_crossing_codim2"
+
+
+@dataclass(frozen=True)
+class CrossingReport:
+    kind: CrossingClass
+    witness: Flat | None  # a non-generic flat, when one exists
+
+
 @dataclass(frozen=True)
 class IntersectionLattice:
     arrangement: Arrangement
@@ -50,7 +62,7 @@ class IntersectionLattice:
     def m(self) -> int:
         return self.arrangement.m
 
-    @property
+    @cached_property
     def essential(self) -> bool:
         """True when the forms have rank n+1: no flat lies on all m hyperplanes."""
         return all(f.s < self.m for f in self.flats)
@@ -59,6 +71,21 @@ class IntersectionLattice:
     def dependent_flats(self) -> tuple[Flat, ...]:
         """Flats through more hyperplanes than their rank, in lattice order."""
         return tuple(f for f in self.flats if f.s > f.rank)
+
+    @cached_property
+    def crossing(self) -> CrossingReport:
+        """How the arrangement crosses itself, witnessed by the shallowest offender.
+
+        Generic: every flat of rank r lies on exactly r hyperplanes, so no
+        flat is dependent (a rank-1 flat lies on one). If only flats of rank
+        >= 3 violate that, the crossings are still normal in codimension 2.
+        """
+        if not self.dependent_flats:
+            return CrossingReport(CrossingClass.GENERIC, None)
+        witness = self.dependent_flats[0]  # flats run by rank
+        kind = (CrossingClass.NOT_NORMAL_CROSSING_CODIM2 if witness.rank == 2
+                else CrossingClass.NORMAL_CROSSING_CODIM2_ONLY)
+        return CrossingReport(kind, witness)
 
     def independent(self, labels) -> bool:
         """True when every n+1 of the labels' forms (all, if fewer) are independent.
@@ -121,32 +148,3 @@ def mobius_values(flats: tuple[Flat, ...]) -> tuple[int, ...]:
         # break above is safe
         mu[i] = -acc
     return tuple(mu)
-
-
-class CrossingClass(enum.Enum):
-    GENERIC = "generic"
-    NORMAL_CROSSING_CODIM2_ONLY = "normal_crossing_codim2_only"
-    NOT_NORMAL_CROSSING_CODIM2 = "not_normal_crossing_codim2"
-
-
-@dataclass(frozen=True)
-class CrossingReport:
-    kind: CrossingClass
-    witness: Flat | None  # a non-generic flat, when one exists
-
-
-def classify_crossing(lattice: IntersectionLattice) -> CrossingReport:
-    """Classify how the arrangement crosses itself.
-
-    Generic: every flat of rank r lies on exactly r hyperplanes. If only
-    flats of rank >= 3 violate that, the arrangement still has normal
-    crossings in codimension 2. Witnesses report the shallowest offending
-    flat.
-    """
-    heavy = [f for f in lattice.dependent_flats if f.rank >= 2]
-    if not heavy:
-        return CrossingReport(CrossingClass.GENERIC, None)
-    # flats run by rank, so the first is the shallowest
-    kind = (CrossingClass.NOT_NORMAL_CROSSING_CODIM2 if heavy[0].rank == 2
-            else CrossingClass.NORMAL_CROSSING_CODIM2_ONLY)
-    return CrossingReport(kind, heavy[0])

@@ -31,13 +31,12 @@ from functools import cached_property
 from math import comb
 
 from .arrangement import Arrangement, subset_ranks
-from .ffcount import (basis_minors, count_complement_points, is_prime,
-                      next_valid_prime, prime_preserves_lattice)
+from .ffcount import basis_minors, count_complement_points, is_prime, next_valid_prime
 from .invariants import (ChernData, LocalPointData, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
                          local_data, poincare, steiner_unavailable,
                          twist_transform)
-from .lattice import IntersectionLattice, build_lattice, classify_crossing
+from .lattice import IntersectionLattice, build_lattice
 from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
                       dual_columns, gale_dual, gale_unavailable,
                       steiner_tensor, verify_gale_bijection)
@@ -157,7 +156,7 @@ class Analysis:
         flats = [{"indices": list(f.indices), "rank": f.rank, "s": f.s, "mobius": mu}
                  for f, mu in lattice.items()]
         counts = Counter(f.rank for f in lattice.flats)
-        crossing = classify_crossing(lattice)
+        crossing = lattice.crossing
         return {
             "flats": flats,
             "flat_counts_by_rank": {str(r): counts[r] for r in sorted(counts)},
@@ -272,6 +271,8 @@ class Analysis:
         """The verification suite: named exact checks, each pass/fail/skip.
 
         A non-prime or repeated prime raises ValueError before any count runs.
+        Each p is counted at q = next_valid_prime(minors, p); walked upward, a p
+        at or below the last q shares it, so no prime is checked or counted twice.
         """
         for i, p in enumerate(self.primes):
             if not is_prime(p):
@@ -281,20 +282,20 @@ class Analysis:
         a, lattice = self.a, self.lattice
         checks: list[dict] = []
 
-        minors = self.basis_minors
+        chosen, q = {}, 0
+        for p in sorted(self.primes):
+            if p > q:
+                q = next_valid_prime(self.basis_minors, p)
+            chosen[p] = q
+        counts = {q: count_complement_points(a, q) for q in set(chosen.values())}
         for p in self.primes:
-            q = p
-            note = None
-            if not prime_preserves_lattice(minors, q):
-                q = next_valid_prime(minors, q)
-                note = f"p = {p} degenerates the reduction; retried with {q}"
+            q = chosen[p]
             predicted = complement_count_prediction(self.poincare, q)
-            counted = count_complement_points(a, q)
             entry = {"check": f"finite_field_count_p{p}",
-                     "status": "pass" if predicted == counted else "fail",
-                     "predicted": predicted, "counted": counted}
-            if note:
-                entry["note"] = note
+                     "status": "pass" if predicted == counts[q] else "fail",
+                     "predicted": predicted, "counted": counts[q]}
+            if q != p:
+                entry["note"] = f"p = {p} degenerates the reduction; retried with {q}"
             checks.append(entry)
 
         if a.n == 2:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .invariants import require_steiner
-from .lattice import CrossingClass, Flat, IntersectionLattice, classify_crossing
+from .lattice import CrossingClass, Flat, IntersectionLattice
 from .steiner import SteinerTensor
 from .linalg import QMatrix
 
@@ -236,7 +236,7 @@ def classify(lattice: IntersectionLattice, delta: int | None,
         return StabilityVerdict(Status.NOT_STABLE, tuple(witnesses), tuple(rules))
 
     if literature_rules:
-        if classify_crossing(lattice).kind is CrossingClass.GENERIC:
+        if lattice.crossing.kind is CrossingClass.GENERIC:
             rules.append("generic arrangements give stable Steiner bundles "
                          "(Bohnhorst-Spindler)")
             return StabilityVerdict(Status.STABLE, tuple(witnesses), tuple(rules))

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrinv import report
-from arrinv.arrangement import InvalidArrangement, parse_arrangement, subset_ranks
+from arrinv.arrangement import (Arrangement, InvalidArrangement, parse_arrangement,
+                                subset_ranks)
 from arrinv.ffcount import (basis_minors, count_complement_points, is_prime,
                             next_valid_prime, prime_preserves_lattice)
 from arrinv.fixtures import fixture, fixture_names
@@ -16,8 +17,8 @@ from arrinv.invariants import complement_count_prediction, poincare
 from arrinv.lattice import build_lattice
 from arrinv.report import Analysis
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
-from oracles import (brute_complement_count, prime_preserves_lattice_by_ranks,
-                     rank_mod_p)
+from oracles import (brute_complement_count, line_complement_count,
+                     prime_preserves_lattice_by_ranks, rank_mod_p)
 
 
 def test_is_prime():
@@ -41,6 +42,47 @@ def small_arrangements(draw):
 @settings(max_examples=300, deadline=None)
 def test_count_matches_brute_force(a, p):
     assert count_complement_points(a, p) == brute_complement_count(a, p)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("p", [7, 11, 13, 101])
+def test_fixture_counts_match_inclusion_exclusion_over_lines(name, p):
+    a = fixture(name)
+    assert count_complement_points(a, p) == line_complement_count(a, p)
+
+
+@st.composite
+def lines_meeting_mod_p(draw):
+    """(lines, p): some rows are a x + b y + p z for rows x, y already drawn,
+    so mod p they coincide with x (b = 0) or pass through the point x . y."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    row = st.lists(st.integers(-9, 9), min_size=3, max_size=3)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(1, 3))):
+        x, y, z = (draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(row))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([a * u + b * v + p * w for u, v, w in zip(x, y, z)])
+    try:
+        return parse_arrangement(2, rows), p
+    except InvalidArrangement:   # a zero row, or two rows with the same form
+        assume(False)
+
+
+@given(lines_meeting_mod_p())
+@settings(max_examples=300, deadline=None)
+def test_line_counts_match_inclusion_exclusion_when_lines_meet_mod_p(drawn):
+    a, p = drawn
+    assert count_complement_points(a, p) == line_complement_count(a, p)
+    if p <= 7:
+        assert line_complement_count(a, p) == brute_complement_count(a, p)
+
+
+def test_a_form_vanishing_mod_p_leaves_no_points():
+    # parsing divides a form by its content, so only a direct Arrangement
+    # holds a form that vanishes mod p
+    a = Arrangement(2, ((1, 2, 3), (7, 0, 14)))
+    assert count_complement_points(a, 7) == line_complement_count(a, 7) == 0
+    assert brute_complement_count(a, 7) == 0
 
 
 def test_count_rejects_a_non_prime():
@@ -154,15 +196,18 @@ def test_every_prime_a_report_counts_at_keeps_every_pair_apart(drawn):
     with patch.object(report, "count_complement_points", recording):
         checks = Analysis(a, primes, DEFAULT_MAX_SUBSETS, True).oracles_section()
     ranks = subset_ranks(a)
-    assert len(counted_at) == len(primes)
+    # entries that retry to one prime share its count
+    assert len(counted_at) == len(set(counted_at)) <= len(primes)
     for q in counted_at:
         assert all(rank_mod_p(pair, q) == 2 for pair in combinations(a.forms, 2))
         assert prime_preserves_lattice_by_ranks(a, ranks, q)
     counts = [c for c in checks if c["check"].startswith("finite_field_count_p")]
     assert all(c["status"] == "pass" for c in counts)
     if forced:   # x_0 and x_0 + p x_1 coincide mod p: the retry note path ran
-        assert counts[0]["note"].startswith(f"p = {primes[0]} degenerates")
-        assert counted_at[0] > primes[0]
+        note = counts[0]["note"]
+        assert note.startswith(f"p = {primes[0]} degenerates")
+        q = int(note.rsplit(maxsplit=1)[1])
+        assert q > primes[0] and q in counted_at
 
 
 def test_n3_arrangement_at_101():

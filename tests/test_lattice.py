@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from arrinv.arrangement import InvalidArrangement, parse_arrangement, subset_ranks
 from arrinv.fixtures import fixture, fixture_names
-from arrinv.lattice import CrossingClass, build_lattice, classify_crossing
+from arrinv.lattice import CrossingClass, build_lattice
 from oracles import flats_by_closure, fraction_rank, mobius_by_subsets
 
 
@@ -73,13 +73,13 @@ def test_mobius_view():
 
 
 def test_crossing_generic():
-    rep = classify_crossing(build_lattice(fixture("generic5")))
+    rep = build_lattice(fixture("generic5")).crossing
     assert rep.kind is CrossingClass.GENERIC
     assert rep.witness is None
 
 
 def test_crossing_not_normal_codim2_with_witness():
-    rep = classify_crossing(build_lattice(fixture("a3_braid")))
+    rep = build_lattice(fixture("a3_braid")).crossing
     assert rep.kind is CrossingClass.NOT_NORMAL_CROSSING_CODIM2
     assert rep.witness is not None and rep.witness.s == 3
 
@@ -89,7 +89,7 @@ def test_crossing_deeper_degeneracy_only():
     # through the point (0:0:0:1)
     a = parse_arrangement(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                               [1, 1, 1, 0], [0, 0, 0, 1]])
-    rep = classify_crossing(build_lattice(a))
+    rep = build_lattice(a).crossing
     assert rep.kind is CrossingClass.NORMAL_CROSSING_CODIM2_ONLY
     assert rep.witness is not None and rep.witness.rank == 3
 
@@ -98,7 +98,7 @@ def test_crossing_planes_sharing_a_line():
     a = parse_arrangement(3, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0],
                               [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     lat = build_lattice(a)
-    rep = classify_crossing(lat)
+    rep = lat.crossing
     assert rep.kind is CrossingClass.NOT_NORMAL_CROSSING_CODIM2
     heavy = [f for f in lat.flats_of_rank(2) if f.s == 4]
     assert len(heavy) == 1 and heavy[0].indices == (1, 2, 3, 4)
@@ -139,3 +139,14 @@ def test_lattice_and_rank_table_match_the_closure_oracle(a):
     assert set(pairs) == flats_by_closure(a)
     for f, mu in lat.items():
         assert mu == mobius_by_subsets(a, f), f.indices
+    # the crossing witness is the shallowest flat of rank >= 2 through more
+    # hyperplanes than its rank; rank-1 flats never qualify
+    heavy = sorted((rank, labels) for labels, rank in flats_by_closure(a)
+                   if len(labels) > rank >= 2)
+    kind, witness = lat.crossing.kind, lat.crossing.witness
+    if not heavy:
+        assert kind is CrossingClass.GENERIC and witness is None
+    else:
+        assert (witness.rank, witness.indices) == heavy[0]
+        assert kind is (CrossingClass.NOT_NORMAL_CROSSING_CODIM2 if witness.rank == 2
+                        else CrossingClass.NORMAL_CROSSING_CODIM2_ONLY)

@@ -22,7 +22,8 @@ from arrinv.torelli import DEFAULT_MAX_SUBSETS
 # the fixture itself
 REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "fixtures.json"
 
-# (module, function): the expensive or checking steps a report must not repeat
+# (module, function): the expensive or checking steps a report must not repeat;
+# a CrossingReport is built once per classification of the crossing
 ONCE_PER_REPORT = (
     ("steiner", "verify_gale_bijection"),
     ("invariants", "chern"),
@@ -31,18 +32,20 @@ ONCE_PER_REPORT = (
     ("invariants", "delta_invariant"),
     ("arrangement", "subset_ranks"),
     ("lattice", "build_lattice"),
+    ("lattice", "CrossingReport"),
 )
 
 
-def test_each_quantity_is_computed_once_per_report(monkeypatch):
-    calls = dict.fromkeys([name for _, name in ONCE_PER_REPORT], 0)
+def spy(monkeypatch, targets) -> dict[str, list[tuple]]:
+    """The positional arguments of every call to each (module, name) in `targets`."""
+    calls = {name: [] for _, name in targets}
     package = [mod for key, mod in sys.modules.items()
                if key == "arrinv" or key.startswith("arrinv.")]
-    for module, name in ONCE_PER_REPORT:
+    for module, name in targets:
         original = getattr(importlib.import_module(f"arrinv.{module}"), name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _original(*args, **kwargs)
 
         # replace every reference the package holds, not just the report's
@@ -50,8 +53,50 @@ def test_each_quantity_is_computed_once_per_report(monkeypatch):
             for key, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_each_quantity_is_computed_once_per_report(monkeypatch):
+    calls = spy(monkeypatch, ONCE_PER_REPORT)
     build_report(fixture("generic6_off_conic"))
-    assert calls == dict.fromkeys(calls, 1)
+    assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(calls, 1)
+
+
+def test_essential_is_decided_once_per_lattice(monkeypatch):
+    # wrap the getter in a descriptor of its own kind, so a plain property
+    # would run it on every read
+    decided = []
+    descriptor = vars(IntersectionLattice)["essential"]
+    getter = getattr(descriptor, "func", None) or descriptor.fget
+
+    def counted(lattice):
+        decided.append(id(lattice))
+        return getter(lattice)
+
+    patched = type(descriptor)(counted)
+    patched.__set_name__(IntersectionLattice, "essential")
+    monkeypatch.setattr(IntersectionLattice, "essential", patched)
+    build_report(fixture("generic6_off_conic"))
+    assert len(decided) == len(set(decided)) == 1
+
+
+@pytest.mark.parametrize("primes", [(7, 11, 101), (101, 13, 11, 7)])
+def test_each_oracle_prime_is_checked_once_and_counted_once(monkeypatch, primes):
+    # 7 and 11 divide the minor of t = 0, 7, 11, so both retry with 13
+    a = parse_arrangement(2, [[1, t, t * t] for t in (0, 1, 2, 7, 11)])
+    calls = spy(monkeypatch, [("ffcount", "prime_preserves_lattice"),
+                              ("ffcount", "count_complement_points")])
+    oracles = build_report(a, primes=primes)["oracles"]
+    assert [p for _, p in calls["prime_preserves_lattice"]] == [7, 11, 13, 101]
+    assert sorted(p for _, p in calls["count_complement_points"]) == [13, 101]
+    retried_with = {7: 13, 11: 13, 13: 13, 101: 101}
+    for p, check in zip(primes, oracles):
+        q = retried_with[p]
+        assert (check["check"], check["status"]) == (f"finite_field_count_p{p}", "pass")
+        # five lines in general position: (q - 1)(q^2 + q + 1 - 5(q + 1) + 10)
+        assert check["counted"] == (q - 1) * (q * q - 4 * q + 6)
+        assert check.get("note") == (None if p == q else
+                                     f"p = {p} degenerates the reduction; retried with {q}")
 
 
 def test_a_lattice_breaking_the_pair_count_stops_the_report():
