@@ -270,11 +270,14 @@ class Analysis:
     def oracles_section(self) -> list[dict]:
         """The verification suite: named exact checks, each pass/fail/skip.
 
-        A non-prime or repeated prime raises ValueError before any count runs.
-        Each p is counted at q = next_valid_prime(minors, p); walked upward, a p
-        at or below the last q shares it, so no prime is checked or counted twice.
+        A prime that is not an int (a bool included), not prime or repeated
+        raises ValueError before any count runs. Each p is counted at
+        q = next_valid_prime(minors, p); walked upward, a p at or below the last
+        q shares it, so no prime is checked or counted twice.
         """
         for i, p in enumerate(self.primes):
+            if type(p) is not int:
+                raise ValueError(f"prime must be an int, got {p!r}")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if p in self.primes[:i]:

@@ -6,18 +6,18 @@ points of the dual projective space given by the coefficient vectors: the
 integer rows of the `Arrangement` itself, so a sub-configuration is a set
 of hyperplane labels.
 
-For n = 2 the central object is the space of conics through the dual points
-(`conic_test`, which takes the arrangement). It is decided by geometry, with
-no search: a family of conics through distinct points always has a member
-nonsingular at all of them, and a unique conic is smooth or two distinct
-lines, whose vertex is the one point to check. For higher n the analogous
-object is a smooth rational normal curve through the points (`rnc_test`,
-which takes the intersection lattice and a label set): after normalizing a
-frame of n+2 points to the coordinate simplex plus the all-ones point (one
-RREF of the frame's first n+1 points beside the others), the curves through
-the frame are exactly t -> (1/(t - a_0) : ... : 1/(t - a_n)) with pairwise
-distinct poles a_k, so membership reduces to a rank condition on
-coordinatewise reciprocals.
+For n = 2 the whole-set object is the space of conics through the dual
+points (`conic_test`, which takes the arrangement). It is decided by
+geometry, with no search: a family of conics through distinct points always
+has a member nonsingular at all of them, and a unique conic is smooth or two
+distinct lines, whose vertex is the one point to check. The other object, at
+every n >= 2, is a smooth rational normal curve through the points
+(`rnc_test`, which takes the intersection lattice and a label set; a smooth
+conic for n = 2): after normalizing a frame of n+2 points to the coordinate
+simplex plus the all-ones point (one RREF of the frame's first n+1 points
+beside the others), the curves through the frame are exactly
+t -> (1/(t - a_0) : ... : 1/(t - a_n)) with pairwise distinct poles a_k, so
+membership reduces to a rank condition on coordinatewise reciprocals.
 
 Linear general position is never decided here: `rnc_test` and
 `torelli_verdict` read it off the lattice (`lattice.independent`, the
@@ -81,11 +81,6 @@ class ConicResult:
     vertex: tuple[int, ...] | None           # singular point of a rank-2 conic
 
 
-def _veronese_row(pt) -> list:
-    x, y, z = pt
-    return [x * x, x * y, x * z, y * y, y * z, z * z]
-
-
 def _sym_matrix_2q(c) -> list[list[int]]:
     """Twice the symmetric matrix of the integer conic c."""
     a, b, cc, d, e, f = c
@@ -101,7 +96,8 @@ def conic_test(a: Arrangement) -> ConicResult:
     """
     if a.n != 2:
         raise ValueError("conic test is defined for n = 2 only")
-    kern = kernel_basis([_veronese_row(p) for p in a.forms])
+    kern = kernel_basis([[x * x, x * y, x * z, y * y, y * z, z * z]
+                         for x, y, z in a.forms])
     kdim = len(kern)
     if kdim != 1:
         return ConicResult(kdim, None, None, kdim >= 2, None)
@@ -131,15 +127,16 @@ def rnc_test(lattice: IntersectionLattice,
              labels: tuple[int, ...] | None = None) -> RncResult:
     """Do the dual points of `labels` lie on a smooth rational normal curve?
 
-    `labels` are distinct and 1-based, all m when None (others raise
-    ValueError); the curve has degree n. Linear general position of a label
-    set is read off `lattice.independent`.
+    `labels` are distinct ints in 1..m, all m when None (others, bools
+    included, raise ValueError); the curve has degree n, a conic for n = 2.
+    Linear general position of a label set is read off `lattice.independent`.
     """
     n, m = lattice.n, lattice.m
     if labels is None:
         labels = tuple(range(1, m + 1))
-    elif len(set(labels)) != len(labels) or not all(1 <= i <= m for i in labels):
-        raise ValueError(f"labels must be distinct and in 1..{m}, got {list(labels)}")
+    elif (len(set(labels)) != len(labels)
+          or not all(type(i) is int and 1 <= i <= m for i in labels)):
+        raise ValueError(f"labels must be distinct ints in 1..{m}, got {list(labels)}")
     if len(labels) <= n + 2:
         if lattice.independent(labels):
             return RncResult(RncVerdict.ON_SMOOTH_RNC, None, None,
@@ -213,23 +210,6 @@ class TorelliVerdict:
     subset_cap_exceeded: bool
 
 
-def _off_curve(lattice: IntersectionLattice):
-    """Rule 1's failure test on label sets of the lattice's arrangement.
-
-    For n = 2 the points of a label set lie on no conic when their Veronese
-    rows have rank 6, i.e. the kernel dimension `conic_test` would report is
-    0; rule 1 reads nothing else. For n >= 3 they lie on no smooth rational
-    normal curve, by `rnc_test` on the label set, which reads linear general
-    position off `lattice`; rule 1 asks only about generic label sets, whose
-    first n+2 labels already form the frame `rnc_test` looks for.
-    """
-    if lattice.n == 2:
-        veronese = [_veronese_row(p) for p in lattice.arrangement.forms]
-        return lambda labels: bareiss([veronese[i - 1] for i in labels])[0] == 6
-    return lambda labels: (rnc_test(lattice, labels).verdict
-                           is RncVerdict.NOT_ON_SMOOTH_RNC)
-
-
 DEFAULT_MAX_SUBSETS = 20000
 
 
@@ -244,20 +224,20 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
     preserves it. Any n+3 points in linear general position lie on exactly
     one curve of the family (a conic for n = 2, a rational normal curve for
     n >= 3: Castelnuovo), so a generic set on no such curve holds n+4 points
-    on none, and only the (n+4)-subsets are scanned, lexicographically. For
-    n = 2 the conservative failure reading "kernel dimension 0, on no
-    conic at all" is used, decided by the rank of the subset's Veronese
-    rows. Genericity is read off `lattice`. Every subset visited counts
-    toward `max_subsets`, non-generic ones included. When no witness turns
-    up, `subset_cap_exceeded` is set exactly when the subsets of every size
-    k >= n+4, sum of C(m, k), exceed `max_subsets`: the count a scan of all
-    sizes would have to visit to find nothing. The later rules then run. A
-    negative `max_subsets` raises ValueError.
+    on none, and only the (n+4)-subsets are scanned, lexicographically.
+    Genericity is read off `lattice`; each generic subset is a witness when
+    `rnc_test` finds it on no smooth curve. For n = 2 that is on no conic at
+    all: a conic through six points, no three collinear, contains no line
+    and is smooth. Every subset visited counts toward `max_subsets`,
+    non-generic ones included. When no witness turns up,
+    `subset_cap_exceeded` is set exactly when C(m, n+4), the count a scan
+    must visit to find nothing, exceeds `max_subsets`. The later rules then
+    run. A negative `max_subsets` raises ValueError.
     The scan is skipped when all m dual points lie on one curve of the
-    family: for n = 2 on a conic (kernel dimension >= 1; a subset's Veronese
-    rows are rows of the whole set's, so no subset can have kernel dimension
-    0), for n >= 3 on a smooth rational normal curve (`rnc_test` of the
-    whole set; the curve passes through every subset's points).
+    family: for n = 2 on a conic (kernel dimension >= 1 by `conic_test`;
+    the conic passes through every subset's points and is smooth on a
+    generic one), for n >= 3 on a smooth rational normal curve (`rnc_test`
+    of the whole set; the curve passes through every subset's points).
     Rule 2: the six-line planar case is decided by whether all six dual
     points are nonsingular points of a common conic.
     Rule 3: five-line planar arrangements are never recoverable.
@@ -304,10 +284,10 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
     # rule 1: generic subset failing the osculation test; none can fail when
     # a curve passes through every dual point, hence every subset's points
     if not on_curve:
-        off_curve = _off_curve(lattice)
         subsets = combinations(range(1, m + 1), n + 4)
         for subset in islice(subsets, max_subsets):
-            if lattice.independent(subset) and off_curve(subset):
+            if lattice.independent(subset) and (rnc_test(lattice, subset).verdict
+                                                is RncVerdict.NOT_ON_SMOOTH_RNC):
                 return verdict(TorelliStatus.TORELLI_PROVED, "generic-subset-off-curve",
                                f"rule 1: generic subset {list(subset)} avoids every "
                                "curve of the family", subset)

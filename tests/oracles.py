@@ -12,15 +12,17 @@ points), a prime is judged by re-ranking every set of the rank
 table mod p instead of by divisibility of basis minors, polynomial products
 are multiplied out term by term instead of read off closed binomials, and
 Torelli rule 1 is an exhaustive scan of every subset, which for n = 2
-decides conics by brackets of the points instead of by Veronese rank, and
-a conic nonsingular at every point of a small or nearly collinear set is
-built from line pairs instead of read off the space of conics.
+decides conics by brackets of the points instead of by the frame
+normalization of the library's `rnc_test`, and a conic nonsingular at every
+point of a small or nearly collinear set is built from line pairs instead
+of read off the space of conics.
 
 One exception: for n >= 3 that scan asks the library's `rnc_test`, on the
 sub-arrangement's own lattice, whether a subset's dual points lie on a
 smooth rational normal curve. There is no second implementation of that
-test here; its own sample tests (twisted cubics, their perturbations,
-hand-made frames) cover it.
+test here for n >= 3; its own sample tests (twisted cubics, their
+perturbations, hand-made frames) cover it. For n = 2 the brackets are the
+second implementation.
 """
 
 from __future__ import annotations

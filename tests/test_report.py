@@ -123,6 +123,17 @@ def test_a_non_prime_is_rejected_before_any_count(monkeypatch, name):
     assert counted == []
 
 
+@pytest.mark.parametrize("prime", [7.0, "7", True])
+def test_a_prime_that_is_not_an_int_is_rejected_before_any_count(monkeypatch, prime):
+    # 7.0 and "7" would fail inside the count, and True would pass as 1
+    counted = []
+    monkeypatch.setattr(report_mod, "count_complement_points",
+                        lambda a, p: counted.append(p))
+    with pytest.raises(ValueError, match="^prime must be an int, got "):
+        build_report(fixture("generic5"), primes=(11, prime))
+    assert counted == []
+
+
 def test_a_repeated_prime_is_rejected_before_any_count(monkeypatch):
     # counted twice it would give two finite_field_count_p7 entries
     counted = []

@@ -32,7 +32,6 @@ from arrinv.torelli import (
     TorelliStatus,
     conic_test,
     rnc_test,
-    _off_curve,
     torelli_verdict,
 )
 from oracles import (conic_nonsingular_at, dependent_subsets_by_minors, fraction_det,
@@ -61,15 +60,17 @@ class TestDualPoints:
     def test_subset_picks_one_based_labels(self):
         # labels 1..6 lie on the conic xz = y^2, label 7 does not
         a = Arrangement(2, tuple((1, t, t * t) for t in range(6)) + ((1, 0, 1),))
-        off_curve = _off_curve(build_lattice(a))
-        assert not off_curve((1, 2, 3, 4, 5, 6))
-        assert off_curve((2, 3, 4, 5, 6, 7))
+        lat = build_lattice(a)
+        assert rnc_test(lat, (1, 2, 3, 4, 5, 6)).verdict is RncVerdict.ON_SMOOTH_RNC
+        assert rnc_test(lat, (2, 3, 4, 5, 6, 7)).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
         # labels 1..7 lie on a twisted cubic, label 8 does not
         cubic = Arrangement(3, tuple(map(tuple, twisted_cubic_rows(range(7))))
                             + ((1, 0, 0, 1),))
-        off_curve = _off_curve(build_lattice(cubic))
-        assert not off_curve((1, 2, 3, 4, 5, 6, 7))
-        assert off_curve((2, 3, 4, 5, 6, 7, 8))
+        lat = build_lattice(cubic)
+        assert (rnc_test(lat, (1, 2, 3, 4, 5, 6, 7)).verdict
+                is RncVerdict.ON_SMOOTH_RNC)
+        assert (rnc_test(lat, (2, 3, 4, 5, 6, 7, 8)).verdict
+                is RncVerdict.NOT_ON_SMOOTH_RNC)
 
 
 CONIC_TABLE = {
@@ -299,12 +300,14 @@ class TestRnc:
             assert rnc_test(build_lattice(a2)).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
 
     @pytest.mark.parametrize("labels", [(1, 2, 3, 4, 4), (1, 1, 2, 3, 4, 5),
-                                        (1, 2, 3, 4, 6), (0, 1, 2, 3, 4)])
+                                        (1, 2, 3, 4, 6), (0, 1, 2, 3, 4),
+                                        (1.0, 2, 3, 4, 5), (True, 2, 3, 4, 5)])
     def test_labels_must_be_distinct_labels_of_the_lattice(self, labels):
-        # a repeated label would count as a frame point twice
+        # a repeated label would count as a frame point twice, True would be
+        # read as label 1, and 1.0 would fail deep in the lattice
         a = parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1],
                                   [1, 2, 3]])
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="distinct ints"):
             rnc_test(build_lattice(a), labels)
 
     def test_few_points_in_general_position_are_trivially_on_a_curve(self):
@@ -578,53 +581,54 @@ def generic_sextuple(rng, on_conic):
             return points
 
 
-def test_conic_brackets_agree_with_the_veronese_rank():
-    # the rule 1 oracle decides conics by brackets, the library by the rank of
-    # the Veronese rows; on generic sextuples the two must agree
+def test_conic_brackets_agree_with_the_curve_test():
+    # the rule 1 oracle decides conics by brackets, the library by `rnc_test`,
+    # which normalizes a frame and reads reciprocals; no three points of a
+    # generic sextuple are collinear, so any conic through it is smooth and
+    # the two must agree
     rng = random.Random(20)
     on = 0
     for k in range(300):
         points = generic_sextuple(rng, k % 2 == 0)
-        off_curve = _off_curve(build_lattice(parse_arrangement(2, points)))
-        assert sextuple_on_conic(points) is not off_curve(range(1, 7)), points
+        rnc = rnc_test(build_lattice(parse_arrangement(2, points)))
+        assert sextuple_on_conic(points) is (rnc.verdict is RncVerdict.ON_SMOOTH_RNC), points
+        assert rnc.verdict is not RncVerdict.DEGENERATE_CONFIGURATION
         on += sextuple_on_conic(points)
     assert on >= 150
 
 
 def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
-    # C(16, 6) = 8,008 subsets fit the default cap, and C(16, >= 6) = 58,651
-    # would not; with every dual point on one conic no subset is examined:
-    # the full-set conic test is the only one made, no Veronese rank is
-    # taken (the scan's `bareiss` on six columns), and no cap is hit
+    # a scan would visit C(16, 6) = 8,008 subsets and hit a cap of 8,007;
+    # with every dual point on one conic no subset is examined: the full-set
+    # conic test is the only one made, `rnc_test` never runs, and no cap is
+    # hit
     a = parse_arrangement(2, [[1, t, t * t] for t in range(-8, 8)])
     lat = build_lattice(a)
     stab = classify(lat, delta_invariant(lat))
-    conics, ranks = [], []
-    rank = torelli_mod.bareiss
+    conics, rncs = [], []
 
     def counted_conic(arr):
         conics.append(arr.m)
         return conic_test(arr)
 
-    def counted_rank(rows):
-        ranks.append(len(rows[0]))
-        return rank(rows)
+    def counted_rnc(lattice, labels=None):
+        rncs.append(labels)
+        return rnc_test(lattice, labels)
 
     monkeypatch.setattr(torelli_mod, "conic_test", counted_conic)
-    monkeypatch.setattr(torelli_mod, "bareiss", counted_rank)
-    v = torelli_verdict(lat, stab)
+    monkeypatch.setattr(torelli_mod, "rnc_test", counted_rnc)
+    v = torelli_verdict(lat, stab, max_subsets=8007)
     assert conics == [16]
-    assert 6 not in ranks
+    assert rncs == []
     assert not v.subset_cap_exceeded
     assert v.conic.kernel_dim == 1
     assert v.rule == "on-stable-curve"
 
 
 def test_eleven_planes_on_a_twisted_cubic_skip_the_scan(monkeypatch):
-    # C(11, 7) = 330 subsets fit the cap of 561 and C(11, >= 7) = 562 would
-    # not; with every dual point on one smooth twisted cubic no subset is
-    # examined: the full-set curve test is the only one made, and no cap is
-    # hit
+    # a scan would visit C(11, 7) = 330 subsets and hit a cap of 329; with
+    # every dual point on one smooth twisted cubic no subset is examined: the
+    # full-set curve test is the only one made, and no cap is hit
     a = parse_arrangement(3, twisted_cubic_rows(range(-5, 6)))
     lat = build_lattice(a)
     stab = classify(lat, None)
@@ -635,7 +639,7 @@ def test_eleven_planes_on_a_twisted_cubic_skip_the_scan(monkeypatch):
         return rnc_test(lattice, labels)
 
     monkeypatch.setattr(torelli_mod, "rnc_test", counted_rnc)
-    v = torelli_verdict(lat, stab, max_subsets=561)
+    v = torelli_verdict(lat, stab, max_subsets=329)
     assert calls == [11]
     assert not v.subset_cap_exceeded
     assert v.rnc.verdict is RncVerdict.ON_SMOOTH_RNC
