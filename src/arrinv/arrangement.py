@@ -15,12 +15,9 @@ dependent (n+1)-sets of the Gale check; its bases give the minors that
 decide which primes keep the lattice (`ffcount.basis_minors`).
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import MAX_DIGITS, bareiss, primitive_integer_vector, qval
 
@@ -49,8 +46,7 @@ def canonical_form(values: Sequence) -> tuple[int, ...]:
     return row
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(NamedTuple):
     """m labeled hyperplanes in P^n, one canonical integer row per hyperplane.
 
     The rows are pairwise distinct. Read as points of the dual space they

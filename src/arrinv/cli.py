@@ -9,8 +9,6 @@ invalid input, and 3 an internal error (a broken internal identity or any
 other fault of the program).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

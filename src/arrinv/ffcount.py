@@ -13,8 +13,6 @@ The gcds come from one elimination over Z per minor; no rank is ever
 taken mod p.
 """
 
-from __future__ import annotations
-
 from itertools import combinations, product
 from math import gcd
 

@@ -5,8 +5,6 @@ note on what the example exhibits. Coordinates are chosen so the stated
 singularity pattern is exact: the listed concurrences happen and no others.
 """
 
-from __future__ import annotations
-
 from .arrangement import Arrangement, parse_arrangement
 
 _FIXTURES: dict[str, tuple[int, list[list[int]], str]] = {

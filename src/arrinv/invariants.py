@@ -7,12 +7,10 @@ layer, where the resolution exists. Polynomials are tuples of int
 coefficients, low degree first; a Chern polynomial on P^n stops at t^n.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
+from typing import NamedTuple
 
 from .lattice import CrossingClass, IntersectionLattice
 
@@ -37,8 +35,7 @@ def require_steiner(lattice: IntersectionLattice, subject: str) -> None:
         raise ValueError(f"{subject}: {why}")
 
 
-@dataclass(frozen=True)
-class PoincareData:
+class PoincareData(NamedTuple):
     projective: tuple[int, ...]  # t^0 .. t^n
     central: tuple[int, ...]     # t^0 .. t^(n+1)
 
@@ -64,8 +61,7 @@ class LocallyFree(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(NamedTuple):
     """Chern polynomials of the sheaves of an arrangement with a Steiner sheaf.
 
     Coefficients run low degree first, t^0 .. t^n. The Steiner resolution
@@ -123,8 +119,7 @@ def chern(lattice: IntersectionLattice, pd: PoincareData) -> ChernData:
                      n2_c1, n2_c2, flag)
 
 
-@dataclass(frozen=True)
-class LocalPointData:
+class LocalPointData(NamedTuple):
     """Curve-singularity numbers of a multiple point of a line arrangement."""
 
     indices: tuple[int, ...]

@@ -10,17 +10,14 @@ rank(S + i) = r. The lattice is the one place that decides dependence:
 `independent` answers it for any label set, and `crossing` classifies it.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .arrangement import Arrangement, subset_ranks
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """A lattice flat.
 
     indices: maximal 1-based labels of hyperplanes containing the flat.
@@ -42,17 +39,17 @@ class CrossingClass(enum.Enum):
     NOT_NORMAL_CROSSING_CODIM2 = "not_normal_crossing_codim2"
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(NamedTuple):
     kind: CrossingClass
     witness: Flat | None  # a non-generic flat, when one exists
 
 
-@dataclass(frozen=True)
 class IntersectionLattice:
-    arrangement: Arrangement
-    flats: tuple[Flat, ...]       # sorted by (rank, indices)
-    mobius: tuple[int, ...]       # parallel to flats
+    def __init__(self, arrangement: Arrangement, flats: tuple[Flat, ...],
+                 mobius: tuple[int, ...]):
+        self.arrangement = arrangement
+        self.flats = flats        # sorted by (rank, indices)
+        self.mobius = mobius      # parallel to flats
 
     @property
     def n(self) -> int:

@@ -17,9 +17,6 @@ canonical forms fixed in this module are relied on across the package:
 `QMatrix`, rows with a column count, serves only the GIT test in `stability`.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -53,21 +50,18 @@ def qval(x) -> Fraction:
     raise TypeError(f"not a rational value: {x!r}")
 
 
-@dataclass(frozen=True)
 class QMatrix:
-    """Immutable rational matrix, row major.
+    """Rational matrix, row major.
 
     `cols` is stored explicitly so a subspace given by no rows keeps its
     shape.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
-    cols: int
-
-    def __post_init__(self):
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...], cols: int):
+        if any(len(row) != cols for row in entries):
+            raise ValueError("ragged matrix")
+        self.entries = entries
+        self.cols = cols
 
     def stack(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.cols:

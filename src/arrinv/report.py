@@ -22,10 +22,7 @@ Fractions are emitted as JSON integers when integral and as "p/q" strings
 otherwise.
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -49,19 +46,22 @@ SECTIONS = ("arrangement", "lattice", "poincare", "chern", "delta", "stability",
 
 
 def jsonable(x):
-    """Fractions to int or 'p/q' string; containers recursively."""
+    """Fractions to int or 'p/q' string; containers recursively.
+
+    A result record (a NamedTuple, so a tuple with `_fields`) raises
+    TypeError like any other object instead of turning into a list.
+    """
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:
         return x
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, (list, tuple)) and not hasattr(x, "_fields"):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
     raise TypeError(f"not jsonable: {type(x)!r}")
 
 
-@dataclass
 class Analysis:
     """The data of one report on one arrangement, each quantity computed once.
 
@@ -70,10 +70,12 @@ class Analysis:
     call and holds nothing beyond it.
     """
 
-    a: Arrangement
-    primes: tuple[int, ...]
-    max_subsets: int
-    literature_rules: bool
+    def __init__(self, a: Arrangement, primes: tuple[int, ...], max_subsets: int,
+                 literature_rules: bool):
+        self.a = a
+        self.primes = primes
+        self.max_subsets = max_subsets
+        self.literature_rules = literature_rules
 
     @cached_property
     def subset_ranks(self) -> dict[tuple[int, ...], int]:

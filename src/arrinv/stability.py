@@ -25,11 +25,9 @@ The classifier never guesses: when no implemented criterion decides, it
 returns Undetermined with the evidence that was gathered.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .invariants import require_steiner
 from .lattice import CrossingClass, Flat, IntersectionLattice
@@ -50,8 +48,7 @@ class WitnessKind(enum.Enum):
     SPLITTING = "splitting"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     kind: WitnessKind
     lhs: Fraction
     rhs: Fraction
@@ -60,8 +57,7 @@ class Witness:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     status: Status
     witnesses: tuple[Witness, ...]
     rules: tuple[str, ...]  # rule trail with provenance notes
@@ -104,8 +100,7 @@ def discriminant_test(lattice: IntersectionLattice) -> tuple[Fraction, Witness |
     return value, None
 
 
-@dataclass(frozen=True)
-class GitRatioResult:
+class GitRatioResult(NamedTuple):
     dim_e: int
     dim_w: int
     dim_wprime: int
@@ -208,8 +203,11 @@ def classify(lattice: IntersectionLattice, delta: int | None,
     arrangements; n=2 single-triple-point arrangements with m >= 6), else
     Undetermined. `delta` is `delta_invariant(lattice)` for n = 2, else
     None. Raises ValueError where there is no Steiner sheaf
-    (`invariants.steiner_unavailable`).
+    (`invariants.steiner_unavailable`), or when `literature_rules` is not a
+    bool.
     """
+    if not isinstance(literature_rules, bool):
+        raise ValueError(f"literature_rules must be a bool, got {literature_rules!r}")
     require_steiner(lattice, "stability analysis")
     m, n = lattice.m, lattice.n
     witnesses: list[Witness] = []

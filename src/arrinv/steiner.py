@@ -25,12 +25,10 @@ ones whose dual points have a vanishing determinant, so the check sets the
 lattice against the kernel of the forms.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .arrangement import Arrangement, InvalidArrangement, parse_arrangement
 from .invariants import require_steiner, steiner_unavailable
@@ -50,12 +48,12 @@ def gale_unavailable(lattice: IntersectionLattice) -> str | None:
     return steiner_unavailable(lattice)
 
 
-@dataclass(frozen=True)
 class SteinerTensor:
     """The defining tensor as its relation basis rows; `slices` is a view of it."""
 
-    lattice: IntersectionLattice
-    u_basis: Rows                     # (m-n-1) x m, canonical kernel basis
+    def __init__(self, lattice: IntersectionLattice, u_basis: Rows):
+        self.lattice = lattice
+        self.u_basis = u_basis    # (m-n-1) x m, canonical kernel basis
 
     @property
     def m(self) -> int:
@@ -116,8 +114,7 @@ def gale_dual(t: SteinerTensor) -> Arrangement:
         raise GaleUndefined(f"dual points collide: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class GaleBijectionReport:
+class GaleBijectionReport(NamedTuple):
     ok: bool
     primal_dependent: tuple[tuple[int, ...], ...]
     actual_dual: tuple[tuple[int, ...], ...]

@@ -27,13 +27,11 @@ implemented case analysis, the Conjectured pair reports which side of the
 open conjecture the configuration falls on.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
+from typing import NamedTuple
 
 from .arrangement import Arrangement
 from .invariants import require_steiner
@@ -47,8 +45,7 @@ class ConicClass(enum.Enum):
     TWO_DISTINCT_LINES = "two_distinct_lines"
 
 
-@dataclass(frozen=True)
-class ConicResult:
+class ConicResult(NamedTuple):
     """Conics through a planar point configuration.
 
     kernel_dim: dimension of the linear system of conics through the points.
@@ -115,8 +112,7 @@ class RncVerdict(enum.Enum):
     DEGENERATE_CONFIGURATION = "degenerate_configuration"
 
 
-@dataclass(frozen=True)
-class RncResult:
+class RncResult(NamedTuple):
     verdict: RncVerdict
     frame: tuple[int, ...] | None       # labels of the normalized frame
     direction: tuple[Fraction, ...] | None  # common direction of reciprocals
@@ -199,8 +195,7 @@ class TorelliStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class TorelliVerdict:
+class TorelliVerdict(NamedTuple):
     status: TorelliStatus
     rule: str
     witness_subset: tuple[int, ...] | None
@@ -232,7 +227,8 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
     non-generic ones included. When no witness turns up,
     `subset_cap_exceeded` is set exactly when C(m, n+4), the count a scan
     must visit to find nothing, exceeds `max_subsets`. The later rules then
-    run. A negative `max_subsets` raises ValueError.
+    run. A `max_subsets` that is not an int >= 0 (a bool included) raises
+    ValueError.
     The scan is skipped when all m dual points lie on one curve of the
     family: for n = 2 on a conic (kernel dimension >= 1 by `conic_test`;
     the conic passes through every subset's points and is smooth on a
@@ -253,8 +249,8 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
     ValueError where there is no Steiner sheaf
     (`invariants.steiner_unavailable`).
     """
-    if max_subsets < 0:
-        raise ValueError(f"max_subsets must be >= 0, got {max_subsets}")
+    if type(max_subsets) is not int or max_subsets < 0:
+        raise ValueError(f"max_subsets must be an int >= 0, got {max_subsets!r}")
     require_steiner(lattice, "Torelli analysis")
     a = lattice.arrangement
     n, m = a.n, a.m

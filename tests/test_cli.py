@@ -688,6 +688,19 @@ class TestReportHelpers:
         assert jsonable(Fraction(4, 2)) == 2
         assert jsonable({"a": [Fraction(1, 3)]}) == {"a": ["1/3"]}
 
+    def test_jsonable_rejects_result_records(self):
+        # records are NamedTuples, which a tuple check alone would turn into lists
+        from fractions import Fraction
+        from arrinv.lattice import Flat
+        from arrinv.stability import Witness, WitnessKind
+        records = [Flat((1, 2), 1),
+                   Witness(WitnessKind.DISCRIMINANT, Fraction(-1), Fraction(0), True)]
+        for record in records:
+            with pytest.raises(TypeError, match="not jsonable"):
+                jsonable(record)
+            with pytest.raises(TypeError, match="not jsonable"):
+                jsonable({"section": [record]})
+
     def test_build_report_is_json_serializable_for_all_fixtures(self):
         for name in fixture_names():
             rep = build_report(fixture(name))

@@ -9,7 +9,7 @@ from arrinv.arrangement import Arrangement, canonical_form, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import delta_invariant, steiner_unavailable
 from arrinv.lattice import build_lattice
-from arrinv.report import delta_bound_check
+from arrinv.report import build_report, delta_bound_check
 from arrinv.stability import (Status, WitnessKind, classify,
                               combinatorial_destabilizer, discriminant_test,
                               flat_subspace, free_splitting_stability,
@@ -220,6 +220,15 @@ def test_n3_strict_combinatorial_instability():
     w = v.witnesses[0]
     assert w.flat_indices == (1, 2, 3, 4)
     assert w.lhs == Fraction(4) and w.rhs == Fraction(8, 3)
+
+
+@pytest.mark.parametrize("flag", ["no", 0, None])
+def test_literature_rules_must_be_a_bool(flag):
+    # a truthy "no" would switch the rules on
+    with pytest.raises(ValueError, match="^literature_rules must be a bool, got "):
+        classified("generic5", literature_rules=flag)
+    with pytest.raises(ValueError, match="^literature_rules must be a bool, got "):
+        build_report(fixture("generic5"), literature_rules=flag)
 
 
 def test_classify_rejects_small_arrangements():

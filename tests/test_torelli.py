@@ -411,6 +411,16 @@ class TestTorelliVerdict:
         with pytest.raises(ValueError, match="max_subsets"):
             build_report(a, max_subsets=-1)
 
+    @pytest.mark.parametrize("cap", [True, 2.5, "3"])
+    def test_a_subset_cap_that_is_not_an_int_is_refused(self, cap):
+        # True would run as a cap of 1; 2.5 and "3" would fail in the scan
+        a = fixture("generic6_off_conic")
+        lat = build_lattice(a)
+        with pytest.raises(ValueError, match="^max_subsets must be an int >= 0, got "):
+            torelli_verdict(lat, classify(lat, delta_invariant(lat)), max_subsets=cap)
+        with pytest.raises(ValueError, match="^max_subsets must be an int >= 0, got "):
+            build_report(a, max_subsets=cap)
+
     def test_trace_records_the_rules_tried(self):
         v = verdict_for("generic6_on_conic")
         assert any("conic" in line for line in v.trace)

@@ -1,4 +1,4 @@
-"""Every function, method and dataclass field is used by the package itself.
+"""Every function, method and record field is used by the package itself.
 
 A function that nothing in `src/` calls, or a field that nothing in `src/`
 reads, is either public surface or dead code. The public surface is the
@@ -85,10 +85,20 @@ def _trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    """Decorated `@dataclass` or `@dataclass(...)`."""
-    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
-               for d in node.decorator_list)
+def _fields(cls: ast.ClassDef) -> list[str]:
+    """Field names of a module-level class.
+
+    A `NamedTuple` record's fields are its annotated names; a plain class's
+    are the `self.<name>` attributes its `__init__` assigns.
+    """
+    if any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases):
+        return [f.target.id for f in cls.body
+                if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    return [t.attr for init in cls.body
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            for node in ast.walk(init) if isinstance(node, ast.Assign)
+            for t in node.targets
+            if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"]
 
 
 def unread_fields() -> dict[str, str]:
@@ -96,12 +106,10 @@ def unread_fields() -> dict[str, str]:
     trees = _trees()
     reads = Counter(n.attr for tree in trees.values() for n in ast.walk(tree)
                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
-    return {f"{module}:{cls.name}.{f.target.id}": f"{cls.name}.{f.target.id}"
+    return {f"{module}:{cls.name}.{name}": f"{cls.name}.{name}"
             for module, tree in trees.items() for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-            for f in cls.body
-            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
-            and not reads[f.target.id]}
+            if isinstance(cls, ast.ClassDef)
+            for name in _fields(cls) if not reads[name]}
 
 
 def unreferenced() -> dict[str, str]:
@@ -127,7 +135,7 @@ def test_every_function_is_referenced_in_src():
             if name not in ALLOWED and not name.endswith("_section")] == []
 
 
-def test_every_dataclass_field_is_read_in_src():
+def test_every_record_field_is_read_in_src():
     assert [where for where, name in unread_fields().items() if name not in ALLOWED] == []
 
 
