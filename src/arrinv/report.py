@@ -272,11 +272,13 @@ class Analysis:
     def oracles_section(self) -> list[dict]:
         """The verification suite: named exact checks, each pass/fail/skip.
 
-        A prime that is not an int (a bool included), not prime or repeated
-        raises ValueError before any count runs. Each p is counted at
-        q = next_valid_prime(minors, p); walked upward, a p at or below the last
-        q shares it, so no prime is checked or counted twice.
+        An empty prime list, or a prime that is not an int (a bool included),
+        not prime or repeated, raises ValueError before any count runs. Each p
+        is counted at q = next_valid_prime(minors, p); walked upward, a p at or
+        below the last q shares it, so no prime is checked or counted twice.
         """
+        if not self.primes:
+            raise ValueError("at least one oracle prime is needed")
         for i, p in enumerate(self.primes):
             if type(p) is not int:
                 raise ValueError(f"prime must be an int, got {p!r}")

@@ -13,18 +13,20 @@ has a member nonsingular at all of them, and a unique conic is smooth or two
 distinct lines, whose vertex is the one point to check. The other object, at
 every n >= 2, is a smooth rational normal curve through the points
 (`rnc_test`, which takes the intersection lattice and a label set; a smooth
-conic for n = 2): after normalizing a frame of n+2 points to the coordinate
-simplex plus the all-ones point (one RREF of the frame's first n+1 points
-beside the others), the curves through the frame are exactly
-t -> (1/(t - a_0) : ... : 1/(t - a_n)) with pairwise distinct poles a_k, so
-membership reduces to a rank condition on coordinatewise reciprocals.
+conic for n = 2). Such a curve meets a hyperplane in at most n points, so
+its points are in linear general position, and any n+2 such points lie on
+one. Beyond n+2 points the first n+2 are a frame: after normalizing it to
+the coordinate simplex plus the all-ones point (one RREF of the frame's
+first n+1 points beside the others), the curves through the frame are
+exactly t -> (1/(t - a_0) : ... : 1/(t - a_n)) with pairwise distinct poles
+a_k, so membership reduces to a rank condition on coordinatewise reciprocals.
 
-Linear general position is never decided here: `rnc_test` and
-`torelli_verdict` read it off the lattice (`lattice.independent`, the
-dependence test the Gale check uses too). `torelli_verdict` combines the
-criteria into a five-way cascade. Proved and NotProved verdicts rest on
-implemented case analysis, the Conjectured pair reports which side of the
-open conjecture the configuration falls on.
+Linear general position is never decided here: `rnc_test` asks the lattice
+once (`lattice.independent`, the dependence test the Gale check uses too),
+and rule 1 asks it once per subset before the same frame test.
+`torelli_verdict` combines the criteria into a five-way cascade. Proved and
+NotProved verdicts rest on implemented case analysis, the Conjectured pair
+reports which side of the open conjecture the configuration falls on.
 """
 
 import enum
@@ -113,6 +115,12 @@ class RncVerdict(enum.Enum):
 
 
 class RncResult(NamedTuple):
+    """What `rnc_test` found about a point set.
+
+    DEGENERATE_CONFIGURATION: the points are outside linear general position,
+    at any size. Frame and direction are set beyond n+2 points.
+    """
+
     verdict: RncVerdict
     frame: tuple[int, ...] | None       # labels of the normalized frame
     direction: tuple[Fraction, ...] | None  # common direction of reciprocals
@@ -125,66 +133,48 @@ def rnc_test(lattice: IntersectionLattice,
 
     `labels` are distinct ints in 1..m, all m when None (others, bools
     included, raise ValueError); the curve has degree n, a conic for n = 2.
-    Linear general position of a label set is read off `lattice.independent`.
+    Linear general position is asked of `lattice.independent` once: outside
+    it the set is degenerate, within it at most n+2 points lie on a curve.
     """
     n, m = lattice.n, lattice.m
-    if labels is None:
-        labels = tuple(range(1, m + 1))
-    elif (len(set(labels)) != len(labels)
-          or not all(type(i) is int and 1 <= i <= m for i in labels)):
+    labels = tuple(range(1, m + 1) if labels is None else labels)
+    if (len(set(labels)) != len(labels)
+            or not all(type(i) is int and 1 <= i <= m for i in labels)):
         raise ValueError(f"labels must be distinct ints in 1..{m}, got {list(labels)}")
-    if len(labels) <= n + 2:
-        if lattice.independent(labels):
-            return RncResult(RncVerdict.ON_SMOOTH_RNC, None, None,
-                             "at most n+2 points in linear general position "
-                             "always lie on a smooth curve")
+    if not lattice.independent(labels):
         return RncResult(RncVerdict.DEGENERATE_CONFIGURATION, None, None,
                          "points are linearly degenerate")
+    if len(labels) <= n + 2:
+        return RncResult(RncVerdict.ON_SMOOTH_RNC, None, None,
+                         "at most n+2 points in linear general position "
+                         "always lie on a smooth curve")
+    return _rnc_by_frame(lattice, labels)
 
-    # frame: first n+2 labels (lexicographic subset order) in linear general
-    # position. On a smooth curve every n+2 points qualify, so a missing
-    # frame already settles the verdict.
-    frame = next((s for s in combinations(labels, n + 2)
-                  if lattice.independent(s)), None)
-    if frame is None:
-        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, None, None,
-                         "no n+2 points in linear general position; points on "
-                         "a smooth curve would all qualify")
 
-    # normalize the frame to e_0, ..., e_n, (1, ..., 1): with the base points
-    # as the columns of B, the RREF of [B | unit point | other points] is
-    # [I | lam | x_1 | ...], lam = B^-1 (unit point) and x = B^-1 p; the map
-    # diag(lam)^-1 B^-1 sends p to x_c / lam_c, whose reciprocals are lam_c / x_c
+def _rnc_by_frame(lattice: IntersectionLattice, labels: tuple[int, ...]) -> RncResult:
+    """`rnc_test` of more than n+2 labels in linear general position.
+
+    The first n+2 labels are the frame. With its base points as the columns
+    of B, the RREF of [B | unit point | other points] is [I | lam | x_1 | ...],
+    lam = B^-1 (unit point) and x = B^-1 p; the map diag(lam)^-1 B^-1 sends
+    p to x_c / lam_c, whose reciprocals are lam_c / x_c. General position
+    makes every x_c nonzero (else p shares a hyperplane with n base points),
+    every lam / x non-constant (else p is the unit point) and its entries
+    pairwise distinct (else p, the unit point and n-1 base points are
+    dependent), so the points lie on a smooth curve exactly when the
+    reciprocals and the all-ones vector span a pencil.
+    """
+    n = lattice.n
     forms = lattice.arrangement.forms
-    rest = [i for i in labels if i not in frame]
-    columns = [forms[i - 1] for i in frame + tuple(rest)]
-    reduced = rref(tuple(zip(*columns)))[0]
-    lam = [row[n + 1] for row in reduced]
-    recips = []
-    for k, i in enumerate(rest, n + 2):
-        x = [row[k] for row in reduced]
-        if 0 in x:
-            return RncResult(
-                RncVerdict.NOT_ON_SMOOTH_RNC, frame, None,
-                f"point {i} lands on a coordinate hyperplane of the "
-                "normalized frame; curve points there are frame points")
-        recips.append(tuple(l / c for l, c in zip(lam, x)))
-
-    ones = tuple(Fraction(1) for _ in range(n + 1))
-    if bareiss([ones] + recips)[0] > 2:
+    reduced = rref(tuple(zip(*(forms[i - 1] for i in labels))))[0]
+    recips = [tuple(row[n + 1] / row[k] for row in reduced)
+              for k in range(n + 2, len(labels))]
+    frame = labels[:n + 2]
+    if bareiss([(1,) * (n + 1)] + recips)[0] > 2:
         return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, frame,
                          None, "reciprocal vectors span more than a pencil")
-
-    # a reciprocal vector independent of the all-ones one, i.e. not constant:
-    # a constant lam / x means x is proportional to lam, the unit point,
-    # and the other points are distinct from it
-    direction = next(w for w in recips if len(set(w)) > 1)
-    if len(set(direction)) != n + 1:
-        return RncResult(RncVerdict.NOT_ON_SMOOTH_RNC, frame,
-                         direction, "pole parameters collide; every curve of the "
-                         "family through these points is degenerate")
     return RncResult(RncVerdict.ON_SMOOTH_RNC, frame,
-                     direction, "reciprocals fit a pole vector with distinct entries")
+                     recips[0], "reciprocals fit a pole vector with distinct entries")
 
 
 class TorelliStatus(enum.Enum):
@@ -220,10 +210,10 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
     one curve of the family (a conic for n = 2, a rational normal curve for
     n >= 3: Castelnuovo), so a generic set on no such curve holds n+4 points
     on none, and only the (n+4)-subsets are scanned, lexicographically.
-    Genericity is read off `lattice`; each generic subset is a witness when
-    `rnc_test` finds it on no smooth curve. For n = 2 that is on no conic at
-    all: a conic through six points, no three collinear, contains no line
-    and is smooth. Every subset visited counts toward `max_subsets`,
+    Genericity is read off `lattice`, once per subset; a generic subset is a
+    witness when the frame test behind `rnc_test` finds it on no smooth
+    curve. For n = 2 that is on no conic at all: a conic through six points,
+    no three collinear, contains no line and is smooth. Every subset visited counts toward `max_subsets`,
     non-generic ones included. When no witness turns up,
     `subset_cap_exceeded` is set exactly when C(m, n+4), the count a scan
     must visit to find nothing, exceeds `max_subsets`. The later rules then
@@ -282,7 +272,7 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
     if not on_curve:
         subsets = combinations(range(1, m + 1), n + 4)
         for subset in islice(subsets, max_subsets):
-            if lattice.independent(subset) and (rnc_test(lattice, subset).verdict
+            if lattice.independent(subset) and (_rnc_by_frame(lattice, subset).verdict
                                                 is RncVerdict.NOT_ON_SMOOTH_RNC):
                 return verdict(TorelliStatus.TORELLI_PROVED, "generic-subset-off-curve",
                                f"rule 1: generic subset {list(subset)} avoids every "

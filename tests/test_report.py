@@ -144,6 +144,17 @@ def test_a_repeated_prime_is_rejected_before_any_count(monkeypatch):
     assert counted == []
 
 
+def test_an_empty_prime_list_is_rejected_before_any_count(monkeypatch):
+    # with no prime the report would hold no finite_field_count entry, the
+    # lattice's one cross-check by point counting
+    counted = []
+    monkeypatch.setattr(report_mod, "count_complement_points",
+                        lambda a, p: counted.append(p))
+    with pytest.raises(ValueError, match="^at least one oracle prime is needed$"):
+        build_report(fixture("generic5"), primes=())
+    assert counted == []
+
+
 @pytest.mark.parametrize("name", fixture_names())
 def test_fixture_report_matches_the_committed_digest(name):
     text = json.dumps(jsonable(build_report(fixture(name))), indent=2)

@@ -8,8 +8,9 @@ formatted values match any text, and both arms of an `if` expression count.
 Every one of them, and every `WitnessKind`, must come out of some input in
 the table below: the bundled fixtures plus a few constructed arrangements.
 So must the curve tests' outcomes: every `ConicClass` out of `conic_test`,
-and every `RncVerdict` and every `detail` text (each `RncResult(...)` in
-`rnc_test`) out of `rnc_test` on the whole label set. A rule no input
+and every `RncVerdict` and every `detail` text (each `RncResult(...)`
+anywhere in the torelli module, `rnc_test` and the frame test it shares
+with rule 1) out of `rnc_test` on the whole label set. A rule no input
 reaches is either dead code or a missing test, in the way an uncalled
 function is (`test_unreferenced.py`).
 """
@@ -40,9 +41,9 @@ INPUTS = {name: fixture(name) for name in fixture_names()} | {
     # four points, three of them collinear: linearly degenerate
     "triple_and_a_point": parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0],
                                                 [0, 0, 1]]),
-    # five concurrent lines: no four dual points in linear general position
+    # five concurrent lines: five collinear dual points, degenerate
     "five_concurrent": parse_arrangement(2, [[1, t, 0] for t in range(5)]),
-    # a frame and (1, 1, 2), whose reciprocals (1, 1, 1/2) repeat a pole
+    # a frame and (1, 1, 2), collinear with (0, 0, 1) and (1, 1, 1): degenerate
     "pole_collision": parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1],
                                             [1, 1, 1], [1, 1, 2]]),
 }
@@ -60,14 +61,17 @@ def _patterns(node: ast.expr) -> list[str]:
     raise AssertionError(f"no census reading of {ast.dump(node)}")
 
 
+def _module(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
 def _function(module: str, name: str) -> ast.FunctionDef:
-    tree = ast.parse((SRC / f"{module}.py").read_text())
-    return next(node for node in tree.body
+    return next(node for node in _module(module).body
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
-def _calls(fn: ast.FunctionDef, matches) -> list[ast.Call]:
-    return [node for node in ast.walk(fn)
+def _calls(tree: ast.AST, matches) -> list[ast.Call]:
+    return [node for node in ast.walk(tree)
             if isinstance(node, ast.Call) and matches(node.func)]
 
 
@@ -88,8 +92,8 @@ def torelli_rules() -> list[tuple[str, str, str]]:
 
 
 def rnc_details() -> list[str]:
-    """Patterns of every detail text `rnc_test` returns."""
-    calls = _calls(_function("torelli", "rnc_test"),
+    """Patterns of every detail text an `RncResult` of the torelli module holds."""
+    calls = _calls(_module("torelli"),
                    lambda f: isinstance(f, ast.Name) and f.id == "RncResult")
     return [p for call in calls for p in _patterns(call.args[3])]
 
@@ -127,7 +131,7 @@ def test_the_census_reads_every_rule_site():
     # a renamed trail or helper would otherwise leave nothing to check
     assert len(stability_rules()) == 7
     assert len(torelli_rules()) == 9
-    assert len(rnc_details()) == 7
+    assert len(rnc_details()) == 4
 
 
 def test_every_rule_and_witness_kind_is_reached():

@@ -20,10 +20,10 @@ from hypothesis import assume, given, settings, strategies as st
 from arrinv.arrangement import Arrangement, InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import delta_invariant
-from arrinv.lattice import build_lattice
+from arrinv.lattice import IntersectionLattice, build_lattice
 from arrinv import torelli as torelli_mod
 from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
-from arrinv.stability import classify
+from arrinv.stability import Status, classify
 from arrinv.torelli import (
     DEFAULT_MAX_SUBSETS,
     ConicClass,
@@ -240,9 +240,11 @@ class TestRnc:
         assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
 
     def test_collinear_triple_blocks_a_smooth_conic(self):
-        # a line meets a smooth conic in at most two points
+        # a line meets a smooth conic in at most two points, so points off
+        # linear general position are degenerate at any size
         res = rnc_test(build_lattice(fixture("m5_one_triple")))
-        assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
+        assert res == (RncVerdict.DEGENERATE_CONFIGURATION, None, None,
+                       "points are linearly degenerate")
 
     @pytest.mark.parametrize("name", ["m6_one_triple", "m6_two_triples_F1",
                                       "m6_two_triples_F2", "m6_three_triples"])
@@ -277,16 +279,15 @@ class TestRnc:
 
     def test_point_in_the_span_of_three_frame_points(self):
         # point 7 = p1 + p2 - p3 lies in the plane of three base points of
-        # the frame, so it lands on a coordinate hyperplane once normalized;
-        # point 6 is on the cubic and passes
+        # the frame, so the seven points are not in linear general position,
+        # though the first six are on the cubic
         a = Arrangement(3, tuple(map(tuple, twisted_cubic_rows(
             (0, 1, 2, 3, -1, -2)))) + ((1, -1, -3, -7),))
-        res = rnc_test(build_lattice(a))
-        assert res.verdict is RncVerdict.NOT_ON_SMOOTH_RNC
-        assert res.frame == (1, 2, 3, 4, 5)
-        assert res.direction is None
-        assert res.detail == ("point 7 lands on a coordinate hyperplane of the "
-                              "normalized frame; curve points there are frame points")
+        lat = build_lattice(a)
+        assert rnc_test(lat, (1, 2, 3, 4, 5, 6)).verdict is RncVerdict.ON_SMOOTH_RNC
+        res = rnc_test(lat)
+        assert res == (RncVerdict.DEGENERATE_CONFIGURATION, None, None,
+                       "points are linearly degenerate")
 
     def test_random_twisted_cubic_samples_and_perturbations(self):
         rng = random.Random(2024)
@@ -321,7 +322,9 @@ class TestRnc:
     def test_fully_collinear_points_cannot_be_on_a_smooth_curve(self):
         a = Arrangement(
             2, ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 4, 0)))
-        assert rnc_test(build_lattice(a)).verdict is RncVerdict.NOT_ON_SMOOTH_RNC
+        res = rnc_test(build_lattice(a))
+        assert res.verdict is RncVerdict.DEGENERATE_CONFIGURATION
+        assert res.frame is None and res.direction is None
 
 
 TORELLI_TABLE = {
@@ -466,6 +469,57 @@ class TestRule1Cap:
         assert v.witness_subset == (2, 3, 4, 5, 6, 7)
 
 
+def counted_rule1(monkeypatch, rows):
+    """Rule 1 on `rows` past an undetermined stability gate, with call counts."""
+    a = parse_arrangement(2, rows)
+    lat = build_lattice(a)
+    stab = classify(lat, delta_invariant(lat))._replace(status=Status.UNDETERMINED)
+    calls = {"independent": 0, "rnc_test": 0, "frame": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(IntersectionLattice, "independent",
+                        counted("independent", IntersectionLattice.independent))
+    monkeypatch.setattr(torelli_mod, "rnc_test", counted("rnc_test", rnc_test))
+    monkeypatch.setattr(torelli_mod, "_rnc_by_frame",
+                        counted("frame", torelli_mod._rnc_by_frame))
+    return a, torelli_verdict(lat, stab), calls
+
+
+def test_rule1_asks_each_subset_one_general_position_question(monkeypatch):
+    # twelve concurrent lines and four general ones: the scan skips the
+    # 1,000 subsets with three concurrent lines before the first generic
+    # one, which is the witness; each subset is asked for general position
+    # once, and only the generic one goes to the frame test
+    rows = ([[0, 1, 0]] + [[1, t, 0] for t in range(11)]
+            + [[1, 2, 3], [2, -1, 5], [3, 4, -2], [1, -3, 7]])
+    a, v, calls = counted_rule1(monkeypatch, rows)
+    assert v.witness_subset == (1, 2, 13, 14, 15, 16)
+    dependent = dependent_subsets_by_minors(a)
+    scan = list(combinations(range(1, 17), 6))
+    visited = scan[:scan.index(v.witness_subset) + 1]
+    generic = [s for s in visited
+               if not any(t in dependent for t in combinations(s, 3))]
+    assert calls == {"independent": len(visited), "rnc_test": 0,
+                     "frame": len(generic)}
+
+
+def test_rule1_without_generic_subsets_asks_no_curve_test(monkeypatch):
+    # seventeen concurrent lines and three general ones: every 6-subset
+    # holds three concurrent lines, so the scan of C(20, 6) = 38,760
+    # subsets stops at the cap without a curve test
+    rows = ([[0, 1, 0]] + [[1, t, 0] for t in range(16)]
+            + [[1, 2, 3], [2, -1, 5], [3, 4, -2]])
+    _, v, calls = counted_rule1(monkeypatch, rows)
+    assert v.subset_cap_exceeded
+    assert v.witness_subset is None
+    assert calls == {"independent": DEFAULT_MAX_SUBSETS, "rnc_test": 0, "frame": 0}
+
+
 @st.composite
 def concurrent_arrangements(draw):
     """Random n = 2, 3 or 4 arrangements, some forms combinations of earlier ones."""
@@ -505,6 +559,23 @@ def test_lattice_genericity_matches_minors(a):
                 expected = not any(t in dependent
                                    for t in combinations(subset, a.n + 1))
             assert lat.independent(subset) == expected, subset
+
+
+@given(concurrent_arrangements())
+@settings(max_examples=60, deadline=None)
+def test_rnc_is_degenerate_exactly_off_linear_general_position(a):
+    # a smooth curve meets a hyperplane in at most n points, so n+1
+    # dependent points make any set degenerate; in general position the
+    # poles of a fitted curve are pairwise distinct
+    dependent = dependent_subsets_by_minors(a)
+    lat = build_lattice(a)
+    for size in range(a.n + 1, a.m + 1):
+        for subset in combinations(range(1, a.m + 1), size):
+            res = rnc_test(lat, subset)
+            assert (res.verdict is RncVerdict.DEGENERATE_CONFIGURATION) == any(
+                t in dependent for t in combinations(subset, a.n + 1)), subset
+            if res.verdict is RncVerdict.ON_SMOOTH_RNC and res.frame is not None:
+                assert len(set(res.direction)) == a.n + 1, subset
 
 
 @st.composite
@@ -753,31 +824,31 @@ TORELLI_SWEEP_DIGESTS = {
     (3, 6, "curve", 2): "1c45c760e4143793a55f7fa9ddb6151e3c156db576405de078731f2a04e5e7da",
     (3, 6, "random", 0): "2553fbf75897c96c0c76570f3c16eb45b81bb112765656d4740c5eefbac19b19",
     (3, 6, "random", 1): "a15bf78b292a4be5ecdeae9a25aced8683d700e3cb5f4f4d08c33922c5500501",
-    (3, 6, "random", 2): "85171e0c125be8c25afb3b557447a24b8d75162f8c27578533fb17756a02005a",
+    (3, 6, "random", 2): "c85643be41d3b5cecc08a09bf44da37b29f79e2167b1e31bccc7a832c4875deb",
     (3, 7, "curve", 0): "27c2cab816f6ed90081ffd04920c33d6a96bba91a29498f10c7fb158fde08668",
     (3, 7, "curve", 1): "2a0b0271f2b51ff7339415e6f9994f8389d147d88d1ba02fafb6e888906faa2a",
     (3, 7, "curve", 2): "f890cf0b8fa087c1eb3f244519a98da2f2d3b1f42109748392f8a4b7e3ba1676",
     (3, 7, "random", 0): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
-    (3, 7, "random", 1): "e03026cae2bd72800cb76cbb456cb7a9a937d191022548442a772fb9db7b267b",
-    (3, 7, "random", 2): "cafcd059a4e4e9575e49aada6cffae40bf6beced9e8de0824724ca418a5737a3",
+    (3, 7, "random", 1): "c85643be41d3b5cecc08a09bf44da37b29f79e2167b1e31bccc7a832c4875deb",
+    (3, 7, "random", 2): "c85643be41d3b5cecc08a09bf44da37b29f79e2167b1e31bccc7a832c4875deb",
     (3, 8, "curve", 0): "917e3e65964f08fd5345b05f44260bf20e30a5bd5c5cc7dc61bc304d2da742f0",
     (3, 8, "curve", 1): "3f494ba4aa0116ea3ab04c55134a603df7fe27efece224ae2edd1a14f69b0976",
     (3, 8, "curve", 2): "fdc755896d7dc8ae347fd14f0de53c0581ae0fde3d6a8c94a6da834f2b44f553",
     (3, 8, "random", 0): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
-    (3, 8, "random", 1): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
+    (3, 8, "random", 1): "52c8e8dd29f44dc4823ddf1f1da9d5ecba890336153aa4fee7a9073da0e1744b",
     (3, 8, "random", 2): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
     (3, 9, "curve", 0): "4d548d77ea0df4f9fea4a8057bbca2f8efc89479355dd4c76d3c356d2384cea1",
     (3, 9, "curve", 1): "12b107c4c1775dec7639f3363e3ab5c32cc892f5f1dfb3ddceb3e6f9cfa52ccb",
     (3, 9, "curve", 2): "c261173696be92abce58cfd473cdfa080633eeab6ecd393fd50fb27752a8aa82",
     (3, 9, "random", 0): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
-    (3, 9, "random", 1): "f1992b06887cc4c7293da754586300f91bf3d65ea933e859617cbf64d8fa60e7",
-    (3, 9, "random", 2): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
+    (3, 9, "random", 1): "c0bb0d8fe3874c5a1424f485ed8b7acd59642ee601875654ad523483f69a0b2b",
+    (3, 9, "random", 2): "52c8e8dd29f44dc4823ddf1f1da9d5ecba890336153aa4fee7a9073da0e1744b",
     (3, 10, "curve", 0): "e5712cd19718e8edfa5a9cdb2daddc0ed8cd1af7784b236b9d9562c40a486628",
     (3, 10, "curve", 1): "837c42b1ec6a654173eda867ef9d6b8e965972a10d88191ea351b89a88e3308e",
     (3, 10, "curve", 2): "91077a12a2ce4d1549821dca8ece3514a6b888766feea8c16481e7a8125dd812",
-    (3, 10, "random", 0): "bdcdb81360fa24514e9a0d0c6a2cd0ab9817d3f743eb08895ee3039a48e95daa",
-    (3, 10, "random", 1): "f1992b06887cc4c7293da754586300f91bf3d65ea933e859617cbf64d8fa60e7",
-    (3, 10, "random", 2): "404a8820be6c05381ec8a7fec44828652c19d0ad3d67e44f35e2167f500e0019",
+    (3, 10, "random", 0): "52c8e8dd29f44dc4823ddf1f1da9d5ecba890336153aa4fee7a9073da0e1744b",
+    (3, 10, "random", 1): "c0bb0d8fe3874c5a1424f485ed8b7acd59642ee601875654ad523483f69a0b2b",
+    (3, 10, "random", 2): "ca8d8883e2055b04aa0ca48c53c37234f45f50f14581c2ab94068051884120ed",
     (4, 7, "curve", 0): "850b4a954b269fbd966eb1927eb5a864e0a0b935b2aca63d172891970ba981cf",
     (4, 7, "curve", 1): "dc6fdb1445cb60e83bc05072e5fb0c244a26eb0426aa1d30fca695e9e8fc59b4",
     (4, 7, "curve", 2): "57debae75be475a3e8ee481190e2f64cc046b210804cf342b993b5a6357a069f",
@@ -789,7 +860,7 @@ TORELLI_SWEEP_DIGESTS = {
     (4, 8, "curve", 2): "e68302dbcd3b24f152fbe77d58b419405a5b36e62ec0ff16fe0e563e3f980ef0",
     (4, 8, "random", 0): "d329be0bdb9e38bc4656572b75fdb91fbc657a412f262eb58ba9c4a00e2dc5ef",
     (4, 8, "random", 1): "d329be0bdb9e38bc4656572b75fdb91fbc657a412f262eb58ba9c4a00e2dc5ef",
-    (4, 8, "random", 2): "7545f9d5fba5e6629215252f5f45978e75bf7ac294fc41b690a3df4137eb378c",
+    (4, 8, "random", 2): "c85643be41d3b5cecc08a09bf44da37b29f79e2167b1e31bccc7a832c4875deb",
     (4, 9, "curve", 0): "33bcc9ab4268e3e32c27281821417119c6602f4ba2ac006622a6b73c53a7a55a",
     (4, 9, "curve", 1): "d2fed884fc45f3507a3fa5bae46f154a9b399267178edad2c10f4416de7733d9",
     (4, 9, "curve", 2): "38ec936e7bd30970bbe5a6be43a2328291c21504405d83b2e6254bd2d16d7eeb",
@@ -799,9 +870,9 @@ TORELLI_SWEEP_DIGESTS = {
     (4, 10, "curve", 0): "534471b15922bc3f7b4bf6bdf7cea7390b882bbe3154217fd21187d0b470bcba",
     (4, 10, "curve", 1): "d757ad8846f6335076fc1f5864ab2e035f04699901c5555ccf18b2465c778726",
     (4, 10, "curve", 2): "4eed3c59da875b0b0167efa08246daf1dcd6578d3f6d4bfc9557089c2f67f14b",
-    (4, 10, "random", 0): "d329be0bdb9e38bc4656572b75fdb91fbc657a412f262eb58ba9c4a00e2dc5ef",
-    (4, 10, "random", 1): "d329be0bdb9e38bc4656572b75fdb91fbc657a412f262eb58ba9c4a00e2dc5ef",
-    (4, 10, "random", 2): "ab0b7e81b77d6a812523788c7f284bd3068d984b52584d4681696f0f58409225",
+    (4, 10, "random", 0): "3feb345f151015bdf6e69d67ed88c99044106ac93c4a990327022ceb0f9a4ef3",
+    (4, 10, "random", 1): "3feb345f151015bdf6e69d67ed88c99044106ac93c4a990327022ceb0f9a4ef3",
+    (4, 10, "random", 2): "a189411912b011ae61ec954c82377300c357bac7a2e9a065a0ca57c36e350df9",
 }
 
 
