@@ -4,10 +4,12 @@ Flats are the nonempty intersections of subsets of hyperplanes, labeled by
 the maximal set of hyperplane labels containing them. Ranks are
 codimensions; only flats of rank <= n (nonempty in P^n) are kept. This is
 the lattice of flats of the matroid of the forms, so it is read off the
-arrangement's rank table (`arrangement.subset_ranks`): the flat of rank r
-spanned by r independent labels S is their closure, every label i with
-rank(S + i) = r. The lattice is the one place that decides dependence:
-`independent` answers it for any label set, and `crossing` classifies it.
+arrangement's rank table (`arrangement.subset_ranks`). One walk over the
+no-broken-circuit (NBC) sets of labels gives both the flats and the Mobius
+function: each NBC k-set closes to a flat of rank k, every flat is such a
+closure, and mu of a flat is (-1)^k times the number of NBC sets spanning
+it. The lattice is the one place that decides dependence: `independent`
+answers it for any label set, and `crossing` classifies it.
 """
 
 import enum
@@ -104,44 +106,34 @@ class IntersectionLattice:
 
 def build_lattice(a: Arrangement,
                   ranks: dict[tuple[int, ...], int] | None = None) -> IntersectionLattice:
-    """Enumerate all flats from the rank table and compute Mobius values.
+    """Enumerate all flats and their Mobius values from the no-broken-circuit sets.
 
-    `ranks` is `subset_ranks(a)`, computed here when not given. The flats of
-    rank r are the closures of the table's independent r-sets.
+    `ranks` is `subset_ranks(a)`, computed here when not given. A label set
+    {s_1 < ... < s_k} is NBC (holds no broken circuit) when each s_j is the
+    smallest label of the closure of {s_j, ..., s_k}. One depth-first walk
+    prepends smaller labels to NBC sets and closes each candidate once; the
+    flats are the closures found, and mu of a flat is the sum of (-1)^k over
+    the NBC k-sets spanning it (Rota; Orlik-Terao, ch. 3).
     """
     if ranks is None:
         ranks = subset_ranks(a)
     labels = range(1, a.m + 1)
-    found = {(0, ())}
-    for span, rank in ranks.items():
-        if len(span) == rank <= a.n:
-            found.add((rank, tuple(i for i in labels
-                                   if ranks[tuple(sorted({*span, i}))] == rank)))
-    flats = tuple(Flat(indices, rank) for rank, indices in sorted(found))
-    return IntersectionLattice(a, flats, mobius_values(flats))
-
-
-def mobius_values(flats: tuple[Flat, ...]) -> tuple[int, ...]:
-    """Mobius function by downward recursion from the ambient flat.
-
-    mu(ambient) = 1 and mu(x) = -sum of mu(y) over flats y strictly
-    containing x. Containment of flats is reverse inclusion of their maximal
-    label sets.
-    """
-    order = sorted(range(len(flats)), key=lambda i: flats[i].rank)
-    sets = [frozenset(f.indices) for f in flats]
-    mu = [0] * len(flats)
-    for i in order:
-        if flats[i].rank == 0:
-            mu[i] = 1
+    mobius = {(0, ()): 1}
+    walk = [()]
+    while walk:
+        tail = walk.pop()
+        if len(tail) == a.n:
             continue
-        acc = 0
-        for j in order:
-            if flats[j].rank >= flats[i].rank:
-                break
-            if sets[j] < sets[i]:
-                acc += mu[j]
-        # same-rank flats never contain each other strictly, so the early
-        # break above is safe
-        mu[i] = -acc
-    return tuple(mu)
+        # tail is NBC, so no label below tail[0] is in its closure and every
+        # candidate is independent
+        for i in range(1, tail[0] if tail else a.m + 1):
+            nbc = (i, *tail)
+            closure = tuple(j for j in labels
+                            if ranks[tuple(sorted({*nbc, j}))] == len(nbc))
+            if closure[0] == i:
+                key = (len(nbc), closure)
+                mobius[key] = mobius.get(key, 0) + (-1) ** len(nbc)
+                walk.append(nbc)
+    keys = sorted(mobius)
+    return IntersectionLattice(a, tuple(Flat(indices, rank) for rank, indices in keys),
+                               tuple(mobius[key] for key in keys))

@@ -1,17 +1,18 @@
 """Deterministic report assembly shared by the CLI commands.
 
-A report is read from one `Analysis` of the arrangement, which computes each
-quantity at most once. The rank table of small subsets of forms has two
-readers: the intersection lattice, and the gcd of each basis's maximal
-minors, taken over Z from the forms, so that an oracle prime is accepted
-when it divides none of them. The lattice is the one place that decides
-dependence: the Torelli genericity, the linear general position `rnc_test`
-needs and the Gale primal sets ask it. The defining tensor is built from
-the lattice, and its relation basis gives the Gale dual points wherever
-`steiner.gale_unavailable` allows. Stability, Torelli, Chern data, the
-delta section's h0 values and the tensor exist only where the Steiner
-sheaf does; `Analysis.unavailable` reads that off the lattice with
-`invariants.steiner_unavailable`, the rule the sheaf layer itself
+A report is read from one `Analysis` of the arrangement, which computes
+each quantity at most once. The rank table of small subsets of forms has
+two readers: the intersection lattice, whose flats and Mobius values come
+from one walk over the table's no-broken-circuit sets, and the gcd of each
+basis's maximal minors, taken over Z from the forms, so that an oracle
+prime is accepted when it divides none of them. The lattice is the one
+place that decides dependence: the Torelli genericity, the linear general
+position `rnc_test` needs and the Gale primal sets ask it. The defining
+tensor is built from the lattice, and its relation basis gives the Gale
+dual points wherever `steiner.gale_unavailable` allows. Stability, Torelli,
+Chern data, the delta section's h0 values and the tensor exist only where
+the Steiner sheaf does; `Analysis.unavailable` reads that off the lattice
+with `invariants.steiner_unavailable`, the rule the sheaf layer itself
 enforces. The CLI commands print sections of an Analysis, so each prints
 what `analyze` does.
 

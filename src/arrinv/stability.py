@@ -81,8 +81,9 @@ def combinatorial_destabilizer(lattice: IntersectionLattice) -> Witness | None:
             return Witness(WitnessKind.FLAT_RATIO, s, bound, True, f.indices,
                            f"flat on {f.s} hyperplanes exceeds the rank-{f.rank} threshold")
         if s == bound and equality is None:
-            equality = Witness(WitnessKind.FLAT_RATIO, s, bound, False, f.indices,
-                               f"flat on {f.s} hyperplanes meets the rank-{f.rank} threshold exactly")
+            equality = Witness(
+                WitnessKind.FLAT_RATIO, s, bound, False, f.indices,
+                f"flat on {f.s} hyperplanes meets the rank-{f.rank} threshold exactly")
     return equality
 
 

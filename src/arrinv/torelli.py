@@ -213,12 +213,12 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
     Genericity is read off `lattice`, once per subset; a generic subset is a
     witness when the frame test behind `rnc_test` finds it on no smooth
     curve. For n = 2 that is on no conic at all: a conic through six points,
-    no three collinear, contains no line and is smooth. Every subset visited counts toward `max_subsets`,
-    non-generic ones included. When no witness turns up,
-    `subset_cap_exceeded` is set exactly when C(m, n+4), the count a scan
-    must visit to find nothing, exceeds `max_subsets`. The later rules then
-    run. A `max_subsets` that is not an int >= 0 (a bool included) raises
-    ValueError.
+    no three collinear, contains no line and is smooth. Every subset visited
+    counts toward `max_subsets`, non-generic ones included. When no witness
+    turns up, `subset_cap_exceeded` is set exactly when C(m, n+4), the count
+    a scan must visit to find nothing, exceeds `max_subsets`. The later
+    rules then run. A `max_subsets` that is not an int >= 0 (a bool
+    included) raises ValueError.
     The scan is skipped when all m dual points lie on one curve of the
     family: for n = 2 on a conic (kernel dimension >= 1 by `conic_test`;
     the conic passes through every subset's points and is smooth on a

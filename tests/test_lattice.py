@@ -3,11 +3,12 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrinv.arrangement import InvalidArrangement, parse_arrangement, subset_ranks
 from arrinv.fixtures import fixture, fixture_names
+from arrinv.invariants import poincare
 from arrinv.lattice import CrossingClass, build_lattice
 from oracles import flats_by_closure, fraction_rank, mobius_by_subsets
 
@@ -113,6 +114,29 @@ def test_n3_lattice_moebius_against_oracle():
         assert mu[f.indices] == mobius_by_subsets(a, f)
 
 
+def braid(n):
+    """The braid arrangement A_(n+1) in P^n: the forms x_i and x_i - x_j."""
+    unit = [[int(k == i) for k in range(n + 1)] for i in range(n + 1)]
+    return parse_arrangement(n, unit + [[x - y for x, y in zip(unit[i], unit[j])]
+                                        for i, j in combinations(range(n + 1), 2)])
+
+
+@pytest.mark.parametrize("n, flats, central", [
+    (3, 51, (1, 10, 35, 50, 24)),
+    (4, 202, (1, 15, 85, 225, 274, 120)),
+])
+def test_braid_lattices_in_p3_and_p4(n, flats, central):
+    # the flats are the set partitions of n + 2 points but the coarsest,
+    # and the central Poincare polynomial is (1 + t)(1 + 2t)...(1 + (n+1)t)
+    a = braid(n)
+    lat = build_lattice(a)
+    assert len(lat.flats) == flats
+    assert poincare(lat).central == central
+    if n == 3:
+        for f, mu in lat.items():
+            assert mu == mobius_by_subsets(a, f), f.indices
+
+
 @st.composite
 def crowded_arrangements(draw):
     """Small coefficients, so that many hyperplanes meet in the same flats."""
@@ -126,6 +150,10 @@ def crowded_arrangements(draw):
 
 
 @given(crowded_arrangements())
+@example(parse_arrangement(1, [[1, 0], [0, 1], [1, 1]]))
+@example(parse_arrangement(3, [[1, 2, 3, 4]]))
+@example(parse_arrangement(2, [[1, t, 0] for t in range(5)] + [[0, 1, 0]]))
+@example(parse_arrangement(3, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]]))
 @settings(max_examples=150, deadline=None)
 def test_lattice_and_rank_table_match_the_closure_oracle(a):
     ranks = subset_ranks(a)
@@ -136,12 +164,13 @@ def test_lattice_and_rank_table_match_the_closure_oracle(a):
     lat = build_lattice(a, ranks)
     pairs = [(f.indices, f.rank) for f in lat.flats]
     assert len(pairs) == len(set(pairs))
-    assert set(pairs) == flats_by_closure(a)
+    expected = flats_by_closure(a)
+    assert set(pairs) == expected
     for f, mu in lat.items():
         assert mu == mobius_by_subsets(a, f), f.indices
     # the crossing witness is the shallowest flat of rank >= 2 through more
     # hyperplanes than its rank; rank-1 flats never qualify
-    heavy = sorted((rank, labels) for labels, rank in flats_by_closure(a)
+    heavy = sorted((rank, labels) for labels, rank in expected
                    if len(labels) > rank >= 2)
     kind, witness = lat.crossing.kind, lat.crossing.witness
     if not heavy:

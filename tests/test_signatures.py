@@ -14,6 +14,8 @@ compares against an expression `... + 3`.
 
 A matrix is a sequence of rows. `linalg.QMatrix`, rows beside a column
 count, serves only the GIT test in `stability`, so no other module names it.
+
+No line of `src/` is longer than 99 characters.
 """
 
 import ast
@@ -174,3 +176,9 @@ def test_the_check_sees_every_spelling_of_a_name():
     for source in spellings:
         assert "QMatrix" in names(ast.parse(source)), source
     assert "QMatrix" not in names(ast.parse('"""A QMatrix in prose."""\n# QMatrix'))
+
+
+def test_no_source_line_is_longer_than_99_characters():
+    assert [f"{path.stem}:{number}" for path in sorted(SRC.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            if len(line) > 99] == []
