@@ -9,7 +9,7 @@ the lattice computation.
 """
 
 from .arrangement import (Arrangement, InvalidArrangement, canonical_form,
-                          parse_arrangement, parse_arrangement_json, subset_ranks)
+                          parse_arrangement, parse_arrangement_json)
 from .ffcount import (basis_minors, count_complement_points, next_valid_prime,
                       prime_preserves_lattice)
 from .fixtures import fixture, fixture_names, fixture_note
@@ -45,6 +45,6 @@ __all__ = [
     "gale_unavailable", "git_ratio_test", "h0_values", "local_data",
     "next_valid_prime", "parse_arrangement", "parse_arrangement_json", "poincare",
     "prime_preserves_lattice", "require_steiner", "rnc_test", "steiner_tensor",
-    "steiner_unavailable", "subset_ranks", "torelli_verdict", "twist_transform",
+    "steiner_unavailable", "torelli_verdict", "twist_transform",
     "verify_gale_bijection",
 ]

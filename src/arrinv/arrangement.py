@@ -6,20 +6,15 @@ a plain tuple of ints, its canonical primitive row (`canonical_form`):
 denominators cleared, content divided out, first nonzero coefficient
 positive. The same rows, read as points of the dual projective space, are
 the dual configuration of the Torelli analysis. Labels are 1-based
-throughout the public surface.
-
-`subset_ranks` is the one rank table of an arrangement: the rank over Q of
-every set of at most n+1 forms. It fixes the intersection lattice (the
-lattice of flats of the matroid of the forms, up to rank n) and the
-dependent (n+1)-sets of the Gale check; its bases give the minors that
-decide which primes keep the lattice (`ffcount.basis_minors`).
+throughout the public surface. The forms alone fix the intersection
+lattice (`lattice.build_lattice`) and the basis minors that decide which
+primes keep it (`ffcount.basis_minors`).
 """
 
 import json
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import MAX_DIGITS, bareiss, primitive_integer_vector, qval
+from .linalg import MAX_DIGITS, primitive_integer_vector, qval
 
 _COEFF_BOUND = 10 ** MAX_DIGITS   # canonical coefficients stay below it
 
@@ -106,14 +101,3 @@ def parse_arrangement_json(text: str) -> Arrangement:
         raise InvalidArrangement('"hyperplanes" must be a list of coefficient rows')
     return parse_arrangement(obj["n"], obj["hyperplanes"])
 
-
-def subset_ranks(a: Arrangement) -> dict[tuple[int, ...], int]:
-    """Rank over Q of the forms of every sorted label set of size 1..n+1.
-
-    Keys run by size, then lexicographically. The ranks come from the forms
-    alone, never from a lattice, so a prime judged against the table keeps
-    the true lattice even when a lattice under test is wrong.
-    """
-    return {labels: bareiss([a.forms[i - 1] for i in labels])[0]
-            for size in range(1, min(a.n + 1, a.m) + 1)
-            for labels in combinations(range(1, a.m + 1), size)}

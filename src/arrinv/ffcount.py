@@ -6,11 +6,10 @@ independent oracle for the lattice and Mobius computations; see
 must match. The count walks the p^n fibers over the last coordinate and
 closes each fiber in O(m); it is exact at every prime, forms that coincide
 mod p included. One rule says when it must equal the prediction: a prime
-is accepted when it divides no basis gcd (`basis_minors`). Then every
-label set of the arrangement's rank table (`arrangement.subset_ranks`)
-keeps its rank mod p, so the reduction mod p keeps the lattice over Q.
-The gcds come from one elimination over Z per minor; no rank is ever
-taken mod p.
+is accepted when it divides no basis gcd (`basis_minors`). Then every set
+of forms keeps its rank mod p, so the reduction mod p keeps the lattice
+over Q. The gcds come from the forms alone, one elimination over Z per
+minor, never from a lattice; no rank is ever taken mod p.
 """
 
 from itertools import combinations, product
@@ -72,24 +71,23 @@ def count_complement_points(a: Arrangement, p: int) -> int:
     return count
 
 
-def basis_minors(a: Arrangement, ranks: dict[tuple[int, ...], int]
-                 ) -> tuple[int, ...]:
-    """g_B for every basis B in `ranks` (`subset_ranks(a)`), in table order.
+def basis_minors(a: Arrangement) -> tuple[int, ...]:
+    """g_B for every basis B of the forms, label sets in lexicographic order.
 
     A basis is a label set B with |B| = rank(B) = r, the rank of all the
-    forms, and g_B is the gcd of the r x r minors of B's forms. The minors
-    come from the integer forms, never from a lattice. For an essential
-    arrangement r = n + 1 and g_B is |det B|.
+    forms, and g_B is the gcd of the r x r minors of B's forms, zero exactly
+    when B is dependent. The minors come from the integer forms, never from
+    a lattice. For an essential arrangement r = n + 1 and g_B is |det B|.
     """
-    r = max(ranks.values())
+    r = bareiss(a.forms)[0]
     column_sets = list(combinations(range(a.n + 1), r))
     out = []
-    for labels, rank in ranks.items():
-        if len(labels) == rank == r:
-            rows = [a.forms[i - 1] for i in labels]
-            minors = (bareiss([[row[c] for c in cols] for row in rows])[1]
-                      for cols in column_sets)
-            out.append(gcd(*map(int, minors)))
+    for rows in combinations(a.forms, r):
+        minors = (bareiss([[row[c] for c in cols] for row in rows])[1]
+                  for cols in column_sets)
+        g = gcd(*map(int, minors))
+        if g:
+            out.append(g)
     return tuple(out)
 
 
@@ -97,10 +95,10 @@ def prime_preserves_lattice(minors: tuple[int, ...], p: int) -> bool:
     """True when p divides no basis gcd in `minors` (`basis_minors`).
 
     Ranks can only drop mod p, and every independent set extends to a
-    basis, so p keeps the rank of every label set of the rank table exactly
-    when every basis keeps rank r mod p, that is when p divides none of its
-    gcds. Then the whole intersection lattice mod p agrees with the lattice
-    over Q, which is exactly what the counting identity needs.
+    basis, so p keeps the rank of every set of forms exactly when every
+    basis keeps rank r mod p, that is when p divides none of its gcds.
+    Then the whole intersection lattice mod p agrees with the lattice over
+    Q, which is exactly what the counting identity needs.
     """
     return all(g % p for g in minors)
 

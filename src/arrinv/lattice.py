@@ -3,20 +3,23 @@
 Flats are the nonempty intersections of subsets of hyperplanes, labeled by
 the maximal set of hyperplane labels containing them. Ranks are
 codimensions; only flats of rank <= n (nonempty in P^n) are kept. This is
-the lattice of flats of the matroid of the forms, so it is read off the
-arrangement's rank table (`arrangement.subset_ranks`). One walk over the
+the lattice of flats of the matroid of the forms. One walk over the
 no-broken-circuit (NBC) sets of labels gives both the flats and the Mobius
 function: each NBC k-set closes to a flat of rank k, every flat is such a
 closure, and mu of a flat is (-1)^k times the number of NBC sets spanning
-it. The lattice is the one place that decides dependence: `independent`
-answers it for any label set, and `crossing` classifies it.
+it. The walk carries each flat as an integer basis of its points and cuts
+it by one form per step, so it reads the forms alone. The lattice is the
+one place that decides dependence: `independent` answers it for any label
+set, and `crossing` classifies it.
 """
 
 import enum
 from functools import cached_property
+from math import gcd
+from operator import mul
 from typing import NamedTuple
 
-from .arrangement import Arrangement, subset_ranks
+from .arrangement import Arrangement
 
 
 class Flat(NamedTuple):
@@ -104,36 +107,48 @@ class IntersectionLattice:
         return zip(self.flats, self.mobius)
 
 
-def build_lattice(a: Arrangement,
-                  ranks: dict[tuple[int, ...], int] | None = None) -> IntersectionLattice:
+def build_lattice(a: Arrangement) -> IntersectionLattice:
     """Enumerate all flats and their Mobius values from the no-broken-circuit sets.
 
-    `ranks` is `subset_ranks(a)`, computed here when not given. A label set
-    {s_1 < ... < s_k} is NBC (holds no broken circuit) when each s_j is the
-    smallest label of the closure of {s_j, ..., s_k}. One depth-first walk
-    prepends smaller labels to NBC sets and closes each candidate once; the
-    flats are the closures found, and mu of a flat is the sum of (-1)^k over
-    the NBC k-sets spanning it (Rota; Orlik-Terao, ch. 3).
+    A label set {s_1 < ... < s_k} is NBC (holds no broken circuit) when each
+    s_j is the smallest label of the closure of {s_j, ..., s_k}. One
+    depth-first walk prepends smaller labels to NBC sets and closes each
+    candidate once; the flats are the closures found, and mu of a flat is
+    the sum of (-1)^k over the NBC k-sets spanning it (Rota; Orlik-Terao,
+    ch. 3). Each NBC set carries a basis of its flat's points, the kernel of
+    its forms, starting from the unit vectors; a form lies in the span of
+    the set exactly when it vanishes on that basis, so the closure is every
+    form that does.
     """
-    if ranks is None:
-        ranks = subset_ranks(a)
+    forms = a.forms
     labels = range(1, a.m + 1)
     mobius = {(0, ()): 1}
-    walk = [()]
+    walk = [((), [tuple(int(k == t) for k in range(a.n + 1)) for t in range(a.n + 1)])]
     while walk:
-        tail = walk.pop()
+        tail, basis = walk.pop()
         if len(tail) == a.n:
             continue
-        # tail is NBC, so no label below tail[0] is in its closure and every
-        # candidate is independent
         for i in range(1, tail[0] if tail else a.m + 1):
+            # tail is NBC, so label i is outside its closure: (i, *tail) is
+            # independent, and form i is nonzero on some vector v_t0 of the
+            # basis. With c_t the form's value on v_t, the vectors
+            # c_t0 v_t - c_t v_t0 (t != t0), each divided by its content,
+            # span the flat of (i, *tail).
+            c = [sum(map(mul, forms[i - 1], v)) for v in basis]
+            t0 = next(t for t, ct in enumerate(c) if ct)
+            cut = []
+            for t, v in enumerate(basis):
+                if t != t0:
+                    w = [c[t0] * x - c[t] * y for x, y in zip(v, basis[t0])]
+                    g = gcd(*w)
+                    cut.append(tuple(x // g for x in w))
             nbc = (i, *tail)
             closure = tuple(j for j in labels
-                            if ranks[tuple(sorted({*nbc, j}))] == len(nbc))
+                            if not any(sum(map(mul, forms[j - 1], v)) for v in cut))
             if closure[0] == i:
                 key = (len(nbc), closure)
                 mobius[key] = mobius.get(key, 0) + (-1) ** len(nbc)
-                walk.append(nbc)
+                walk.append((nbc, cut))
     keys = sorted(mobius)
     return IntersectionLattice(a, tuple(Flat(indices, rank) for rank, indices in keys),
                                tuple(mobius[key] for key in keys))

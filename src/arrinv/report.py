@@ -1,11 +1,11 @@
 """Deterministic report assembly shared by the CLI commands.
 
 A report is read from one `Analysis` of the arrangement, which computes
-each quantity at most once. The rank table of small subsets of forms has
-two readers: the intersection lattice, whose flats and Mobius values come
-from one walk over the table's no-broken-circuit sets, and the gcd of each
-basis's maximal minors, taken over Z from the forms, so that an oracle
-prime is accepted when it divides none of them. The lattice is the one
+each quantity at most once. Two quantities read the forms directly: the
+intersection lattice, whose flats and Mobius values come from one walk
+over the no-broken-circuit sets that cuts each flat by one form, and the
+gcd of each basis's maximal minors, taken over Z, so that an oracle prime
+is accepted when it divides none of them. The lattice is the one
 place that decides dependence: the Torelli genericity, the linear general
 position `rnc_test` needs and the Gale primal sets ask it. The defining
 tensor is built from the lattice, and its relation basis gives the Gale
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .arrangement import Arrangement, subset_ranks
+from .arrangement import Arrangement
 from .ffcount import basis_minors, count_complement_points, is_prime, next_valid_prime
 from .invariants import (ChernData, LocalPointData, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
@@ -79,16 +79,12 @@ class Analysis:
         self.literature_rules = literature_rules
 
     @cached_property
-    def subset_ranks(self) -> dict[tuple[int, ...], int]:
-        return subset_ranks(self.a)
-
-    @cached_property
     def basis_minors(self) -> tuple[int, ...]:
-        return basis_minors(self.a, self.subset_ranks)
+        return basis_minors(self.a)
 
     @cached_property
     def lattice(self) -> IntersectionLattice:
-        return build_lattice(self.a, self.subset_ranks)
+        return build_lattice(self.a)
 
     @cached_property
     def poincare(self) -> PoincareData:

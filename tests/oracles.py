@@ -8,14 +8,15 @@ Moebius oracle sums signed generating subsets instead of recursing over the
 poset, the point counter loops over the whole affine space instead of
 walking fibers (for lines a second counter, fast at any prime, sums
 inclusion-exclusion over the distinct lines mod p and their meeting
-points), a prime is judged by re-ranking every set of the rank
-table mod p instead of by divisibility of basis minors, polynomial products
-are multiplied out term by term instead of read off closed binomials, and
-Torelli rule 1 is an exhaustive scan of every subset, which for n = 2
-decides conics by brackets of the points instead of by the frame
-normalization of the library's `rnc_test`, and a conic nonsingular at every
-point of a small or nearly collinear set is built from line pairs instead
-of read off the space of conics.
+points), a prime is judged by ranking every set of at most n+1 forms
+over Q and mod p instead of by divisibility of basis minors, a closure is
+read off an echelon form of its label set instead of off a walk that cuts
+flats by forms, polynomial products are multiplied out term by term
+instead of read off closed binomials, and Torelli rule 1 is an exhaustive
+scan of every subset, which for n = 2 decides conics by brackets of the
+points instead of by the frame normalization of the library's `rnc_test`,
+and a conic nonsingular at every point of a small or nearly collinear set
+is built from line pairs instead of read off the space of conics.
 
 One exception: for n >= 3 that scan asks the library's `rnc_test`, on the
 sub-arrangement's own lattice, whether a subset's dual points lie on a
@@ -92,15 +93,15 @@ def rank_mod_p(rows, p: int) -> int:
     return pr
 
 
-def prime_preserves_lattice_by_ranks(a: Arrangement, ranks: dict[tuple[int, ...], int],
-                                     p: int) -> bool:
-    """True when every label set in `ranks` (`subset_ranks(a)`) keeps its rank mod p.
+def prime_preserves_lattice_by_ranks(a: Arrangement, p: int) -> bool:
+    """True when every set of at most n+1 forms keeps its rank over Q mod p.
 
-    The definition itself, one rank mod p per set, against which the
-    library's divisibility test on basis minors is checked.
+    The definition itself, one rank over Q and one mod p per set, against
+    which the library's divisibility test on basis minors is checked.
     """
-    return all(rank_mod_p([a.forms[i - 1] for i in labels], p) == rank
-               for labels, rank in ranks.items())
+    return all(rank_mod_p(rows, p) == fraction_rank(rows)
+               for size in range(1, min(a.n + 1, a.m) + 1)
+               for rows in combinations(a.forms, size))
 
 
 def slice_at_point(t: SteinerTensor, point) -> tuple[tuple[Fraction, ...], ...]:
@@ -120,18 +121,35 @@ def _rank_of(a: Arrangement, labels) -> int:
     return fraction_rank([a.forms[i - 1] for i in labels])
 
 
+def _in_span(echelon, v) -> bool:
+    """True when v lies in the span of the nonzero rows of an echelon form.
+
+    Each row clears v at its pivot, the row's first nonzero entry; v is in
+    the span exactly when nothing is left.
+    """
+    v = [Fraction(x) for x in v]
+    for row in echelon:
+        c = next((k for k, x in enumerate(row) if x), None)
+        if c is not None and v[c]:
+            f = v[c] / row[c]
+            v = [x - f * y for x, y in zip(v, row)]
+    return not any(v)
+
+
 def flats_by_closure(a: Arrangement) -> set[tuple[tuple[int, ...], int]]:
     """(labels, rank) of every flat: the closure of each label set of size <= n.
 
-    The closure of S is every label whose form adds nothing to the rank of S.
-    Every flat of rank r <= n is the closure of r independent labels.
+    The closure of S is every label whose form adds nothing to the rank of S,
+    that is lies in the span of S's echelon form. Every flat of rank r <= n
+    is the closure of r independent labels.
     """
     out = set()
     for size in range(min(a.n, a.m) + 1):
         for subset in combinations(range(1, a.m + 1), size):
-            rank = _rank_of(a, subset)
+            echelon = _echelon([a.forms[i - 1] for i in subset])[0]
+            rank = sum(1 for r in echelon if any(r))
             closure = tuple(i for i in range(1, a.m + 1)
-                            if _rank_of(a, subset + (i,)) == rank)
+                            if _in_span(echelon, a.forms[i - 1]))
             out.add((closure, rank))
     return out
 

@@ -368,7 +368,7 @@ class TestVerify:
 
     def test_verify_exit_code_reflects_failures(self, capsys, monkeypatch):
         wrong = build_lattice(fixture("m5_two_triples"))
-        monkeypatch.setattr(report_mod, "build_lattice", lambda arr, ranks: wrong)
+        monkeypatch.setattr(report_mod, "build_lattice", lambda arr: wrong)
         rc, out, _ = run(capsys, ["verify", path("m5_one_triple")])
         assert rc == 1
         d = json.loads(out)

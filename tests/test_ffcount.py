@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrinv import report
-from arrinv.arrangement import (Arrangement, InvalidArrangement, parse_arrangement,
-                                subset_ranks)
+from arrinv.arrangement import Arrangement, InvalidArrangement, parse_arrangement
 from arrinv.ffcount import (basis_minors, count_complement_points, is_prime,
                             next_valid_prime, prime_preserves_lattice)
 from arrinv.fixtures import fixture, fixture_names
@@ -17,7 +16,7 @@ from arrinv.invariants import complement_count_prediction, poincare
 from arrinv.lattice import build_lattice
 from arrinv.report import Analysis
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
-from oracles import (brute_complement_count, line_complement_count,
+from oracles import (brute_complement_count, fraction_rank, line_complement_count,
                      prime_preserves_lattice_by_ranks, rank_mod_p)
 
 
@@ -102,7 +101,7 @@ def test_degenerate_reduction_count_value():
 def test_fixture_counts_match_lattice_prediction(name, p):
     a = fixture(name)
     lat = build_lattice(a)
-    assert prime_preserves_lattice(basis_minors(a, subset_ranks(a)), p)
+    assert prime_preserves_lattice(basis_minors(a), p)
     assert count_complement_points(a, p) == complement_count_prediction(poincare(lat), p)
 
 
@@ -115,7 +114,7 @@ def test_fixture_counts_match_at_101(name):
 
 def test_prime_validity_and_next_valid():
     a = parse_arrangement(1, [[1, 0], [1, 7]])
-    minors = basis_minors(a, subset_ranks(a))
+    minors = basis_minors(a)
     assert minors == (7,)
     assert not prime_preserves_lattice(minors, 7)
     assert prime_preserves_lattice(minors, 11)
@@ -126,11 +125,10 @@ def test_non_essential_prime_rejected_by_the_gcd_of_minors():
     # three lines through (0 : 0 : 1); the 3 x 3 determinant is 0, but the
     # pair {1, 2} has 2 x 2 minors (7, 0, 0): mod 7 lines 1 and 2 coincide
     a = parse_arrangement(2, [[1, 0, 0], [1, 7, 0], [0, 1, 0]])
-    ranks = subset_ranks(a)
-    minors = basis_minors(a, ranks)
+    minors = basis_minors(a)
     assert minors == (7, 1, 1)
     assert not prime_preserves_lattice(minors, 7)
-    assert not prime_preserves_lattice_by_ranks(a, ranks, 7)
+    assert not prime_preserves_lattice_by_ranks(a, 7)
     assert next_valid_prime(minors, 7) == 11
 
 
@@ -153,11 +151,15 @@ def rank_tables(draw):
 @given(rank_tables(), st.sampled_from([2, 3, 5, 7, 11, 13]))
 @settings(max_examples=300, deadline=None)
 def test_prime_check_matches_ranks_mod_p(a, p):
-    ranks = subset_ranks(a)
-    minors = basis_minors(a, ranks)
-    assert prime_preserves_lattice(minors, p) == prime_preserves_lattice_by_ranks(a, ranks, p)
+    minors = basis_minors(a)
+    # one gcd per basis, none zero: a zero gcd is divisible by every prime,
+    # so `next_valid_prime` would search forever
+    r = fraction_rank(a.forms)
+    assert 0 not in minors
+    assert len(minors) == sum(fraction_rank(rows) == r for rows in combinations(a.forms, r))
+    assert prime_preserves_lattice(minors, p) == prime_preserves_lattice_by_ranks(a, p)
     q = p
-    while not (is_prime(q) and prime_preserves_lattice_by_ranks(a, ranks, q)):
+    while not (is_prime(q) and prime_preserves_lattice_by_ranks(a, q)):
         q += 1
     assert next_valid_prime(minors, p) == q
 
@@ -195,12 +197,11 @@ def test_every_prime_a_report_counts_at_keeps_every_pair_apart(drawn):
 
     with patch.object(report, "count_complement_points", recording):
         checks = Analysis(a, primes, DEFAULT_MAX_SUBSETS, True).oracles_section()
-    ranks = subset_ranks(a)
     # entries that retry to one prime share its count
     assert len(counted_at) == len(set(counted_at)) <= len(primes)
     for q in counted_at:
         assert all(rank_mod_p(pair, q) == 2 for pair in combinations(a.forms, 2))
-        assert prime_preserves_lattice_by_ranks(a, ranks, q)
+        assert prime_preserves_lattice_by_ranks(a, q)
     counts = [c for c in checks if c["check"].startswith("finite_field_count_p")]
     assert all(c["status"] == "pass" for c in counts)
     if forced:   # x_0 and x_0 + p x_1 coincide mod p: the retry note path ran

@@ -8,6 +8,7 @@ import json
 import pathlib
 import random
 import sys
+from math import comb
 
 import pytest
 
@@ -30,7 +31,7 @@ ONCE_PER_REPORT = (
     ("invariants", "poincare"),
     ("invariants", "local_data"),
     ("invariants", "delta_invariant"),
-    ("arrangement", "subset_ranks"),
+    ("ffcount", "basis_minors"),
     ("lattice", "build_lattice"),
     ("lattice", "CrossingReport"),
 )
@@ -78,6 +79,17 @@ def test_essential_is_decided_once_per_lattice(monkeypatch):
     monkeypatch.setattr(IntersectionLattice, "essential", patched)
     build_report(fixture("generic6_off_conic"))
     assert len(decided) == len(set(decided)) == 1
+
+
+def test_each_basis_is_eliminated_once(monkeypatch):
+    # six lines in P^2: the walk cuts flats without eliminating, and the
+    # minors take one elimination for the rank and one per 3-set
+    calls = spy(monkeypatch, [("linalg", "bareiss")])
+    analysis = Analysis(fixture("generic6_off_conic"), DEFAULT_PRIMES,
+                        DEFAULT_MAX_SUBSETS, True)
+    analysis.lattice
+    analysis.basis_minors
+    assert len(calls["bareiss"]) == comb(6, 3) + 1 == 21
 
 
 @pytest.mark.parametrize("primes", [(7, 11, 101), (101, 13, 11, 7)])

@@ -1,12 +1,13 @@
-"""The sheaf layer takes the lattice alone, and the rank table has two readers.
+"""The sheaf layer takes the lattice alone, and no function takes a rank table.
 
 An `IntersectionLattice` carries its arrangement and a `SteinerTensor` its
 lattice, so a function taking two of `Arrangement`, `IntersectionLattice`
 and `SteinerTensor` lets a caller pass objects of different arrangements.
 No function in `src/` may annotate parameters with two of these types.
 
-The lattice decides dependence for everyone else, so only `build_lattice`
-and `basis_minors` take the rank table, as a `ranks` parameter.
+The lattice decides dependence for everyone else, and `build_lattice` and
+`basis_minors` read the forms themselves, so no function takes a table of
+ranks, as a `ranks` parameter.
 
 The Gale dual exists where m >= n + 3 and the Steiner sheaf does, and
 `steiner.gale_unavailable` is the one place that says so: no other function
@@ -113,9 +114,8 @@ def test_no_function_takes_a_tensor_beside_its_lattice_or_arrangement():
     assert _in_src(lambda tree: paired(tree, TENSOR_PAIRS)) == []
 
 
-def test_only_the_lattice_and_the_basis_minors_take_the_rank_table():
-    assert _in_src(lambda tree: taking(tree, "ranks")) == [
-        "ffcount:basis_minors", "lattice:build_lattice"]
+def test_no_function_takes_a_rank_table():
+    assert _in_src(lambda tree: taking(tree, "ranks")) == []
 
 
 def test_the_check_sees_every_spelling_of_a_pair():

@@ -1,12 +1,12 @@
 """Defining tensor, dual configuration, dependency bijection."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arrinv.arrangement import (InvalidArrangement, canonical_form, parse_arrangement,
-                                subset_ranks)
+from arrinv.arrangement import InvalidArrangement, canonical_form, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.linalg import bareiss, kernel_basis
@@ -134,8 +134,9 @@ def test_gale_dual_needs_essential():
 
 
 def _primal_dependent(a):
-    """The primal sets the Gale check reads: (n+1)-sets of the table of rank <= n."""
-    return tuple(s for s, r in subset_ranks(a).items() if len(s) == a.n + 1 and r <= a.n)
+    """The primal sets the Gale check reads: (n+1)-sets of rank <= n, in lexicographic order."""
+    return tuple(s for s in combinations(range(1, a.m + 1), a.n + 1)
+                 if fraction_rank([a.forms[i - 1] for i in s]) <= a.n)
 
 
 @pytest.mark.parametrize("name", TENSOR_FIXTURES)
