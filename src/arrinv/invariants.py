@@ -100,10 +100,8 @@ def chern(lattice: IntersectionLattice, pd: PoincareData) -> ChernData:
     logfree_twisted = tuple(accumulate(pd.projective, lambda q, c: c - q))
 
     n2_c1 = n2_c2 = None
-    if n == 2:
-        n2_c1 = m - 3
-        s_sum = sum(f.s - 1 for f in lattice.flats_of_rank(2))
-        n2_c2 = s_sum - 2 * m + 3
+    if n == 2:   # the t^2 coefficient of pd.projective is sum(s-1) over the points
+        n2_c1, n2_c2 = m - 3, pd.projective[2] - 2 * m + 3
 
     crossing = lattice.crossing.kind
     if n <= 2 or crossing is CrossingClass.GENERIC:
@@ -155,20 +153,16 @@ def delta_invariant(lattice: IntersectionLattice) -> int:
     return total
 
 
-def h0_values(lattice: IntersectionLattice) -> tuple[int, int]:
+def h0_values(lattice: IntersectionLattice, delta: int) -> tuple[int, int]:
     """Global sections (steiner log sheaf, log sheaf), untwisted, n = 2.
 
     steiner: m - 1, from 0 -> O(-1)^(m-3) -> O^(m-1) -> F -> 0 (h0(F(1)) is
-    2m).  log sheaf: m - 1 - sum(s-1) + C(m,2), that is m - 1 + delta.
+    2m).  log sheaf: m - 1 + delta, for `delta = delta_invariant(lattice)`.
     """
     if lattice.n != 2:
         raise ValueError("h0 formulas implemented for n = 2 only")
     require_steiner(lattice, "h0 formulas")
-    m = lattice.m
-    s_sum = sum(f.s - 1 for f in lattice.flats_of_rank(2))
-    h0_steiner = m - 1
-    h0_log = m - 1 - s_sum + comb(m, 2)
-    return h0_steiner, h0_log
+    return lattice.m - 1, lattice.m - 1 + delta
 
 
 def complement_count_prediction(pd: PoincareData, p: int) -> int:

@@ -195,7 +195,7 @@ class Analysis:
         } for loc in self.local_data]
         out = {"total": self.delta, "per_point": per_point}
         if self.unavailable is None:
-            h0_sheaf, h0_log = h0_values(self.lattice)
+            h0_sheaf, h0_log = h0_values(self.lattice, self.delta)
             out["h0_twisted_sheaf"] = h0_sheaf
             out["h0_twisted_log"] = h0_log
         return out

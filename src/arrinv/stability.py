@@ -5,8 +5,8 @@
 * a combinatorial flat test: a flat of rank r on s hyperplanes destabilizes
   when s is too large against the threshold (m-1)(r-1)/n + 1 (strict excess
   means unstable, equality rules out stability);
-* the n=2 discriminant test 4*sum(s-1) - (m-1)(m+3) < 0, which is
-  4c2 - c1^2 < 0 for the n=2 Chern numbers;
+* the n=2 discriminant test (m-1)(m-3) - 4*delta < 0, which is
+  4c2 - c1^2 < 0 for the n=2 Chern numbers by the pair-count identity;
 * the literature rules: generic arrangements are stable, and so are n=2
   arrangements with m >= 6 and delta = 1.
 
@@ -87,14 +87,13 @@ def combinatorial_destabilizer(lattice: IntersectionLattice) -> Witness | None:
     return equality
 
 
-def discriminant_test(lattice: IntersectionLattice) -> tuple[Fraction, Witness | None]:
-    """n=2 only: value 4*sum(s-1) - (m-1)(m+3); negative means unstable."""
+def discriminant_test(lattice: IntersectionLattice, delta: int) -> tuple[Fraction, Witness | None]:
+    """n=2 only: (m-1)(m-3) - 4*delta for `delta_invariant(lattice)`; negative means unstable."""
     if lattice.n != 2:
         raise ValueError("discriminant test is defined for n = 2 only")
     require_steiner(lattice, "discriminant test")
     m = lattice.m
-    s_sum = sum(f.s - 1 for f in lattice.flats_of_rank(2))
-    value = Fraction(4 * s_sum - (m - 1) * (m + 3))
+    value = Fraction((m - 1) * (m - 3) - 4 * delta)
     if value < 0:
         return value, Witness(WitnessKind.DISCRIMINANT, value, Fraction(0), True,
                               None, "negative discriminant forces a destabilizing subsheaf")
@@ -223,7 +222,7 @@ def classify(lattice: IntersectionLattice, delta: int | None,
             return StabilityVerdict(Status.UNSTABLE, tuple(witnesses), tuple(rules))
 
     if n == 2:
-        value, disc_wit = discriminant_test(lattice)
+        value, disc_wit = discriminant_test(lattice, delta)
         if disc_wit is not None:
             witnesses.append(disc_wit)
             rules.append(f"discriminant: {value} < 0")

@@ -21,8 +21,9 @@ be represented as an Arrangement). The tensor holds the intersection
 lattice it was built from. The check lists both families of dependent sets
 the same way, in lexicographic order: the primal (n+1)-sets are the ones
 `IntersectionLattice.independent` rejects, and the dual (m-n-1)-sets the
-ones whose dual points have a vanishing determinant, so the check sets the
-lattice against the kernel of the forms.
+ones whose dual points have a vanishing determinant, read as a minor of
+size at most n+1 of their echelon form, so the check sets the lattice
+against the kernel of the forms.
 """
 
 from fractions import Fraction
@@ -33,7 +34,7 @@ from typing import NamedTuple
 from .arrangement import Arrangement, InvalidArrangement, parse_arrangement
 from .invariants import require_steiner, steiner_unavailable
 from .lattice import IntersectionLattice
-from .linalg import Rows, det, kernel_basis
+from .linalg import Rows, det, kernel_basis, rref
 
 
 class GaleUndefined(ValueError):
@@ -125,29 +126,35 @@ class GaleBijectionReport(NamedTuple):
 def verify_gale_bijection(t: SteinerTensor) -> GaleBijectionReport:
     """Check that dual dependent sets are exactly complements of primal ones.
 
-    The primal sets are the (n+1)-sets that the tensor's lattice finds
+    The primal sets are the (n+1)-sets C that the tensor's lattice finds
     dependent (`IntersectionLattice.independent`), in lexicographic order.
-    Works on the raw dual configuration, so coincident dual points are fine.
+    The dual points (`dual_columns`) are put in reduced row echelon form R,
+    the identity on its pivot columns P, so the points off C, coincident or
+    not, are dependent exactly when R's minor on rows {j : P_j in C} and the
+    columns in neither C nor P, at most (n+1) x (n+1), vanishes. The check
+    fails unless the points annihilate the forms and have rank m-n-1.
     Raises GaleUndefined with the reason of `gale_unavailable`.
     """
     why = gale_unavailable(t.lattice)
     if why is not None:
         raise GaleUndefined(why)
     m, n = t.m, t.n
-    primal = tuple(s for s in combinations(range(1, m + 1), n + 1)
-                   if not t.lattice.independent(s))
-    cols = dual_columns(t)
-    actual = tuple(s for s in combinations(range(1, m + 1), m - n - 1)
-                   if det([cols[i - 1] for i in s]) == 0)
-    full = set(range(1, m + 1))
-    expected = tuple(sorted(tuple(sorted(full - set(s))) for s in primal))
-    actual_set, expected_set = set(actual), set(expected)
-    missing = tuple(s for s in expected if s not in actual_set)
-    extra = tuple(s for s in actual if s not in expected_set)
-    return GaleBijectionReport(
-        ok=not missing and not extra,
-        primal_dependent=primal,
-        actual_dual=actual,
-        missing=missing,
-        extra=extra,
-    )
+    u = tuple(zip(*dual_columns(t)))
+    reduced, pivots = rref(u)
+    full = len(pivots) == m - n - 1
+    kernel = full and all(sum(c * f[k] for c, f in zip(row, t.lattice.arrangement.forms)) == 0
+                          for row in u for k in range(n + 1))
+    by_pivot = {p + 1: row for p, row in zip(pivots, reduced)}
+    labels = range(1, m + 1)
+    others = [i for i in labels if i not in by_pivot]
+
+    def complements(sets):
+        return tuple(sorted(tuple(i for i in labels if i not in s) for s in sets))
+
+    primal = tuple(s for s in combinations(labels, n + 1) if not t.lattice.independent(s))
+    dual = [s for s in combinations(labels, n + 1)
+            if not full or det([[by_pivot[i][k - 1] for k in others if k not in s]
+                                for i in s if i in by_pivot]) == 0]
+    missing, extra = complements(set(primal) - set(dual)), complements(set(dual) - set(primal))
+    return GaleBijectionReport(kernel and not missing and not extra, primal,
+                               complements(dual), missing, extra)

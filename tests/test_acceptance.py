@@ -66,7 +66,7 @@ def test_criterion_01_braid_invariants(capsys):
         assert p.central == truncated_product([(1, 1), (1, 2), (1, 3)], 3)
         c = chern(lat, p)
         assert (c.n2_c1, c.n2_c2) == (3, 2)
-        disc, witness = discriminant_test(lat)
+        disc, witness = discriminant_test(lat, delta_invariant(lat))
         assert disc == Fraction(-1)
         assert witness is not None
         verdict = classify(lat, delta_invariant(lat))

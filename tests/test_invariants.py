@@ -1,5 +1,8 @@
 """Poincare and Chern data, local singularity numbers, delta invariant."""
 
+import random
+from math import comb
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from arrinv.lattice import build_lattice
 from arrinv.stability import StabilityVerdict, Status, classify, discriminant_test
 from arrinv.steiner import steiner_tensor
 from arrinv.torelli import torelli_verdict
-from oracles import fraction_rank, truncated_product
+from oracles import flats_by_closure, fraction_rank, truncated_product
 
 # projective coefficients, central coefficients, delta; all cross-validated
 # against the finite-field counts at p = 7, 11, 101 and the subset-sum
@@ -172,9 +175,9 @@ def test_no_sheaf_data_for_a_non_essential_arrangement():
     lat = build_lattice(parse_arrangement(2, CONCURRENT))
     assert steiner_unavailable(lat) == "arrangement is not essential"
     semistable = StabilityVerdict(Status.NOT_STABLE, (), ())
-    for call in (lambda: chern(lat, poincare(lat)), lambda: h0_values(lat),
+    for call in (lambda: chern(lat, poincare(lat)), lambda: h0_values(lat, delta_invariant(lat)),
                  lambda: classify(lat, delta_invariant(lat)),
-                 lambda: discriminant_test(lat),
+                 lambda: discriminant_test(lat, delta_invariant(lat)),
                  lambda: torelli_verdict(lat, semistable),
                  lambda: steiner_tensor(lat)):
         with pytest.raises(ValueError, match="arrangement is not essential"):
@@ -265,10 +268,64 @@ def test_local_data_rejects_wrong_dimension():
 @pytest.mark.parametrize("name", [n for n in fixture_names() if n != "boolean_n2"])
 def test_h0_gap_equals_delta(name):
     lat = build_lattice(fixture(name))
-    h0_steiner, h0_log = h0_values(lat)
+    h0_steiner, h0_log = h0_values(lat, delta_invariant(lat))
     assert h0_steiner == lat.m - 1
     assert h0_log - h0_steiner == delta_invariant(lat)
 
 
 def test_h0_values_a3():
-    assert h0_values(build_lattice(fixture("a3_braid"))) == (5, 9)
+    lat = build_lattice(fixture("a3_braid"))
+    assert h0_values(lat, delta_invariant(lat)) == (5, 9)
+
+
+def _lines_through_points(rng):
+    """Up to 5 random lines, plus 2..4 lines through each of 1..3 random points."""
+    def vec():
+        return [rng.randint(-3, 3) for _ in range(3)]
+
+    def through(p, q):      # the line through p and q, by the cross product
+        return [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+                p[0] * q[1] - p[1] * q[0]]
+
+    rows = [vec() for _ in range(rng.randint(0, 5))]
+    for _ in range(rng.randint(1, 3)):
+        point = vec()
+        rows += [through(point, vec()) for _ in range(rng.randint(2, 4))]
+    return Arrangement(2, tuple(dict.fromkeys(canonical_form(r) for r in rows if any(r))))
+
+
+def _seeded_line_lattices(count, seed=34):
+    """Lattices of `count` seeded line arrangements that have a Steiner sheaf."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        a = _lines_through_points(rng)
+        if a.m and steiner_unavailable(lat := build_lattice(a)) is None:
+            out.append(lat)
+    return out
+
+
+def test_closed_forms_match_the_points_of_the_closure_oracle():
+    """c2, h0 and the discriminant, read off delta and the Poincare
+    polynomial, equal their sums over the points, taken from the rank-2
+    flats of `oracles.flats_by_closure`."""
+    inputs = ([build_lattice(fixture(name)) for name in fixture_names()]
+              + _seeded_line_lattices(200))
+    checked = with_concurrences = 0
+    for lat in inputs:
+        a = lat.arrangement
+        m, delta = a.m, delta_invariant(lat)
+        if steiner_unavailable(lat) is not None:
+            for call in (lambda: chern(lat, poincare(lat)), lambda: h0_values(lat, delta),
+                         lambda: discriminant_test(lat, delta)):
+                with pytest.raises(ValueError):
+                    call()
+            continue
+        points = [labels for labels, rank in flats_by_closure(a) if rank == 2]
+        s_sum = sum(len(labels) - 1 for labels in points)
+        assert chern(lat, poincare(lat)).n2_c2 == s_sum - 2 * m + 3
+        assert h0_values(lat, delta) == (m - 1, m - 1 - s_sum + comb(m, 2))
+        assert discriminant_test(lat, delta)[0] == 4 * s_sum - (m - 1) * (m + 3)
+        checked += 1
+        with_concurrences += any(len(labels) > 2 for labels in points)
+    assert checked == len(inputs) - 1     # boolean_n2 has no Steiner sheaf
+    assert with_concurrences >= 150

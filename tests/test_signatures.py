@@ -13,6 +13,11 @@ The Gale dual exists where m >= n + 3 and the Steiner sheaf does, and
 `steiner.gale_unavailable` is the one place that says so: no other function
 compares against an expression `... + 3`.
 
+The sheaf numbers of a line arrangement read delta or the Poincare
+polynomial, so only the per-point data, the delta invariant and the
+oracles' pair-count recheck read the points: no other function refers to
+`flats_of_rank`.
+
 A matrix is a sequence of rows. `linalg.QMatrix`, rows beside a column
 count, serves only the GIT test in `stability`, so no other module names it.
 
@@ -87,6 +92,28 @@ def names(tree: ast.Module) -> set[str]:
     return out
 
 
+def referring(tree: ast.Module, name: str) -> list[str]:
+    """Qualified names of the scopes of `tree` that read a name or attribute `name`.
+
+    A method is "Class.method", a nested function "outer.inner", and code
+    outside every function and class "<module>".
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.Name) and child.id == name):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return list(dict.fromkeys(found))
+
+
 def _plus_three(node: ast.AST) -> bool:
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
             and any(isinstance(side, ast.Constant) and side.value == 3
@@ -135,6 +162,27 @@ def tensor_alone(t: SteinerTensor, ranks: dict[tuple[int, ...], int]): ...
     assert paired(tree, TENSOR_PAIRS) == ["tensor_and_lattice",
                                           "tensor_and_arrangement"]
     assert taking(tree, "ranks") == ["tensor_alone"]
+
+
+def test_only_the_point_data_delta_and_pair_count_oracle_read_the_points():
+    assert _in_src(lambda tree: referring(tree, "flats_of_rank")) == [
+        "invariants:local_data", "invariants:delta_invariant",
+        "report:Analysis.oracles_section"]
+
+
+def test_the_check_sees_every_reference_to_a_name():
+    source = """
+def call(lat): return sum(f.s for f in lat.flats_of_rank(2))
+class Holder:
+    def bound(self): points = self.lattice.flats_of_rank
+    def outer(self):
+        def inner(): return flats_of_rank(2)
+def flats_of_rank(r): ...
+def other(lat): return lat.flats
+x = lat.flats_of_rank(1)
+"""
+    assert referring(ast.parse(source), "flats_of_rank") == [
+        "call", "Holder.bound", "Holder.outer.inner", "<module>"]
 
 
 def test_only_the_gale_rule_compares_against_n_plus_3():

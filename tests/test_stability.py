@@ -81,24 +81,29 @@ def test_combinatorial_destabilizer_values():
 
 
 def test_discriminant_values():
-    value, witness = discriminant_test(build_lattice(fixture("a3_braid")))
+    lat = build_lattice(fixture("a3_braid"))
+    value, witness = discriminant_test(lat, delta_invariant(lat))
     assert value == -1 and witness is not None
-    value, witness = discriminant_test(build_lattice(fixture("generic6_off_conic")))
+    lat = build_lattice(fixture("generic6_off_conic"))
+    value, witness = discriminant_test(lat, delta_invariant(lat))
     assert value == 15 and witness is None
-    value, witness = discriminant_test(build_lattice(fixture("m5_two_triples")))
+    lat = build_lattice(fixture("m5_two_triples"))
+    value, witness = discriminant_test(lat, delta_invariant(lat))
     assert value == 0 and witness is None
 
 
 def _check_discriminant_identity(lat):
-    """The discriminant is (m-1)(m-3) - 4 delta, by the pair-count identity.
+    """The discriminant 4 sum(s-1) - (m-1)(m+3) is (m-1)(m-3) - 4 delta.
 
-    So it is >= 0 exactly when delta meets the quarter bound (m-1)(m-3)/4,
-    and every STABLE or NOT_STABLE verdict on P^2 passes the discriminant
-    first: the `delta_bound` oracle's quarter check cannot fail.
+    That is the pair-count identity. So the discriminant is >= 0 exactly
+    when delta meets the quarter bound (m-1)(m-3)/4, and every STABLE or
+    NOT_STABLE verdict on P^2 passes the discriminant first: the
+    `delta_bound` oracle's quarter check cannot fail.
     """
     m, delta = lat.m, delta_invariant(lat)
-    value, _ = discriminant_test(lat)
-    assert value == (m - 1) * (m - 3) - 4 * delta
+    value, _ = discriminant_test(lat, delta)
+    s_sum = sum(f.s - 1 for f in lat.flats_of_rank(2))
+    assert value == 4 * s_sum - (m - 1) * (m + 3) == (m - 1) * (m - 3) - 4 * delta
     verdict = classify(lat, delta)
     if verdict.status in (Status.STABLE, Status.NOT_STABLE):
         assert delta_bound_check(m, delta, verdict)["quarter_holds"]

@@ -1,15 +1,17 @@
 """Defining tensor, dual configuration, dependency bijection."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import arrinv.steiner as steiner_mod
 from arrinv.arrangement import InvalidArrangement, canonical_form, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
-from arrinv.linalg import bareiss, kernel_basis
+from arrinv.linalg import bareiss, det, kernel_basis
 from arrinv.report import DEFAULT_PRIMES, Analysis, build_report
 from arrinv.steiner import (GaleUndefined, dual_columns, gale_dual, gale_unavailable,
                             steiner_tensor, verify_gale_bijection)
@@ -207,3 +209,34 @@ def test_double_dual_preserves_dependencies():
             == verify_gale_bijection(steiner_tensor(build_lattice(a))).primal_dependent)
 
 
+
+
+def test_the_gale_check_takes_only_small_minors(monkeypatch):
+    """Each dual set's determinant is a minor of size at most n+1, not m-n-1."""
+    rng, rows = random.Random(2), {}
+    while len(rows) < 12:
+        row = [rng.randint(-2, 2) for _ in range(3)]
+        if any(row):
+            rows.setdefault(canonical_form(row), row)
+    t = steiner_tensor(build_lattice(parse_arrangement(2, list(rows.values()))))
+    sizes = []
+
+    def spy(matrix):
+        sizes.append(len(matrix))
+        return det(matrix)
+
+    monkeypatch.setattr(steiner_mod, "det", spy)
+    rep = verify_gale_bijection(t)
+    assert rep.ok and len(rep.actual_dual) == 22
+    assert len(sizes) == 220 and max(sizes) <= 3
+
+
+def test_a_relation_basis_that_is_not_a_kernel_fails_the_check():
+    # generic6 has no dependent sets on either side, so only the kernel
+    # check can see that the first relation no longer annihilates the forms
+    t = steiner_tensor(build_lattice(fixture("generic6_off_conic")))
+    first = (-t.u_basis[0][0],) + t.u_basis[0][1:]
+    t.u_basis = (first,) + t.u_basis[1:]
+    rep = verify_gale_bijection(t)
+    assert rep.actual_dual == rep.missing == rep.extra == ()
+    assert not rep.ok
