@@ -8,15 +8,15 @@ closes each fiber in O(m); it is exact at every prime, forms that coincide
 mod p included. One rule says when it must equal the prediction: a prime
 is accepted when it divides no basis gcd (`basis_minors`). Then every set
 of forms keeps its rank mod p, so the reduction mod p keeps the lattice
-over Q. The gcds come from the forms alone, one elimination over Z per
-minor, never from a lattice; no rank is ever taken mod p.
+over Q. The gcds come from the forms alone, one echelon form and one
+determinant over Z per basis, never from a lattice or a rank mod p.
 """
 
 from itertools import combinations, product
-from math import gcd
+from math import lcm
 
 from .arrangement import Arrangement
-from .linalg import bareiss
+from .linalg import bareiss, det, rref
 
 
 def is_prime(p: int) -> bool:
@@ -75,20 +75,20 @@ def basis_minors(a: Arrangement) -> tuple[int, ...]:
     """g_B for every basis B of the forms, label sets in lexicographic order.
 
     A basis is a label set B with |B| = rank(B) = r, the rank of all the
-    forms, and g_B is the gcd of the r x r minors of B's forms, zero exactly
-    when B is dependent. The minors come from the integer forms, never from
-    a lattice. For an essential arrangement r = n + 1 and g_B is |det B|.
+    forms, and g_B is the gcd of the r x r minors of B's forms. Each form is
+    its pivot entries times R, the r nonzero rows of the forms' RREF, so by
+    Cauchy-Binet each minor of B is det B_P (P the pivot columns) times the
+    same minor of R. Those of R generate (1/L)Z, L their common denominator,
+    so g_B = |det B_P| / L, zero exactly when B is dependent; for an
+    essential arrangement L = 1 and g_B = |det B|.
     """
-    r = bareiss(a.forms)[0]
-    column_sets = list(combinations(range(a.n + 1), r))
-    out = []
-    for rows in combinations(a.forms, r):
-        minors = (bareiss([[row[c] for c in cols] for row in rows])[1]
-                  for cols in column_sets)
-        g = gcd(*map(int, minors))
-        if g:
-            out.append(g)
-    return tuple(out)
+    reduced, pivots = rref(a.forms)
+    r = len(pivots)
+    denominator = lcm(*(det([[row[c] for c in cols] for row in reduced[:r]]).denominator
+                        for cols in combinations(range(a.n + 1), r) if cols != pivots))
+    dets = (bareiss([[row[c] for c in pivots] for row in rows])[1]
+            for rows in combinations(a.forms, r))
+    return tuple(abs(d.numerator) // denominator for d in dets if d)
 
 
 def prime_preserves_lattice(minors: tuple[int, ...], p: int) -> bool:

@@ -68,11 +68,16 @@ class Analysis:
 
     The quantities are `cached_property`s filled on first use, so a command
     computes only what the sections it prints need. An Analysis is built per
-    call and holds nothing beyond it.
+    call and holds nothing beyond it. The arguments of `torelli_verdict` and
+    `classify` are checked here, so they are refused where neither runs.
     """
 
     def __init__(self, a: Arrangement, primes: tuple[int, ...], max_subsets: int,
                  literature_rules: bool):
+        if type(max_subsets) is not int or max_subsets < 0:
+            raise ValueError(f"max_subsets must be an int >= 0, got {max_subsets!r}")
+        if not isinstance(literature_rules, bool):
+            raise ValueError(f"literature_rules must be a bool, got {literature_rules!r}")
         self.a = a
         self.primes = primes
         self.max_subsets = max_subsets

@@ -9,7 +9,9 @@ poset, the point counter loops over the whole affine space instead of
 walking fibers (for lines a second counter, fast at any prime, sums
 inclusion-exclusion over the distinct lines mod p and their meeting
 points), a prime is judged by ranking every set of at most n+1 forms
-over Q and mod p instead of by divisibility of basis minors, a closure is
+over Q and mod p instead of by divisibility of basis minors, each basis
+gcd is the gcd of its minors on every set of r columns instead of one
+determinant over the pivot columns of an echelon form, a closure is
 read off an echelon form of its label set instead of off a walk that cuts
 flats by forms, polynomial products are multiplied out term by term
 instead of read off closed binomials, and Torelli rule 1 is an exhaustive
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from arrinv.arrangement import Arrangement
 from arrinv.lattice import Flat, build_lattice
@@ -102,6 +105,21 @@ def prime_preserves_lattice_by_ranks(a: Arrangement, p: int) -> bool:
     return all(rank_mod_p(rows, p) == fraction_rank(rows)
                for size in range(1, min(a.n + 1, a.m) + 1)
                for rows in combinations(a.forms, size))
+
+
+def basis_gcds_by_minors(a: Arrangement) -> tuple[int, ...]:
+    """g_B for every basis B, label sets in lexicographic order, by definition.
+
+    r is the rank of all the forms, and g_B the gcd of the r x r minors of
+    B's forms over every set of r columns; the zero ones, of dependent
+    sets, are dropped. `ffcount.basis_minors` must return the same tuple.
+    """
+    r = fraction_rank(a.forms)
+    column_sets = list(combinations(range(a.n + 1), r))
+    gcds = (gcd(*(int(fraction_det([[row[c] for c in cols] for row in rows]))
+                  for cols in column_sets))
+            for rows in combinations(a.forms, r))
+    return tuple(g for g in gcds if g)
 
 
 def slice_at_point(t: SteinerTensor, point) -> tuple[tuple[Fraction, ...], ...]:

@@ -22,7 +22,7 @@ from arrinv.lattice import build_lattice
 from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
 from arrinv.stability import Status, StabilityVerdict
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
-from test_report import sweep_input
+from test_report import PLANES_OF_RANK_3, sweep_input
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -85,6 +85,32 @@ TENSOR_DIGESTS = {
 }
 
 
+# SHA-256 of the stdout of `arrinv analyze --prime 2 --prime 3 --prime 5` on
+# arrangements that are not essential, pinning the primes counted at, the
+# retry notes and the counts: 2 and 3 divide a basis gcd of each, and on the
+# ten planes through a line 5 and 7 do too, so those retry with 11.
+NON_ESSENTIAL_DIGESTS = {
+    "six_concurrent_lines": (
+        CONCURRENT6,
+        "c2efea496b971a1507f5eada09c46f09ee001f06a037022e491e9a8dde8069cc"),
+    "ten_planes_through_a_line": (
+        {"n": 3, "hyperplanes": [[1, -5, 2, 1], [0, 3, -1, -1], [1, 4, -1, -2],
+                                 [1, -8, 3, 2], [1, -2, 1, 0], [3, -3, 2, -1],
+                                 [1, 7, -2, -3], [2, -1, 1, -1], [1, 1, 0, -1],
+                                 [5, -4, 3, -2]]},
+        "1dd078443be655e02e58d117563dd52702a879cff0c3544284710ffa43559f57"),
+    "twelve_planes_through_a_point": (
+        {"n": 3, "hyperplanes": [[2, -1, -1, 0], [1, -1, 0, 0], [3, -1, 0, -1],
+                                 [4, -1, -1, -1], [1, 0, -1, 0], [3, 0, -1, -1],
+                                 [2, 0, 0, -1], [0, 1, -1, 0], [1, 0, 1, -1],
+                                 [1, 1, 0, -1], [2, 1, -1, -1], [0, 1, 1, -1]]},
+        "4629721fec41b8d7180a6645624bc6d500ea29f7b70512c6eb6d410ed984be78"),
+    "planes_of_rank_3": (
+        PLANES_OF_RANK_3.to_json_dict(),
+        "cffb69063f5dd596596bcae76fbef3ebcf7c3933e264d706fb6b5592c3e0f98a"),
+}
+
+
 def run(capsys, args):
     rc = main(args)
     captured = capsys.readouterr()
@@ -101,6 +127,17 @@ class TestAnalyze:
         rc2, out2, _ = run(capsys, ["analyze", path("a3_braid")])
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("name", list(NON_ESSENTIAL_DIGESTS))
+    def test_non_essential_output_matches_the_pinned_digest(self, capsys, tmp_path,
+                                                            name):
+        arrangement, digest = NON_ESSENTIAL_DIGESTS[name]
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(arrangement))
+        rc, out, err = run(capsys, ["analyze", str(f), "--prime", "2", "--prime", "3",
+                                    "--prime", "5"])
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_json_sections_present(self, capsys):
         rc, out, _ = run(capsys, ["analyze", path("m6_one_triple")])

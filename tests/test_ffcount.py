@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrinv import report
-from arrinv.arrangement import Arrangement, InvalidArrangement, parse_arrangement
+from arrinv.arrangement import (Arrangement, InvalidArrangement, canonical_form,
+                                parse_arrangement)
 from arrinv.ffcount import (basis_minors, count_complement_points, is_prime,
                             next_valid_prime, prime_preserves_lattice)
 from arrinv.fixtures import fixture, fixture_names
@@ -16,8 +17,9 @@ from arrinv.invariants import complement_count_prediction, poincare
 from arrinv.lattice import build_lattice
 from arrinv.report import Analysis
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
-from oracles import (brute_complement_count, fraction_rank, line_complement_count,
-                     prime_preserves_lattice_by_ranks, rank_mod_p)
+from oracles import (basis_gcds_by_minors, brute_complement_count, fraction_rank,
+                     line_complement_count, prime_preserves_lattice_by_ranks,
+                     rank_mod_p)
 
 
 def test_is_prime():
@@ -162,6 +164,35 @@ def test_prime_check_matches_ranks_mod_p(a, p):
     while not (is_prime(q) and prime_preserves_lattice_by_ranks(a, q)):
         q += 1
     assert next_valid_prime(minors, p) == q
+
+
+@st.composite
+def spanned_arrangements(draw):
+    """At least r forms, integer combinations of r drawn rows, n = 1..5 and
+    r = 1..n+1, so every rank occurs and the forms of rank r < n + 1 pass
+    through a common point. About one draw in five has 30-digit
+    coefficients, and one in four has rows ending in n + 1 - r zeros."""
+    n = draw(st.sampled_from(range(1, 6)))
+    r = draw(st.sampled_from(range(1, n + 2)))
+    scale = draw(st.sampled_from([1, 1, 1, 1, 10 ** 29]))
+    zeros = draw(st.sampled_from([0, 0, 0, n + 1 - r]))
+    entry = st.integers(-99, 99).map(lambda x: x // 10 * scale + x % 10)
+    row = st.lists(entry, min_size=n + 1 - zeros, max_size=n + 1 - zeros)
+    spanning = [v + [0] * zeros for v in draw(st.lists(row, min_size=r, max_size=r))]
+    weights = st.lists(st.integers(-3, 3), min_size=r, max_size=r)
+    rows = [[sum(w * v[k] for w, v in zip(ws, spanning)) for k in range(n + 1)]
+            for ws in draw(st.lists(weights, min_size=r, max_size=8))]
+    forms = tuple({canonical_form(f): None for f in rows if any(f)})
+    assume(forms)
+    return Arrangement(n, forms)
+
+
+@given(spanned_arrangements())
+@settings(max_examples=1000, deadline=None)
+def test_basis_minors_match_the_gcds_of_all_minors(a):
+    # one determinant per basis on the pivot columns of the forms' RREF
+    # against the gcd of the minors on every set of r columns
+    assert basis_minors(a) == basis_gcds_by_minors(a)
 
 
 @st.composite

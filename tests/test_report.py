@@ -81,15 +81,34 @@ def test_essential_is_decided_once_per_lattice(monkeypatch):
     assert len(decided) == len(set(decided)) == 1
 
 
-def test_each_basis_is_eliminated_once(monkeypatch):
-    # six lines in P^2: the walk cuts flats without eliminating, and the
-    # minors take one elimination for the rank and one per 3-set
-    calls = spy(monkeypatch, [("linalg", "bareiss")])
-    analysis = Analysis(fixture("generic6_off_conic"), DEFAULT_PRIMES,
-                        DEFAULT_MAX_SUBSETS, True)
+# ten planes in P^4 whose last two coefficients are 0: not essential, the
+# forms have rank 3
+PLANES_OF_RANK_3 = parse_arrangement(4, [
+    [0, 1, 0, 0, 0], [1, -1, -1, 0, 0], [1, 0, 0, 0, 0], [0, 1, -1, 0, 0],
+    [1, 0, 1, 0, 0], [1, -1, 0, 0, 0], [0, 1, 1, 0, 0], [1, 0, -1, 0, 0],
+    [1, 1, -1, 0, 0], [1, 1, 1, 0, 0]])
+
+
+def eliminations(monkeypatch, a) -> int:
+    """`bareiss` and `rref` calls made by the lattice and the basis gcds."""
+    calls = spy(monkeypatch, [("linalg", "bareiss"), ("linalg", "rref")])
+    analysis = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS, True)
     analysis.lattice
     analysis.basis_minors
-    assert len(calls["bareiss"]) == comb(6, 3) + 1 == 21
+    return len(calls["bareiss"]) + len(calls["rref"])
+
+
+def test_each_basis_is_eliminated_once(monkeypatch):
+    # six lines in P^2: the walk cuts flats without eliminating, and the
+    # minors take one RREF of the forms and one determinant per 3-set
+    assert eliminations(monkeypatch, fixture("generic6_off_conic")) == 1 + comb(6, 3) == 21
+
+
+def test_each_basis_is_eliminated_once_when_not_essential(monkeypatch):
+    # rank 3 in P^4: one RREF, one determinant of it per set of 3 columns
+    # other than its pivots, and one determinant per 3-set of forms
+    assert (eliminations(monkeypatch, PLANES_OF_RANK_3)
+            == 1 + (comb(5, 3) - 1) + comb(10, 3) == 130)
 
 
 @pytest.mark.parametrize("primes", [(7, 11, 101), (101, 13, 11, 7)])
@@ -121,6 +140,21 @@ def test_a_lattice_breaking_the_pair_count_stops_the_report():
     analysis.lattice = IntersectionLattice(a, *map(tuple, zip(*kept)))
     with pytest.raises(AssertionError, match="pair-count identity"):
         analysis.report()
+
+
+@pytest.mark.parametrize("a", [
+    parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0]]),
+    fixture("boolean_n2"),
+], ids=["four_concurrent_lines", "boolean_n2"])
+@pytest.mark.parametrize("keyword, value, message", [
+    ("max_subsets", -1, "^max_subsets must be an int >= 0, got -1$"),
+    ("literature_rules", "yes", "^literature_rules must be a bool, got 'yes'$"),
+], ids=["max_subsets", "literature_rules"])
+def test_arguments_are_checked_without_a_steiner_sheaf(a, keyword, value, message):
+    # neither arrangement has a Steiner sheaf, so neither `torelli_verdict`
+    # nor `classify` runs to check the argument
+    with pytest.raises(ValueError, match=message):
+        build_report(a, **{keyword: value})
 
 
 @pytest.mark.parametrize("name", ["generic5", "generic6_on_conic"])
