@@ -5,8 +5,9 @@ and print JSON by default (--pretty switches the full report to a table
 rendering). Each command reads the sections it prints from one
 `report.Analysis` of the input, so it prints exactly what `analyze` prints
 there. Exit codes: 0 success, 1 when `verify` finds a failing check, 2
-invalid input, and 3 an internal error (a broken internal identity or any
-other fault of the program).
+invalid input or a flag value `Analysis` refuses (printed as `error: ` and
+the library rule's message), and 3 an internal error (a broken internal
+identity or any other fault of the program).
 """
 
 import argparse
@@ -14,7 +15,6 @@ import json
 import sys
 
 from .arrangement import Arrangement, InvalidArrangement, parse_arrangement_json
-from .ffcount import is_prime
 from .fixtures import fixture, fixture_names, fixture_note
 from .report import DEFAULT_PRIMES, Analysis, jsonable, render_pretty
 from .stability import Status
@@ -43,8 +43,13 @@ def _load(path: str) -> Arrangement:
 
 
 def _analysis(args) -> Analysis:
-    return Analysis(_load(args.path), tuple(args.primes or DEFAULT_PRIMES),
-                    args.max_subsets, not args.no_literature_rules)
+    a = _load(args.path)
+    try:
+        # building an Analysis checks its arguments and does no other work
+        return Analysis(a, tuple(args.primes or DEFAULT_PRIMES), args.max_subsets,
+                        not args.no_literature_rules)
+    except ValueError as exc:
+        raise InvalidArrangement(str(exc)) from exc
 
 
 def cmd_analyze(args) -> int:
@@ -153,40 +158,16 @@ def cmd_examples(args) -> int:
     return _print(out)
 
 
-def _int_where(ok, what: str):
-    """argparse type: an integer accepted by `ok`, else a usage error (exit 2)."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-        return value
-    return parse
-
-
-class _AppendOnce(argparse.Action):
-    """Append the value to a list, a usage error (exit 2) if it is there."""
-    def __call__(self, parser, namespace, value, option_string=None):
-        seen = getattr(namespace, self.dest) or []
-        if value in seen:
-            raise argparse.ArgumentError(self, f"{value} is given twice")
-        setattr(namespace, self.dest, seen + [value])
-
-
 # each option by name: (flag, add_argument keywords); a command gets only
 # the options it reads, so any other flag is a usage error
 OPTIONS = {
     "pretty": ("--pretty", dict(action="store_true",
                                 help="human-readable rendering instead of JSON")),
-    "prime": ("--prime", dict(dest="primes", action=_AppendOnce, metavar="P",
-                              type=_int_where(is_prime, "a prime"),
+    "prime": ("--prime", dict(dest="primes", action="append", metavar="P", type=int,
                               help="oracle prime, repeatable "
                               f"(default {list(DEFAULT_PRIMES)})")),
     "max-subsets": ("--max-subsets", dict(
-        default=DEFAULT_MAX_SUBSETS, metavar="N",
-        type=_int_where(lambda v: v >= 0, "an integer >= 0"),
+        default=DEFAULT_MAX_SUBSETS, metavar="N", type=int,
         help="cap (>= 0) on subsets examined by the recoverability search, "
         "non-generic ones included")),
     "literature": ("--no-literature-rules", dict(

@@ -34,15 +34,23 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_prime(p) -> None:
+    """Raise ValueError unless p is a prime int (a bool is not an int here)."""
+    if type(p) is not int:
+        raise ValueError(f"prime must be an int, got {p!r}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def count_complement_points(a: Arrangement, p: int) -> int:
     """Points of F_p^(n+1) on none of the hyperplanes, exact at every prime.
 
     Instead of visiting all p^(n+1) points it walks the p^n fibers over the
     last coordinate and, within a fiber, counts the union of the single
-    roots each form contributes.
+    roots each form contributes. A p refused by `check_prime` raises
+    ValueError.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     m, d = a.m, a.n + 1
     inv = [0] * p  # inverse table; inv[0] unused
     for x in range(1, p):

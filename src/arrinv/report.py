@@ -29,7 +29,7 @@ from functools import cached_property
 from math import comb
 
 from .arrangement import Arrangement
-from .ffcount import basis_minors, count_complement_points, is_prime, next_valid_prime
+from .ffcount import basis_minors, check_prime, count_complement_points, next_valid_prime
 from .invariants import (ChernData, LocalPointData, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
                          local_data, poincare, steiner_unavailable,
@@ -38,8 +38,9 @@ from .lattice import IntersectionLattice, build_lattice
 from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
                       dual_columns, gale_dual, gale_unavailable,
                       steiner_tensor, verify_gale_bijection)
-from .stability import StabilityVerdict, Status, classify
-from .torelli import DEFAULT_MAX_SUBSETS, TorelliVerdict, torelli_verdict
+from .stability import StabilityVerdict, Status, check_literature_rules, classify
+from .torelli import (DEFAULT_MAX_SUBSETS, TorelliVerdict, check_max_subsets,
+                      torelli_verdict)
 
 DEFAULT_PRIMES = (7, 11, 101)
 SECTIONS = ("arrangement", "lattice", "poincare", "chern", "delta", "stability",
@@ -68,16 +69,23 @@ class Analysis:
 
     The quantities are `cached_property`s filled on first use, so a command
     computes only what the sections it prints need. An Analysis is built per
-    call and holds nothing beyond it. The arguments of `torelli_verdict` and
-    `classify` are checked here, so they are refused where neither runs.
+    call and holds nothing beyond it. Building one checks every argument
+    before any work, with the checker beside the code that reads it:
+    `check_max_subsets`, `check_literature_rules` and `check_prime` for each
+    prime. The prime list must also be nonempty and repeat no prime. A
+    refused argument raises ValueError, also where its reader never runs.
     """
 
     def __init__(self, a: Arrangement, primes: tuple[int, ...], max_subsets: int,
                  literature_rules: bool):
-        if type(max_subsets) is not int or max_subsets < 0:
-            raise ValueError(f"max_subsets must be an int >= 0, got {max_subsets!r}")
-        if not isinstance(literature_rules, bool):
-            raise ValueError(f"literature_rules must be a bool, got {literature_rules!r}")
+        check_max_subsets(max_subsets)
+        check_literature_rules(literature_rules)
+        if not primes:
+            raise ValueError("at least one oracle prime is needed")
+        for i, p in enumerate(primes):
+            check_prime(p)
+            if p in primes[:i]:
+                raise ValueError(f"prime {p} is repeated")
         self.a = a
         self.primes = primes
         self.max_subsets = max_subsets
@@ -259,7 +267,7 @@ class Analysis:
         out = {
             "defined": True,
             "dual_n": a.m - a.n - 2,
-            "dual_points": [list(c) for c in dual_columns(self.tensor)],
+            "dual_points": jsonable(dual_columns(self.tensor)),
             "dependent_sets_primal": [list(s) for s in rep.primal_dependent],
             "dependent_sets_dual": [list(s) for s in rep.actual_dual],
             "complement_bijection": rep.ok,
@@ -274,20 +282,10 @@ class Analysis:
     def oracles_section(self) -> list[dict]:
         """The verification suite: named exact checks, each pass/fail/skip.
 
-        An empty prime list, or a prime that is not an int (a bool included),
-        not prime or repeated, raises ValueError before any count runs. Each p
-        is counted at q = next_valid_prime(minors, p); walked upward, a p at or
+        The primes were checked when the Analysis was built. Each p is
+        counted at q = next_valid_prime(minors, p); walked upward, a p at or
         below the last q shares it, so no prime is checked or counted twice.
         """
-        if not self.primes:
-            raise ValueError("at least one oracle prime is needed")
-        for i, p in enumerate(self.primes):
-            if type(p) is not int:
-                raise ValueError(f"prime must be an int, got {p!r}")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if p in self.primes[:i]:
-                raise ValueError(f"prime {p} is repeated")
         a, lattice = self.a, self.lattice
         checks: list[dict] = []
 

@@ -194,6 +194,12 @@ def free_splitting_stability(exponents: list[int]) -> StabilityVerdict:
                             ("splitting: equal exponents, semi-stable but not stable",))
 
 
+def check_literature_rules(literature_rules) -> None:
+    """Raise ValueError unless `literature_rules` is a bool."""
+    if not isinstance(literature_rules, bool):
+        raise ValueError(f"literature_rules must be a bool, got {literature_rules!r}")
+
+
 def classify(lattice: IntersectionLattice, delta: int | None,
              literature_rules: bool = True) -> StabilityVerdict:
     """Combine the implemented tests into one verdict on the lattice's sheaf.
@@ -203,11 +209,10 @@ def classify(lattice: IntersectionLattice, delta: int | None,
     arrangements; n=2 single-triple-point arrangements with m >= 6), else
     Undetermined. `delta` is `delta_invariant(lattice)` for n = 2, else
     None. Raises ValueError where there is no Steiner sheaf
-    (`invariants.steiner_unavailable`), or when `literature_rules` is not a
-    bool.
+    (`invariants.steiner_unavailable`), or when `check_literature_rules`
+    refuses `literature_rules`.
     """
-    if not isinstance(literature_rules, bool):
-        raise ValueError(f"literature_rules must be a bool, got {literature_rules!r}")
+    check_literature_rules(literature_rules)
     require_steiner(lattice, "stability analysis")
     m, n = lattice.m, lattice.n
     witnesses: list[Witness] = []

@@ -198,6 +198,12 @@ class TorelliVerdict(NamedTuple):
 DEFAULT_MAX_SUBSETS = 20000
 
 
+def check_max_subsets(max_subsets) -> None:
+    """Raise ValueError unless the rule-1 cap is an int >= 0 (a bool is not)."""
+    if type(max_subsets) is not int or max_subsets < 0:
+        raise ValueError(f"max_subsets must be an int >= 0, got {max_subsets!r}")
+
+
 def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
                     max_subsets: int = DEFAULT_MAX_SUBSETS) -> TorelliVerdict:
     """Five-rule cascade deciding what is known about recoverability.
@@ -217,8 +223,8 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
     counts toward `max_subsets`, non-generic ones included. When no witness
     turns up, `subset_cap_exceeded` is set exactly when C(m, n+4), the count
     a scan must visit to find nothing, exceeds `max_subsets`. The later
-    rules then run. A `max_subsets` that is not an int >= 0 (a bool
-    included) raises ValueError.
+    rules then run. A `max_subsets` refused by `check_max_subsets` raises
+    ValueError.
     The scan is skipped when all m dual points lie on one curve of the
     family: for n = 2 on a conic (kernel dimension >= 1 by `conic_test`;
     the conic passes through every subset's points and is smooth on a
@@ -239,8 +245,7 @@ def torelli_verdict(lattice: IntersectionLattice, stability: StabilityVerdict,
     ValueError where there is no Steiner sheaf
     (`invariants.steiner_unavailable`).
     """
-    if type(max_subsets) is not int or max_subsets < 0:
-        raise ValueError(f"max_subsets must be an int >= 0, got {max_subsets!r}")
+    check_max_subsets(max_subsets)
     require_steiner(lattice, "Torelli analysis")
     a = lattice.arrangement
     n, m = a.n, a.m

@@ -16,6 +16,7 @@ import pytest
 
 import arrinv.report as report_mod
 import arrinv.steiner as steiner_mod
+from arrinv.arrangement import parse_arrangement_json
 from arrinv.cli import OPTIONS, build_parser, main
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
@@ -664,28 +665,45 @@ class TestFlags:
         assert d["subset_cap_exceeded"] is True
         assert d["status"] == "torelli_proved"
 
+    @staticmethod
+    def refused(capsys, argv):
+        """Exit code, stdout and stderr of `main`, a usage error's SystemExit included."""
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    # the stderr of an integer that the library's rule refuses
+    REFUSALS = {
+        "1": "error: 1 is not prime\n",
+        "4": "error: 4 is not prime\n",
+        "-7": "error: -7 is not prime\n",
+        "-1": "error: max_subsets must be an int >= 0, got -1\n",
+    }
+
     @pytest.mark.parametrize("flag, value", [
         ("--prime", "1"), ("--prime", "4"), ("--prime", "-7"), ("--prime", "x"),
         ("--max-subsets", "-1"), ("--max-subsets", "2.5"),
     ])
     def test_bad_numbers_are_usage_errors(self, capsys, flag, value):
         command = "verify" if flag == "--prime" else "torelli"
-        with pytest.raises(SystemExit) as exc:
-            main([command, flag, value, path("generic5")])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"argument {flag}: must be" in captured.err
+        rc, out, err = self.refused(capsys, [command, flag, value, path("generic5")])
+        assert rc == 2
+        assert out == ""
+        if value in self.REFUSALS:
+            assert err == self.REFUSALS[value]
+        else:  # not an integer: argparse's usage error
+            assert f"argument {flag}: invalid int value: {value!r}" in err
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_a_repeated_prime_is_a_usage_error(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--prime", "7", "--prime", "11", "--prime", "7",
-                  path("generic5")])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "argument --prime: 7 is given twice" in captured.err
+        rc, out, err = self.refused(capsys, [command, "--prime", "7", "--prime", "11",
+                                             "--prime", "7", path("generic5")])
+        assert rc == 2
+        assert out == ""
+        assert err == "error: prime 7 is repeated\n"
 
     @pytest.mark.parametrize("argv", [
         ["examples", "list", "--prime", "7"],
@@ -742,3 +760,15 @@ class TestReportHelpers:
         for name in fixture_names():
             rep = build_report(fixture(name))
             json.dumps(jsonable(rep))
+
+    @pytest.mark.parametrize("name", fixture_names() + ["concurrent6"])
+    def test_build_report_dumps_as_analyze_prints_it(self, capsys, tmp_path, name):
+        # no section holds a raw Fraction, the Gale dual points included
+        file = pathlib.Path(path(name))
+        if name == "concurrent6":
+            file = tmp_path / "c6.json"
+            file.write_text(json.dumps(CONCURRENT6))
+        rc, out, _ = run(capsys, ["analyze", str(file)])
+        assert rc == 0
+        a = parse_arrangement_json(file.read_text())
+        assert json.dumps(build_report(a), indent=2) + "\n" == out

@@ -91,6 +91,12 @@ def test_count_rejects_a_non_prime():
         count_complement_points(parse_arrangement(1, [[1, 0], [0, 1]]), 4)
 
 
+def test_count_rejects_a_prime_that_is_not_an_int():
+    # is_prime takes 7.0 for 7, and the count would then fail on a float
+    with pytest.raises(ValueError, match=r"^prime must be an int, got 7\.0$"):
+        count_complement_points(fixture("generic5"), 7.0)
+
+
 def test_degenerate_reduction_count_value():
     # two distinct lines through the origin of F_5^2: (p-1)^2 points on neither
     a = parse_arrangement(1, [[1, 0], [1, 7]])

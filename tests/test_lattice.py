@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrinv.arrangement import InvalidArrangement, parse_arrangement
+from arrinv.ffcount import basis_minors
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import poincare
 from arrinv.lattice import CrossingClass, build_lattice
@@ -132,6 +133,11 @@ def test_braid_lattices_in_p3_and_p4(n, flats, central):
     lat = build_lattice(a)
     assert len(lat.flats) == flats
     assert poincare(lat).central == central
+    # the bases are the spanning trees of K_(n+2), (n+2)^n of them (Cayley),
+    # and a graphic arrangement is totally unimodular, so every gcd is 1
+    trees = (n + 2) ** n
+    assert basis_minors(a) == (1,) * trees
+    assert sum(map(lat.independent, combinations(range(1, a.m + 1), n + 1))) == trees
     if n == 3:
         for f, mu in lat.items():
             assert mu == mobius_by_subsets(a, f), f.indices

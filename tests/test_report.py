@@ -169,6 +169,14 @@ def test_a_non_prime_is_rejected_before_any_count(monkeypatch, name):
     assert counted == []
 
 
+def test_a_non_prime_is_rejected_before_the_lattice_is_built(monkeypatch):
+    # the arguments are checked when the Analysis is built, before any section
+    calls = spy(monkeypatch, [("lattice", "build_lattice")])
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        build_report(fixture("generic5"), primes=(7, 4))
+    assert calls == {"build_lattice": []}
+
+
 @pytest.mark.parametrize("prime", [7.0, "7", True])
 def test_a_prime_that_is_not_an_int_is_rejected_before_any_count(monkeypatch, prime):
     # 7.0 and "7" would fail inside the count, and True would pass as 1

@@ -21,6 +21,10 @@ oracles' pair-count recheck read the points: no other function refers to
 A matrix is a sequence of rows. `linalg.QMatrix`, rows beside a column
 count, serves only the GIT test in `stability`, so no other module names it.
 
+Each report argument has one rule, in one checking function beside the
+code that reads it, so each argument message is written in one string
+literal of `src/`, and the CLI imports no rule of its own (no `is_prime`).
+
 No line of `src/` is longer than 99 characters.
 """
 
@@ -29,6 +33,9 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "arrinv"
 PAIR = {"Arrangement", "IntersectionLattice"}
+ARGUMENT_MESSAGES = ("max_subsets must be an int >= 0", "literature_rules must be a bool",
+                     "prime must be an int", "is not prime", "is repeated",
+                     "at least one oracle prime is needed")
 TENSOR_PAIRS = ({"Arrangement", "SteinerTensor"},
                 {"IntersectionLattice", "SteinerTensor"})
 
@@ -112,6 +119,20 @@ def referring(tree: ast.Module, name: str) -> list[str]:
 
     visit(tree, [])
     return list(dict.fromkeys(found))
+
+
+def literals_holding(tree: ast.Module, text: str) -> int:
+    """String literals of `tree` containing `text`, docstrings aside.
+
+    An f-string counts once for each of its literal parts that holds `text`.
+    """
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return sum(isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and text in node.value and id(node) not in docstrings
+               for node in ast.walk(tree))
 
 
 def _plus_three(node: ast.AST) -> bool:
@@ -230,3 +251,27 @@ def test_no_source_line_is_longer_than_99_characters():
     assert [f"{path.stem}:{number}" for path in sorted(SRC.glob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), start=1)
             if len(line) > 99] == []
+
+
+def test_each_argument_message_is_written_once():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert {text: sum(literals_holding(tree, text) for tree in trees)
+            for text in ARGUMENT_MESSAGES} == dict.fromkeys(ARGUMENT_MESSAGES, 1)
+
+
+def test_the_cli_has_no_prime_rule_of_its_own():
+    assert "is_prime" not in names(ast.parse((SRC / "cli.py").read_text()))
+
+
+def test_the_check_sees_every_literal_holding_a_message():
+    source = '''
+"""Module text: 4 is not prime."""
+def plain(): raise ValueError("4 is not prime")
+def formatted(p): raise ValueError(f"{p} is not prime")
+class Holder:
+    """Class text: 9 is not prime."""
+    def method(self, p):
+        """Method text: 1 is not prime."""
+        return ["6 is not prime", "a prime"]  # 8 is not prime
+'''
+    assert literals_holding(ast.parse(source), "is not prime") == 3
