@@ -16,7 +16,7 @@ import sys
 
 from .arrangement import Arrangement, InvalidArrangement, parse_arrangement_json
 from .fixtures import fixture, fixture_names, fixture_note
-from .report import DEFAULT_PRIMES, Analysis, jsonable, render_pretty
+from .report import DEFAULT_PRIMES, Analysis, jsonable, render_check, render_pretty
 from .stability import Status
 from .steiner import GaleUndefined, gale_dual, gale_unavailable
 from .torelli import DEFAULT_MAX_SUBSETS
@@ -89,13 +89,7 @@ def cmd_verify(args) -> int:
         sys.stdout.write(_dump({"checks": checks, "ok": not failed}))
     else:
         for c in checks:
-            line = f"{c['check']}: {c['status'].upper()}"
-            if c["check"] == "delta_bound" and c["status"] != "skipped":
-                line += (f" (delta = {c['delta']}, quarter bound {c['quarter_bound']}"
-                         f" {'holds' if c['quarter_holds'] else 'fails'},"
-                         f" fifth bound {c['fifth_bound']}"
-                         f" {'holds' if c['fifth_holds'] else 'fails'})")
-            sys.stdout.write(line + "\n")
+            sys.stdout.write(render_check(c) + "\n")
         sys.stdout.write("all checks passed\n" if not failed
                          else f"{len(failed)} check(s) FAILED\n")
     return 1 if failed else 0

@@ -4,12 +4,14 @@ The count of points of F_p^(n+1) lying on none of the hyperplanes is an
 independent oracle for the lattice and Mobius computations; see
 `invariants.complement_count_prediction` for the lattice-side quantity it
 must match. The count walks the p^n fibers over the last coordinate and
-closes each fiber in O(m); it is exact at every prime, forms that coincide
-mod p included. One rule says when it must equal the prediction: a prime
-is accepted when it divides no basis gcd (`basis_minors`). Then every set
-of forms keeps its rank mod p, so the reduction mod p keeps the lattice
-over Q. The gcds come from the forms alone, one echelon form and one
-determinant over Z per basis, never from a lattice or a rank mod p.
+closes each fiber in O(m), with one inverse per form; it is exact at every
+prime, forms that coincide or vanish mod p included. One rule says when it
+must equal the prediction: a prime is accepted when it divides no basis
+gcd (`basis_minors`). Then every set of forms keeps its rank mod p, so the
+reduction mod p keeps the lattice over Q. The gcds come from the forms
+alone, one echelon form and one determinant over Z per basis, never from a
+lattice or a rank mod p. Primality is a Miller-Rabin test that is exact
+below PSI_13; a larger number is refused, not guessed.
 """
 
 from itertools import combinations, product
@@ -19,23 +21,45 @@ from .arrangement import Arrangement
 from .linalg import bareiss, det, rref
 
 
+# the 13 primes up to 41, and psi_13, the least odd composite that is a
+# strong probable prime to all of them (Sorenson-Webster, Math. Comp. 86, 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Miller-Rabin to every base in MR_BASES, exact for p < PSI_13.
+
+    A p at or above PSI_13 raises ValueError rather than risk a wrong answer.
+    """
+    if p >= PSI_13:
+        raise ValueError(f"primality is decided only below {PSI_13}, got {p}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def check_prime(p) -> None:
-    """Raise ValueError unless p is a prime int (a bool is not an int here)."""
+    """Raise ValueError unless p is a prime int (a bool is not an int here).
+
+    A p at or above PSI_13 gets `is_prime`'s refusal.
+    """
     if type(p) is not int:
         raise ValueError(f"prime must be an int, got {p!r}")
     if not is_prime(p):
@@ -46,35 +70,27 @@ def count_complement_points(a: Arrangement, p: int) -> int:
     """Points of F_p^(n+1) on none of the hyperplanes, exact at every prime.
 
     Instead of visiting all p^(n+1) points it walks the p^n fibers over the
-    last coordinate and, within a fiber, counts the union of the single
-    roots each form contributes. A p refused by `check_prime` raises
-    ValueError.
+    last coordinate. Within a fiber a form whose last coefficient is a unit
+    mod p has one root, read off with one inverse per form; a form whose
+    last coefficient vanishes mod p has none, or vanishes on the whole
+    fiber and closes it. So forms that coincide or vanish mod p are counted
+    exactly too. A p refused by `check_prime` raises ValueError.
     """
     check_prime(p)
-    m, d = a.m, a.n + 1
-    inv = [0] * p  # inverse table; inv[0] unused
-    for x in range(1, p):
-        inv[x] = pow(x, p - 2, p)
-    last = [f[d - 1] % p for f in a.forms]
-    heads = [tuple(c % p for c in f[: d - 1]) for f in a.forms]
+    heads = [tuple(c % p for c in f[:-1]) for f in a.forms]
+    invs = [pow(f[-1], -1, p) if f[-1] % p else 0 for f in a.forms]
     count = 0
-    for prefix in product(range(p), repeat=d - 1):
+    for prefix in product(range(p), repeat=a.n):
         roots = set()
-        dead = False
-        for i in range(m):
-            head = heads[i]
+        for head, inv in zip(heads, invs):
             s = 0
             for c, v in zip(head, prefix):
                 s += c * v
-            s %= p
-            x = last[i]
-            if x == 0:
-                if s == 0:
-                    dead = True  # the form vanishes on the whole fiber
-                    break
-            else:
-                roots.add((-s * inv[x]) % p)
-        if not dead:
+            if inv:
+                roots.add(-s * inv % p)
+            elif s % p == 0:
+                break   # the form vanishes on the whole fiber
+        else:
             count += p - len(roots)
     return count
 

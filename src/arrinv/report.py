@@ -390,6 +390,17 @@ def build_report(a: Arrangement, primes=DEFAULT_PRIMES,
     return Analysis(a, tuple(primes), max_subsets, literature_rules).report()
 
 
+def render_check(c: dict) -> str:
+    """One oracle entry as a line of `verify --pretty` and `analyze --pretty`."""
+    line = f"{c['check']}: {c['status'].upper()}"
+    if c["check"] == "delta_bound" and c["status"] != "skipped":
+        line += (f" (delta = {c['delta']}, quarter bound {c['quarter_bound']}"
+                 f" {'holds' if c['quarter_holds'] else 'fails'},"
+                 f" fifth bound {c['fifth_bound']}"
+                 f" {'holds' if c['fifth_holds'] else 'fails'})")
+    return line
+
+
 def render_pretty(report: dict) -> str:
     """Human-readable table mode for the --pretty flag."""
     lines = []
@@ -434,5 +445,5 @@ def render_pretty(report: dict) -> str:
         lines.append(f"gale dual: not defined ({ga['reason']})")
     lines.append("oracle checks:")
     for c in report["oracles"]:
-        lines.append(f"  {c['check']}: {c['status'].upper()}")
+        lines.append("  " + render_check(c))
     return "\n".join(lines) + "\n"

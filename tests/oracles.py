@@ -8,7 +8,8 @@ Moebius oracle sums signed generating subsets instead of recursing over the
 poset, the point counter loops over the whole affine space instead of
 walking fibers (for lines a second counter, fast at any prime, sums
 inclusion-exclusion over the distinct lines mod p and their meeting
-points), a prime is judged by ranking every set of at most n+1 forms
+points), primality is decided by trial division instead of Miller-Rabin,
+a prime is judged by ranking every set of at most n+1 forms
 over Q and mod p instead of by divisibility of basis minors, each basis
 gcd is the gcd of its minors on every set of r columns instead of one
 determinant over the pivot columns of an echelon form, a closure is
@@ -94,6 +95,10 @@ def rank_mod_p(rows, p: int) -> int:
                 work[r] = [(x - g * y) % p for x, y in zip(work[r], work[pr])]
         pr += 1
     return pr
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
 
 
 def prime_preserves_lattice_by_ranks(a: Arrangement, p: int) -> bool:

@@ -168,6 +168,16 @@ class TestAnalyze:
         assert ("stability: unavailable (needs m >= n + 2, got m = 3)\n"
                 "torelli: unavailable (needs m >= n + 2, got m = 3)\n") in out
 
+    def test_pretty_mode_prints_each_check_as_verify_does(self, capsys):
+        # one renderer for both commands, so the delta bound detail shows here too
+        rc, out, _ = run(capsys, ["analyze", "--pretty", path("m5_two_triples")])
+        _, checks, _ = run(capsys, ["verify", "--pretty", path("m5_two_triples")])
+        assert rc == 0
+        assert out.split("oracle checks:\n")[1] == "".join(
+            f"  {line}\n" for line in checks.splitlines()[:-1])
+        assert out.endswith("  delta_bound: PASS (delta = 2, quarter bound 2 holds, "
+                            "fifth bound 8/5 fails)\n")
+
     @pytest.mark.parametrize("name", fixture_names() + ["concurrent6"])
     def test_single_section_commands_match_analyze(self, capsys, tmp_path, name):
         if name == "concurrent6":
@@ -347,7 +357,7 @@ class TestVerify:
         assert "all checks passed" in out
 
     def test_pretty_mode_prints_the_readme_example(self, capsys):
-        # the one fixture whose pretty output shows the delta bound detail
+        # the README example, the one fixture whose fifth delta bound fails
         expected = ("finite_field_count_p7: PASS\n"
                     "finite_field_count_p11: PASS\n"
                     "finite_field_count_p101: PASS\n"
@@ -681,11 +691,13 @@ class TestFlags:
         "4": "error: 4 is not prime\n",
         "-7": "error: -7 is not prime\n",
         "-1": "error: max_subsets must be an int >= 0, got -1\n",
+        str(2 ** 89 - 1): "error: primality is decided only below "
+                          f"3317044064679887385961981, got {2 ** 89 - 1}\n",
     }
 
     @pytest.mark.parametrize("flag, value", [
         ("--prime", "1"), ("--prime", "4"), ("--prime", "-7"), ("--prime", "x"),
-        ("--max-subsets", "-1"), ("--max-subsets", "2.5"),
+        ("--prime", str(2 ** 89 - 1)), ("--max-subsets", "-1"), ("--max-subsets", "2.5"),
     ])
     def test_bad_numbers_are_usage_errors(self, capsys, flag, value):
         command = "verify" if flag == "--prime" else "torelli"

@@ -10,20 +10,43 @@ from hypothesis import strategies as st
 from arrinv import report
 from arrinv.arrangement import (Arrangement, InvalidArrangement, canonical_form,
                                 parse_arrangement)
-from arrinv.ffcount import (basis_minors, count_complement_points, is_prime,
-                            next_valid_prime, prime_preserves_lattice)
+from arrinv.ffcount import (PSI_13, basis_minors, check_prime, count_complement_points,
+                            is_prime, next_valid_prime, prime_preserves_lattice)
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import complement_count_prediction, poincare
 from arrinv.lattice import build_lattice
 from arrinv.report import Analysis
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
 from oracles import (basis_gcds_by_minors, brute_complement_count, fraction_rank,
-                     line_complement_count, prime_preserves_lattice_by_ranks,
-                     rank_mod_p)
+                     is_prime_by_trial_division, line_complement_count,
+                     prime_preserves_lattice_by_ranks, rank_mod_p)
 
 
 def test_is_prime():
     assert [p for p in range(2, 20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 20_000) if is_prime(n) != is_prime_by_trial_division(n)] == []
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2 ** 61 - 1, True),
+    (10000000000037, True),
+    (3825123056546413051, False),        # a strong pseudoprime to every base up to 31
+    (318665857834031151167461, False),   # ... and to every base up to 37
+])
+def test_is_prime_at_large_numbers(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_a_number_at_or_above_psi_13_is_refused():
+    # psi_13 is a strong pseudoprime to all 13 bases, so it gets no answer
+    assert PSI_13 == 3317044064679887385961981
+    for p in (PSI_13, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=rf"^primality is decided only below {PSI_13}, "
+                                             rf"got {p}$"):
+            check_prime(p)
 
 
 @st.composite
@@ -141,7 +164,7 @@ def test_non_essential_prime_rejected_by_the_gcd_of_minors():
 
 
 @st.composite
-def rank_tables(draw):
+def maybe_flat_arrangements(draw):
     """Arrangements with n <= 4; with `flat` every last coefficient is 0, so
     the forms span less than the whole dual space."""
     n = draw(st.integers(1, 4))
@@ -156,7 +179,7 @@ def rank_tables(draw):
         assume(False)
 
 
-@given(rank_tables(), st.sampled_from([2, 3, 5, 7, 11, 13]))
+@given(maybe_flat_arrangements(), st.sampled_from([2, 3, 5, 7, 11, 13]))
 @settings(max_examples=300, deadline=None)
 def test_prime_check_matches_ranks_mod_p(a, p):
     minors = basis_minors(a)
