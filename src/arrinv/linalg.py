@@ -14,7 +14,8 @@ canonical forms fixed in this module are relied on across the package:
   makes downstream constructions (relation spaces, dual configurations)
   reproducible bit for bit.
 
-`QMatrix`, rows with a column count, serves only the GIT test in `stability`.
+`QMatrix`, rows with a column count, is only the W' argument of the GIT test
+in `stability`, which stacks plain rows for `bareiss` itself.
 """
 
 from fractions import Fraction
@@ -62,11 +63,6 @@ class QMatrix:
             raise ValueError("ragged matrix")
         self.entries = entries
         self.cols = cols
-
-    def stack(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        return QMatrix(self.entries + other.entries, self.cols)
 
     def rank(self) -> int:
         return bareiss(self.entries)[0]

@@ -286,7 +286,7 @@ class Analysis:
         counted at q = next_valid_prime(minors, p); walked upward, a p at or
         below the last q shares it, so no prime is checked or counted twice.
         """
-        a, lattice = self.a, self.lattice
+        a = self.a
         checks: list[dict] = []
 
         chosen, q = {}, 0
@@ -318,8 +318,8 @@ class Analysis:
             checks.append({"check": "milnor_delta_branches",
                            "status": "pass" if ok else "fail", "points": detail})
 
-            lhs = comb(a.m, 2) - sum(f.s - 1 for f in lattice.flats_of_rank(2))
-            rhs = sum(comb(f.s - 1, 2) for f in lattice.flats_of_rank(2))
+            # C(m, 2) less the Mobius sum over the points (the t^2 coefficient)
+            lhs, rhs = comb(a.m, 2) - self.poincare.projective[2], self.delta
             checks.append({"check": "pair_count_identity",
                            "status": "pass" if lhs == rhs else "fail",
                            "lhs": lhs, "rhs": rhs})

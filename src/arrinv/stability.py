@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .invariants import require_steiner
 from .lattice import CrossingClass, Flat, IntersectionLattice
 from .steiner import SteinerTensor
-from .linalg import QMatrix
+from .linalg import QMatrix, bareiss
 
 
 class Status(enum.Enum):
@@ -112,45 +112,31 @@ class GitRatioResult(NamedTuple):
     semistable_ok: bool      # lhs <= rhs
 
 
-def _tensor_image_vectors(t: SteinerTensor) -> QMatrix:
-    """Flattened images of the basis relations inside V* tensor W."""
-    amb = (t.n + 1) * (t.m - 1)
-    rows = []
-    for j in range(t.m - t.n - 1):
-        vec = []
-        for k in range(t.n + 1):
-            vec.extend(t.slices[k][r][j] for r in range(t.m - 1))
-        rows.append(tuple(vec))
-    return QMatrix(tuple(rows), amb)
-
-
 def git_ratio_test(t: SteinerTensor, w_prime: QMatrix) -> GitRatioResult:
     """Compare the concentration of the tensor image over W' with its slope.
 
     w_prime: basis rows of a subspace of W, written in the m-1 coordinates of
     the fixed basis e_i - e_m. Must be a proper nonzero subspace.
+
+    E spans the relation rows' images in V* tensor W, block k at v = e_k, and
+    F is W' in each block: dim(E meet F) = dim E + dim F - dim(E + F).
     """
-    if w_prime.cols != t.m - 1:
+    m, n = t.m, t.n
+    if w_prime.cols != m - 1:
         raise ValueError("W' rows must have m-1 coordinates")
     dim_wprime = w_prime.rank()
-    if dim_wprime == 0 or dim_wprime >= t.m - 1:
+    if dim_wprime == 0 or dim_wprime >= m - 1:
         raise ValueError("W' must be a proper nonzero subspace of W")
-    e = _tensor_image_vectors(t)
-    dim_e = e.rank()
-    amb = (t.n + 1) * (t.m - 1)
-    f_rows = []
-    for k in range(t.n + 1):
-        for row in w_prime.entries:
-            vec = [Fraction(0)] * amb
-            for r in range(t.m - 1):
-                vec[k * (t.m - 1) + r] = row[r]
-            f_rows.append(tuple(vec))
-    f = QMatrix(tuple(f_rows), amb)
-    dim_f = f.rank()
-    dim_int = dim_e + dim_f - e.stack(f).rank()
+    forms = t.lattice.arrangement.forms
+    e = [tuple(rel[r] * forms[r][k] for k in range(n + 1) for r in range(m - 1))
+         for rel in t.u_basis]
+    f = [(0,) * (k * (m - 1)) + tuple(row) + (0,) * ((n - k) * (m - 1))
+         for k in range(n + 1) for row in w_prime.entries]
+    dim_e = bareiss(e)[0]
+    dim_int = dim_e + bareiss(f)[0] - bareiss(e + f)[0]
     lhs = Fraction(dim_int, dim_wprime)
-    rhs = Fraction(dim_e, t.m - 1)
-    return GitRatioResult(dim_e, t.m - 1, dim_wprime, dim_int, lhs, rhs,
+    rhs = Fraction(dim_e, m - 1)
+    return GitRatioResult(dim_e, m - 1, dim_wprime, dim_int, lhs, rhs,
                           lhs > rhs, lhs < rhs, lhs <= rhs)
 
 

@@ -6,24 +6,25 @@ relation a and a point v to the vector (a_1 f_1(v), ..., a_m f_m(v)), which
 always sums to zero and therefore lands in the sum-zero subspace W of k^m.
 A basis of U fixes the tensor and the map of the Steiner resolution
 0 -> O(-1)^(m-n-1) -> O^(m-1) -> F -> 0, so a `SteinerTensor` is that basis,
-a tuple of m-n-1 `Fraction` rows. Its n+1 slices along the coordinate
-directions of v are a view of it, tuples of rows too, built on first use
-for `arrinv tensor` and `stability.git_ratio_test` only.
+a tuple of m-n-1 `Fraction` rows, which every reader takes. Its n+1 slices
+along the coordinate directions of v are a view of it, tuples of rows too,
+built on first use for `arrinv tensor` only.
 
 The Gale dual arrangement reads the columns of the tensor's relation basis
-as m forms in m-n-1 variables, so the tensor is the one source of the dual
-points; `gale_unavailable` is the one rule, read off the lattice, for where
-they exist: a Steiner sheaf and m >= n+3, so that P^(m-n-2) is at least a
-line. Dependent subsets of maximal size swap with their complements under
-this duality; `verify_gale_bijection` checks that at the level of coordinate
+as m forms in m-n-1 variables (`dual_columns`, a view for the report and
+`gale_dual`), so the tensor is the one source of the dual points;
+`gale_unavailable` is the one rule, read off the lattice, for where they
+exist: a Steiner sheaf and m >= n+3, so that P^(m-n-2) is at least a line.
+Dependent subsets of maximal size swap with their complements under this
+duality; `verify_gale_bijection` checks that at the level of coordinate
 configurations, so it also covers duals whose points collide (which cannot
-be represented as an Arrangement). The tensor holds the intersection
-lattice it was built from. The check lists both families of dependent sets
-the same way, in lexicographic order: the primal (n+1)-sets are the ones
+be represented as an Arrangement). The tensor holds the intersection lattice
+it was built from. The check lists both families of dependent sets the same
+way, in lexicographic order: the primal (n+1)-sets are the ones
 `IntersectionLattice.independent` rejects, and the dual (m-n-1)-sets the
-ones whose dual points have a vanishing determinant, read as a minor of
-size at most n+1 of their echelon form, so the check sets the lattice
-against the kernel of the forms.
+ones whose dual points have a vanishing determinant, read as a minor of size
+at most n+1 of their echelon form, so the check sets the lattice against the
+kernel of the forms.
 """
 
 from fractions import Fraction
@@ -50,7 +51,7 @@ def gale_unavailable(lattice: IntersectionLattice) -> str | None:
 
 
 class SteinerTensor:
-    """The defining tensor as its relation basis rows; `slices` is a view of it."""
+    """The defining tensor as its relation basis rows; `slices` is a view for `arrinv tensor`."""
 
     def __init__(self, lattice: IntersectionLattice, u_basis: Rows):
         self.lattice = lattice
@@ -128,7 +129,7 @@ def verify_gale_bijection(t: SteinerTensor) -> GaleBijectionReport:
 
     The primal sets are the (n+1)-sets C that the tensor's lattice finds
     dependent (`IntersectionLattice.independent`), in lexicographic order.
-    The dual points (`dual_columns`) are put in reduced row echelon form R,
+    The dual points (`u_basis` columns) are put in reduced row echelon form R,
     the identity on its pivot columns P, so the points off C, coincident or
     not, are dependent exactly when R's minor on rows {j : P_j in C} and the
     columns in neither C nor P, at most (n+1) x (n+1), vanishes. The check
@@ -139,7 +140,7 @@ def verify_gale_bijection(t: SteinerTensor) -> GaleBijectionReport:
     if why is not None:
         raise GaleUndefined(why)
     m, n = t.m, t.n
-    u = tuple(zip(*dual_columns(t)))
+    u = t.u_basis
     reduced, pivots = rref(u)
     full = len(pivots) == m - n - 1
     kernel = full and all(sum(c * f[k] for c, f in zip(row, t.lattice.arrangement.forms)) == 0

@@ -374,16 +374,15 @@ class TestVerify:
                 + expected) in README.read_text()
 
     def test_wrong_dual_configuration_fails_the_bijection(self, capsys, monkeypatch):
-        # swapping dual points 1 and 4 moves the complement of the triple
-        # point's lines {1, 2, 3} from {4, 5, 6} to {1, 5, 6}
-        columns = steiner_mod.dual_columns
+        # swapping entries 1 and 4 of every relation swaps dual points 1 and
+        # 4, which moves the complement of the triple point's lines
+        # {1, 2, 3} from {4, 5, 6} to {1, 5, 6}
+        basis = steiner_mod.kernel_basis
 
-        def swapped(t):
-            cols = columns(t)
-            cols[0], cols[3] = cols[3], cols[0]
-            return cols
+        def swapped(rows):
+            return tuple(row[3:4] + row[1:3] + row[0:1] + row[4:] for row in basis(rows))
 
-        monkeypatch.setattr(steiner_mod, "dual_columns", swapped)
+        monkeypatch.setattr(steiner_mod, "kernel_basis", swapped)
         rc, out, _ = run(capsys, ["verify", path("m6_one_triple")])
         assert rc == 1
         d = json.loads(out)

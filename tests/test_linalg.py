@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrinv.linalg import (QMatrix, bareiss, det, kernel_basis,
-                           primitive_integer_vector, qval, rref)
+from arrinv.linalg import (bareiss, det, kernel_basis, primitive_integer_vector,
+                           qval, rref)
 from oracles import fraction_det, fraction_rank
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -169,8 +169,18 @@ def test_primitive_integer_vector():
     assert primitive_integer_vector([Fraction(0), Fraction(0), Fraction(5)]) == (0, 0, 1)
 
 
-@given(matrices(3, 3))
+def row_pairs(max_rows=3, max_cols=4):
+    """Two row lists with one column count, so that they stack."""
+    def rows(c):
+        return st.lists(st.lists(small_int, min_size=c, max_size=c),
+                        min_size=1, max_size=max_rows)
+    return st.integers(1, max_cols).flatmap(lambda c: st.tuples(rows(c), rows(c)))
+
+
+@given(row_pairs())
 @settings(max_examples=40)
-def test_stack_rank_bounds(m):
-    q = QMatrix(tuple(map(tuple, m)), len(m[0]))
-    assert q.stack(q).rank() == q.rank() == bareiss(m)[0]
+def test_stacked_rows_rank_bounds(pair):
+    a, b = pair
+    ra, rb = bareiss(a)[0], bareiss(b)[0]
+    assert max(ra, rb) <= bareiss(a + b)[0] <= ra + rb
+    assert bareiss(a + a)[0] == ra

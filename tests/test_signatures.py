@@ -13,13 +13,18 @@ The Gale dual exists where m >= n + 3 and the Steiner sheaf does, and
 `steiner.gale_unavailable` is the one place that says so: no other function
 compares against an expression `... + 3`.
 
-The sheaf numbers of a line arrangement read delta or the Poincare
-polynomial, so only the per-point data, the delta invariant and the
-oracles' pair-count recheck read the points: no other function refers to
-`flats_of_rank`.
+The sheaf numbers of a line arrangement and the pair-count oracle read delta
+or the Poincare polynomial, so only the per-point data and the delta
+invariant read the points: no other function refers to `flats_of_rank`.
 
 A matrix is a sequence of rows. `linalg.QMatrix`, rows beside a column
-count, serves only the GIT test in `stability`, so no other module names it.
+count, is only the W' argument of the GIT test in `stability`, so no other
+module names it.
+
+The defining tensor is its relation basis, and every reader takes those rows.
+Its slices are a view for `arrinv tensor` alone, and its columns, the Gale
+dual points, a view for the `gale` section and `gale_dual`: only
+`cli.cmd_tensor` reads `.slices`, and only those two call `dual_columns`.
 
 Each report argument has one rule, in one checking function beside the
 code that reads it, so each argument message is written in one string
@@ -186,10 +191,15 @@ def tensor_alone(t: SteinerTensor, ranks: dict[tuple[int, ...], int]): ...
     assert taking(tree, "ranks") == ["tensor_alone"]
 
 
-def test_only_the_point_data_delta_and_pair_count_oracle_read_the_points():
+def test_only_the_point_data_and_delta_read_the_points():
     assert _in_src(lambda tree: referring(tree, "flats_of_rank")) == [
-        "invariants:local_data", "invariants:delta_invariant",
-        "report:Analysis.oracles_section"]
+        "invariants:local_data", "invariants:delta_invariant"]
+
+
+def test_only_the_tensor_command_and_the_gale_views_read_the_views():
+    assert _in_src(lambda tree: referring(tree, "slices")) == ["cli:cmd_tensor"]
+    assert _in_src(lambda tree: referring(tree, "dual_columns")) == [
+        "report:Analysis.gale_section", "steiner:gale_dual"]
 
 
 def test_the_check_sees_every_reference_to_a_name():
@@ -229,7 +239,7 @@ def product(m): return (m - 1) * (m + 3) < 0
 
 def test_only_linalg_and_stability_name_qmatrix():
     assert [path.stem for path in sorted(SRC.glob("*.py"))
-            if "QMatrix" in names(ast.parse(path.read_text()))] == ["linalg", "stability"]
+            if "QMatrix" in names(ast.parse(path.read_text()))] == ["stability"]
 
 
 def test_the_check_sees_every_spelling_of_a_name():

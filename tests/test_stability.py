@@ -1,11 +1,13 @@
 """Stability classification: combinatorial, numeric, and subspace tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arrinv.arrangement import Arrangement, canonical_form, parse_arrangement
+from arrinv.arrangement import (Arrangement, InvalidArrangement, canonical_form,
+                               parse_arrangement)
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import delta_invariant, steiner_unavailable
 from arrinv.lattice import build_lattice
@@ -173,6 +175,41 @@ def test_git_dimension_law_on_heavy_flats():
             res = git_ratio_test(t, flat_subspace(f, a.m))
             assert res.dim_wprime == f.s - 1
             assert res.dim_intersection == f.s - 2
+
+
+def seeded_steiner_lattices(count, seed=38):
+    """Lattices of `count` seeded arrangements in P^2 to P^4 with a Steiner
+    sheaf: m up to n + 6 forms with entries in [-1, 1]."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        rows = [[rng.randint(-1, 1) for _ in range(n + 1)]
+                for _ in range(rng.randint(n + 2, n + 6))]
+        try:
+            lat = build_lattice(parse_arrangement(n, rows))
+        except InvalidArrangement:   # a zero row, or two rows with the same form
+            continue
+        if steiner_unavailable(lat) is None:
+            out.append(lat)
+    return out
+
+
+def test_git_dimension_law_and_threshold_at_every_n():
+    """On every flat of rank r on 2 <= s < m hyperplanes, dim(E cap W'
+    tensor V*) = s - r, so the test destabilizes exactly when the flat
+    exceeds the threshold (m-1)(r-1)/n + 1."""
+    seen = set()
+    for lat in seeded_steiner_lattices(35):
+        m, n = lat.m, lat.n
+        t = steiner_tensor(lat)
+        for f in lat.flats:
+            if not 2 <= f.s < m:
+                continue
+            res = git_ratio_test(t, flat_subspace(f, m))
+            assert res.dim_intersection == f.s - f.rank
+            assert res.destabilizing == (f.s > Fraction((m - 1) * (f.rank - 1), n) + 1)
+            seen.add((n, res.destabilizing))
+    assert seen == {(n, d) for n in (2, 3, 4) for d in (False, True)}
 
 
 def test_git_triple_in_a3_is_not_destabilizing():

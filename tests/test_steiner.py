@@ -13,6 +13,7 @@ from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
 from arrinv.linalg import bareiss, det, kernel_basis
 from arrinv.report import DEFAULT_PRIMES, Analysis, build_report
+from arrinv.stability import flat_subspace, git_ratio_test
 from arrinv.steiner import (GaleUndefined, dual_columns, gale_dual, gale_unavailable,
                             steiner_tensor, verify_gale_bijection)
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
@@ -52,9 +53,16 @@ def test_slice_entries_follow_definition(name):
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_a_report_builds_no_slices(name):
+    # neither a report nor the GIT test, which reads the relation basis rows,
+    # builds the slices view
     an = Analysis(fixture(name), DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS, True)
     an.report()
-    assert an.tensor is None or "slices" not in an.tensor.__dict__
+    t = an.tensor
+    if t is not None:
+        for f in an.lattice.flats:
+            if 2 <= f.s < t.m:
+                git_ratio_test(t, flat_subspace(f, t.m))
+    assert t is None or "slices" not in t.__dict__
 
 
 def test_tensor_shapes():
