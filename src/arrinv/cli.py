@@ -46,8 +46,7 @@ def _analysis(args) -> Analysis:
     a = _load(args.path)
     try:
         # building an Analysis checks its arguments and does no other work
-        return Analysis(a, tuple(args.primes or DEFAULT_PRIMES), args.max_subsets,
-                        not args.no_literature_rules)
+        return Analysis(a, tuple(args.primes or DEFAULT_PRIMES), args.max_subsets)
     except ValueError as exc:
         raise InvalidArrangement(str(exc)) from exc
 
@@ -101,8 +100,7 @@ def cmd_conjecture(args) -> int:
     if why is not None:
         raise InvalidArrangement(f"dual arrangement undefined: {why}")
     try:
-        dual = Analysis(gale_dual(primal.tensor), primal.primes,
-                        primal.max_subsets, primal.literature_rules)
+        dual = Analysis(gale_dual(primal.tensor), primal.primes, primal.max_subsets)
     except GaleUndefined as exc:
         raise InvalidArrangement(f"dual arrangement undefined: {exc}") from exc
 
@@ -164,9 +162,6 @@ OPTIONS = {
         default=DEFAULT_MAX_SUBSETS, metavar="N", type=int,
         help="cap (>= 0) on subsets examined by the recoverability search, "
         "non-generic ones included")),
-    "literature": ("--no-literature-rules", dict(
-        action="store_true",
-        help="restrict stability to the built-in numeric tests")),
 }
 
 
@@ -175,25 +170,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="arrinv",
         description="exact invariants of projective hyperplane arrangements")
     # what `_analysis` reads for a command without the option
-    ap.set_defaults(primes=None, max_subsets=DEFAULT_MAX_SUBSETS,
-                    no_literature_rules=False)
+    ap.set_defaults(primes=None, max_subsets=DEFAULT_MAX_SUBSETS)
     sub = ap.add_subparsers(dest="command", required=True)
 
     for name, fn, options, desc in [
-        ("analyze", cmd_analyze, "pretty prime max-subsets literature",
+        ("analyze", cmd_analyze, "pretty prime max-subsets",
          "full report: lattice, invariants, stability, recoverability, dual, "
          "oracle checks"),
         ("lattice", _sections("lattice"), "", "intersection lattice with Moebius values"),
         ("invariants", _sections("poincare", "chern", "delta"), "",
          "Poincare and Chern data, delta invariant"),
-        ("stability", _sections("stability"), "literature",
+        ("stability", _sections("stability"), "",
          "stability classification with witnesses"),
         ("torelli", _sections("torelli"), "max-subsets", "recoverability verdict"),
         ("gale", _sections("gale"), "", "dual configuration and dependency bijection"),
         ("tensor", cmd_tensor, "", "defining tensor slices"),
-        ("verify", cmd_verify, "pretty prime literature",
+        ("verify", cmd_verify, "pretty prime",
          "run the exact check suite; exit 1 on failure"),
-        ("conjecture", cmd_conjecture, "literature",
+        ("conjecture", cmd_conjecture, "",
          "compare stability of the arrangement and its dual"),
     ]:
         p = sub.add_parser(name, help=desc)

@@ -38,7 +38,7 @@ from .lattice import IntersectionLattice, build_lattice
 from .steiner import (GaleBijectionReport, GaleUndefined, SteinerTensor,
                       dual_columns, gale_dual, gale_unavailable,
                       steiner_tensor, verify_gale_bijection)
-from .stability import StabilityVerdict, Status, check_literature_rules, classify
+from .stability import StabilityVerdict, Status, classify
 from .torelli import (DEFAULT_MAX_SUBSETS, TorelliVerdict, check_max_subsets,
                       torelli_verdict)
 
@@ -71,15 +71,14 @@ class Analysis:
     computes only what the sections it prints need. An Analysis is built per
     call and holds nothing beyond it. Building one checks every argument
     before any work, with the checker beside the code that reads it:
-    `check_max_subsets`, `check_literature_rules` and `check_prime` for each
-    prime. The prime list must also be nonempty and repeat no prime. A
-    refused argument raises ValueError, also where its reader never runs.
+    `check_max_subsets` and `check_prime` for each prime. The prime list
+    must also be nonempty and repeat no prime. A refused argument raises
+    ValueError, also where its reader never runs. There is no stability
+    option: a `stable` verdict always names its theorem in its rule trail.
     """
 
-    def __init__(self, a: Arrangement, primes: tuple[int, ...], max_subsets: int,
-                 literature_rules: bool):
+    def __init__(self, a: Arrangement, primes: tuple[int, ...], max_subsets: int):
         check_max_subsets(max_subsets)
-        check_literature_rules(literature_rules)
         if not primes:
             raise ValueError("at least one oracle prime is needed")
         for i, p in enumerate(primes):
@@ -89,7 +88,6 @@ class Analysis:
         self.a = a
         self.primes = primes
         self.max_subsets = max_subsets
-        self.literature_rules = literature_rules
 
     @cached_property
     def basis_minors(self) -> tuple[int, ...]:
@@ -125,7 +123,7 @@ class Analysis:
     def stability(self) -> StabilityVerdict | None:
         if self.unavailable:
             return None
-        return classify(self.lattice, self.delta, self.literature_rules)
+        return classify(self.lattice, self.delta)
 
     @cached_property
     def torelli(self) -> TorelliVerdict | None:
@@ -385,9 +383,8 @@ def delta_bound_check(m: int, delta: int | None,
 
 
 def build_report(a: Arrangement, primes=DEFAULT_PRIMES,
-                 max_subsets: int = DEFAULT_MAX_SUBSETS,
-                 literature_rules: bool = True) -> dict:
-    return Analysis(a, tuple(primes), max_subsets, literature_rules).report()
+                 max_subsets: int = DEFAULT_MAX_SUBSETS) -> dict:
+    return Analysis(a, tuple(primes), max_subsets).report()
 
 
 def render_check(c: dict) -> str:

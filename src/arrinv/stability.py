@@ -7,8 +7,10 @@
   means unstable, equality rules out stability);
 * the n=2 discriminant test (m-1)(m-3) - 4*delta < 0, which is
   4c2 - c1^2 < 0 for the n=2 Chern numbers by the pair-count identity;
-* the literature rules: generic arrangements are stable, and so are n=2
-  arrangements with m >= 6 and delta = 1.
+* two theorems from the literature, the only source of a stable verdict:
+  generic arrangements are stable (Bohnhorst-Spindler), and so are n=2
+  arrangements with m >= 6 and delta = 1 (Schenck). A stable verdict's
+  last rule names the theorem it rests on.
 
 On P^2 the flats of rank >= 2 are points, with threshold (m+1)/2, so an
 equality witness needs odd m.
@@ -180,25 +182,17 @@ def free_splitting_stability(exponents: list[int]) -> StabilityVerdict:
                             ("splitting: equal exponents, semi-stable but not stable",))
 
 
-def check_literature_rules(literature_rules) -> None:
-    """Raise ValueError unless `literature_rules` is a bool."""
-    if not isinstance(literature_rules, bool):
-        raise ValueError(f"literature_rules must be a bool, got {literature_rules!r}")
-
-
-def classify(lattice: IntersectionLattice, delta: int | None,
-             literature_rules: bool = True) -> StabilityVerdict:
+def classify(lattice: IntersectionLattice, delta: int | None) -> StabilityVerdict:
     """Combine the implemented tests into one verdict on the lattice's sheaf.
 
     Order: destabilizing witnesses first (combinatorial, then the n=2
-    discriminant), then stability via the literature rules (generic
-    arrangements; n=2 single-triple-point arrangements with m >= 6), else
+    discriminant), then stability by a cited theorem (Bohnhorst-Spindler
+    for generic arrangements; Schenck for n=2 single-triple-point
+    arrangements with m >= 6), whose name ends the rule trail, else
     Undetermined. `delta` is `delta_invariant(lattice)` for n = 2, else
     None. Raises ValueError where there is no Steiner sheaf
-    (`invariants.steiner_unavailable`), or when `check_literature_rules`
-    refuses `literature_rules`.
+    (`invariants.steiner_unavailable`).
     """
-    check_literature_rules(literature_rules)
     require_steiner(lattice, "stability analysis")
     m, n = lattice.m, lattice.n
     witnesses: list[Witness] = []
@@ -224,15 +218,14 @@ def classify(lattice: IntersectionLattice, delta: int | None,
         # equality witness survived the unstable checks
         return StabilityVerdict(Status.NOT_STABLE, tuple(witnesses), tuple(rules))
 
-    if literature_rules:
-        if lattice.crossing.kind is CrossingClass.GENERIC:
-            rules.append("generic arrangements give stable Steiner bundles "
-                         "(Bohnhorst-Spindler)")
-            return StabilityVerdict(Status.STABLE, tuple(witnesses), tuple(rules))
-        if n == 2 and m >= 6 and delta == 1:
-            rules.append("single modest multiple point (delta = 1, m >= 6) "
-                         "is stable (Schenck)")
-            return StabilityVerdict(Status.STABLE, tuple(witnesses), tuple(rules))
+    if lattice.crossing.kind is CrossingClass.GENERIC:
+        rules.append("generic arrangements give stable Steiner bundles "
+                     "(Bohnhorst-Spindler)")
+        return StabilityVerdict(Status.STABLE, tuple(witnesses), tuple(rules))
+    if n == 2 and m >= 6 and delta == 1:
+        rules.append("single modest multiple point (delta = 1, m >= 6) "
+                     "is stable (Schenck)")
+        return StabilityVerdict(Status.STABLE, tuple(witnesses), tuple(rules))
 
     rules.append("no implemented criterion decides; verdict left open")
     return StabilityVerdict(Status.UNDETERMINED, tuple(witnesses), tuple(rules))

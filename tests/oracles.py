@@ -16,17 +16,13 @@ determinant over the pivot columns of an echelon form, a closure is
 read off an echelon form of its label set instead of off a walk that cuts
 flats by forms, polynomial products are multiplied out term by term
 instead of read off closed binomials, and Torelli rule 1 is an exhaustive
-scan of every subset, which for n = 2 decides conics by brackets of the
-points instead of by the frame normalization of the library's `rnc_test`,
-and a conic nonsingular at every point of a small or nearly collinear set
-is built from line pairs instead of read off the space of conics.
-
-One exception: for n >= 3 that scan asks the library's `rnc_test`, on the
-sub-arrangement's own lattice, whether a subset's dual points lie on a
-smooth rational normal curve. There is no second implementation of that
-test here for n >= 3; its own sample tests (twisted cubics, their
-perturbations, hand-made frames) cover it. For n = 2 the brackets are the
-second implementation.
+scan of every subset, which decides curves by brackets of the points for
+n = 2 and by Goppa's criterion on the Gale transform for n >= 3 instead of
+by the frame normalization of the library's `rnc_test`, a conic
+nonsingular at every point of a small or nearly collinear set is built
+from line pairs instead of read off the space of conics, and a
+restriction writes the other forms in a kernel basis of the hyperplane
+instead of cutting flats by forms.
 """
 
 from __future__ import annotations
@@ -35,10 +31,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from arrinv.arrangement import Arrangement
-from arrinv.lattice import Flat, build_lattice
+from arrinv.arrangement import Arrangement, canonical_form
+from arrinv.lattice import Flat
 from arrinv.steiner import SteinerTensor
-from arrinv.torelli import RncVerdict, rnc_test
 
 
 def _echelon(rows) -> tuple[list[list[Fraction]], int]:
@@ -57,6 +52,25 @@ def _echelon(rows) -> tuple[list[list[Fraction]], int]:
             work[r] = [x - f * y for x, y in zip(work[r], work[top])]
         top += 1
     return work, swaps
+
+
+def kernel_basis(rows) -> list[list[Fraction]]:
+    """Right null space of nonempty rows over Q, one vector per free column.
+
+    A free column c gives the vector with 1 at c and 0 at the other free
+    columns, its pivot entries found by back-substitution through the
+    echelon form, last pivot first.
+    """
+    work = [r for r in _echelon(rows)[0] if any(r)]
+    pivots = [next(c for c, x in enumerate(r) if x) for r in work]
+    basis = []
+    for free in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [Fraction(0)] * len(rows[0])
+        v[free] = Fraction(1)
+        for r, c in reversed(list(zip(work, pivots))):
+            v[c] = -sum(x * y for x, y in zip(r, v)) / r[c]
+        basis.append(v)
+    return basis
 
 
 def fraction_rank(rows) -> int:
@@ -245,6 +259,27 @@ def line_complement_count(a: Arrangement, p: int) -> int:
     return (p - 1) * (p * p + p + 1 - len(lines) * (p + 1) + excess)
 
 
+def restriction(a: Arrangement, h: int) -> Arrangement:
+    """A^H for H the hyperplane of label h: the other forms, read on H.
+
+    With the columns of a kernel basis of H's row as coordinates on H, a
+    form f restricts to its values on those columns; the restrictions are
+    canonicalized and equal ones merged, first label first. H lies in P^n,
+    so A^H lies in P^(n-1); P^0 is no arrangement's space, so n = 1 has none.
+    """
+    if a.n == 1:
+        raise ValueError("the restriction of an arrangement in P^1 lies in P^0")
+    basis = kernel_basis([a.forms[h - 1]])
+    rows = (canonical_form([sum(c * x for c, x in zip(f, v)) for v in basis])
+            for i, f in enumerate(a.forms, start=1) if i != h)
+    return Arrangement(a.n - 1, tuple(dict.fromkeys(rows)))
+
+
+def deletion(a: Arrangement, h: int) -> Arrangement:
+    """A minus H for H the hyperplane of label h."""
+    return Arrangement(a.n, a.forms[:h - 1] + a.forms[h:])
+
+
 def dependent_subsets_by_minors(a: Arrangement) -> set[tuple[int, ...]]:
     """(n+1)-subsets with vanishing maximal minor, straight off the matrix."""
     return {subset for subset in combinations(range(1, a.m + 1), a.n + 1)
@@ -321,6 +356,28 @@ def conic_nonsingular_at(points) -> list[list[int]]:
     return _line_pair(line, other)
 
 
+def rnc_by_gale(points) -> bool:
+    """Do n+4 points of P^n in linear general position lie on a rational
+    normal curve?
+
+    Goppa's criterion (Eisenbud-Popescu, J. Algebra 230, 2000): they do
+    exactly when their Gale transform, n+4 points of P^2, lies on a conic.
+    The transform is the columns of a kernel basis of the (n+1) x (n+4)
+    matrix whose columns are the points; scaling a point scales its
+    transform, so the test is well defined. The transform of points in
+    linear general position is in linear general position too, so a conic
+    through them holds no three on a line and is smooth.
+    The transform lies on a conic exactly when its Veronese rows
+    x^2, y^2, z^2, xy, xz, yz have rank below 6.
+    """
+    n = len(points) - 4
+    if n < 2 or any(len(p) != n + 1 for p in points):
+        raise ValueError("rnc_by_gale needs n + 4 points of P^n, n >= 2")
+    kernel = kernel_basis([list(coords) for coords in zip(*points)])
+    veronese = [[x * x, y * y, z * z, x * y, x * z, y * z] for x, y, z in zip(*kernel)]
+    return fraction_rank(veronese) < 6
+
+
 def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
     """Torelli rule 1 by scanning every subset: (witness, cap hit).
 
@@ -330,9 +387,10 @@ def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
     witness when it is generic and its dual points lie on no curve of the
     family. For n = 2 the first five points lie on exactly one conic, so
     the subset misses every conic when some later point makes a sextuple
-    with them that `sextuple_on_conic` rejects. For n >= 3 `rnc_test` of
-    the sub-arrangement's lattice finds them on no smooth rational normal
-    curve.
+    with them that `sextuple_on_conic` rejects. For n >= 3 the first n+3
+    points lie on exactly one rational normal curve (Castelnuovo), so the
+    subset misses every curve when some later point makes an (n+4)-set
+    with them that `rnc_by_gale` rejects.
     """
     dependent = dependent_subsets_by_minors(a)
     examined = 0
@@ -343,14 +401,8 @@ def rule1_by_exhaustion(a: Arrangement, max_subsets: int):
             examined += 1
             if any(t in dependent for t in combinations(subset, a.n + 1)):
                 continue
-            if a.n == 2:
-                points = [a.forms[i - 1] for i in subset]
-                off_curve = not all(sextuple_on_conic(points[:5] + [p])
-                                    for p in points[5:])
-            else:
-                sub = Arrangement(a.n, tuple(a.forms[i - 1] for i in subset))
-                off_curve = (rnc_test(build_lattice(sub)).verdict
-                             is RncVerdict.NOT_ON_SMOOTH_RNC)
-            if off_curve:
+            points = [a.forms[i - 1] for i in subset]
+            on_curve = sextuple_on_conic if a.n == 2 else rnc_by_gale
+            if not all(on_curve(points[:a.n + 3] + [p]) for p in points[a.n + 3:]):
                 return subset, False
     return None, False

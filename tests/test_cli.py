@@ -405,8 +405,7 @@ class TestVerify:
     def test_corrupted_lattice_is_caught_by_the_oracles(self):
         # verification harness negative control: predictions drawn from the
         # wrong lattice must disagree with the direct point counts
-        analysis = Analysis(fixture("m5_one_triple"), DEFAULT_PRIMES,
-                            DEFAULT_MAX_SUBSETS, True)
+        analysis = Analysis(fixture("m5_one_triple"), DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
         analysis.lattice = build_lattice(fixture("m5_two_triples"))
         checks = analysis.oracles_section()
         ff = [c for c in checks if c["check"].startswith("finite_field")]
@@ -455,9 +454,9 @@ class TestConjecture:
         primal = fixture("generic6_off_conic")
         classify = report_mod.classify
 
-        def unstable_dual(lattice, delta, literature_rules):
+        def unstable_dual(lattice, delta):
             if lattice.arrangement == primal:
-                return classify(lattice, delta, literature_rules)
+                return classify(lattice, delta)
             return StabilityVerdict(Status.UNSTABLE, (), ("forced for the test",))
 
         monkeypatch.setattr(report_mod, "classify", unstable_dual)
@@ -720,11 +719,11 @@ class TestFlags:
         ["examples", "list", "--prime", "7"],
         ["examples", "show", "generic5", "--pretty"],
         ["lattice", "--pretty"],
-        ["invariants", "--no-literature-rules"],
+        ["invariants", "--max-subsets", "5"],
         ["gale", "--max-subsets", "5"],
         ["tensor", "--max-subsets", "5"],
         ["stability", "--prime", "7"],
-        ["torelli", "--no-literature-rules"],
+        ["torelli", "--pretty"],
         ["verify", "--max-subsets", "5"],
         ["conjecture", "--pretty"],
     ])
@@ -738,13 +737,16 @@ class TestFlags:
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
 
-    def test_no_literature_rules_weakens_generic_verdicts(self, capsys):
-        rc, out, _ = run(capsys, ["stability", "--no-literature-rules",
-                                  path("generic5")])
-        assert rc == 0
-        assert json.loads(out)["status"] == "undetermined"
-        rc, out, _ = run(capsys, ["stability", path("generic5")])
-        assert json.loads(out)["status"] == "stable"
+    @pytest.mark.parametrize("command", ["analyze", "verify", "stability", "conjecture"])
+    def test_no_literature_rules_is_a_usage_error(self, capsys, command):
+        # the commands that once took the switch: a stable verdict always
+        # names its theorem in rules_applied, so no option weakens it
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--no-literature-rules", path("generic5")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --no-literature-rules" in captured.err
 
 
 class TestReportHelpers:

@@ -256,7 +256,7 @@ def test_every_prime_a_report_counts_at_keeps_every_pair_apart(drawn):
         return count_complement_points(arr, q)
 
     with patch.object(report, "count_complement_points", recording):
-        checks = Analysis(a, primes, DEFAULT_MAX_SUBSETS, True).oracles_section()
+        checks = Analysis(a, primes, DEFAULT_MAX_SUBSETS).oracles_section()
     # entries that retry to one prime share its count
     assert len(counted_at) == len(set(counted_at)) <= len(primes)
     for q in counted_at:

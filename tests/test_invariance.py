@@ -77,6 +77,6 @@ def coordinate_free(analysis: Analysis, label) -> dict:
 def test_relabeled_unimodular_image_has_the_same_report(drawn):
     a, pi, image, primes = drawn
     uncapped = 2 ** a.m   # more than the number of label sets, so rule 1 scans them all
-    base = coordinate_free(Analysis(a, primes, uncapped, True), lambda j: j)
-    moved = coordinate_free(Analysis(image, primes, uncapped, True), lambda j: pi[j - 1] + 1)
+    base = coordinate_free(Analysis(a, primes, uncapped), lambda j: j)
+    moved = coordinate_free(Analysis(image, primes, uncapped), lambda j: pi[j - 1] + 1)
     assert moved == base

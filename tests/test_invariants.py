@@ -16,7 +16,8 @@ from arrinv.lattice import build_lattice
 from arrinv.stability import StabilityVerdict, Status, classify, discriminant_test
 from arrinv.steiner import steiner_tensor
 from arrinv.torelli import torelli_verdict
-from oracles import flats_by_closure, fraction_rank, truncated_product
+from oracles import (deletion, flats_by_closure, fraction_rank, restriction,
+                     truncated_product)
 
 # projective coefficients, central coefficients, delta; all cross-validated
 # against the finite-field counts at p = 7, 11, 101 and the subset-sum
@@ -68,6 +69,50 @@ def test_a3_central_factors():
     # (1+t)(1+2t)(1+3t), multiplied out exactly
     pd = poincare(build_lattice(fixture("a3_braid")))
     assert pd.central == truncated_product([(1, 1), (1, 2), (1, 3)], 3)
+
+
+def central(a):
+    return poincare(build_lattice(a)).central
+
+
+def holds_deletion_restriction(a) -> bool:
+    """Central pi(A) = pi(A minus H) + t pi(A^H) for H the hyperplane of
+    label 1; the restriction lies in P^(n-1), one degree lower."""
+    deleted, restricted = central(deletion(a, 1)), central(restriction(a, 1))
+    return list(central(a)) == [x + y for x, y in zip(deleted, (0,) + restricted)]
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_deletion_restriction_on_the_fixtures(name):
+    assert holds_deletion_restriction(fixture(name))
+
+
+def test_deleting_a_coloop_leaves_a_non_essential_arrangement():
+    # each coordinate line of boolean_n2 is a coloop: A minus H is two lines
+    # through one point, no longer essential, with pi = (1 + t)^2 and no top
+    # term, and pi(A) = (1 + t) pi(A minus H)
+    a = fixture("boolean_n2")
+    lat = build_lattice(deletion(a, 1))
+    assert not lat.essential
+    assert poincare(lat).central == (1, 2, 1, 0)
+    assert central(restriction(a, 1)) == (1, 2, 1)
+    assert holds_deletion_restriction(a)
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(1, marks=pytest.mark.skip(
+        reason="A^H of an arrangement in P^1 lies in P^0, which has no arrangements")),
+    2, 3, 4])
+def test_deletion_restriction_on_seeded_draws(n):
+    # the library's lattice comes from the no-broken-circuit walk, and the
+    # restriction is read off a kernel basis of H; m runs from 2 to n + 7
+    rng = random.Random(f"deletion-restriction/{n}")
+    for _ in range(150):
+        rows = [[rng.randint(-1, 1) for _ in range(n + 1)]
+                for _ in range(rng.randint(2, n + 7))]
+        forms = tuple(dict.fromkeys(canonical_form(r) for r in rows if any(r)))
+        if len(forms) >= 2:
+            assert holds_deletion_restriction(Arrangement(n, forms)), forms
 
 
 @pytest.mark.parametrize("name", sorted(CHERN_TABLE))

@@ -92,7 +92,7 @@ PLANES_OF_RANK_3 = parse_arrangement(4, [
 def eliminations(monkeypatch, a) -> int:
     """`bareiss` and `rref` calls made by the lattice and the basis gcds."""
     calls = spy(monkeypatch, [("linalg", "bareiss"), ("linalg", "rref")])
-    analysis = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS, True)
+    analysis = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
     analysis.lattice
     analysis.basis_minors
     return len(calls["bareiss"]) + len(calls["rref"])
@@ -136,7 +136,7 @@ def test_a_lattice_breaking_the_pair_count_stops_the_report():
     # checks that, and a lattice missing a double point fails it
     a = fixture("generic6_off_conic")
     kept = [(f, mu) for f, mu in build_lattice(a).items() if f.indices != (1, 2)]
-    analysis = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS, True)
+    analysis = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
     analysis.lattice = IntersectionLattice(a, *map(tuple, zip(*kept)))
     with pytest.raises(AssertionError, match="pair-count identity"):
         analysis.report()
@@ -151,7 +151,7 @@ def test_a_wrong_mobius_value_fails_the_pair_count():
     triple = next(i for i, f in enumerate(lattice.flats) if f.rank == 2 and f.s == 3)
     mobius = list(lattice.mobius)
     mobius[triple] += 1
-    analysis = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS, True)
+    analysis = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
     analysis.lattice = IntersectionLattice(a, lattice.flats, tuple(mobius))
     check = {c["check"]: c for c in analysis.report()["oracles"]}["pair_count_identity"]
     assert check == {"check": "pair_count_identity", "status": "fail", "lhs": 2, "rhs": 3}
@@ -163,11 +163,10 @@ def test_a_wrong_mobius_value_fails_the_pair_count():
 ], ids=["four_concurrent_lines", "boolean_n2"])
 @pytest.mark.parametrize("keyword, value, message", [
     ("max_subsets", -1, "^max_subsets must be an int >= 0, got -1$"),
-    ("literature_rules", "yes", "^literature_rules must be a bool, got 'yes'$"),
-], ids=["max_subsets", "literature_rules"])
+], ids=["max_subsets"])
 def test_arguments_are_checked_without_a_steiner_sheaf(a, keyword, value, message):
-    # neither arrangement has a Steiner sheaf, so neither `torelli_verdict`
-    # nor `classify` runs to check the argument
+    # neither arrangement has a Steiner sheaf, so `torelli_verdict` never
+    # runs to check the argument
     with pytest.raises(ValueError, match=message):
         build_report(a, **{keyword: value})
 

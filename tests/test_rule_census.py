@@ -102,7 +102,7 @@ def outcomes():
     """Rule texts, witness kinds and Torelli verdicts the inputs produce."""
     rules, kinds, verdicts = set(), set(), set()
     for a in INPUTS.values():
-        an = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS, True)
+        an = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
         stab, tv = an.stability, an.torelli
         if stab is None:   # no Steiner sheaf, no verdicts
             continue

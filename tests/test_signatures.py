@@ -38,9 +38,8 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "arrinv"
 PAIR = {"Arrangement", "IntersectionLattice"}
-ARGUMENT_MESSAGES = ("max_subsets must be an int >= 0", "literature_rules must be a bool",
-                     "prime must be an int", "is not prime", "is repeated",
-                     "at least one oracle prime is needed",
+ARGUMENT_MESSAGES = ("max_subsets must be an int >= 0", "prime must be an int",
+                     "is not prime", "is repeated", "at least one oracle prime is needed",
                      "primality is decided only below")
 TENSOR_PAIRS = ({"Arrangement", "SteinerTensor"},
                 {"IntersectionLattice", "SteinerTensor"})

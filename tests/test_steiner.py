@@ -55,7 +55,7 @@ def test_slice_entries_follow_definition(name):
 def test_a_report_builds_no_slices(name):
     # neither a report nor the GIT test, which reads the relation basis rows,
     # builds the slices view
-    an = Analysis(fixture(name), DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS, True)
+    an = Analysis(fixture(name), DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
     an.report()
     t = an.tensor
     if t is not None:

@@ -35,7 +35,7 @@ from arrinv.torelli import (
     torelli_verdict,
 )
 from oracles import (conic_nonsingular_at, dependent_subsets_by_minors, fraction_det,
-                     fraction_rank, rule1_by_exhaustion, sextuple_on_conic)
+                     fraction_rank, rnc_by_gale, rule1_by_exhaustion, sextuple_on_conic)
 
 
 def verdict_for(name, **kwargs):
@@ -632,7 +632,7 @@ def space_configurations(draw):
 @settings(max_examples=160, deadline=None)
 def test_pruned_rule1_matches_the_exhaustive_scan(case):
     a, max_subsets = case
-    verdict = Analysis(a, DEFAULT_PRIMES, max_subsets, True).torelli
+    verdict = Analysis(a, DEFAULT_PRIMES, max_subsets).torelli
     assume(verdict is not None)
     if verdict.status is TorelliStatus.UNKNOWN:   # unstable: no rule applies
         witness, oracle_cap_hit = None, False
@@ -676,6 +676,53 @@ def test_conic_brackets_agree_with_the_curve_test():
         assert rnc.verdict is not RncVerdict.DEGENERATE_CONFIGURATION
         on += sextuple_on_conic(points)
     assert on >= 150
+
+
+def unimodular_change(rng, d):
+    """A d x d integer matrix of determinant +-1: a signed permutation
+    matrix, then columns plus small multiples of other columns."""
+    perm = rng.sample(range(d), d)
+    u = [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.randint(-2, 2)
+        for row in u:
+            row[j] += c * row[i]
+    return u
+
+
+def general_position_set(rng, n, on_curve):
+    """n+4 points of P^n in linear general position: moment-curve points
+    (1, t, ..., t^n) under a unimodular change, or those with one point
+    moved by a unit step, which then almost surely leaves the one rational
+    normal curve through the other n+3."""
+    while True:
+        u = unimodular_change(rng, n + 1)
+        points = [[sum(t ** k * u[k][j] for k in range(n + 1)) for j in range(n + 1)]
+                  for t in rng.sample(range(-5, 6), n + 4)]
+        if on_curve:   # any n+1 of them have a nonzero Vandermonde minor
+            return points
+        points[rng.randrange(n + 4)][rng.randrange(n + 1)] += rng.choice((1, -1))
+        if all(fraction_det(s) for s in combinations(points, n + 1)):
+            return points
+
+
+def test_gale_criterion_agrees_with_the_curve_test():
+    # the rule 1 oracle decides curves for n >= 3 by Goppa's criterion on the
+    # Gale transform, the library by `rnc_test`, which normalizes a frame and
+    # reads reciprocals; on n+4 points in linear general position both decide
+    # whether the points lie on a rational normal curve, so they must agree
+    rng = random.Random(21)
+    seen = set()
+    for k in range(120):
+        n = 3 + k % 3
+        points = general_position_set(rng, n, k % 2 == 0)
+        rnc = rnc_test(build_lattice(parse_arrangement(n, points)))
+        assert rnc.verdict is not RncVerdict.DEGENERATE_CONFIGURATION
+        on = rnc_by_gale(points)
+        assert on is (rnc.verdict is RncVerdict.ON_SMOOTH_RNC), points
+        seen.add((n, on))
+    assert seen == {(n, on) for n in (3, 4, 5) for on in (False, True)}
 
 
 def test_sixteen_lines_on_a_conic_skip_the_scan(monkeypatch):
@@ -880,6 +927,6 @@ TORELLI_SWEEP_DIGESTS = {
                          ids=lambda c: "n{}-m{}-{}-{}".format(*c))
 def test_torelli_section_matches_the_pinned_digest(case):
     section = Analysis(sweep_arrangement(*case), DEFAULT_PRIMES,
-                       DEFAULT_MAX_SUBSETS, True).torelli_section()
+                       DEFAULT_MAX_SUBSETS).torelli_section()
     text = json.dumps(jsonable(section), indent=2)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TORELLI_SWEEP_DIGESTS[case]
