@@ -49,8 +49,8 @@ def poincare(lattice: IntersectionLattice) -> PoincareData:
     """
     n = lattice.n
     coeffs = [0] * (n + 1)
-    for flat, mu in lattice.items():
-        coeffs[flat.rank] += mu * ((-1) ** flat.rank)
+    for flat in lattice.flats:
+        coeffs[flat.rank] += flat.mobius * ((-1) ** flat.rank)
     top = (-1) ** n * sum((-1) ** i * c for i, c in enumerate(coeffs))
     return PoincareData(tuple(coeffs), tuple(coeffs) + (top,))
 

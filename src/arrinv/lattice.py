@@ -7,10 +7,10 @@ the lattice of flats of the matroid of the forms. One walk over the
 no-broken-circuit (NBC) sets of labels gives both the flats and the Mobius
 function: each NBC k-set closes to a flat of rank k, every flat is such a
 closure, and mu of a flat is (-1)^k times the number of NBC sets spanning
-it. The walk carries each flat as an integer basis of its points and cuts
-it by one form per step, so it reads the forms alone. The lattice is the
-one place that decides dependence: `independent` answers it for any label
-set, and `crossing` classifies it.
+it; each flat carries its value. Each step cuts a flat, kept as an integer
+basis of its points, by one form, so the walk reads the forms alone. The
+lattice is the one place that decides dependence: `independent` answers it
+for any label set by label bitmasks, and `crossing` classifies it.
 """
 
 import enum
@@ -27,10 +27,12 @@ class Flat(NamedTuple):
 
     indices: maximal 1-based labels of hyperplanes containing the flat.
     rank: codimension of the flat in P^n.
+    mobius: the Mobius function of the lattice from its bottom to the flat.
     """
 
     indices: tuple[int, ...]
     rank: int
+    mobius: int
 
     @property
     def s(self) -> int:
@@ -50,11 +52,9 @@ class CrossingReport(NamedTuple):
 
 
 class IntersectionLattice:
-    def __init__(self, arrangement: Arrangement, flats: tuple[Flat, ...],
-                 mobius: tuple[int, ...]):
+    def __init__(self, arrangement: Arrangement, flats: tuple[Flat, ...]):
         self.arrangement = arrangement
         self.flats = flats        # sorted by (rank, indices)
-        self.mobius = mobius      # parallel to flats
 
     @property
     def n(self) -> int:
@@ -94,17 +94,18 @@ class IntersectionLattice:
 
         Dependent labels span a flat of some rank r <= n holding more than r
         of them, and more than r labels of a rank-r flat are dependent, so
-        only the flats through more hyperplanes than their rank are asked.
+        only the flats through more hyperplanes than their rank are asked,
+        each as a bitmask of its labels.
         """
-        labels = set(labels)
-        return all(len(labels.intersection(f.indices)) <= f.rank
-                   for f in self.dependent_flats)
+        mask = sum(1 << i for i in set(labels))
+        return all((mask & fm).bit_count() <= rank for fm, rank in self._dependent_masks)
+
+    @cached_property
+    def _dependent_masks(self) -> tuple[tuple[int, int], ...]:
+        return tuple((sum(1 << i for i in f.indices), f.rank) for f in self.dependent_flats)
 
     def flats_of_rank(self, r: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.rank == r)
-
-    def items(self):
-        return zip(self.flats, self.mobius)
 
 
 def build_lattice(a: Arrangement) -> IntersectionLattice:
@@ -149,6 +150,5 @@ def build_lattice(a: Arrangement) -> IntersectionLattice:
                 key = (len(nbc), closure)
                 mobius[key] = mobius.get(key, 0) + (-1) ** len(nbc)
                 walk.append((nbc, cut))
-    keys = sorted(mobius)
-    return IntersectionLattice(a, tuple(Flat(indices, rank) for rank, indices in keys),
-                               tuple(mobius[key] for key in keys))
+    return IntersectionLattice(a, tuple(Flat(indices, rank, mu)
+                                        for (rank, indices), mu in sorted(mobius.items())))

@@ -23,7 +23,6 @@ from itertools import chain
 from math import gcd
 from typing import Sequence
 
-Q = Fraction
 Rows = tuple[tuple[Fraction, ...], ...]
 
 # Python converts integers of at most this many digits to and from text (its
@@ -136,8 +135,8 @@ def bareiss(rows: Sequence[Sequence]) -> tuple[int, Fraction]:
     work, pivots, last, sign, scale = _eliminate(rows)
     rank = len(pivots)
     if rank == len(work) == (len(work[0]) if work else 0):
-        return rank, Q(sign * last, scale)
-    return rank, Q(0)
+        return rank, Fraction(sign * last, scale)
+    return rank, Fraction(0)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Rows, tuple[int, ...]]:
@@ -153,8 +152,8 @@ def kernel_basis(rows: Sequence[Sequence]) -> Rows:
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Q(0)] * cols
-        v[f] = Q(1)
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -reduced[r][f]
         basis.append(tuple(v))

@@ -163,8 +163,8 @@ class Analysis:
 
     def lattice_section(self) -> dict:
         lattice = self.lattice
-        flats = [{"indices": list(f.indices), "rank": f.rank, "s": f.s, "mobius": mu}
-                 for f, mu in lattice.items()]
+        flats = [{"indices": list(f.indices), "rank": f.rank, "s": f.s, "mobius": f.mobius}
+                 for f in lattice.flats]
         counts = Counter(f.rank for f in lattice.flats)
         crossing = lattice.crossing
         return {

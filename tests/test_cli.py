@@ -761,7 +761,7 @@ class TestReportHelpers:
         from fractions import Fraction
         from arrinv.lattice import Flat
         from arrinv.stability import Witness, WitnessKind
-        records = [Flat((1, 2), 1),
+        records = [Flat((1, 2), 1, 1),
                    Witness(WitnessKind.DISCRIMINANT, Fraction(-1), Fraction(0), True)]
         for record in records:
             with pytest.raises(TypeError, match="not jsonable"):

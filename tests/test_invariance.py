@@ -59,7 +59,7 @@ def coordinate_free(analysis: Analysis, label) -> dict:
     lattice = analysis.lattice
     stability, torelli, gale = analysis.stability, analysis.torelli, analysis.gale_check
     return {
-        "flats": sorted((sorted(map(label, f.indices)), f.rank, mu) for f, mu in lattice.items()),
+        "flats": sorted((sorted(map(label, f.indices)), f.rank, f.mobius) for f in lattice.flats),
         "crossing": lattice.crossing.kind,
         "poincare": analysis.poincare,
         "chern": analysis.chern_data,

@@ -21,12 +21,11 @@ def rank2_profile(lattice):
 
 def test_boolean_n2_lattice():
     lat = build_lattice(fixture("boolean_n2"))
-    mu = {f.indices: value for f, value in lat.items()}
     assert len(lat.flats_of_rank(0)) == 1
     assert len(lat.flats_of_rank(1)) == 3
     assert rank2_profile(lat) == [2, 2, 2]
-    assert all(mu[f.indices] == -1 for f in lat.flats_of_rank(1))
-    assert all(mu[f.indices] == 1 for f in lat.flats_of_rank(2))
+    assert all(f.mobius == -1 for f in lat.flats_of_rank(1))
+    assert all(f.mobius == 1 for f in lat.flats_of_rank(2))
 
 
 def test_a3_lattice_profile():
@@ -35,8 +34,7 @@ def test_a3_lattice_profile():
     triples = [f for f in lat.flats_of_rank(2) if f.s == 3]
     assert sorted(f.indices for f in triples) == [
         (1, 2, 4), (1, 5, 6), (2, 3, 5), (3, 4, 6)]
-    mu = {f.indices: value for f, value in lat.items()}
-    assert all(mu[f.indices] == 2 for f in triples)
+    assert all(f.mobius == 2 for f in triples)
 
 
 def test_generic5_has_ten_double_points():
@@ -63,15 +61,13 @@ def test_flats_sorted_within_rank():
 def test_mobius_matches_subset_oracle(name):
     a = fixture(name)
     lat = build_lattice(a)
-    mu = {f.indices: value for f, value in lat.items()}
     for f in lat.flats:
-        assert mu[f.indices] == mobius_by_subsets(a, f), f.indices
+        assert f.mobius == mobius_by_subsets(a, f), f.indices
 
 
 def test_mobius_view():
     lat = build_lattice(fixture("boolean_n2"))
-    mu = {f.indices: value for f, value in lat.items()}
-    assert sum(mu.values()) == 1 - 3 + 3
+    assert sum(f.mobius for f in lat.flats) == 1 - 3 + 3
 
 
 def test_crossing_generic():
@@ -110,9 +106,8 @@ def test_n3_lattice_moebius_against_oracle():
     a = parse_arrangement(3, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0],
                               [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     lat = build_lattice(a)
-    mu = {f.indices: value for f, value in lat.items()}
     for f in lat.flats:
-        assert mu[f.indices] == mobius_by_subsets(a, f)
+        assert f.mobius == mobius_by_subsets(a, f)
 
 
 def braid(n):
@@ -125,29 +120,31 @@ def braid(n):
 @pytest.mark.parametrize("n, flats, central", [
     (3, 51, (1, 10, 35, 50, 24)),
     (4, 202, (1, 15, 85, 225, 274, 120)),
+    (5, 876, (1, 21, 175, 735, 1624, 1764, 720)),
 ])
 def test_braid_lattices_in_p3_and_p4(n, flats, central):
-    """A4 and A5, the braid arrangements of n + 2 points in P^n.
+    """A4, A5 and A6, the braid arrangements of n + 2 points in P^n.
 
     The flats are the set partitions of n + 2 points but the coarsest, and
     the central Poincare polynomial is (1 + t)(1 + 2t)...(1 + (n+1)t). The
     bases are the spanning trees of K_(n+2), (n+2)^n of them (Cayley): the
     basis gcds read the forms and `independent` reads the lattice, so the
-    two counts check each other. A6 (n = 5, 16,807 trees) is left out: its
-    two counts take about 7 s.
+    two counts check each other. A6 (n = 5, m = 21) asks `independent` for
+    54,264 six-sets against 644 dependent flats, which the label bitmasks
+    keep to about a second.
     """
     a = braid(n)
     lat = build_lattice(a)
     assert len(lat.flats) == flats
     assert poincare(lat).central == central
-    trees = {3: 125, 4: 1296}[n]
+    trees = {3: 125, 4: 1296, 5: 16807}[n]
     assert trees == (n + 2) ** n
     # a graphic arrangement is totally unimodular, so every gcd is 1
     assert basis_minors(a) == (1,) * trees
     assert sum(map(lat.independent, combinations(range(1, a.m + 1), n + 1))) == trees
     if n == 3:
-        for f, mu in lat.items():
-            assert mu == mobius_by_subsets(a, f), f.indices
+        for f in lat.flats:
+            assert f.mobius == mobius_by_subsets(a, f), f.indices
 
 
 BIG = 10 ** 29 + 3
@@ -185,8 +182,8 @@ def test_lattice_matches_the_closure_oracle(a):
     assert len(pairs) == len(set(pairs))
     expected = flats_by_closure(a)
     assert set(pairs) == expected
-    for f, mu in lat.items():
-        assert mu == mobius_by_subsets(a, f), f.indices
+    for f in lat.flats:
+        assert f.mobius == mobius_by_subsets(a, f), f.indices
     # the crossing witness is the shallowest flat of rank >= 2 through more
     # hyperplanes than its rank; rank-1 flats never qualify
     heavy = sorted((rank, labels) for labels, rank in expected

@@ -135,9 +135,9 @@ def test_a_lattice_breaking_the_pair_count_stops_the_report():
     # sum C(s - 1, 2) over the points; the delta invariant, computed once,
     # checks that, and a lattice missing a double point fails it
     a = fixture("generic6_off_conic")
-    kept = [(f, mu) for f, mu in build_lattice(a).items() if f.indices != (1, 2)]
+    kept = tuple(f for f in build_lattice(a).flats if f.indices != (1, 2))
     analysis = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
-    analysis.lattice = IntersectionLattice(a, *map(tuple, zip(*kept)))
+    analysis.lattice = IntersectionLattice(a, kept)
     with pytest.raises(AssertionError, match="pair-count identity"):
         analysis.report()
 
@@ -148,11 +148,11 @@ def test_a_wrong_mobius_value_fails_the_pair_count():
     # takes the left side to 2, and no assertion stops the report first
     a = fixture("m6_three_triples")
     lattice = build_lattice(a)
-    triple = next(i for i, f in enumerate(lattice.flats) if f.rank == 2 and f.s == 3)
-    mobius = list(lattice.mobius)
-    mobius[triple] += 1
+    flats = list(lattice.flats)
+    triple = next(i for i, f in enumerate(flats) if f.rank == 2 and f.s == 3)
+    flats[triple] = flats[triple]._replace(mobius=flats[triple].mobius + 1)
     analysis = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
-    analysis.lattice = IntersectionLattice(a, lattice.flats, tuple(mobius))
+    analysis.lattice = IntersectionLattice(a, tuple(flats))
     check = {c["check"]: c for c in analysis.report()["oracles"]}["pair_count_identity"]
     assert check == {"check": "pair_count_identity", "status": "fail", "lhs": 2, "rhs": 3}
 
