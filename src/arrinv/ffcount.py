@@ -6,10 +6,10 @@ independent oracle for the lattice and Mobius computations; see
 must match. The count walks the p^n fibers over the last coordinate and
 closes each fiber in O(m), with one inverse per form; it is exact at every
 prime, forms that coincide or vanish mod p included. One rule says when it
-must equal the prediction: a prime is accepted when it divides no basis
-gcd (`basis_minors`). Then every set of forms keeps its rank mod p, so the
-reduction mod p keeps the lattice over Q. The gcds come from the forms
-alone, one echelon form and one determinant over Z per basis, never from a
+must equal the prediction: a prime is accepted when it divides no nonzero
+basis gcd (`basis_minors`). Then every set of forms keeps its rank mod p, so
+the reduction mod p keeps the lattice over Q. The gcds come from the forms
+alone, one echelon form and one determinant over Z per r-set, never from a
 lattice or a rank mod p. Primality is a Miller-Rabin test that is exact
 below PSI_13; a larger number is refused, not guessed.
 """
@@ -96,15 +96,15 @@ def count_complement_points(a: Arrangement, p: int) -> int:
 
 
 def basis_minors(a: Arrangement) -> tuple[int, ...]:
-    """g_B for every basis B of the forms, label sets in lexicographic order.
+    """g_B for every r-set B of the forms, label sets in lexicographic order.
 
-    A basis is a label set B with |B| = rank(B) = r, the rank of all the
-    forms, and g_B is the gcd of the r x r minors of B's forms. Each form is
+    r is the rank of all the forms, and g_B the gcd of the r x r minors of
+    B's forms, kept when it is zero, exactly when B is dependent. Each form is
     its pivot entries times R, the r nonzero rows of the forms' RREF, so by
     Cauchy-Binet each minor of B is det B_P (P the pivot columns) times the
     same minor of R. Those of R generate (1/L)Z, L their common denominator,
-    so g_B = |det B_P| / L, zero exactly when B is dependent; for an
-    essential arrangement L = 1 and g_B = |det B|.
+    so g_B = |det B_P| / L; for an essential arrangement L = 1, r = n+1 and
+    g_B = |det B|.
     """
     reduced, pivots = rref(a.forms)
     r = len(pivots)
@@ -112,19 +112,19 @@ def basis_minors(a: Arrangement) -> tuple[int, ...]:
                         for cols in combinations(range(a.n + 1), r) if cols != pivots))
     dets = (bareiss([[row[c] for c in pivots] for row in rows])[1]
             for rows in combinations(a.forms, r))
-    return tuple(abs(d.numerator) // denominator for d in dets if d)
+    return tuple(abs(d.numerator) // denominator for d in dets)
 
 
 def prime_preserves_lattice(minors: tuple[int, ...], p: int) -> bool:
-    """True when p divides no basis gcd in `minors` (`basis_minors`).
+    """True when p divides no nonzero basis gcd in `minors` (`basis_minors`).
 
-    Ranks can only drop mod p, and every independent set extends to a
-    basis, so p keeps the rank of every set of forms exactly when every
-    basis keeps rank r mod p, that is when p divides none of its gcds.
-    Then the whole intersection lattice mod p agrees with the lattice over
-    Q, which is exactly what the counting identity needs.
+    A zero gcd, of a dependent set, is skipped. Ranks can only drop mod p,
+    and every independent set extends to a basis, so p keeps the rank of
+    every set of forms exactly when every basis keeps rank r mod p, that is
+    when p divides none of its gcds. Then the whole intersection lattice
+    mod p agrees with the lattice over Q, which the counting identity needs.
     """
-    return all(g % p for g in minors)
+    return all(g % p for g in minors if g)
 
 
 def next_valid_prime(minors: tuple[int, ...], start: int) -> int:

@@ -4,10 +4,11 @@ A report is read from one `Analysis` of the arrangement, which computes
 each quantity at most once. Two quantities read the forms directly: the
 intersection lattice, whose flats and Mobius values come from one walk
 over the no-broken-circuit sets that cuts each flat by one form, and the
-gcd of each basis's maximal minors, taken over Z, so that an oracle prime
-is accepted when it divides none of them. The lattice is the one
-place that decides dependence: the Torelli genericity, the linear general
-position `rnc_test` needs and the Gale primal sets ask it. The defining
+gcd of each r-set's maximal minors over Z, zero on a dependent set: an
+oracle prime is accepted when it divides no nonzero one. The lattice is the
+one place that decides dependence: the Torelli genericity, the linear
+general position `rnc_test` needs and the Gale primal sets, which the Gale
+check sets against the zero gcds, ask it. The defining
 tensor is built from the lattice, and its relation basis gives the Gale
 dual points wherever `steiner.gale_unavailable` allows. Stability, Torelli,
 Chern data, the delta section's h0 values and the tensor exist only where
@@ -141,7 +142,7 @@ class Analysis:
         """The bijection check, where `gale_unavailable` finds no objection."""
         if gale_unavailable(self.lattice):
             return None
-        return verify_gale_bijection(self.tensor)
+        return verify_gale_bijection(self.tensor, self.basis_minors)
 
     # -- sections -------------------------------------------------------
 
@@ -331,7 +332,9 @@ class Analysis:
         if rep is not None:
             entry = {"check": "gale_complement_bijection",
                      "status": "pass" if rep.ok else "fail"}
-            if not rep.ok:
+            if not rep.kernel:
+                entry["kernel"] = False
+            if rep.missing or rep.extra:
                 entry["missing"] = [list(s) for s in rep.missing]
                 entry["extra"] = [list(s) for s in rep.extra]
             checks.append(entry)

@@ -16,15 +16,14 @@ as m forms in m-n-1 variables (`dual_columns`, a view for the report and
 `gale_unavailable` is the one rule, read off the lattice, for where they
 exist: a Steiner sheaf and m >= n+3, so that P^(m-n-2) is at least a line.
 Dependent subsets of maximal size swap with their complements under this
-duality; `verify_gale_bijection` checks that at the level of coordinate
-configurations, so it also covers duals whose points collide (which cannot
-be represented as an Arrangement). The tensor holds the intersection lattice
-it was built from. The check lists both families of dependent sets the same
-way, in lexicographic order: the primal (n+1)-sets are the ones
-`IntersectionLattice.independent` rejects, and the dual (m-n-1)-sets the
-ones whose dual points have a vanishing determinant, read as a minor of size
-at most n+1 of their echelon form, so the check sets the lattice against the
-kernel of the forms.
+duality (Eisenbud-Popescu, J. Algebra 230, 2000): where the relation basis
+is a full-rank kernel of the forms, the dual points' dependent (m-n-1)-sets,
+coincident points included, are the complements of the forms' dependent
+(n+1)-sets. So `verify_gale_bijection` tests the kernel, reads the forms'
+dependent sets off the zero basis gcds (`ffcount.basis_minors`) and sets
+them against the (n+1)-sets `IntersectionLattice.independent` rejects, both
+in lexicographic order. The tensor holds the intersection lattice it was
+built from.
 """
 
 from fractions import Fraction
@@ -35,7 +34,7 @@ from typing import NamedTuple
 from .arrangement import Arrangement, InvalidArrangement, parse_arrangement
 from .invariants import require_steiner, steiner_unavailable
 from .lattice import IntersectionLattice
-from .linalg import Rows, det, kernel_basis, rref
+from .linalg import Rows, bareiss, kernel_basis
 
 
 class GaleUndefined(ValueError):
@@ -117,45 +116,41 @@ def gale_dual(t: SteinerTensor) -> Arrangement:
 
 
 class GaleBijectionReport(NamedTuple):
-    ok: bool
-    primal_dependent: tuple[tuple[int, ...], ...]
-    actual_dual: tuple[tuple[int, ...], ...]
-    missing: tuple[tuple[int, ...], ...]
-    extra: tuple[tuple[int, ...], ...]
+    ok: bool                                        # kernel, and no set missing or extra
+    kernel: bool                                    # the basis is a rank m-n-1 kernel
+    primal_dependent: tuple[tuple[int, ...], ...]   # (n+1)-sets the lattice rejects
+    actual_dual: tuple[tuple[int, ...], ...]        # complements of the forms' dependent sets
+    missing: tuple[tuple[int, ...], ...]            # complements the lattice has, the forms not
+    extra: tuple[tuple[int, ...], ...]              # complements the forms have, the lattice not
 
 
-def verify_gale_bijection(t: SteinerTensor) -> GaleBijectionReport:
+def verify_gale_bijection(t: SteinerTensor, minors: tuple[int, ...]) -> GaleBijectionReport:
     """Check that dual dependent sets are exactly complements of primal ones.
 
-    The primal sets are the (n+1)-sets C that the tensor's lattice finds
-    dependent (`IntersectionLattice.independent`), in lexicographic order.
-    The dual points (`u_basis` columns) are put in reduced row echelon form R,
-    the identity on its pivot columns P, so the points off C, coincident or
-    not, are dependent exactly when R's minor on rows {j : P_j in C} and the
-    columns in neither C nor P, at most (n+1) x (n+1), vanishes. The check
-    fails unless the points annihilate the forms and have rank m-n-1.
+    The primal sets are the (n+1)-sets the tensor's lattice finds dependent
+    (`IntersectionLattice.independent`); the forms' dependent sets are those
+    whose gcd in `minors`, `ffcount.basis_minors` of the lattice's
+    arrangement, is zero. Both are in lexicographic order. Where the
+    relation basis annihilates the forms and has rank m-n-1, the dual
+    dependent sets are the complements of the forms' ones, so the check
+    fails unless that kernel test holds and the two families agree.
     Raises GaleUndefined with the reason of `gale_unavailable`.
     """
     why = gale_unavailable(t.lattice)
     if why is not None:
         raise GaleUndefined(why)
-    m, n = t.m, t.n
-    u = t.u_basis
-    reduced, pivots = rref(u)
-    full = len(pivots) == m - n - 1
-    kernel = full and all(sum(c * f[k] for c, f in zip(row, t.lattice.arrangement.forms)) == 0
-                          for row in u for k in range(n + 1))
-    by_pivot = {p + 1: row for p, row in zip(pivots, reduced)}
+    m, n, u, forms = t.m, t.n, t.u_basis, t.lattice.arrangement.forms
+    kernel = bareiss(u)[0] == m - n - 1 and all(
+        sum(c * f[k] for c, f in zip(row, forms)) == 0 for row in u for k in range(n + 1))
     labels = range(1, m + 1)
-    others = [i for i in labels if i not in by_pivot]
+    sets = list(combinations(labels, n + 1))
 
-    def complements(sets):
-        return tuple(sorted(tuple(i for i in labels if i not in s) for s in sets))
+    def complements(family):
+        return tuple(sorted(tuple(i for i in labels if i not in s) for s in family))
 
-    primal = tuple(s for s in combinations(labels, n + 1) if not t.lattice.independent(s))
-    dual = [s for s in combinations(labels, n + 1)
-            if not full or det([[by_pivot[i][k - 1] for k in others if k not in s]
-                                for i in s if i in by_pivot]) == 0]
-    missing, extra = complements(set(primal) - set(dual)), complements(set(dual) - set(primal))
-    return GaleBijectionReport(kernel and not missing and not extra, primal,
-                               complements(dual), missing, extra)
+    primal = tuple(s for s in sets if not t.lattice.independent(s))
+    by_forms = tuple(s for s, g in zip(sets, minors, strict=True) if not g)
+    missing = complements(set(primal) - set(by_forms))
+    extra = complements(set(by_forms) - set(primal))
+    return GaleBijectionReport(kernel and not missing and not extra, kernel, primal,
+                               complements(by_forms), missing, extra)

@@ -12,7 +12,9 @@ points), primality is decided by trial division instead of Miller-Rabin,
 a prime is judged by ranking every set of at most n+1 forms
 over Q and mod p instead of by divisibility of basis minors, each basis
 gcd is the gcd of its minors on every set of r columns instead of one
-determinant over the pivot columns of an echelon form, a closure is
+determinant over the pivot columns of an echelon form, the dual points'
+dependent sets are ranked point set by point set instead of read off the
+forms' zero gcds by Gale duality, a closure is
 read off an echelon form of its label set instead of off a walk that cuts
 flats by forms, polynomial products are multiplied out term by term
 instead of read off closed binomials, and Torelli rule 1 is an exhaustive
@@ -131,14 +133,26 @@ def basis_gcds_by_minors(a: Arrangement) -> tuple[int, ...]:
 
     r is the rank of all the forms, and g_B the gcd of the r x r minors of
     B's forms over every set of r columns; the zero ones, of dependent
-    sets, are dropped. `ffcount.basis_minors` must return the same tuple.
+    sets, are kept. `ffcount.basis_minors` must return the same tuple.
     """
     r = fraction_rank(a.forms)
     column_sets = list(combinations(range(a.n + 1), r))
-    gcds = (gcd(*(int(fraction_det([[row[c] for c in cols] for row in rows]))
-                  for cols in column_sets))
-            for rows in combinations(a.forms, r))
-    return tuple(g for g in gcds if g)
+    return tuple(gcd(*(int(fraction_det([[row[c] for c in cols] for row in rows]))
+                       for cols in column_sets))
+                 for rows in combinations(a.forms, r))
+
+
+def dual_dependent_sets(t: SteinerTensor) -> tuple[tuple[int, ...], ...]:
+    """The (m-n-1)-sets of dual points, `u_basis` columns, of rank below m-n-1.
+
+    Read off the dual points themselves, one rank per set, in lexicographic
+    order: the Gale check must find the same sets as the complements of the
+    forms' dependent (n+1)-sets.
+    """
+    size = t.m - t.n - 1
+    columns = list(zip(*t.u_basis))
+    return tuple(s for s in combinations(range(1, t.m + 1), size)
+                 if fraction_rank([columns[i - 1] for i in s]) < size)
 
 
 def slice_at_point(t: SteinerTensor, point) -> tuple[tuple[Fraction, ...], ...]:

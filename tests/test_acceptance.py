@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from arrinv.arrangement import InvalidArrangement, parse_arrangement
-from arrinv.ffcount import count_complement_points
+from arrinv.ffcount import basis_minors, count_complement_points
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.invariants import (chern, complement_count_prediction,
                                delta_invariant, local_data, poincare)
@@ -148,7 +148,8 @@ def test_criterion_05_gale_bijection(capsys):
             a = fixture(name)
             if a.m < a.n + 3:
                 continue
-            assert verify_gale_bijection(steiner_tensor(build_lattice(a))).ok, name
+            t = steiner_tensor(build_lattice(a))
+            assert verify_gale_bijection(t, basis_minors(a)).ok, name
 
         rng = random.Random(20250823)
         accepted = 0
@@ -166,7 +167,7 @@ def test_criterion_05_gale_bijection(capsys):
                 gale_dual(t)
             except (InvalidArrangement, GaleUndefined):
                 continue
-            assert verify_gale_bijection(t).ok
+            assert verify_gale_bijection(t, basis_minors(a)).ok
             accepted += 1
 
 

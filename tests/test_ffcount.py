@@ -183,11 +183,12 @@ def maybe_flat_arrangements(draw):
 @settings(max_examples=300, deadline=None)
 def test_prime_check_matches_ranks_mod_p(a, p):
     minors = basis_minors(a)
-    # one gcd per basis, none zero: a zero gcd is divisible by every prime,
-    # so `next_valid_prime` would search forever
+    # one gcd per r-set, zero exactly on a dependent one; a zero gcd is
+    # divisible by every prime, so the prime test skips it, or
+    # `next_valid_prime` would search forever
     r = fraction_rank(a.forms)
-    assert 0 not in minors
-    assert len(minors) == sum(fraction_rank(rows) == r for rows in combinations(a.forms, r))
+    assert [g == 0 for g in minors] == [fraction_rank(rows) < r
+                                         for rows in combinations(a.forms, r)]
     assert prime_preserves_lattice(minors, p) == prime_preserves_lattice_by_ranks(a, p)
     q = p
     while not (is_prime(q) and prime_preserves_lattice_by_ranks(a, q)):

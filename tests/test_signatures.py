@@ -26,6 +26,11 @@ Its slices are a view for `arrinv tensor` alone, and its columns, the Gale
 dual points, a view for the `gale` section and `gale_dual`: only
 `cli.cmd_tensor` reads `.slices`, and only those two call `dual_columns`.
 
+The Gale check sets the lattice against the forms' dependent sets, read off
+the basis gcds a report computes once, and tests the relation basis for a
+kernel with one rank: `steiner` imports neither `det` nor `rref`, and only
+`Analysis.basis_minors` calls `basis_minors`.
+
 Each report argument has one rule, in one checking function beside the
 code that reads it, so each argument message is written in one string
 literal of `src/`, and the CLI imports no rule of its own (no `is_prime`).
@@ -104,8 +109,8 @@ def names(tree: ast.Module) -> set[str]:
     return out
 
 
-def referring(tree: ast.Module, name: str) -> list[str]:
-    """Qualified names of the scopes of `tree` that read a name or attribute `name`.
+def _scopes_matching(tree: ast.Module, match) -> list[str]:
+    """Qualified names of the scopes of `tree` holding a node that `match` accepts.
 
     A method is "Class.method", a nested function "outer.inner", and code
     outside every function and class "<module>".
@@ -117,13 +122,28 @@ def referring(tree: ast.Module, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == name
-                    or isinstance(child, ast.Name) and child.id == name):
+            if match(child):
                 found.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(tree, [])
     return list(dict.fromkeys(found))
+
+
+def _is_name(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Name) and node.id == name)
+
+
+def referring(tree: ast.Module, name: str) -> list[str]:
+    """Qualified names of the scopes of `tree` that read a name or attribute `name`."""
+    return _scopes_matching(tree, lambda node: _is_name(node, name))
+
+
+def calling(tree: ast.Module, name: str) -> list[str]:
+    """Qualified names of the scopes of `tree` that call a name or attribute `name`."""
+    return _scopes_matching(tree, lambda node: isinstance(node, ast.Call)
+                            and _is_name(node.func, name))
 
 
 def literals_holding(tree: ast.Module, text: str) -> int:
@@ -214,6 +234,27 @@ x = lat.flats_of_rank(1)
 """
     assert referring(ast.parse(source), "flats_of_rank") == [
         "call", "Holder.bound", "Holder.outer.inner", "<module>"]
+
+
+def test_the_gale_check_takes_no_minor_of_its_own():
+    assert {"det", "rref"} & names(ast.parse((SRC / "steiner.py").read_text())) == set()
+    assert _in_src(lambda tree: calling(tree, "basis_minors")) == [
+        "report:Analysis.basis_minors"]
+
+
+def test_the_check_sees_every_call_of_a_name():
+    source = """
+def plain(a): return basis_minors(a)
+class Holder:
+    def read(self): return self.basis_minors
+    def method(self): return ffcount.basis_minors(self.a)
+    def outer(self):
+        def inner(): return [basis_minors(b) for b in self.others]
+passed = map(basis_minors, [])
+called = basis_minors(x)
+"""
+    assert calling(ast.parse(source), "basis_minors") == [
+        "plain", "Holder.method", "Holder.outer.inner", "<module>"]
 
 
 def test_only_the_gale_rule_compares_against_n_plus_3():

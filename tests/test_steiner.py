@@ -7,19 +7,27 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import arrinv.linalg as linalg_mod
 import arrinv.steiner as steiner_mod
 from arrinv.arrangement import InvalidArrangement, canonical_form, parse_arrangement
+from arrinv.ffcount import basis_minors
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
-from arrinv.linalg import bareiss, det, kernel_basis
+from arrinv.linalg import bareiss, kernel_basis
 from arrinv.report import DEFAULT_PRIMES, Analysis, build_report
 from arrinv.stability import flat_subspace, git_ratio_test
 from arrinv.steiner import (GaleUndefined, dual_columns, gale_dual, gale_unavailable,
                             steiner_tensor, verify_gale_bijection)
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
-from oracles import dependent_subsets_by_minors, fraction_rank, slice_at_point
+from oracles import (dependent_subsets_by_minors, dual_dependent_sets, fraction_rank,
+                     slice_at_point)
 
 TENSOR_FIXTURES = [n for n in fixture_names() if n != "boolean_n2"]
+
+
+def gale_check(t):
+    """The Gale check of a tensor, with the basis gcds of its arrangement."""
+    return verify_gale_bijection(t, basis_minors(t.lattice.arrangement))
 
 
 @pytest.mark.parametrize("name", TENSOR_FIXTURES)
@@ -125,7 +133,7 @@ def test_gale_dual_needs_room():
     reason = gale_unavailable(lat)
     assert reason == ("dual ambient space is empty or a point for m = 4, n = 2; "
                       "the construction needs m >= n + 3")
-    for call in (gale_dual, verify_gale_bijection):
+    for call in (gale_dual, gale_check):
         with pytest.raises(GaleUndefined) as err:
             call(steiner_tensor(lat))
         assert str(err.value) == reason
@@ -156,7 +164,7 @@ def test_dependent_sets_match_minor_oracle(name):
     assert list(primal) == sorted(primal)
     assert set(primal) == dependent_subsets_by_minors(a)
     if a.m >= a.n + 3:
-        assert verify_gale_bijection(steiner_tensor(build_lattice(a))).primal_dependent == primal
+        assert gale_check(steiner_tensor(build_lattice(a))).primal_dependent == primal
 
 
 @st.composite
@@ -177,7 +185,7 @@ def essential_lattices(draw):
 @given(essential_lattices())
 @settings(max_examples=100, deadline=None)
 def test_gale_primal_sets_are_the_dependent_minors(lat):
-    rep = verify_gale_bijection(steiner_tensor(lat))
+    rep = gale_check(steiner_tensor(lat))
     minors = dependent_subsets_by_minors(lat.arrangement)
     assert rep.primal_dependent == tuple(sorted(minors))
     assert rep.ok, (rep.missing, rep.extra)
@@ -193,7 +201,7 @@ def test_a3_dependent_triples_are_the_triple_points():
                           if fixture(n).m >= fixture(n).n + 3])
 def test_gale_bijection_on_fixtures(name):
     a = fixture(name)
-    rep = verify_gale_bijection(steiner_tensor(build_lattice(a)))
+    rep = gale_check(steiner_tensor(build_lattice(a)))
     assert rep.ok, (rep.missing, rep.extra)
     labels = set(range(1, a.m + 1))
     assert set(rep.actual_dual) == {tuple(sorted(labels - set(s)))
@@ -201,7 +209,7 @@ def test_gale_bijection_on_fixtures(name):
 
 
 def test_gale_bijection_report_contents():
-    rep = verify_gale_bijection(steiner_tensor(build_lattice(fixture("a3_braid"))))
+    rep = gale_check(steiner_tensor(build_lattice(fixture("a3_braid"))))
     assert rep.primal_dependent == ((1, 2, 4), (1, 5, 6), (2, 3, 5), (3, 4, 6))
     assert set(rep.actual_dual) == {(3, 5, 6), (2, 3, 4), (1, 4, 6), (1, 2, 5)}
     assert rep.missing == rep.extra == ()
@@ -213,30 +221,45 @@ def test_double_dual_preserves_dependencies():
     double = gale_dual(steiner_tensor(build_lattice(dual)))
     assert double.m == a.m and double.n == a.n
     assert _primal_dependent(double) == _primal_dependent(a)
-    assert (verify_gale_bijection(steiner_tensor(build_lattice(double))).primal_dependent
-            == verify_gale_bijection(steiner_tensor(build_lattice(a))).primal_dependent)
+    assert (gale_check(steiner_tensor(build_lattice(double))).primal_dependent
+            == gale_check(steiner_tensor(build_lattice(a))).primal_dependent)
 
 
+@given(essential_lattices())
+@settings(max_examples=100, deadline=None)
+def test_gale_dual_sets_are_the_dual_points_dependent_sets(lat):
+    # the check reads the dual sets off the forms' gcds by Gale duality; the
+    # oracle ranks every (m-n-1)-set of dual points itself
+    t = steiner_tensor(lat)
+    rep = gale_check(t)
+    assert rep.actual_dual == dual_dependent_sets(t)
+    assert rep.ok, (rep.missing, rep.extra)
 
 
-def test_the_gale_check_takes_only_small_minors(monkeypatch):
-    """Each dual set's determinant is a minor of size at most n+1, not m-n-1."""
+def test_the_gale_check_eliminates_the_dual_points_once(monkeypatch):
+    """One rank of the relation basis, and no determinant or echelon form."""
     rng, rows = random.Random(2), {}
     while len(rows) < 12:
         row = [rng.randint(-2, 2) for _ in range(3)]
         if any(row):
             rows.setdefault(canonical_form(row), row)
     t = steiner_tensor(build_lattice(parse_arrangement(2, list(rows.values()))))
-    sizes = []
+    minors = basis_minors(t.lattice.arrangement)
+    calls = {"bareiss": 0, "det": 0, "rref": 0}
 
-    def spy(matrix):
-        sizes.append(len(matrix))
-        return det(matrix)
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(steiner_mod, "det", spy)
-    rep = verify_gale_bijection(t)
+    for name in calls:
+        fn = getattr(linalg_mod, name)
+        for module in (linalg_mod, steiner_mod):
+            monkeypatch.setattr(module, name, spy(name, fn), raising=False)
+    rep = verify_gale_bijection(t, minors)
     assert rep.ok and len(rep.actual_dual) == 22
-    assert len(sizes) == 220 and max(sizes) <= 3
+    assert calls == {"bareiss": 1, "det": 0, "rref": 0}
 
 
 def test_a_relation_basis_that_is_not_a_kernel_fails_the_check():
@@ -245,6 +268,6 @@ def test_a_relation_basis_that_is_not_a_kernel_fails_the_check():
     t = steiner_tensor(build_lattice(fixture("generic6_off_conic")))
     first = (-t.u_basis[0][0],) + t.u_basis[0][1:]
     t.u_basis = (first,) + t.u_basis[1:]
-    rep = verify_gale_bijection(t)
+    rep = gale_check(t)
     assert rep.actual_dual == rep.missing == rep.extra == ()
-    assert not rep.ok
+    assert not rep.ok and not rep.kernel
