@@ -14,8 +14,9 @@ canonical forms fixed in this module are relied on across the package:
   makes downstream constructions (relation spaces, dual configurations)
   reproducible bit for bit.
 
-`QMatrix`, rows with a column count, is only the W' argument of the GIT test
-in `stability`, which stacks plain rows for `bareiss` itself.
+`QMatrix`, rows with a column count, has no caller in the package. It stays
+only because the benchmark's tracer wraps `QMatrix.rank` and its tests read
+the class, until ROADMAP item 1b drops both.
 """
 
 from fractions import Fraction

@@ -17,9 +17,9 @@ equality witness needs odd m.
 
 Two more tests are implemented but not yet wired into `classify`:
 
-* `git_ratio_test`, a GIT test on the defining tensor: a subspace W' of
-  the sum-zero space destabilizes when dim(E meet W'xV*) / dim W' exceeds
-  dim E / dim W;
+* `git_ratio_test`, a GIT test on the defining tensor: a flat on s >= 2
+  hyperplanes destabilizes when, for the space W' of sum-zero vectors on
+  its labels, dim(E meet W'xV*) / dim W' exceeds dim E / dim W;
 * `free_splitting_stability`, a splitting test for arrangements known to
   be free with given exponents.
 
@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .invariants import require_steiner
 from .lattice import CrossingClass, Flat, IntersectionLattice
 from .steiner import SteinerTensor
-from .linalg import QMatrix, bareiss
+from .linalg import bareiss
 
 
 class Status(enum.Enum):
@@ -104,62 +104,35 @@ def discriminant_test(lattice: IntersectionLattice, delta: int) -> tuple[Fractio
 
 class GitRatioResult(NamedTuple):
     dim_e: int
-    dim_w: int
-    dim_wprime: int
     dim_intersection: int
-    lhs: Fraction  # dim(E meet W'xV*) / dim W'
-    rhs: Fraction  # dim E / dim W
-    destabilizing: bool      # lhs > rhs
-    strict_ok: bool          # lhs < rhs
-    semistable_ok: bool      # lhs <= rhs
+    lhs: Fraction  # dim(E meet W'xV*) / dim W', with dim W' = s-1
+    rhs: Fraction  # dim E / dim W, with dim W = m-1
 
 
-def git_ratio_test(t: SteinerTensor, w_prime: QMatrix) -> GitRatioResult:
-    """Compare the concentration of the tensor image over W' with its slope.
+def git_ratio_test(t: SteinerTensor, flat: Flat) -> GitRatioResult:
+    """Compare the concentration of the tensor image over a flat with its slope.
 
-    w_prime: basis rows of a subspace of W, written in the m-1 coordinates of
-    the fixed basis e_i - e_m. Must be a proper nonzero subspace.
-
-    E spans the relation rows' images in V* tensor W, block k at v = e_k, and
-    F is W' in each block: dim(E meet F) = dim E + dim F - dim(E + F).
+    W' is the space of sum-zero vectors on the flat's s labels, a proper
+    nonzero subspace of the sum-zero space W for a flat of the tensor's
+    lattice on s >= 2 hyperplanes. E spans the relation rows' images in
+    V* tensor W, block k at v = e_k, in all m coordinates. An image lies in
+    W'xV* exactly when it vanishes at every label off the flat, so
+    dim(E meet W'xV*) is dim E less the rank of the images on those labels.
     """
-    m, n = t.m, t.n
-    if w_prime.cols != m - 1:
-        raise ValueError("W' rows must have m-1 coordinates")
-    dim_wprime = w_prime.rank()
-    if dim_wprime == 0 or dim_wprime >= m - 1:
-        raise ValueError("W' must be a proper nonzero subspace of W")
+    if flat not in t.lattice.flats or flat.s < 2:
+        raise ValueError("flat must be a flat of the tensor's lattice "
+                         "on at least two hyperplanes")
     forms = t.lattice.arrangement.forms
-    e = [tuple(rel[r] * forms[r][k] for k in range(n + 1) for r in range(m - 1))
-         for rel in t.u_basis]
-    f = [(0,) * (k * (m - 1)) + tuple(row) + (0,) * ((n - k) * (m - 1))
-         for k in range(n + 1) for row in w_prime.entries]
-    dim_e = bareiss(e)[0]
-    dim_int = dim_e + bareiss(f)[0] - bareiss(e + f)[0]
-    lhs = Fraction(dim_int, dim_wprime)
-    rhs = Fraction(dim_e, m - 1)
-    return GitRatioResult(dim_e, m - 1, dim_wprime, dim_int, lhs, rhs,
-                          lhs > rhs, lhs < rhs, lhs <= rhs)
 
+    def images(labels):
+        return [[rel[r] * forms[r][k] for k in range(t.n + 1) for r in labels]
+                for rel in t.u_basis]
 
-def flat_subspace(flat: Flat, m: int) -> QMatrix:
-    """The destabilizing candidate W' induced by a flat.
-
-    Sum-zero vectors supported on the flat's hyperplanes, dimension s-1,
-    returned in the m-1 coordinates of the basis e_i - e_m.
-    """
-    labels = flat.indices
-    if len(labels) < 2:
-        raise ValueError("flat must lie on at least two hyperplanes")
-    rows = []
-    for a, b in zip(labels, labels[1:]):
-        # e_a - e_b is sum-zero; in the e_i - e_m coordinates its entries are
-        # simply the first m-1 components
-        y = [Fraction(0)] * m
-        y[a - 1] = Fraction(1)
-        y[b - 1] += Fraction(-1)
-        rows.append(tuple(y[: m - 1]))
-    return QMatrix(tuple(rows), m - 1)
+    dim_e = bareiss(images(range(t.m)))[0]
+    off = [r for r in range(t.m) if r + 1 not in flat.indices]
+    dim_int = dim_e - bareiss(images(off))[0]
+    return GitRatioResult(dim_e, dim_int, Fraction(dim_int, flat.s - 1),
+                          Fraction(dim_e, t.m - 1))
 
 
 def free_splitting_stability(exponents: list[int]) -> StabilityVerdict:

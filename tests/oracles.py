@@ -14,7 +14,9 @@ over Q and mod p instead of by divisibility of basis minors, each basis
 gcd is the gcd of its minors on every set of r columns instead of one
 determinant over the pivot columns of an echelon form, the dual points'
 dependent sets are ranked point set by point set instead of read off the
-forms' zero gcds by Gale duality, a closure is
+forms' zero gcds by Gale duality, the GIT intersection over a flat is
+dim E + dim F - dim(E + F) with the flat's subspace stacked in every block
+instead of dim E less the rank of the tensor image off the flat, a closure is
 read off an echelon form of its label set instead of off a walk that cuts
 flats by forms, polynomial products are multiplied out term by term
 instead of read off closed binomials, and Torelli rule 1 is an exhaustive
@@ -50,8 +52,9 @@ def _echelon(rows) -> tuple[list[list[Fraction]], int]:
             work[top], work[sel] = work[sel], work[top]
             swaps += 1
         for r in range(top + 1, len(work)):
-            f = work[r][c] / work[top][c]
-            work[r] = [x - f * y for x, y in zip(work[r], work[top])]
+            if work[r][c]:
+                f = work[r][c] / work[top][c]
+                work[r] = [x - f * y for x, y in zip(work[r], work[top])]
         top += 1
     return work, swaps
 
@@ -153,6 +156,28 @@ def dual_dependent_sets(t: SteinerTensor) -> tuple[tuple[int, ...], ...]:
     columns = list(zip(*t.u_basis))
     return tuple(s for s in combinations(range(1, t.m + 1), size)
                  if fraction_rank([columns[i - 1] for i in s]) < size)
+
+
+def git_intersection_by_stacking(t: SteinerTensor, flat: Flat) -> int:
+    """dim(E meet W' tensor V*) for the sum-zero vectors W' on a flat's labels.
+
+    Everything is written in the m-1 coordinates of the basis e_i - e_m of
+    the sum-zero space W. E spans the relation rows' images, block k at
+    v = e_k, and F is W', spanned by e_a - e_b for consecutive labels a < b
+    of the flat, placed in each of the n+1 blocks: the intersection has
+    dimension dim E + dim F - dim(E + F).
+    """
+    m, n, forms = t.m, t.n, t.lattice.arrangement.forms
+    e = [[rel[r] * forms[r][k] for k in range(n + 1) for r in range(m - 1)]
+         for rel in t.u_basis]
+    w_prime = []
+    for a, b in zip(flat.indices, flat.indices[1:]):
+        y = [0] * m
+        y[a - 1], y[b - 1] = 1, -1
+        w_prime.append(y[: m - 1])
+    f = [[0] * (k * (m - 1)) + row + [0] * ((n - k) * (m - 1))
+         for k in range(n + 1) for row in w_prime]
+    return fraction_rank(e) + fraction_rank(f) - fraction_rank(e + f)
 
 
 def slice_at_point(t: SteinerTensor, point) -> tuple[tuple[Fraction, ...], ...]:

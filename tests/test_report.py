@@ -142,21 +142,6 @@ def test_a_lattice_breaking_the_pair_count_stops_the_report():
         analysis.report()
 
 
-def test_a_wrong_mobius_value_fails_the_pair_count():
-    # three triple points and six double points: delta = 3 from their sizes,
-    # and C(6, 2) less the Mobius sum 12 is 3; one more at a triple point
-    # takes the left side to 2, and no assertion stops the report first
-    a = fixture("m6_three_triples")
-    lattice = build_lattice(a)
-    flats = list(lattice.flats)
-    triple = next(i for i, f in enumerate(flats) if f.rank == 2 and f.s == 3)
-    flats[triple] = flats[triple]._replace(mobius=flats[triple].mobius + 1)
-    analysis = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
-    analysis.lattice = IntersectionLattice(a, tuple(flats))
-    check = {c["check"]: c for c in analysis.report()["oracles"]}["pair_count_identity"]
-    assert check == {"check": "pair_count_identity", "status": "fail", "lhs": 2, "rhs": 3}
-
-
 @pytest.mark.parametrize("a", [
     parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0]]),
     fixture("boolean_n2"),

@@ -18,8 +18,8 @@ or the Poincare polynomial, so only the per-point data and the delta
 invariant read the points: no other function refers to `flats_of_rank`.
 
 A matrix is a sequence of rows. `linalg.QMatrix`, rows beside a column
-count, is only the W' argument of the GIT test in `stability`, so no other
-module names it.
+count, is kept for the benchmark's tracer alone, so no other module of
+`src/` names it.
 
 The defining tensor is its relation basis, and every reader takes those rows.
 Its slices are a view for `arrinv tensor` alone, and its columns, the Gale
@@ -277,9 +277,9 @@ def product(m): return (m - 1) * (m + 3) < 0
         "less", "reversed_sum", "constant_first", "chained", "method"]
 
 
-def test_only_linalg_and_stability_name_qmatrix():
+def test_only_linalg_names_qmatrix():
     assert [path.stem for path in sorted(SRC.glob("*.py"))
-            if "QMatrix" in names(ast.parse(path.read_text()))] == ["stability"]
+            if "QMatrix" in names(ast.parse(path.read_text()))] == []
 
 
 def test_the_check_sees_every_spelling_of_a_name():
