@@ -30,7 +30,9 @@ def canonical_form(values: Sequence) -> tuple[int, ...]:
         raise InvalidArrangement("bad coefficient: booleans are not numbers")
     try:
         rationals = [qval(v) for v in values]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:   # its message is only a repr, "Fraction(1, 0)"
+        raise InvalidArrangement("bad coefficient: zero denominator") from exc
+    except (TypeError, ValueError) as exc:
         raise InvalidArrangement(f"bad coefficient: {exc}") from exc
     if all(x == 0 for x in rationals):
         raise InvalidArrangement("zero form is not a hyperplane")

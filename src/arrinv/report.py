@@ -17,14 +17,17 @@ with `invariants.steiner_unavailable`, the rule the sheaf layer itself
 enforces. The CLI commands print sections of an Analysis, so each prints
 what `analyze` does.
 
-Everything here returns plain dicts and lists ready for json.dumps. Field
-order is fixed by construction and all collection iteration is over sorted
-data, so re-running on the same input produces byte-identical output.
+Sections are plain dicts and lists that `jsonable` makes ready for
+json.dumps. Five result records print whole, as objects of their fields:
+`PoincareData`, `LocalPointData`, `Witness`, `ConicResult` and `RncResult`.
+Field order is fixed by construction and all collection iteration is over
+sorted data, so re-running on the same input produces byte-identical output.
 Fractions are emitted as JSON integers when integral and as "p/q" strings
 otherwise.
 """
 
 from collections import Counter
+from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -49,16 +52,20 @@ SECTIONS = ("arrangement", "lattice", "poincare", "chern", "delta", "stability",
 
 
 def jsonable(x):
-    """Fractions to int or 'p/q' string; containers recursively.
+    """Fractions to int or 'p/q' string, enums to their values; the rest recursively.
 
-    A result record (a NamedTuple, so a tuple with `_fields`) raises
-    TypeError like any other object instead of turning into a list.
+    A result record (a NamedTuple) becomes an object keyed by its fields in
+    field order; any other object raises TypeError.
     """
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:
         return x
-    if isinstance(x, (list, tuple)) and not hasattr(x, "_fields"):
+    if isinstance(x, Enum):
+        return jsonable(x.value)
+    if isinstance(x, tuple) and hasattr(x, "_fields"):
+        return {k: jsonable(v) for k, v in zip(x._fields, x)}
+    if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
@@ -176,8 +183,7 @@ class Analysis:
         }
 
     def poincare_section(self) -> dict:
-        pd = self.poincare
-        return {"projective": list(pd.projective), "central": list(pd.central)}
+        return jsonable(self.poincare)
 
     def chern_section(self) -> dict:
         cd = self.chern_data
@@ -197,15 +203,7 @@ class Analysis:
     def delta_section(self) -> dict | None:
         if self.a.n != 2:
             return None
-        per_point = [{
-            "indices": list(loc.indices),
-            "s": loc.s,
-            "milnor": loc.milnor,
-            "delta_local": loc.delta_local,
-            "branches": loc.branches,
-            "torsion_length": loc.torsion_length,
-        } for loc in self.local_data]
-        out = {"total": self.delta, "per_point": per_point}
+        out = {"total": self.delta, "per_point": jsonable(self.local_data)}
         if self.unavailable is None:
             h0_sheaf, h0_log = h0_values(self.lattice, self.delta)
             out["h0_twisted_sheaf"] = h0_sheaf
@@ -218,14 +216,7 @@ class Analysis:
             return {"status": "unavailable", "reason": self.unavailable}
         return {
             "status": verdict.status.value,
-            "witnesses": [{
-                "kind": w.kind.value,
-                "lhs": jsonable(w.lhs),
-                "rhs": jsonable(w.rhs),
-                "strict": w.strict,
-                "flat_indices": list(w.flat_indices) if w.flat_indices else None,
-                "detail": w.detail,
-            } for w in verdict.witnesses],
+            "witnesses": jsonable(verdict.witnesses),
             "rules_applied": list(verdict.rules),
         }
 
@@ -241,22 +232,9 @@ class Analysis:
             "subset_cap_exceeded": verdict.subset_cap_exceeded,
         }
         if verdict.conic is not None:
-            c = verdict.conic
-            out["conic"] = {
-                "kernel_dim": c.kernel_dim,
-                "conic": list(c.conic) if c.conic else None,
-                "classification": c.classification.value if c.classification else None,
-                "all_points_nonsingular": c.all_points_nonsingular,
-                "vertex": list(c.vertex) if c.vertex else None,
-            }
+            out["conic"] = jsonable(verdict.conic)
         if verdict.rnc is not None:
-            r = verdict.rnc
-            out["rnc"] = {
-                "verdict": r.verdict.value,
-                "frame": list(r.frame) if r.frame else None,
-                "direction": jsonable(list(r.direction)) if r.direction else None,
-                "detail": r.detail,
-            }
+            out["rnc"] = jsonable(verdict.rnc)
         return out
 
     def gale_section(self) -> dict:

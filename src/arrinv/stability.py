@@ -19,7 +19,8 @@ Two more tests are implemented but not yet wired into `classify`:
 
 * `git_ratio_test`, a GIT test on the defining tensor: a flat on s >= 2
   hyperplanes destabilizes when, for the space W' of sum-zero vectors on
-  its labels, dim(E meet W'xV*) / dim W' exceeds dim E / dim W;
+  its labels, dim(E meet W'xV*) / dim W' exceeds dim E / dim W, which
+  is (m-n-1)/(m-1) since the relation basis maps injectively onto E;
 * `free_splitting_stability`, a splitting test for arrangements known to
   be free with given exponents.
 
@@ -103,7 +104,6 @@ def discriminant_test(lattice: IntersectionLattice, delta: int) -> tuple[Fractio
 
 
 class GitRatioResult(NamedTuple):
-    dim_e: int
     dim_intersection: int
     lhs: Fraction  # dim(E meet W'xV*) / dim W', with dim W' = s-1
     rhs: Fraction  # dim E / dim W, with dim W = m-1
@@ -115,7 +115,9 @@ def git_ratio_test(t: SteinerTensor, flat: Flat) -> GitRatioResult:
     W' is the space of sum-zero vectors on the flat's s labels, a proper
     nonzero subspace of the sum-zero space W for a flat of the tensor's
     lattice on s >= 2 hyperplanes. E spans the relation rows' images in
-    V* tensor W, block k at v = e_k, in all m coordinates. An image lies in
+    V* tensor W, block k at v = e_k, in all m coordinates. An image has
+    entries rel[r]*f_r[k] and no form is zero, so the images of the
+    relation basis are independent and dim E = m-n-1. An image lies in
     W'xV* exactly when it vanishes at every label off the flat, so
     dim(E meet W'xV*) is dim E less the rank of the images on those labels.
     """
@@ -123,16 +125,11 @@ def git_ratio_test(t: SteinerTensor, flat: Flat) -> GitRatioResult:
         raise ValueError("flat must be a flat of the tensor's lattice "
                          "on at least two hyperplanes")
     forms = t.lattice.arrangement.forms
-
-    def images(labels):
-        return [[rel[r] * forms[r][k] for k in range(t.n + 1) for r in labels]
-                for rel in t.u_basis]
-
-    dim_e = bareiss(images(range(t.m)))[0]
     off = [r for r in range(t.m) if r + 1 not in flat.indices]
-    dim_int = dim_e - bareiss(images(off))[0]
-    return GitRatioResult(dim_e, dim_int, Fraction(dim_int, flat.s - 1),
-                          Fraction(dim_e, t.m - 1))
+    dim_e = t.m - t.n - 1
+    dim_int = dim_e - bareiss([[rel[r] * forms[r][k] for k in range(t.n + 1) for r in off]
+                               for rel in t.u_basis])[0]
+    return GitRatioResult(dim_int, Fraction(dim_int, flat.s - 1), Fraction(dim_e, t.m - 1))
 
 
 def free_splitting_stability(exponents: list[int]) -> StabilityVerdict:

@@ -11,8 +11,6 @@ import random
 from fractions import Fraction
 from math import comb
 
-import pytest
-
 from arrinv.arrangement import InvalidArrangement, parse_arrangement
 from arrinv.ffcount import basis_minors, count_complement_points
 from arrinv.fixtures import fixture, fixture_names
@@ -25,8 +23,7 @@ from arrinv.stability import (Status, WitnessKind, classify,
                               git_ratio_test)
 from arrinv.steiner import GaleUndefined, gale_dual, steiner_tensor, \
     verify_gale_bijection
-from arrinv.torelli import (ConicClass, RncVerdict, TorelliStatus, conic_test,
-                            rnc_test, torelli_verdict)
+from arrinv.torelli import ConicClass, RncVerdict, TorelliStatus, rnc_test, torelli_verdict
 from oracles import truncated_product
 
 

@@ -560,6 +560,14 @@ class TestErrors:
         rc, out, err = run(capsys, ["analyze", str(f)])
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
+    def test_zero_denominator_is_named(self, capsys, tmp_path):
+        f = tmp_path / "zero_denominator.json"
+        f.write_text(json.dumps({"n": 2, "hyperplanes": [["1/0", 0, 0], [0, 1, 0],
+                                                         [0, 0, 1]]}))
+        rc, out, err = run(capsys, ["analyze", str(f)])
+        assert (rc, out, err) == (
+            2, "", "error: hyperplane 1: bad coefficient: zero denominator\n")
+
     def test_extra_keys_are_tolerated(self, capsys, tmp_path):
         f = tmp_path / "extra.json"
         f.write_text(json.dumps({"n": 2, "note": "hello",
@@ -726,18 +734,19 @@ class TestReportHelpers:
         assert jsonable(Fraction(4, 2)) == 2
         assert jsonable({"a": [Fraction(1, 3)]}) == {"a": ["1/3"]}
 
-    def test_jsonable_rejects_result_records(self):
-        # records are NamedTuples, which a tuple check alone would turn into lists
+    def test_jsonable_writes_records_as_objects_of_their_fields(self):
         from fractions import Fraction
-        from arrinv.lattice import Flat
         from arrinv.stability import Witness, WitnessKind
-        records = [Flat((1, 2), 1, 1),
-                   Witness(WitnessKind.DISCRIMINANT, Fraction(-1), Fraction(0), True)]
-        for record in records:
+        w = Witness(WitnessKind.DISCRIMINANT, Fraction(-1), Fraction(0), True)
+        obj = {"kind": "discriminant", "lhs": -1, "rhs": 0, "strict": True,
+               "flat_indices": None, "detail": ""}
+        assert json.dumps(jsonable(w)) == json.dumps(obj)   # keys in field order
+        assert jsonable({"section": w}) == {"section": obj}
+        assert jsonable([w]) == [obj]
+        assert jsonable(WitnessKind.FLAT_RATIO) == "flat_ratio"
+        for other in ({1, 2}, object()):
             with pytest.raises(TypeError, match="not jsonable"):
-                jsonable(record)
-            with pytest.raises(TypeError, match="not jsonable"):
-                jsonable({"section": [record]})
+                jsonable(other)
 
     def test_build_report_is_json_serializable_for_all_fixtures(self):
         for name in fixture_names():

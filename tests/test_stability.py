@@ -203,6 +203,7 @@ def test_git_dimension_law_and_threshold_at_every_n():
             if not 2 <= f.s < m:
                 continue
             res = git_ratio_test(t, f)
+            assert res.rhs == Fraction(m - n - 1, m - 1)
             assert res.dim_intersection == f.s - f.rank
             # on all 35 lattices the stacking oracle's Fraction eliminations
             # take several times the rest of the test; the first 9 lattices

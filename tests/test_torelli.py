@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from arrinv.arrangement import Arrangement, InvalidArrangement, parse_arrangement
-from arrinv.fixtures import fixture, fixture_names
+from arrinv.fixtures import fixture
 from arrinv.invariants import delta_invariant
 from arrinv.lattice import IntersectionLattice, build_lattice
 from arrinv import torelli as torelli_mod

@@ -9,23 +9,37 @@ A module-level function is referenced only by a name read where no
 enclosing function binds that name as a local or a parameter, and a method
 only by an attribute access: a local `scale` does not keep a `scale` method
 alive, nor a `mobius` field a `mobius` function. A field is read only by an
-attribute load: the constructor call that fills it does not count.
+attribute load: the constructor call that fills it does not count. The
+records a report prints whole, `PRINTED`, count as read: `report.jsonable`
+writes each of their fields.
+
+No linter runs on the project, so the same holds for imports: a
+module-level import in `src/` or `tests/` that its module never reads goes.
 """
 
 import ast
+import importlib
 import pathlib
 from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "arrinv"
+from arrinv.arrangement import parse_arrangement
+from arrinv.fixtures import fixture, fixture_names
+from arrinv.report import build_report, jsonable
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "arrinv"
 
 ALLOWED = {
     "build_report",   # the library's entry point
     # stability evidence not yet in a report (ROADMAP items 4, 5 and 7)
     "git_ratio_test", "free_splitting_stability",
-    "GitRatioResult.dim_e", "GitRatioResult.dim_intersection",
+    "GitRatioResult.dim_intersection", "GitRatioResult.lhs", "GitRatioResult.rhs",
     # only the benchmark's tracer still names QMatrix (ROADMAP item 1b)
     "QMatrix.cols",
 }
+
+# records a report passes whole to `jsonable`, which reads every field
+PRINTED = {"PoincareData", "LocalPointData", "Witness", "ConicResult", "RncResult"}
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
            ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -108,7 +122,7 @@ def unread_fields() -> dict[str, str]:
                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
     return {f"{module}:{cls.name}.{name}": f"{cls.name}.{name}"
             for module, tree in trees.items() for cls in tree.body
-            if isinstance(cls, ast.ClassDef)
+            if isinstance(cls, ast.ClassDef) and cls.name not in PRINTED
             for name in _fields(cls) if not reads[name]}
 
 
@@ -141,3 +155,56 @@ def test_every_record_field_is_read_in_src():
 
 def test_allowlist_names_unreferenced_functions_only():
     assert ALLOWED <= set(unreferenced().values()) | set(unread_fields().values())
+
+
+def _objects(x):
+    """Every JSON object in `x`, nested ones included."""
+    if isinstance(x, dict):
+        yield x
+        x = list(x.values())
+    if isinstance(x, list):
+        for v in x:
+            yield from _objects(v)
+
+
+def test_printed_records_are_objects_of_the_report():
+    # the twisted-cubic planes give an rnc block, the fixtures the rest; one
+    # small oracle prime keeps the counts cheap
+    cubic = parse_arrangement(3, [[1, t, t * t, t ** 3] for t in range(-3, 4)])
+    reports = [build_report(a, primes=(7,))
+               for a in [fixture(name) for name in fixture_names()] + [cubic]]
+    keys = {tuple(obj) for rep in reports for obj in _objects(jsonable(rep))}
+    records = {name: cls for stem in _trees()
+               for name, cls in vars(importlib.import_module(f"arrinv.{stem}")).items()
+               if name in PRINTED}
+    assert {name: cls._fields in keys for name, cls in records.items()} == \
+        dict.fromkeys(PRINTED, True)
+
+
+def unread_imports() -> list[str]:
+    """'dir/file:name' for each module-level import in src/ or tests/ never read.
+
+    `from __future__` imports change how a module compiles and are skipped;
+    a name listed in the module's `__all__` is read, as a re-export.
+    """
+    out = []
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        reads |= {c.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                  for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        out += [f"{path.parent.name}/{path.name}:{name}" for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+                for name in [alias.asname or alias.name.partition(".")[0]]
+                if name not in reads]
+    return out
+
+
+def test_every_module_level_import_is_read():
+    # test_import.py imports arrinv for its effect on sys.modules: its record
+    # test walks the arrinv modules found there
+    assert unread_imports() == ["tests/test_import.py:arrinv"]
