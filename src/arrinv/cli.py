@@ -73,16 +73,11 @@ def cmd_tensor(args) -> int:
     t = an.tensor
     if t is None:
         raise InvalidArrangement(f"defining tensor: {an.unavailable}")
-    return _print({
-        "m": t.m,
-        "n": t.n,
-        "relation_basis": [list(r) for r in t.u_basis],
-        "slices": [[list(row) for row in s] for s in t.slices],
-    })
+    return _print({"m": t.m, "n": t.n, "relation_basis": t.u_basis, "slices": t.slices})
 
 
 def cmd_verify(args) -> int:
-    checks = _analysis(args).oracles_section()
+    checks = _analysis(args).section("oracles")
     failed = [c for c in checks if c["status"] == "fail"]
     if not args.pretty:
         sys.stdout.write(_dump({"checks": checks, "ok": not failed}))
@@ -119,9 +114,8 @@ def cmd_conjecture(args) -> int:
     else:
         agreement = "disagree"
     out = {
-        "primal": primal.stability_section(),
-        "dual": {"arrangement": dual.arrangement_section(),
-                 **dual.stability_section()},
+        "primal": primal.section("stability"),
+        "dual": {"arrangement": dual.section("arrangement"), **dual.section("stability")},
         "agreement": agreement,
         "counterexample_candidate": agreement == "disagree",
     }

@@ -17,7 +17,8 @@ with `invariants.steiner_unavailable`, the rule the sheaf layer itself
 enforces. The CLI commands print sections of an Analysis, so each prints
 what `analyze` does.
 
-Sections are plain dicts and lists that `jsonable` makes ready for
+Each `*_section` method returns records, tuples, enums and Fractions as
+they are; `Analysis.section` alone runs `jsonable` to ready them for
 json.dumps. Five result records print whole, as objects of their fields:
 `PoincareData`, `LocalPointData`, `Witness`, `ConicResult` and `RncResult`.
 Field order is fixed by construction and all collection iteration is over
@@ -157,43 +158,43 @@ class Analysis:
         return {name: self.section(name) for name in SECTIONS}
 
     def section(self, name: str):
-        """The report section under key `name`, one of SECTIONS."""
-        return getattr(self, name + "_section")()
+        """The report section under key `name`, one of SECTIONS, ready for json.dumps."""
+        return jsonable(getattr(self, name + "_section")())
 
     def arrangement_section(self) -> dict:
         a = self.a
         return {
             "n": a.n,
             "m": a.m,
-            "hyperplanes": [list(f) for f in a.forms],
+            "hyperplanes": a.forms,
             "essential": self.lattice.essential,
         }
 
     def lattice_section(self) -> dict:
         lattice = self.lattice
-        flats = [{"indices": list(f.indices), "rank": f.rank, "s": f.s, "mobius": f.mobius}
+        flats = [{"indices": f.indices, "rank": f.rank, "s": f.s, "mobius": f.mobius}
                  for f in lattice.flats]
         counts = Counter(f.rank for f in lattice.flats)
         crossing = lattice.crossing
         return {
             "flats": flats,
             "flat_counts_by_rank": {str(r): counts[r] for r in sorted(counts)},
-            "crossing": crossing.kind.value,
-            "crossing_witness": list(crossing.witness.indices) if crossing.witness else None,
+            "crossing": crossing.kind,
+            "crossing_witness": crossing.witness.indices if crossing.witness else None,
         }
 
-    def poincare_section(self) -> dict:
-        return jsonable(self.poincare)
+    def poincare_section(self) -> PoincareData:
+        return self.poincare
 
     def chern_section(self) -> dict:
         cd = self.chern_data
         if cd is None:
             return {"status": "unavailable", "reason": self.unavailable}
         out = {
-            "steiner_ct": list(cd.steiner_ct),
-            "steiner_twisted_ct": list(cd.steiner_twisted_ct),
-            "logfree_twisted_ct": list(cd.logfree_twisted_ct),
-            "locally_free": cd.locally_free.value,
+            "steiner_ct": cd.steiner_ct,
+            "steiner_twisted_ct": cd.steiner_twisted_ct,
+            "logfree_twisted_ct": cd.logfree_twisted_ct,
+            "locally_free": cd.locally_free,
         }
         if self.a.n == 2:
             out["c1"] = cd.n2_c1
@@ -203,7 +204,7 @@ class Analysis:
     def delta_section(self) -> dict | None:
         if self.a.n != 2:
             return None
-        out = {"total": self.delta, "per_point": jsonable(self.local_data)}
+        out = {"total": self.delta, "per_point": self.local_data}
         if self.unavailable is None:
             h0_sheaf, h0_log = h0_values(self.lattice, self.delta)
             out["h0_twisted_sheaf"] = h0_sheaf
@@ -215,9 +216,9 @@ class Analysis:
         if verdict is None:
             return {"status": "unavailable", "reason": self.unavailable}
         return {
-            "status": verdict.status.value,
-            "witnesses": jsonable(verdict.witnesses),
-            "rules_applied": list(verdict.rules),
+            "status": verdict.status,
+            "witnesses": verdict.witnesses,
+            "rules_applied": verdict.rules,
         }
 
     def torelli_section(self) -> dict:
@@ -225,16 +226,16 @@ class Analysis:
         if verdict is None:
             return {"status": "unavailable", "reason": self.unavailable}
         out = {
-            "status": verdict.status.value,
+            "status": verdict.status,
             "rule": verdict.rule,
-            "witness_subset": list(verdict.witness_subset) if verdict.witness_subset else None,
-            "trace": list(verdict.trace),
+            "witness_subset": verdict.witness_subset,
+            "trace": verdict.trace,
             "subset_cap_exceeded": verdict.subset_cap_exceeded,
         }
         if verdict.conic is not None:
-            out["conic"] = jsonable(verdict.conic)
+            out["conic"] = verdict.conic
         if verdict.rnc is not None:
-            out["rnc"] = jsonable(verdict.rnc)
+            out["rnc"] = verdict.rnc
         return out
 
     def gale_section(self) -> dict:
@@ -244,9 +245,9 @@ class Analysis:
         out = {
             "defined": True,
             "dual_n": a.m - a.n - 2,
-            "dual_points": jsonable(dual_columns(self.tensor)),
-            "dependent_sets_primal": [list(s) for s in rep.primal_dependent],
-            "dependent_sets_dual": [list(s) for s in rep.actual_dual],
+            "dual_points": dual_columns(self.tensor),
+            "dependent_sets_primal": rep.primal_dependent,
+            "dependent_sets_dual": rep.actual_dual,
             "complement_bijection": rep.ok,
         }
         try:
@@ -290,7 +291,7 @@ class Analysis:
                 rhs = 2 * loc.delta_local - loc.branches + 1
                 if lhs != rhs:
                     ok = False
-                detail.append({"indices": list(loc.indices), "milnor": lhs,
+                detail.append({"indices": loc.indices, "milnor": lhs,
                                "two_delta_minus_r_plus_1": rhs})
             checks.append({"check": "milnor_delta_branches",
                            "status": "pass" if ok else "fail", "points": detail})
@@ -313,8 +314,8 @@ class Analysis:
             if not rep.kernel:
                 entry["kernel"] = False
             if rep.missing or rep.extra:
-                entry["missing"] = [list(s) for s in rep.missing]
-                entry["extra"] = [list(s) for s in rep.extra]
+                entry["missing"] = rep.missing
+                entry["extra"] = rep.extra
             checks.append(entry)
         else:
             checks.append({"check": "gale_complement_bijection", "status": "skipped",
@@ -325,7 +326,7 @@ class Analysis:
             twisted = twist_transform(cd.steiner_ct, a.n)
             ok = twisted == cd.steiner_twisted_ct
             checks.append({"check": "twist_identity", "status": "pass" if ok else "fail",
-                           "lhs": list(twisted), "rhs": list(cd.steiner_twisted_ct)})
+                           "lhs": twisted, "rhs": cd.steiner_twisted_ct})
         else:
             checks.append({"check": "twist_identity", "status": "skipped",
                            "reason": "needs an essential arrangement with m >= n + 2"})
@@ -356,9 +357,9 @@ def delta_bound_check(m: int, delta: int | None,
         "check": "delta_bound",
         "status": "pass" if Fraction(delta) <= quarter else "fail",
         "delta": delta,
-        "quarter_bound": jsonable(quarter),
+        "quarter_bound": quarter,
         "quarter_holds": Fraction(delta) <= quarter,
-        "fifth_bound": jsonable(fifth),
+        "fifth_bound": fifth,
         "fifth_holds": Fraction(delta) <= fifth,
     }
 

@@ -56,8 +56,8 @@ class Witness(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     strict: bool
-    flat_indices: tuple[int, ...] | None = None
-    detail: str = ""
+    flat_indices: tuple[int, ...] | None
+    detail: str
 
 
 class StabilityVerdict(NamedTuple):

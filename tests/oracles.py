@@ -8,7 +8,8 @@ Moebius oracle sums signed generating subsets instead of recursing over the
 poset, the point counter loops over the whole affine space instead of
 walking fibers (for lines a second counter, fast at any prime, sums
 inclusion-exclusion over the distinct lines mod p and their meeting
-points), primality is decided by trial division instead of Miller-Rabin,
+points, and a third counts the projective charts plane by plane, the same
+way), primality is decided by trial division instead of Miller-Rabin,
 a prime is judged by ranking every set of at most n+1 forms
 over Q and mod p instead of by divisibility of basis minors, each basis
 gcd is the gcd of its minors on every set of r columns instead of one
@@ -296,6 +297,56 @@ def line_complement_count(a: Arrangement, p: int) -> int:
     points = {_projective_mod_p(_cross(u, v), p) for u, v in combinations(lines, 2)}
     excess = sum(sum(_dot(u, pt) % p == 0 for u in lines) - 1 for pt in points)
     return (p - 1) * (p * p + p + 1 - len(lines) * (p + 1) + excess)
+
+
+def _plane_complement_count(forms, p: int) -> int:
+    """Points (y, z) of F_p^2 with a y + b z + c != 0 for every (a, b, c) in `forms`.
+
+    Each form cuts a line, nothing (a = b = 0 != c) or the whole plane
+    (a = b = c = 0). Forms that coincide mod p cut one line. With k distinct
+    lines and r_P of them through each point P where two meet, the lines
+    cover k p - sum_P (r_P - 1) of the p^2 points.
+    """
+    lines = set()
+    for form in forms:
+        if all(c % p == 0 for c in form):
+            return 0
+        if form[0] % p or form[1] % p:
+            lines.add(_projective_mod_p(form, p))
+    through: dict[tuple[int, int], set] = {}
+    for u, v in combinations(lines, 2):
+        (a1, b1, c1), (a2, b2, c2) = u, v
+        det = (a1 * b2 - a2 * b1) % p
+        if det:   # not parallel
+            inv = pow(det, -1, p)
+            point = ((b1 * c2 - b2 * c1) * inv % p, (c1 * a2 - c2 * a1) * inv % p)
+            through.setdefault(point, set()).update((u, v))
+    return p * p - len(lines) * p + sum(len(s) - 1 for s in through.values())
+
+
+def chart_complement_count(a: Arrangement, p: int) -> int:
+    """Points of F_p^(n+1) on none of the hyperplanes, counted on projective charts.
+
+    Scaling by F_p^* keeps the complement, so the count is (p - 1) times the
+    points of P^n(F_p) off the arrangement. The chart x_0 = ... = x_{k-1} = 0,
+    x_k = 1 is an affine space of dimension d = n - k. Where d >= 2, every
+    free coordinate but the last two is fixed, and the remaining plane is
+    closed by `_plane_complement_count` (the finite-field method of
+    Crapo-Rota and Athanasiadis). Where d < 2 the chart's at most p points
+    are tested one by one.
+    """
+    n, total = a.n, 0
+    for k in range(n + 1):
+        d = n - k
+        for free in product(range(p), repeat=d - 2 if d >= 2 else d):
+            point = (0,) * k + (1,) + free
+            if d < 2:
+                total += all(sum(c * x for c, x in zip(f, point)) % p for f in a.forms)
+            else:
+                total += _plane_complement_count(
+                    [(f[n - 1], f[n], sum(c * x for c, x in zip(f, point)))
+                     for f in a.forms], p)
+    return (p - 1) * total
 
 
 def restriction(a: Arrangement, h: int) -> Arrangement:

@@ -273,5 +273,5 @@ def test_criterion_10_delta_stratum_bound(capsys):
         assert check["status"] == "pass"
         assert check["delta"] == 2
         assert check["quarter_bound"] == 2 and check["quarter_holds"]
-        assert check["fifth_bound"] == "8/5"
+        assert check["fifth_bound"] == Fraction(8, 5)
         assert check["fifth_holds"] is False

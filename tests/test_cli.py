@@ -737,7 +737,7 @@ class TestReportHelpers:
     def test_jsonable_writes_records_as_objects_of_their_fields(self):
         from fractions import Fraction
         from arrinv.stability import Witness, WitnessKind
-        w = Witness(WitnessKind.DISCRIMINANT, Fraction(-1), Fraction(0), True)
+        w = Witness(WitnessKind.DISCRIMINANT, Fraction(-1), Fraction(0), True, None, "")
         obj = {"kind": "discriminant", "lhs": -1, "rhs": 0, "strict": True,
                "flat_indices": None, "detail": ""}
         assert json.dumps(jsonable(w)) == json.dumps(obj)   # keys in field order

@@ -1,5 +1,6 @@
 """Finite-field point counting against the brute oracle, and prime choice."""
 
+import random
 from itertools import combinations
 from unittest.mock import patch
 
@@ -17,7 +18,8 @@ from arrinv.invariants import complement_count_prediction, poincare
 from arrinv.lattice import build_lattice
 from arrinv.report import Analysis
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
-from oracles import (basis_gcds_by_minors, brute_complement_count, fraction_rank,
+from oracles import (basis_gcds_by_minors, brute_complement_count,
+                     chart_complement_count, fraction_rank,
                      is_prime_by_trial_division, line_complement_count,
                      prime_preserves_lattice_by_ranks, rank_mod_p)
 
@@ -107,6 +109,46 @@ def test_a_form_vanishing_mod_p_leaves_no_points():
     a = Arrangement(2, ((1, 2, 3), (7, 0, 14)))
     assert count_complement_points(a, 7) == line_complement_count(a, 7) == 0
     assert brute_complement_count(a, 7) == 0
+
+
+def seeded_forms(rng: random.Random, n: int, p: int) -> Arrangement:
+    """1 to n + 6 forms in P^n, built directly so that they may coincide or
+    vanish mod p: a form is an earlier one scaled by a unit plus p times a
+    row, or p times a row, or a row of small coefficients."""
+    forms = []
+    for _ in range(rng.randint(1, n + 6)):
+        roll = rng.random()
+        if forms and roll < 0.2:
+            f, unit = rng.choice(forms), rng.randint(1, p - 1)
+            forms.append(tuple(unit * c + p * rng.randint(-2, 2) for c in f))
+        elif roll < 0.22:
+            forms.append(tuple(p * rng.randint(-2, 2) for _ in range(n + 1)))
+        else:
+            forms.append(tuple(rng.randint(-5, 5) for _ in range(n + 1)))
+    return Arrangement(n, tuple(forms))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_chart_count_matches_the_fiber_walk_on_the_fixtures(name):
+    a = fixture(name)
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        assert chart_complement_count(a, p) == count_complement_points(a, p), p
+
+
+def test_chart_count_matches_the_fiber_walk_when_forms_coincide_or_vanish_mod_p():
+    rng = random.Random(1)
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        p = rng.choice((2, 3, 5, 7) if n == 4 else (2, 3, 5, 7, 11, 13))
+        a = seeded_forms(rng, n, p)
+        assert chart_complement_count(a, p) == count_complement_points(a, p), (a, p)
+
+
+def test_chart_count_matches_inclusion_exclusion_over_lines_at_101():
+    rng = random.Random(2)
+    for a in [fixture(name) for name in fixture_names()] + [
+            seeded_forms(rng, 2, 101) for _ in range(100)]:
+        assert chart_complement_count(a, 101) == line_complement_count(a, 101), a
 
 
 def test_count_rejects_a_non_prime():
@@ -257,7 +299,7 @@ def test_every_prime_a_report_counts_at_keeps_every_pair_apart(drawn):
         return count_complement_points(arr, q)
 
     with patch.object(report, "count_complement_points", recording):
-        checks = Analysis(a, primes, DEFAULT_MAX_SUBSETS).oracles_section()
+        checks = Analysis(a, primes, DEFAULT_MAX_SUBSETS).section("oracles")
     # entries that retry to one prime share its count
     assert len(counted_at) == len(set(counted_at)) <= len(primes)
     for q in counted_at:

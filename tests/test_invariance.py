@@ -68,7 +68,7 @@ def coordinate_free(analysis: Analysis, label) -> dict:
         "torelli": torelli and (torelli.status, torelli.rule),
         "gale": gale and (sets(gale.primal_dependent), sets(gale.actual_dual), gale.ok),
         "oracles": [(c["check"], c["status"], c.get("counted"))
-                    for c in analysis.oracles_section()],
+                    for c in analysis.section("oracles")],
     }
 
 

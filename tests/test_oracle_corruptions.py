@@ -4,7 +4,7 @@ An entry that cannot fail backs nothing. `CORRUPTIONS` maps each entry name
 to corruptions of one library quantity (a count, a Mobius value, a kernel
 basis, the lattice's flats), each with a fixture on which the entry passes
 and must read `fail` once that quantity is corrupted. Every name that
-`oracles_section` emits on the fixtures needs a corruption, unless it is in
+the oracles section emits on the fixtures needs a corruption, unless it is in
 `CANNOT_FAIL`: the entries known to be identities, which nothing corrupted
 in the library can break. A name leaves `CANNOT_FAIL` when it is replaced by
 an entry that can fail, or gets a corruption.
@@ -87,7 +87,7 @@ CORRUPTIONS = {
 
 
 def entry(analysis, name):
-    return {c["check"]: c for c in analysis.oracles_section()}[name]
+    return {c["check"]: c for c in analysis.section("oracles")}[name]
 
 
 @pytest.mark.parametrize("name, fixture_name, corrupt, fields", [
@@ -107,7 +107,7 @@ def test_a_corruption_flips_its_entry_to_fail(monkeypatch, name, fixture_name, c
 def test_every_entry_on_the_fixtures_has_a_corruption():
     emitted = {c["check"] for name in fixture_names()
                for c in Analysis(fixture(name), DEFAULT_PRIMES,
-                                 DEFAULT_MAX_SUBSETS).oracles_section()}
+                                 DEFAULT_MAX_SUBSETS).section("oracles")}
     assert sorted(emitted - CORRUPTIONS.keys() - CANNOT_FAIL) == []
     # the allowlist holds only emitted entries without a corruption
     assert CANNOT_FAIL <= emitted and not CANNOT_FAIL & CORRUPTIONS.keys()

@@ -16,7 +16,7 @@ import arrinv.report as report_mod
 from arrinv.arrangement import InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import IntersectionLattice, build_lattice
-from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
+from arrinv.report import DEFAULT_PRIMES, SECTIONS, Analysis, build_report, jsonable
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
 
 # the benchmark's committed digests; entry 0 of each fixture's stratum is
@@ -206,6 +206,15 @@ def test_an_empty_prime_list_is_rejected_before_any_count(monkeypatch):
     with pytest.raises(ValueError, match="^at least one oracle prime is needed$"):
         build_report(fixture("generic5"), primes=())
     assert counted == []
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_each_section_is_ready_for_json(name):
+    # `Analysis.section` is the one place a section is encoded: a tuple,
+    # enum or Fraction left in it would not survive the round trip
+    an = Analysis(fixture(name), DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
+    for s in map(an.section, SECTIONS):
+        assert json.loads(json.dumps(s)) == s
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -35,11 +35,17 @@ Each report argument has one rule, in one checking function beside the
 code that reads it, so each argument message is written in one string
 literal of `src/`, and the CLI imports no rule of its own (no `is_prime`).
 
+A report section is encoded in one place, `Analysis.section`, which runs
+`jsonable` on what a `*_section` method returns: no section method and no
+CLI command calls `jsonable` or `list`, or reads an enum's `.value`, and in
+`report` only `Analysis.section` and `jsonable` itself call `jsonable`.
+
 No line of `src/` is longer than 99 characters.
 """
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "arrinv"
 PAIR = {"Arrangement", "IntersectionLattice"}
@@ -172,6 +178,14 @@ def comparing_plus_three(tree: ast.Module) -> list[str]:
             if any(isinstance(node, ast.Compare)
                    and any(map(_plus_three, [node.left, *node.comparators]))
                    for node in ast.walk(fn))]
+
+
+def encoding(tree: ast.Module) -> list[str]:
+    """Scopes of `tree` that call `jsonable` or `list`, or read an attribute `value`."""
+    return _scopes_matching(tree, lambda node: (
+        isinstance(node, ast.Call) and any(_is_name(node.func, name)
+                                           for name in ("jsonable", "list"))
+        or isinstance(node, ast.Attribute) and node.attr == "value"))
 
 
 def _in_src(check) -> list[str]:
@@ -326,3 +340,26 @@ class Holder:
         return ["6 is not prime", "a prime"]  # 8 is not prime
 '''
     assert literals_holding(ast.parse(source), "is not prime") == 3
+
+
+def test_only_the_section_boundary_encodes():
+    report = ast.parse((SRC / "report.py").read_text())
+    cli = ast.parse((SRC / "cli.py").read_text())
+    assert [scope for scope in encoding(report)
+            if re.match(r"Analysis\.\w+_section\b", scope)] == []
+    assert [scope for scope in encoding(cli) if scope.startswith("cmd_")] == []
+    assert calling(report, "jsonable") == ["jsonable", "Analysis.section"]
+
+
+def test_the_check_sees_every_encoding():
+    source = """
+def cmd_plain(t): return {"rows": [list(r) for r in t.rows]}
+def cmd_enum(v): return v.status.value
+class Analysis:
+    def lattice_section(self): return jsonable(self.lattice)
+    def outer_section(self):
+        def inner(): return report.jsonable(self.x)
+def cmd_clean(value): return {"value": value, "n": len(value)}
+"""
+    assert encoding(ast.parse(source)) == [
+        "cmd_plain", "cmd_enum", "Analysis.lattice_section", "Analysis.outer_section.inner"]

@@ -22,7 +22,7 @@ from arrinv.fixtures import fixture
 from arrinv.invariants import delta_invariant
 from arrinv.lattice import IntersectionLattice, build_lattice
 from arrinv import torelli as torelli_mod
-from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
+from arrinv.report import DEFAULT_PRIMES, Analysis, build_report
 from arrinv.stability import Status, classify
 from arrinv.torelli import (
     DEFAULT_MAX_SUBSETS,
@@ -927,6 +927,6 @@ TORELLI_SWEEP_DIGESTS = {
                          ids=lambda c: "n{}-m{}-{}-{}".format(*c))
 def test_torelli_section_matches_the_pinned_digest(case):
     section = Analysis(sweep_arrangement(*case), DEFAULT_PRIMES,
-                       DEFAULT_MAX_SUBSETS).torelli_section()
-    text = json.dumps(jsonable(section), indent=2)
+                       DEFAULT_MAX_SUBSETS).section("torelli")
+    text = json.dumps(section, indent=2)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TORELLI_SWEEP_DIGESTS[case]
