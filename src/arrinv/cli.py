@@ -2,12 +2,13 @@
 
 Commands operate on an arrangement file in the canonical JSON input format
 and print JSON by default (--pretty switches the full report to a table
-rendering). Each command reads the sections it prints from one
-`report.Analysis` of the input, so it prints exactly what `analyze` prints
-there. Exit codes: 0 success, 1 when `verify` finds a failing check, 2
-invalid input or a flag value `Analysis` refuses (printed as `error: ` and
-the library rule's message), and 3 an internal error (a broken internal
-identity or any other fault of the program).
+rendering). Each command prints sections of one `report.Analysis` of the
+input, already encoded for JSON: those of the report `analyze` prints, the
+tensor section, or for `conjecture` those of the Gale dual's Analysis too.
+Exit codes: 0 success, 1 when `verify` finds a failing check, 2 invalid
+input, a stray argument or a flag value `Analysis` refuses (printed as
+`error: ` and the library rule's message), and 3 an internal error (a
+broken internal identity or any other fault of the program).
 """
 
 import argparse
@@ -16,18 +17,13 @@ import sys
 
 from .arrangement import Arrangement, InvalidArrangement, parse_arrangement_json
 from .fixtures import fixture, fixture_names, fixture_note
-from .report import DEFAULT_PRIMES, Analysis, jsonable, render_check, render_pretty
+from .report import DEFAULT_PRIMES, Analysis, render_check, render_pretty
 from .stability import Status
-from .steiner import GaleUndefined, gale_dual, gale_unavailable
 from .torelli import DEFAULT_MAX_SUBSETS
 
 
-def _dump(obj) -> str:
-    return json.dumps(jsonable(obj), indent=2) + "\n"
-
-
 def _print(obj) -> int:
-    sys.stdout.write(_dump(obj))
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     return 0
 
 
@@ -60,7 +56,7 @@ def cmd_analyze(args) -> int:
 
 
 def _sections(*names):
-    """A command printing these report sections; a single one is unwrapped."""
+    """A command printing these sections of the Analysis; a single one is unwrapped."""
     def cmd(args) -> int:
         an = _analysis(args)
         parts = {name: an.section(name) for name in names}
@@ -68,19 +64,11 @@ def _sections(*names):
     return cmd
 
 
-def cmd_tensor(args) -> int:
-    an = _analysis(args)
-    t = an.tensor
-    if t is None:
-        raise InvalidArrangement(f"defining tensor: {an.unavailable}")
-    return _print({"m": t.m, "n": t.n, "relation_basis": t.u_basis, "slices": t.slices})
-
-
 def cmd_verify(args) -> int:
     checks = _analysis(args).section("oracles")
     failed = [c for c in checks if c["status"] == "fail"]
     if not args.pretty:
-        sys.stdout.write(_dump({"checks": checks, "ok": not failed}))
+        _print({"checks": checks, "ok": not failed})
     else:
         for c in checks:
             sys.stdout.write(render_check(c) + "\n")
@@ -91,13 +79,9 @@ def cmd_verify(args) -> int:
 
 def cmd_conjecture(args) -> int:
     primal = _analysis(args)
-    why = gale_unavailable(primal.lattice)
-    if why is not None:
-        raise InvalidArrangement(f"dual arrangement undefined: {why}")
-    try:
-        dual = Analysis(gale_dual(primal.tensor), primal.primes, primal.max_subsets)
-    except GaleUndefined as exc:
-        raise InvalidArrangement(f"dual arrangement undefined: {exc}") from exc
+    if not isinstance(primal.dual, Arrangement):
+        raise InvalidArrangement(f"dual arrangement undefined: {primal.dual}")
+    dual = Analysis(primal.dual, primal.primes, primal.max_subsets)
 
     def _bucket(v):
         if v.status is Status.STABLE:
@@ -127,10 +111,11 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    if args.action == "list":
-        sys.stdout.write(_dump(fixture_names()))
-        return 0
     name = args.name
+    if args.action == "list":
+        if name is not None:
+            raise InvalidArrangement(f"examples list takes no fixture name, got {name!r}")
+        return _print(fixture_names())
     if name is None:
         raise InvalidArrangement("examples show needs a fixture name")
     try:
@@ -178,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
          "stability classification with witnesses"),
         ("torelli", _sections("torelli"), "max-subsets", "recoverability verdict"),
         ("gale", _sections("gale"), "", "dual configuration and dependency bijection"),
-        ("tensor", cmd_tensor, "", "defining tensor slices"),
+        ("tensor", _sections("tensor"), "", "defining tensor slices"),
         ("verify", cmd_verify, "pretty prime",
          "run the exact check suite; exit 1 on failure"),
         ("conjecture", cmd_conjecture, "",

@@ -168,12 +168,11 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     return bareiss(rows)[1]
 
 
-def primitive_integer_vector(v: Sequence) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
-    vals = [qval(x) for x in v]
-    if all(x == 0 for x in vals):
+def primitive_integer_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """Scale a nonzero Fraction vector to coprime integers, first nonzero > 0."""
+    if all(x == 0 for x in v):
         raise ValueError("zero vector has no primitive form")
-    ints = _cleared(vals)[0]
+    ints = _cleared(v)[0]
     g = 0
     for x in ints:
         g = gcd(g, abs(x))

@@ -10,12 +10,13 @@ one place that decides dependence: the Torelli genericity, the linear
 general position `rnc_test` needs and the Gale primal sets, which the Gale
 check sets against the zero gcds, ask it. The defining
 tensor is built from the lattice, and its relation basis gives the Gale
-dual points wherever `steiner.gale_unavailable` allows. Stability, Torelli,
+dual points wherever `steiner.gale_unavailable` allows; `Analysis.dual`
+builds the dual arrangement from them once. Stability, Torelli,
 Chern data, the delta section's h0 values and the tensor exist only where
 the Steiner sheaf does; `Analysis.unavailable` reads that off the lattice
 with `invariants.steiner_unavailable`, the rule the sheaf layer itself
 enforces. The CLI commands print sections of an Analysis, so each prints
-what `analyze` does.
+what `analyze` does, or the tensor section outside the report.
 
 Each `*_section` method returns records, tuples, enums and Fractions as
 they are; `Analysis.section` alone runs `jsonable` to ready them for
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, InvalidArrangement
 from .ffcount import basis_minors, check_prime, count_complement_points, next_valid_prime
 from .invariants import (ChernData, LocalPointData, PoincareData, chern,
                          complement_count_prediction, delta_invariant, h0_values,
@@ -146,6 +147,16 @@ class Analysis:
         return None if self.unavailable else chern(self.lattice, self.poincare)
 
     @cached_property
+    def dual(self) -> Arrangement | str:
+        """The Gale dual arrangement, or the reason there is none."""
+        if self.tensor is None:
+            return gale_unavailable(self.lattice)
+        try:
+            return gale_dual(self.tensor)
+        except GaleUndefined as exc:
+            return str(exc)
+
+    @cached_property
     def gale_check(self) -> GaleBijectionReport | None:
         """The bijection check, where `gale_unavailable` finds no objection."""
         if gale_unavailable(self.lattice):
@@ -158,7 +169,7 @@ class Analysis:
         return {name: self.section(name) for name in SECTIONS}
 
     def section(self, name: str):
-        """The report section under key `name`, one of SECTIONS, ready for json.dumps."""
+        """The section `name`, one of SECTIONS or "tensor", ready for json.dumps."""
         return jsonable(getattr(self, name + "_section")())
 
     def arrangement_section(self) -> dict:
@@ -242,20 +253,23 @@ class Analysis:
         a, rep = self.a, self.gale_check
         if rep is None:
             return {"defined": False, "reason": gale_unavailable(self.lattice)}
-        out = {
+        return {
             "defined": True,
             "dual_n": a.m - a.n - 2,
             "dual_points": dual_columns(self.tensor),
             "dependent_sets_primal": rep.primal_dependent,
             "dependent_sets_dual": rep.actual_dual,
             "complement_bijection": rep.ok,
+            "dual_arrangement": ("defined" if isinstance(self.dual, Arrangement)
+                                 else f"undefined: {self.dual}"),
         }
-        try:
-            gale_dual(self.tensor)
-            out["dual_arrangement"] = "defined"
-        except GaleUndefined as exc:
-            out["dual_arrangement"] = f"undefined: {exc}"
-        return out
+
+    def tensor_section(self) -> dict:
+        """The defining tensor, for `arrinv tensor`; not a section of the report."""
+        t = self.tensor
+        if t is None:
+            raise InvalidArrangement(f"defining tensor: {self.unavailable}")
+        return {"m": t.m, "n": t.n, "relation_basis": t.u_basis, "slices": t.slices}
 
     def oracles_section(self) -> list[dict]:
         """The verification suite: named exact checks, each pass/fail/skip.

@@ -478,6 +478,12 @@ class TestExamples:
         got = json.loads(out2)
         assert got["arrangement"]["m"] == 6
 
+    def test_list_takes_no_name(self, capsys):
+        rc, out, err = run(capsys, ["examples", "list", "generic5"])
+        assert rc == 2
+        assert out == ""
+        assert err == "error: examples list takes no fixture name, got 'generic5'\n"
+
     def test_unknown_name_points_at_the_list_command(self, capsys):
         rc, _, err = run(capsys, ["examples", "show", "nope"])
         assert rc == 2

@@ -17,6 +17,7 @@ from arrinv.arrangement import InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import IntersectionLattice, build_lattice
 from arrinv.report import DEFAULT_PRIMES, SECTIONS, Analysis, build_report, jsonable
+from arrinv.steiner import GaleUndefined, gale_dual, gale_unavailable, steiner_tensor
 from arrinv.torelli import DEFAULT_MAX_SUBSETS
 
 # the benchmark's committed digests; entry 0 of each fixture's stratum is
@@ -27,6 +28,7 @@ REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "fix
 # a CrossingReport is built once per classification of the crossing
 ONCE_PER_REPORT = (
     ("steiner", "verify_gale_bijection"),
+    ("steiner", "gale_dual"),
     ("invariants", "chern"),
     ("invariants", "poincare"),
     ("invariants", "local_data"),
@@ -61,6 +63,72 @@ def test_each_quantity_is_computed_once_per_report(monkeypatch):
     calls = spy(monkeypatch, ONCE_PER_REPORT)
     build_report(fixture("generic6_off_conic"))
     assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_the_dual_is_the_gale_dual_of_the_tensor_or_the_reason_there_is_none(name):
+    lattice = build_lattice(fixture(name))
+    try:
+        expected = gale_dual(steiner_tensor(lattice))
+    except GaleUndefined as exc:
+        expected = str(exc)
+    except ValueError:   # no Steiner sheaf, so no tensor
+        expected = gale_unavailable(lattice)
+    assert Analysis(fixture(name), DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS).dual == expected
+
+
+def test_the_dual_is_built_once(monkeypatch):
+    calls = spy(monkeypatch, [("steiner", "gale_dual")])
+    an = Analysis(fixture("generic6_off_conic"), DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
+    assert an.section("gale") == an.section("gale")
+    assert len(calls["gale_dual"]) == 1
+    assert an.dual.m == 6
+    assert len(calls["gale_dual"]) == 1
+
+
+# the fixture part of the six-line duality census: each fixture's primal
+# and Gale-dual stability verdicts, or the reason it has no dual
+DUAL_VERDICTS = {
+    "a3_braid": ("unstable", "unstable"),
+    "generic5": ("stable", "stable"),
+    "generic6_off_conic": ("stable", "stable"),
+    "generic6_on_conic": ("stable", "stable"),
+    "m6_one_triple": ("stable", "stable"),
+    "m6_three_triples": ("undetermined", "undetermined"),
+    "m6_two_triples_F1": ("undetermined", "undetermined"),
+    "m6_two_triples_F2": ("undetermined", "undetermined"),
+}
+NO_DUAL = {
+    "boolean_n2": "the construction needs m >= n + 3",
+    "m5_one_triple": "dual points collide",
+    "m5_two_triples": "dual points collide",
+    "m6_four_concurrent": "dual points collide",
+}
+
+
+def multiple_points(an: Analysis) -> list[int]:
+    """The multiplicities of the points where three or more lines meet."""
+    return sorted(f.s for f in an.lattice.flats if f.rank == 2 and f.s > 2)
+
+
+def test_the_duality_table_covers_every_fixture():
+    assert sorted(DUAL_VERDICTS.keys() | NO_DUAL.keys()) == fixture_names()
+
+
+@pytest.mark.parametrize("name", sorted(NO_DUAL))
+def test_a_fixture_without_a_dual_gives_its_reason(name):
+    assert NO_DUAL[name] in Analysis(fixture(name), DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS).dual
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_VERDICTS))
+def test_the_dual_verdicts_of_the_fixtures(name):
+    primal = Analysis(fixture(name), DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
+    dual = Analysis(primal.dual, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
+    assert (primal.section("stability")["status"],
+            dual.section("stability")["status"]) == DUAL_VERDICTS[name]
+    if primal.a.m == 6:   # six lines are Gale dual to six lines
+        assert dual.a.n == 2
+        assert multiple_points(dual) == multiple_points(primal)
 
 
 def test_essential_is_decided_once_per_lattice(monkeypatch):

@@ -24,7 +24,10 @@ count, is kept for the benchmark's tracer alone, so no other module of
 The defining tensor is its relation basis, and every reader takes those rows.
 Its slices are a view for `arrinv tensor` alone, and its columns, the Gale
 dual points, a view for the `gale` section and `gale_dual`: only
-`cli.cmd_tensor` reads `.slices`, and only those two call `dual_columns`.
+`Analysis.tensor_section` reads `.slices`, and only those two call
+`dual_columns`. The dual arrangement is built once, by `Analysis.dual`, the
+only caller of `gale_dual`, which the gale section and `arrinv conjecture`
+read.
 
 The Gale check sets the lattice against the forms' dependent sets, read off
 the basis gcds a report computes once, and tests the relation basis for a
@@ -39,6 +42,8 @@ A report section is encoded in one place, `Analysis.section`, which runs
 `jsonable` on what a `*_section` method returns: no section method and no
 CLI command calls `jsonable` or `list`, or reads an enum's `.value`, and in
 `report` only `Analysis.section` and `jsonable` itself call `jsonable`.
+The CLI holds no library rule: it names neither `jsonable` nor the Gale
+rule (`gale_dual`, `gale_unavailable`, `GaleUndefined`).
 
 No line of `src/` is longer than 99 characters.
 """
@@ -230,9 +235,19 @@ def test_only_the_point_data_and_delta_read_the_points():
 
 
 def test_only_the_tensor_command_and_the_gale_views_read_the_views():
-    assert _in_src(lambda tree: referring(tree, "slices")) == ["cli:cmd_tensor"]
+    assert _in_src(lambda tree: referring(tree, "slices")) == [
+        "report:Analysis.tensor_section"]
     assert _in_src(lambda tree: referring(tree, "dual_columns")) == [
         "report:Analysis.gale_section", "steiner:gale_dual"]
+
+
+def test_only_the_analysis_builds_the_gale_dual():
+    assert _in_src(lambda tree: calling(tree, "gale_dual")) == ["report:Analysis.dual"]
+
+
+def test_the_cli_neither_encodes_nor_holds_the_gale_rule():
+    assert {"jsonable", "gale_dual", "gale_unavailable", "GaleUndefined"} & names(
+        ast.parse((SRC / "cli.py").read_text())) == set()
 
 
 def test_the_check_sees_every_reference_to_a_name():
