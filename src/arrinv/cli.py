@@ -3,8 +3,9 @@
 Commands operate on an arrangement file in the canonical JSON input format
 and print JSON by default (--pretty switches the full report to a table
 rendering). Each command prints sections of one `report.Analysis` of the
-input, already encoded for JSON: those of the report `analyze` prints, the
-tensor section, or for `conjecture` those of the Gale dual's Analysis too.
+input, already encoded for JSON: those of the report `analyze` prints, or
+the tensor or conjecture section, which are not in the report; `conjecture`
+adds only the stderr warning of a disagreement.
 Exit codes: 0 success, 1 when `verify` finds a failing check, 2 invalid
 input, a stray argument or a flag value `Analysis` refuses (printed as
 `error: ` and the library rule's message), and 3 an internal error (a
@@ -18,7 +19,6 @@ import sys
 from .arrangement import Arrangement, InvalidArrangement, parse_arrangement_json
 from .fixtures import fixture, fixture_names, fixture_note
 from .report import DEFAULT_PRIMES, Analysis, render_check, render_pretty
-from .stability import Status
 from .torelli import DEFAULT_MAX_SUBSETS
 
 
@@ -78,32 +78,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    primal = _analysis(args)
-    if not isinstance(primal.dual, Arrangement):
-        raise InvalidArrangement(f"dual arrangement undefined: {primal.dual}")
-    dual = Analysis(primal.dual, primal.primes, primal.max_subsets)
-
-    def _bucket(v):
-        if v.status is Status.STABLE:
-            return "stable"
-        if v.status in (Status.UNSTABLE, Status.NOT_STABLE):
-            return "not_stable"
-        return None
-
-    pb, db = _bucket(primal.stability), _bucket(dual.stability)
-    if pb is None or db is None:
-        agreement = "undetermined"
-    elif pb == db:
-        agreement = "agree"
-    else:
-        agreement = "disagree"
-    out = {
-        "primal": primal.section("stability"),
-        "dual": {"arrangement": dual.section("arrangement"), **dual.section("stability")},
-        "agreement": agreement,
-        "counterexample_candidate": agreement == "disagree",
-    }
-    if agreement == "disagree":
+    out = _analysis(args).section("conjecture")
+    if out["agreement"] == "disagree":
         sys.stderr.write(
             "WARNING: primal and dual stability verdicts disagree; this "
             "contradicts the duality conjecture, check the input carefully\n")

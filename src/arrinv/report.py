@@ -16,12 +16,15 @@ Chern data, the delta section's h0 values and the tensor exist only where
 the Steiner sheaf does; `Analysis.unavailable` reads that off the lattice
 with `invariants.steiner_unavailable`, the rule the sheaf layer itself
 enforces. The CLI commands print sections of an Analysis, so each prints
-what `analyze` does, or the tensor section outside the report.
+what `analyze` does, or the tensor or conjecture section outside the report;
+the conjecture section compares the stability verdicts of the arrangement
+and of its Gale dual's Analysis.
 
 Each `*_section` method returns records, tuples, enums and Fractions as
 they are; `Analysis.section` alone runs `jsonable` to ready them for
-json.dumps. Five result records print whole, as objects of their fields:
-`PoincareData`, `LocalPointData`, `Witness`, `ConicResult` and `RncResult`.
+json.dumps. Six result records print whole, as objects of their fields:
+`PoincareData`, `LocalPointData`, `StabilityVerdict`, `Witness`,
+`ConicResult` and `RncResult`.
 Field order is fixed by construction and all collection iteration is over
 sorted data, so re-running on the same input produces byte-identical output.
 Fractions are emitted as JSON integers when integral and as "p/q" strings
@@ -169,7 +172,7 @@ class Analysis:
         return {name: self.section(name) for name in SECTIONS}
 
     def section(self, name: str):
-        """The section `name`, one of SECTIONS or "tensor", ready for json.dumps."""
+        """The section `name`: one of SECTIONS, "tensor" or "conjecture", ready for json.dumps."""
         return jsonable(getattr(self, name + "_section")())
 
     def arrangement_section(self) -> dict:
@@ -222,14 +225,30 @@ class Analysis:
             out["h0_twisted_log"] = h0_log
         return out
 
-    def stability_section(self) -> dict:
-        verdict = self.stability
-        if verdict is None:
+    def stability_section(self) -> StabilityVerdict | dict:
+        if self.stability is None:
             return {"status": "unavailable", "reason": self.unavailable}
+        return self.stability
+
+    def conjecture_section(self) -> dict:
+        """Stability of both Gale sides, for `arrinv conjecture`; not a section of the report.
+
+        The dual is analysed with the same primes and subset cap. Its verdict
+        agrees with the primal's when both are stable or both are not
+        (unstable or not_stable); an undetermined side leaves it undetermined.
+        """
+        if not isinstance(self.dual, Arrangement):
+            raise InvalidArrangement(f"dual arrangement undefined: {self.dual}")
+        dual = Analysis(self.dual, self.primes, self.max_subsets)
+        stable = [None if v.status is Status.UNDETERMINED else v.status is Status.STABLE
+                  for v in (self.stability, dual.stability)]
+        agreement = ("undetermined" if None in stable
+                     else "agree" if stable[0] == stable[1] else "disagree")
         return {
-            "status": verdict.status,
-            "witnesses": verdict.witnesses,
-            "rules_applied": verdict.rules,
+            "primal": self.stability,
+            "dual": {"arrangement": dual.arrangement_section(), **dual.stability._asdict()},
+            "agreement": agreement,
+            "counterexample_candidate": agreement == "disagree",
         }
 
     def torelli_section(self) -> dict:

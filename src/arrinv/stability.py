@@ -63,7 +63,7 @@ class Witness(NamedTuple):
 class StabilityVerdict(NamedTuple):
     status: Status
     witnesses: tuple[Witness, ...]
-    rules: tuple[str, ...]  # rule trail with provenance notes
+    rules_applied: tuple[str, ...]  # rule trail with provenance notes
 
 
 def combinatorial_destabilizer(lattice: IntersectionLattice) -> Witness | None:

@@ -19,8 +19,9 @@ from arrinv.arrangement import parse_arrangement_json
 from arrinv.cli import OPTIONS, build_parser, main
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import build_lattice
-from arrinv.report import DEFAULT_PRIMES, build_report, jsonable
+from arrinv.report import DEFAULT_PRIMES, Analysis, build_report, jsonable
 from arrinv.stability import Status, StabilityVerdict
+from arrinv.torelli import DEFAULT_MAX_SUBSETS
 from test_report import PLANES_OF_RANK_3, sweep_input
 
 
@@ -430,16 +431,34 @@ class TestConjecture:
             return StabilityVerdict(Status.UNSTABLE, (), ("forced for the test",))
 
         monkeypatch.setattr(report_mod, "classify", unstable_dual)
-        rc, out, err = run(capsys, ["conjecture", path("generic6_off_conic")])
-        assert rc == 0
-        d = json.loads(out)
+        # the section reports the disagreement; the CLI alone warns of it
+        d = Analysis(primal, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS).section("conjecture")
+        assert capsys.readouterr() == ("", "")
         assert d["primal"]["status"] == "stable"
         assert d["dual"]["status"] == "unstable"
         assert d["agreement"] == "disagree"
         assert d["counterexample_candidate"] is True
+        rc, out, err = run(capsys, ["conjecture", path("generic6_off_conic")])
+        assert rc == 0
+        assert json.loads(out) == d
         assert err == ("WARNING: primal and dual stability verdicts disagree; this "
                        "contradicts the duality conjecture, check the input "
                        "carefully\n")
+
+    @pytest.mark.parametrize("name", fixture_names() + ["concurrent6"])
+    def test_conjecture_prints_the_section(self, capsys, tmp_path, name):
+        file = pathlib.Path(path(name))
+        if name == "concurrent6":
+            file = tmp_path / "c6.json"
+            file.write_text(json.dumps(CONCURRENT6))
+        an = Analysis(parse_arrangement_json(file.read_text()), DEFAULT_PRIMES,
+                      DEFAULT_MAX_SUBSETS)
+        rc, out, err = run(capsys, ["conjecture", str(file)])
+        if isinstance(an.dual, str):
+            assert (rc, out, err) == (2, "", f"error: dual arrangement undefined: {an.dual}\n")
+        else:
+            assert (rc, err) == (0, "")
+            assert out == json.dumps(an.section("conjecture"), indent=2) + "\n"
 
     def test_too_few_hyperplanes_is_a_usage_error(self, capsys):
         rc, _, err = run(capsys, ["conjecture", path("boolean_n2")])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import itertools
 import json
 import pathlib
 import random
@@ -13,7 +14,7 @@ from math import comb
 import pytest
 
 import arrinv.report as report_mod
-from arrinv.arrangement import InvalidArrangement, parse_arrangement
+from arrinv.arrangement import Arrangement, InvalidArrangement, parse_arrangement
 from arrinv.fixtures import fixture, fixture_names
 from arrinv.lattice import IntersectionLattice, build_lattice
 from arrinv.report import DEFAULT_PRIMES, SECTIONS, Analysis, build_report, jsonable
@@ -106,9 +107,20 @@ NO_DUAL = {
 }
 
 
-def multiple_points(an: Analysis) -> list[int]:
-    """The multiplicities of the points where three or more lines meet."""
-    return sorted(f.s for f in an.lattice.flats if f.rank == 2 and f.s > 2)
+def point_type(an: Analysis) -> list[tuple[int, ...]]:
+    """The points where three or more lines meet, as label sets up to relabelling."""
+    points = [f.indices for f in an.lattice.flats if f.rank == 2 and f.s > 2]
+    return min(sorted(tuple(sorted(pi[i - 1] for i in p)) for p in points)
+               for pi in itertools.permutations(range(1, an.a.m + 1)))
+
+
+def conjectured(an: Analysis) -> tuple[str, str | None]:
+    """The primal and dual verdicts of the conjecture section; None for no dual."""
+    try:
+        section = an.section("conjecture")
+    except InvalidArrangement:
+        return an.section("stability")["status"], None
+    return section["primal"]["status"], section["dual"]["status"]
 
 
 def test_the_duality_table_covers_every_fixture():
@@ -123,12 +135,100 @@ def test_a_fixture_without_a_dual_gives_its_reason(name):
 @pytest.mark.parametrize("name", sorted(DUAL_VERDICTS))
 def test_the_dual_verdicts_of_the_fixtures(name):
     primal = Analysis(fixture(name), DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
-    dual = Analysis(primal.dual, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
-    assert (primal.section("stability")["status"],
-            dual.section("stability")["status"]) == DUAL_VERDICTS[name]
+    assert conjectured(primal) == DUAL_VERDICTS[name]
     if primal.a.m == 6:   # six lines are Gale dual to six lines
+        dual = Analysis(primal.dual, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
         assert dual.a.n == 2
-        assert multiple_points(dual) == multiple_points(primal)
+        assert point_type(dual) == point_type(primal)
+
+
+# the nine combinatorial types of six lines, named by their points of three
+# or more lines: a representative of each, its primal and dual verdicts (None
+# for no dual) and the reason it has no dual. Seven types have a fixture;
+# a quadruple point with a triple point on one of its lines, and a
+# quintuple point, are built here.
+SIX_LINES = {
+    "none": (fixture("generic6_off_conic"), ("stable", "stable"), None),
+    "one triple": (fixture("m6_one_triple"), ("stable", "stable"), None),
+    "two triples on a line": (fixture("m6_two_triples_F1"),
+                              ("undetermined", "undetermined"), None),
+    "two triples on no line": (fixture("m6_two_triples_F2"),
+                               ("undetermined", "undetermined"), None),
+    "three triples": (fixture("m6_three_triples"), ("undetermined", "undetermined"), None),
+    "four triples": (fixture("a3_braid"), ("unstable", "unstable"), None),
+    "one quadruple": (fixture("m6_four_concurrent"), ("unstable", None),
+                      "dual points collide: hyperplanes 5 and 6 coincide"),
+    "a quadruple and a triple": (
+        parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0], [0, 0, 1],
+                              [1, 0, 1]]),
+        ("unstable", None), "dual points collide: hyperplanes 5 and 6 coincide"),
+    "one quintuple": (
+        parse_arrangement(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 2, 0], [1, 3, 0],
+                              [0, 0, 1]]),
+        ("unstable", None), "hyperplane 6 appears in no relation"),
+}
+
+
+def seeded_image(a: Arrangement, seed: str) -> tuple[list[int], Arrangement]:
+    """(pi, image): the image lists form pi[j] U as its label j + 1, for a
+    seeded permutation pi of the labels and a seeded unimodular U."""
+    rng = random.Random(seed)
+    d = a.n + 1
+    perm = rng.sample(range(d), d)
+    u = [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.randint(-2, 2)
+        for row in u:
+            row[j] += c * row[i]
+    pi = rng.sample(range(a.m), a.m)
+    return pi, parse_arrangement(a.n, [[sum(c * col[k] for c, col in zip(a.forms[i], u))
+                                        for k in range(d)] for i in pi])
+
+
+def six_line_census(an: Analysis, label) -> dict:
+    """What a relabelled unimodular image keeps, each label j read as label(j)."""
+    def relabelled(obj):
+        return {**obj, "indices": sorted(map(label, obj["indices"]))}
+
+    lattice, delta = an.section("lattice"), an.section("delta")
+    dual = an.dual if isinstance(an.dual, Arrangement) else None
+    return {
+        "flats": sorted(map(relabelled, lattice["flats"]), key=lambda f: f["indices"]),
+        "flat_counts_by_rank": lattice["flat_counts_by_rank"],
+        "crossing": lattice["crossing"],
+        "poincare": an.section("poincare"),
+        "chern": an.section("chern"),
+        "delta": {**delta, "per_point": sorted(map(relabelled, delta["per_point"]),
+                                               key=lambda p: p["indices"])},
+        "verdicts": conjectured(an),
+        "type": point_type(an),
+        "dual type": dual and point_type(Analysis(dual, an.primes, an.max_subsets)),
+    }
+
+
+def test_the_six_line_types_are_nine():
+    types = {tuple(point_type(Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)))
+             for a, _, _ in SIX_LINES.values()}
+    assert len(types) == len(SIX_LINES) == 9
+
+
+@pytest.mark.parametrize("name", list(SIX_LINES))
+def test_a_six_line_type_keeps_its_sections_and_verdicts(name):
+    a, verdicts, reason = SIX_LINES[name]
+    base = Analysis(a, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
+    census = six_line_census(base, lambda j: j)
+    assert census["verdicts"] == verdicts
+    # a dual exists exactly where no point has four or more lines
+    assert (census["dual type"] is None) == any(len(p) > 3 for p in census["type"])
+    if reason is None:
+        assert census["dual type"] == census["type"]
+    else:
+        assert census["dual type"] is None and reason in base.dual
+    for seed in range(3):
+        pi, image = seeded_image(a, f"six-lines/{name}/{seed}")
+        moved = Analysis(image, DEFAULT_PRIMES, DEFAULT_MAX_SUBSETS)
+        assert six_line_census(moved, lambda j: pi[j - 1] + 1) == census
 
 
 def test_essential_is_decided_once_per_lattice(monkeypatch):

@@ -106,7 +106,7 @@ def outcomes():
         stab, tv = an.stability, an.torelli
         if stab is None:   # no Steiner sheaf, no verdicts
             continue
-        rules.update(stab.rules)
+        rules.update(stab.rules_applied)
         kinds.update(w.kind for w in stab.witnesses)
         verdicts.add((tv.status.name, tv.rule, tv.trace[-1]))
     # the splitting test, not yet in `classify`, is the one producer of its kind

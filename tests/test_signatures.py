@@ -43,7 +43,11 @@ A report section is encoded in one place, `Analysis.section`, which runs
 CLI command calls `jsonable` or `list`, or reads an enum's `.value`, and in
 `report` only `Analysis.section` and `jsonable` itself call `jsonable`.
 The CLI holds no library rule: it names neither `jsonable` nor the Gale
-rule (`gale_dual`, `gale_unavailable`, `GaleUndefined`).
+rule (`gale_dual`, `gale_unavailable`, `GaleUndefined`), nor the stability
+rule (`Status`, `StabilityVerdict`, `classify`): `arrinv conjecture` prints
+the conjecture section, which compares the two verdicts. The CLI builds an
+`Analysis` in one place, `_analysis`, so no command analyses a second
+arrangement.
 
 No line of `src/` is longer than 99 characters.
 """
@@ -248,6 +252,15 @@ def test_only_the_analysis_builds_the_gale_dual():
 def test_the_cli_neither_encodes_nor_holds_the_gale_rule():
     assert {"jsonable", "gale_dual", "gale_unavailable", "GaleUndefined"} & names(
         ast.parse((SRC / "cli.py").read_text())) == set()
+
+
+def test_the_cli_holds_no_stability_rule():
+    assert {"Status", "StabilityVerdict", "classify"} & names(
+        ast.parse((SRC / "cli.py").read_text())) == set()
+
+
+def test_the_cli_builds_one_analysis():
+    assert calling(ast.parse((SRC / "cli.py").read_text()), "Analysis") == ["_analysis"]
 
 
 def test_the_check_sees_every_reference_to_a_name():

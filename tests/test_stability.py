@@ -254,17 +254,17 @@ def test_rules_trail_mentions_decisive_rule():
     off `rules_applied`: the numeric tests never decide stability. Checked
     on the fixtures and on seeded draws at n = 2..4."""
     v = classified("m6_one_triple")
-    assert any("delta = 1" in r for r in v.rules)
+    assert any("delta = 1" in r for r in v.rules_applied)
     v = classified("generic6_off_conic")
-    assert any("generic" in r for r in v.rules)
+    assert any("generic" in r for r in v.rules_applied)
     lattices = [build_lattice(fixture(name)) for name in fixture_names()]
     lattices = [lat for lat in lattices if steiner_unavailable(lat) is None]
     cited = set()
     for lat in lattices + seeded_steiner_lattices(150):
         v = classify(lat, delta_invariant(lat) if lat.n == 2 else None)
         if v.status is Status.STABLE:
-            theorem = v.rules[-1].rsplit(" ", 1)[-1]
-            assert theorem in ("(Bohnhorst-Spindler)", "(Schenck)"), v.rules
+            theorem = v.rules_applied[-1].rsplit(" ", 1)[-1]
+            assert theorem in ("(Bohnhorst-Spindler)", "(Schenck)"), v.rules_applied
             cited.add((lat.n, theorem))
     assert cited >= {(2, "(Schenck)")} | {(n, "(Bohnhorst-Spindler)") for n in (2, 3, 4)}
 

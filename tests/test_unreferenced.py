@@ -39,7 +39,8 @@ ALLOWED = {
 }
 
 # records a report passes whole to `jsonable`, which reads every field
-PRINTED = {"PoincareData", "LocalPointData", "Witness", "ConicResult", "RncResult"}
+PRINTED = {"PoincareData", "LocalPointData", "Witness", "StabilityVerdict", "ConicResult",
+           "RncResult"}
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
            ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
